@@ -30,11 +30,9 @@ use crate::pipeline::{pipeline_latency, StageTiming};
 use crate::predictor_unit::IsdPredictorUnit;
 use crate::sqrt_inv::SquareRootInverter;
 use haan::backend::{
-    register_backend, BatchRequest, NormBackend, NormMatmulRequest, ResidualNormRequest,
-    ACCEL_SIM_BACKEND,
+    register_backend, BatchRequest, NormBackend, ResidualNormRequest, ACCEL_SIM_BACKEND,
 };
 use haan_llm::NormKind;
-use haan_numerics::fusion::matmul_rows_into;
 use haan_numerics::stats::RowNormMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,29 +223,6 @@ impl NormBackend for AccelSimBackend {
         self.normalize_batch(&summed, out, isds_out, scratch);
         self.total_cycles
             .fetch_add(Self::RESIDUAL_ADDER_FILL_CYCLES, Ordering::Relaxed);
-    }
-
-    /// Norm+matmul epilogue on the simulated datapath: the rows stream through
-    /// the full statistics/inverter/normalization pipeline (already timed by
-    /// [`NormBackend::normalize_batch`]) and the consumer matmuls run
-    /// functionally on the host. The MAC array that would consume the
-    /// normalization units' output tiles is outside this simulator's scope, so
-    /// no additional cycles are charged for it — the accounted cycles are
-    /// exactly the normalization datapath's share of the fused operation.
-    fn norm_matmul_epilogue(
-        &self,
-        request: &NormMatmulRequest<'_>,
-        outs: &mut [&mut [f32]],
-        isds_out: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) {
-        let cols = request.norm.cols;
-        let mut normalized = vec![0.0f32; request.norm.data.len()];
-        self.normalize_batch(&request.norm, &mut normalized, isds_out, scratch);
-        for (consumer, out) in request.consumers.iter().zip(outs.iter_mut()) {
-            matmul_rows_into(&normalized, cols, consumer.weights, consumer.n, out)
-                .expect("consumer shapes were validated by the request constructor");
-        }
     }
 }
 

@@ -5,11 +5,11 @@
 //! row-parallel) on paper-width (4096-element) rows, plus per-backend ns/element of
 //! the dispatchable execution backends (`BackendSelection::{Scalar, Fused, Parallel,
 //! AccelSim}`) through the same `normalize_matrix_into` entry point, plus the fused
-//! residual+norm and norm+matmul-epilogue request shapes against their composed
-//! decomposition, plus the serving-layer throughput of `haan_serve` (concurrent
-//! clients through one `ServeEngine`), plus matmul GFLOP/s of the cache-blocked
-//! kernels, and writes the
-//! numbers to `BENCH_norm.json` (first CLI argument overrides the output path).
+//! residual+norm site against its composed decomposition, plus KV-cached,
+//! multi-stream, overload, continuous-batching, observability and routing numbers
+//! of the `haan_serve` decode groups, plus matmul GFLOP/s of the cache-blocked
+//! kernels, and writes the numbers to `BENCH_norm.json` (first CLI argument
+//! overrides the output path).
 //! Future PRs diff this file to keep the perf trajectory honest.
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, ParallelPolicy};
@@ -20,7 +20,7 @@ use haan_bench::{print_experiment_header, MarkdownTable};
 use haan_llm::norm::{NormSite, Normalizer, ReferenceNormalizer};
 use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel};
 use haan_router::{PlacementPolicy, Router, RouterConfig};
-use haan_serve::{KvPoolPolicy, SchedulerPolicy, ServeConfig, ServeEngine, ServingStats};
+use haan_serve::{GroupStats, KvPoolPolicy, ServeConfig, ServeEngine};
 
 const ROWS: usize = 16;
 const COLS: usize = 4096;
@@ -33,16 +33,12 @@ fn input_matrix() -> Matrix {
 }
 
 /// Fusion-site workload: enough paper-width (4096-element) rows that the
-/// matrices spill past cache, so the fused request shapes are measured against
-/// the memory passes they remove rather than L1-resident arithmetic.
+/// matrices spill past cache, so the fused residual site is measured against
+/// the memory pass it removes rather than L1-resident arithmetic.
 const FUSION_ROWS: usize = 1024;
-/// Output width of the epilogue consumer. Narrow, so the matmul flops —
-/// identical on both paths — do not swamp the intermediate-materialization
-/// traffic the fusion removes.
-const FUSION_CONSUMER_COLS: usize = 8;
 
-/// One fusion site measured three ways: the fused request shape, the scalar
-/// composition (separate add → norm → matmul — the parity oracle and the
+/// The residual+norm fusion site measured three ways: the fused request shape,
+/// the scalar composition (separate add → norm — the parity oracle and the
 /// pre-fusion operation order), and the composed decomposition on the same
 /// fused backend (fusion disabled), which isolates the pure fusion gain from
 /// the backend's kernel quality.
@@ -63,12 +59,11 @@ impl FusionSite {
     }
 }
 
-/// Measures both fusion sites (residual+norm, norm+matmul epilogue) through the
-/// `normalize_residual_into` / `normalize_matmul_into` request shapes on an
-/// exact-statistics config — the fused residual single pass only engages when
-/// quantization is the identity, so the exact config is where fusion shows its
-/// full effect.
-fn run_fusion_benchmark() -> [FusionSite; 2] {
+/// Measures the residual+norm fusion site through `normalize_residual_into` on
+/// an exact-statistics config — the fused residual single pass only engages
+/// when quantization is the identity, so the exact config is where fusion shows
+/// its full effect.
+fn run_fusion_benchmark() -> FusionSite {
     let fusion_matrix = |rows: usize, cols: usize, salt: u64, scale: f32| {
         let data: Vec<f32> = (0..rows * cols)
             .map(|i| {
@@ -82,14 +77,12 @@ fn run_fusion_benchmark() -> [FusionSite; 2] {
     let residual = fusion_matrix(FUSION_ROWS, COLS, 1913, 1.5);
     let gamma: Vec<f32> = (0..COLS).map(|i| 1.0 + (i % 5) as f32 * 0.1).collect();
     let beta: Vec<f32> = (0..COLS).map(|i| (i % 3) as f32 * 0.2 - 0.2).collect();
-    let weights = fusion_matrix(COLS, FUSION_CONSUMER_COLS, 31, 0.5);
-    let weight_refs = [&weights];
     let site = NormSite {
         layer_index: 0,
         kind: NormKind::LayerNorm,
     };
 
-    let measure_pair = |backend: BackendSelection, fusion: bool| {
+    let measure = |backend: BackendSelection, fusion: bool| {
         let mut norm = HaanNormalizer::new(HaanConfig {
             backend,
             fusion_enabled: fusion,
@@ -109,98 +102,15 @@ fn run_fusion_benchmark() -> [FusionSite; 2] {
             );
             std::hint::black_box(normed.get(0, 0));
         });
-        let mut outs = [Matrix::zeros(FUSION_ROWS, FUSION_CONSUMER_COLS)];
-        let epilogue_m = measure_default(|| {
-            norm.normalize_matmul_into(site, &input, &gamma, &beta, &weight_refs, &mut outs)
-                .expect("validated shapes");
-            std::hint::black_box(outs[0].get(0, 0));
-        });
-        let per_element = (FUSION_ROWS * COLS) as f64;
-        (
-            residual_m.nanos_per_iter / per_element,
-            epilogue_m.nanos_per_iter / per_element,
-        )
+        residual_m.nanos_per_iter / (FUSION_ROWS * COLS) as f64
     };
 
-    let (residual_fused, epilogue_fused) = measure_pair(BackendSelection::Fused, true);
-    let (residual_same, epilogue_same) = measure_pair(BackendSelection::Fused, false);
-    let (residual_scalar, epilogue_scalar) = measure_pair(BackendSelection::Scalar, false);
-    [
-        FusionSite {
-            name: "residual_norm",
-            fused_ns_per_element: residual_fused,
-            composed_ns_per_element: residual_scalar,
-            same_backend_composed_ns_per_element: residual_same,
-        },
-        FusionSite {
-            name: "norm_matmul_epilogue",
-            fused_ns_per_element: epilogue_fused,
-            composed_ns_per_element: epilogue_scalar,
-            same_backend_composed_ns_per_element: epilogue_same,
-        },
-    ]
-}
-
-const SERVING_CLIENTS: usize = 4;
-const SERVING_REQUESTS_PER_CLIENT: usize = 64;
-const SERVING_ROWS: usize = 4;
-const SERVING_COLS: usize = 1024;
-
-/// Drives `SERVING_CLIENTS` concurrent client threads through one `ServeEngine`
-/// (exact-statistics config, fused backend) and returns the engine's serving stats
-/// plus the end-to-end request throughput.
-fn run_serving_benchmark() -> (ServingStats, f64) {
-    let mut engine = ServeEngine::start(ServeConfig {
-        normalizer: HaanConfig {
-            backend: BackendSelection::Fused,
-            ..HaanConfig::unoptimized()
-        },
-        scheduler: SchedulerPolicy {
-            max_batch_rows: SERVING_CLIENTS * SERVING_ROWS,
-            max_wait_us: 500,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    let gamma = vec![1.0f32; SERVING_COLS];
-    let beta = vec![0.0f32; SERVING_COLS];
-    let started = std::time::Instant::now();
-    let clients: Vec<_> = (0..SERVING_CLIENTS)
-        .map(|client| {
-            let mut session = engine.session();
-            let gamma = gamma.clone();
-            let beta = beta.clone();
-            std::thread::spawn(move || {
-                for request in 0..SERVING_REQUESTS_PER_CLIENT {
-                    let site = NormSite {
-                        layer_index: request % 4,
-                        kind: NormKind::LayerNorm,
-                    };
-                    let data: Vec<f32> = (0..SERVING_ROWS * SERVING_COLS)
-                        .map(|i| {
-                            let x = (i + request * 131 + client * 7919) as u64;
-                            ((x * 2654435761) % 1000) as f32 / 250.0 - 2.0
-                        })
-                        .collect();
-                    let input = Matrix::from_vec(SERVING_ROWS, SERVING_COLS, data)
-                        .expect("consistent shape");
-                    std::hint::black_box(
-                        session
-                            .normalize(site, &input, &gamma, &beta)
-                            .expect("serving round trip"),
-                    );
-                }
-            })
-        })
-        .collect();
-    for handle in clients {
-        handle.join().expect("serving client thread");
+    FusionSite {
+        name: "residual_norm",
+        fused_ns_per_element: measure(BackendSelection::Fused, true),
+        composed_ns_per_element: measure(BackendSelection::Scalar, false),
+        same_backend_composed_ns_per_element: measure(BackendSelection::Fused, false),
     }
-    let elapsed = started.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    let requests_per_s = (SERVING_CLIENTS * SERVING_REQUESTS_PER_CLIENT) as f64 / elapsed;
-    engine.shutdown();
-    (stats, requests_per_s)
 }
 
 /// Sequence lengths of the decode benchmark (the sequence length *reached* after
@@ -319,10 +229,9 @@ const MULTI_STREAM_PROMPT: usize = 4;
 struct MultiStreamPoint {
     streams: usize,
     aggregate_tokens_per_s: f64,
-    /// Rows per engine batch over the timed lockstep ticks only (one row per
-    /// stream per site when the group is the lone tenant).
+    /// Rows per normalization call over the timed lockstep ticks only
+    /// ([`GroupStats::mean_tick_occupancy_rows`]: one row per stream per site).
     rows_per_batch: f64,
-    requests_per_batch: f64,
     /// Pool pages actually materialized while all streams were alive, in bytes.
     paged_pool_bytes: usize,
     /// What the same streams would preallocate under dense per-stream caches.
@@ -330,8 +239,8 @@ struct MultiStreamPoint {
 }
 
 /// Advances `streams` concurrent decode streams in lockstep through one
-/// `ServeEngine::decode_group`: every tick issues one fused normalization
-/// request per site carrying one row per stream, which is the batching width
+/// `ServeEngine::decode_group`: every tick makes one batched normalizer call
+/// per site carrying one row per stream, which is the batching width
 /// the paged pool + multi-stream step exist to produce. `obs` is `None` for
 /// the perf-gate runs (the zero-cost disabled path) and a live sink for the
 /// informational enabled A/B of the observability block.
@@ -342,18 +251,10 @@ fn run_multi_stream_benchmark(
 ) -> MultiStreamPoint {
     let config = model.config();
     let rows_per_stream_block = MULTI_STREAM_PROMPT + MULTI_STREAM_TICKS + 1;
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: HaanConfig {
             backend: BackendSelection::Fused,
             ..HaanConfig::unoptimized()
-        },
-        scheduler: SchedulerPolicy {
-            // One lockstep request per site carries `streams` rows: meeting the
-            // threshold exactly dispatches it immediately, so the single-stream
-            // point measures compute, not the max-wait timer.
-            max_batch_rows: streams,
-            max_wait_us: 200,
-            ..Default::default()
         },
         kv_pool: KvPoolPolicy {
             page_rows: 16,
@@ -377,13 +278,18 @@ fn run_multi_stream_benchmark(
     // Untimed prefill tick (per-stream passes: prompts differ in length in
     // general), then timed lockstep ticks.
     group.step_all().expect("prefill tick");
-    let after_prefill = engine.stats();
+    let after_prefill = group.stats();
     let started = std::time::Instant::now();
     for _ in 0..MULTI_STREAM_TICKS {
         group.step_all().expect("lockstep tick");
     }
     let elapsed = started.elapsed().as_secs_f64();
-    let stats = engine.stats();
+    let stats = group.stats();
+    let timed = GroupStats {
+        ticks: stats.ticks - after_prefill.ticks,
+        occupied_rows: stats.occupied_rows - after_prefill.occupied_rows,
+        ..stats
+    };
     let pool = engine.kv_pool(config.embedding_dim);
     let paged_pool_bytes = pool.bytes_materialized();
     let dense_equivalent_bytes = streams
@@ -392,16 +298,10 @@ fn run_multi_stream_benchmark(
         * config.max_seq_len
         * config.embedding_dim
         * std::mem::size_of::<f32>();
-    drop(group);
-    engine.shutdown();
-    let tick_batches = stats.batches - after_prefill.batches;
-    let tick_rows = stats.rows - after_prefill.rows;
-    let tick_requests = stats.requests - after_prefill.requests;
     MultiStreamPoint {
         streams,
         aggregate_tokens_per_s: (streams * MULTI_STREAM_TICKS) as f64 / elapsed,
-        rows_per_batch: tick_rows as f64 / tick_batches.max(1) as f64,
-        requests_per_batch: tick_requests as f64 / tick_batches.max(1) as f64,
+        rows_per_batch: timed.mean_tick_occupancy_rows(),
         paged_pool_bytes,
         dense_equivalent_bytes,
     }
@@ -440,7 +340,7 @@ struct RoutingPoint {
 }
 
 /// The per-group engine config of the routing benchmarks, mirroring the
-/// multi-stream benchmark's scheduler and pool shape.
+/// multi-stream benchmark's pool shape.
 fn routing_serve_config(model: &TransformerModel, streams_per_group: usize) -> ServeConfig {
     let config = model.config();
     let rows_per_stream_block = ROUTING_PROMPT + ROUTING_TICKS + 1;
@@ -448,11 +348,6 @@ fn routing_serve_config(model: &TransformerModel, streams_per_group: usize) -> S
         normalizer: HaanConfig {
             backend: BackendSelection::Fused,
             ..HaanConfig::unoptimized()
-        },
-        scheduler: SchedulerPolicy {
-            max_batch_rows: streams_per_group,
-            max_wait_us: 200,
-            ..Default::default()
         },
         kv_pool: KvPoolPolicy {
             page_rows: 16,
@@ -464,8 +359,8 @@ fn routing_serve_config(model: &TransformerModel, streams_per_group: usize) -> S
 
 /// Aggregate tok/s of `ROUTING_STREAMS` streams spread over `groups` groups,
 /// every group ticking on its own thread — the sharding payoff the router
-/// exists to unlock (one group serializes all streams behind one engine
-/// worker; N groups are N independent workers).
+/// exists to unlock (one group runs all its streams on one thread; N groups
+/// tick on N threads).
 fn run_routing_throughput(model: &TransformerModel, groups: usize) -> f64 {
     let vocab = model.config().vocab_size as u32;
     let mut router = Router::with_uniform_groups(
@@ -623,7 +518,6 @@ struct RobustnessPoint {
     drill_ticks: u64,
     pool_exhausted_retries: u64,
     injected_exhaustions: u64,
-    p99_queue_wait_us: u64,
 }
 
 impl RobustnessPoint {
@@ -639,9 +533,8 @@ impl RobustnessPoint {
 /// The overload drill of `tests/serving_chaos.rs`, measured: a pool sized for
 /// `ROBUSTNESS_POOL_STREAMS` full-length streams is offered `ROBUSTNESS_OVERLOAD`×
 /// as many prompts under seeded pool-exhaustion injection, and the group runs
-/// until every admitted stream completes. The numbers are the admission split,
-/// the preemption/resume traffic (with its re-prefill cost), and the engine's
-/// p99 queue wait under that pressure.
+/// until every admitted stream completes. The numbers are the admission split
+/// and the preemption/resume traffic (with its re-prefill cost).
 fn run_robustness_benchmark() -> RobustnessPoint {
     use haan_serve::{AdmissionPolicy, FaultPlan, SeededFaults, StreamStatus};
     let model = TransformerModel::new(&ModelConfig::tiny_test(), 42).expect("valid drill model");
@@ -652,10 +545,9 @@ fn run_robustness_benchmark() -> RobustnessPoint {
         FaultPlan {
             exhaust_probability: 0.1,
             max_exhaustions: 4,
-            ..Default::default()
         },
     ));
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: HaanConfig {
             backend: BackendSelection::Fused,
             ..HaanConfig::unoptimized()
@@ -699,9 +591,6 @@ fn run_robustness_benchmark() -> RobustnessPoint {
     }
     let stats = group.stats();
     let injected = faults.injected();
-    let p99_queue_wait_us = engine.stats().p99_queue_wait_us;
-    drop(group);
-    engine.shutdown();
     RobustnessPoint {
         offered: stats.offered,
         admitted: stats.admitted,
@@ -714,7 +603,6 @@ fn run_robustness_benchmark() -> RobustnessPoint {
         drill_ticks: stats.ticks,
         pool_exhausted_retries,
         injected_exhaustions: injected.exhaustions,
-        p99_queue_wait_us,
     }
 }
 
@@ -749,7 +637,7 @@ struct ContinuousBatchingPoint {
 fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Vec<u64>, u64, u64) {
     let config = model.config();
     let vocab = config.vocab_size as u32;
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: HaanConfig {
             backend: BackendSelection::Fused,
             ..HaanConfig::unoptimized()
@@ -797,8 +685,6 @@ fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Ve
         group.step_all().expect("settle tick");
     }
     let occupancy = group.stats().mean_tick_occupancy_rows();
-    drop(group);
-    engine.shutdown();
     (
         occupancy,
         join_latencies_us,
@@ -845,7 +731,7 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
         .collect();
     let base_prompt: [u32; 3] = [1, 2, 3];
 
-    let mut shared_engine = ServeEngine::start(serve_config());
+    let shared_engine = ServeEngine::start(serve_config());
     let prefix = shared_engine
         .intern_prefix(model, &prefix_tokens)
         .expect("whole-page prefix");
@@ -861,10 +747,8 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
         shared_group.step_all().expect("shared tick");
     }
     let shared_pool_bytes = shared_engine.kv_pool(config.embedding_dim).bytes_in_use();
-    drop(shared_group);
-    shared_engine.shutdown();
 
-    let mut unshared_engine = ServeEngine::start(serve_config());
+    let unshared_engine = ServeEngine::start(serve_config());
     let full_prompts: Vec<Vec<u32>> = suffixes
         .iter()
         .map(|suffix| {
@@ -882,8 +766,6 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
         unshared_group.step_all().expect("unshared tick");
     }
     let unshared_pool_bytes = unshared_engine.kv_pool(config.embedding_dim).bytes_in_use();
-    drop(unshared_group);
-    unshared_engine.shutdown();
 
     ContinuousBatchingPoint {
         chunked_occupancy_rows,
@@ -898,9 +780,9 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
 }
 
 /// Instrumentation checks a decode token pays on the hot path with no sink
-/// installed (a deliberate over-estimate: per site per tick the engine tests
-/// the option a handful of times — gather/normalize/scatter clocks, counters,
-/// the dispatch event — plus the pool and group checks).
+/// installed (a deliberate over-estimate: per site per tick the normalizer
+/// tests the option for its skip/exact and fused-path counters, plus the pool
+/// and group checks).
 const OBS_CHECKS_PER_TOKEN: f64 = 64.0;
 
 struct ObservabilityPoint {
@@ -933,24 +815,18 @@ fn run_observability_benchmark(
     let obs = Obs::new(4096);
     for site in 0..9u64 {
         obs.counter_add(&format!("haan.skip.site_{site}"), site);
+        obs.counter_add(&format!("haan.path.fused_residual.site_{site}"), site);
         obs.gauge_set(&format!("haan.skip_rate.site_{site}"), 0.5);
     }
     for name in [
-        "serve.batches",
-        "serve.requests",
-        "serve.rows",
+        "admission.offered",
+        "admission.admitted",
+        "serve.prefix.hits",
         "pool.exhaustions",
     ] {
         obs.counter_add(name, 7);
     }
-    for name in [
-        "serve.queue_wait_us",
-        "serve.phase.gather_ns",
-        "serve.phase.normalize_ns",
-        "serve.phase.scatter_ns",
-        "group.tick_rows",
-        "group.phase.advance_ns",
-    ] {
+    for name in ["group.tick_rows", "group.phase.advance_ns"] {
         for v in 0..256u64 {
             obs.record(name, v * 37 + 1);
         }
@@ -1159,10 +1035,10 @@ fn main() {
     }
     println!("{}", backend_table.render());
 
-    // Fusion sites: the fused residual+norm and norm+matmul-epilogue request
-    // shapes vs the scalar composition (the pre-fusion operation order) and vs
-    // the composed decomposition on the same backend (fusion disabled).
-    let fusion_sites = run_fusion_benchmark();
+    // Fusion site: the fused residual+norm request shape vs the scalar
+    // composition (the pre-fusion operation order) and vs the composed
+    // decomposition on the same backend (fusion disabled).
+    let fusion_site = run_fusion_benchmark();
     let mut fusion_table = MarkdownTable::new(vec![
         "fusion site",
         "fused ns/element",
@@ -1171,46 +1047,15 @@ fn main() {
         "same-backend composed",
         "pure-fusion gain",
     ]);
-    for fusion_site in &fusion_sites {
-        fusion_table.push_row(vec![
-            fusion_site.name.to_string(),
-            format!("{:.3}", fusion_site.fused_ns_per_element),
-            format!("{:.3}", fusion_site.composed_ns_per_element),
-            format!("{:.2}x", fusion_site.speedup_vs_composed()),
-            format!("{:.3}", fusion_site.same_backend_composed_ns_per_element),
-            format!("{:.2}x", fusion_site.speedup_vs_same_backend()),
-        ]);
-    }
+    fusion_table.push_row(vec![
+        fusion_site.name.to_string(),
+        format!("{:.3}", fusion_site.fused_ns_per_element),
+        format!("{:.3}", fusion_site.composed_ns_per_element),
+        format!("{:.2}x", fusion_site.speedup_vs_composed()),
+        format!("{:.3}", fusion_site.same_backend_composed_ns_per_element),
+        format!("{:.2}x", fusion_site.speedup_vs_same_backend()),
+    ]);
     println!("{}", fusion_table.render());
-
-    // Serving layer: concurrent clients streaming requests through one ServeEngine,
-    // measuring end-to-end request throughput and how well the scheduler coalesces.
-    let (serving_stats, serving_requests_per_s) = run_serving_benchmark();
-    let mut serving_table = MarkdownTable::new(vec!["serving metric", "value"]);
-    serving_table.push_row(vec![
-        "requests/s".to_string(),
-        format!("{serving_requests_per_s:.0}"),
-    ]);
-    serving_table.push_row(vec![
-        "mean batch occupancy (requests)".to_string(),
-        format!("{:.2}", serving_stats.mean_batch_occupancy_requests()),
-    ]);
-    serving_table.push_row(vec![
-        "mean batch occupancy (rows)".to_string(),
-        format!("{:.1}", serving_stats.mean_batch_occupancy_rows()),
-    ]);
-    serving_table.push_row(vec![
-        "queue wait p50 / p99 (µs)".to_string(),
-        format!(
-            "{} / {}",
-            serving_stats.p50_queue_wait_us, serving_stats.p99_queue_wait_us
-        ),
-    ]);
-    serving_table.push_row(vec![
-        "engine ns/element".to_string(),
-        format!("{:.2}", serving_stats.ns_per_element()),
-    ]);
-    println!("{}", serving_table.render());
 
     // Decode path: prefill throughput plus cached vs full-recompute greedy decode
     // tokens/s on a 256-position model — the payoff of the stateful
@@ -1239,8 +1084,8 @@ fn main() {
     println!("{}", decode_table.render());
 
     // Batched multi-stream decode: N concurrent streams in lockstep through one
-    // engine decode group — one fused normalization request per site per tick,
-    // one row per stream — with K/V rows paged out of the engine's shared pool.
+    // engine decode group — one batched normalizer call per site per tick, one
+    // row per stream — with K/V rows paged out of the engine's shared pool.
     let multi_points: Vec<MultiStreamPoint> = MULTI_STREAM_COUNTS
         .iter()
         .map(|&streams| run_multi_stream_benchmark(&decode_model, streams, None))
@@ -1264,7 +1109,7 @@ fn main() {
     println!("{}", multi_table.render());
 
     // Robustness under overload: the 4× oversubscription drill with seeded
-    // fault injection — admission split, preemption/resume traffic, queue wait.
+    // fault injection — admission split and preemption/resume traffic.
     let robustness = run_robustness_benchmark();
     let mut robustness_table = MarkdownTable::new(vec!["robustness metric", "value"]);
     robustness_table.push_row(vec![
@@ -1292,10 +1137,6 @@ fn main() {
             "{} / {}",
             robustness.injected_exhaustions, robustness.pool_exhausted_retries
         ),
-    ]);
-    robustness_table.push_row(vec![
-        "p99 queue wait under overload (µs)".to_string(),
-        robustness.p99_queue_wait_us.to_string(),
     ]);
     println!("{}", robustness_table.render());
 
@@ -1479,75 +1320,33 @@ fn main() {
         ),
         (
             "fusion",
-            JsonValue::object(
-                [
-                    ("rows".to_string(), JsonValue::from(FUSION_ROWS)),
-                    ("cols".to_string(), JsonValue::from(COLS)),
-                    (
-                        "consumer_cols".to_string(),
-                        JsonValue::from(FUSION_CONSUMER_COLS),
-                    ),
-                ]
-                .into_iter()
-                .chain(fusion_sites.iter().map(|fusion_site| {
-                    (
-                        fusion_site.name.to_string(),
-                        JsonValue::object([
-                            (
-                                "fused_ns_per_element",
-                                JsonValue::from(fusion_site.fused_ns_per_element),
-                            ),
-                            (
-                                "composed_ns_per_element",
-                                JsonValue::from(fusion_site.composed_ns_per_element),
-                            ),
-                            (
-                                "speedup_vs_composed",
-                                JsonValue::from(fusion_site.speedup_vs_composed()),
-                            ),
-                            (
-                                "same_backend_composed_ns_per_element",
-                                JsonValue::from(fusion_site.same_backend_composed_ns_per_element),
-                            ),
-                            (
-                                "speedup_vs_same_backend",
-                                JsonValue::from(fusion_site.speedup_vs_same_backend()),
-                            ),
-                        ]),
-                    )
-                })),
-            ),
-        ),
-        (
-            "serving",
             JsonValue::object([
-                ("clients", JsonValue::from(SERVING_CLIENTS)),
+                ("rows", JsonValue::from(FUSION_ROWS)),
+                ("cols", JsonValue::from(COLS)),
                 (
-                    "requests_per_client",
-                    JsonValue::from(SERVING_REQUESTS_PER_CLIENT),
-                ),
-                ("rows_per_request", JsonValue::from(SERVING_ROWS)),
-                ("cols", JsonValue::from(SERVING_COLS)),
-                ("requests_per_s", JsonValue::from(serving_requests_per_s)),
-                (
-                    "mean_batch_occupancy_requests",
-                    JsonValue::from(serving_stats.mean_batch_occupancy_requests()),
-                ),
-                (
-                    "mean_batch_occupancy_rows",
-                    JsonValue::from(serving_stats.mean_batch_occupancy_rows()),
-                ),
-                (
-                    "p50_queue_wait_us",
-                    JsonValue::from(serving_stats.p50_queue_wait_us),
-                ),
-                (
-                    "p99_queue_wait_us",
-                    JsonValue::from(serving_stats.p99_queue_wait_us),
-                ),
-                (
-                    "engine_ns_per_element",
-                    JsonValue::from(serving_stats.ns_per_element()),
+                    fusion_site.name,
+                    JsonValue::object([
+                        (
+                            "fused_ns_per_element",
+                            JsonValue::from(fusion_site.fused_ns_per_element),
+                        ),
+                        (
+                            "composed_ns_per_element",
+                            JsonValue::from(fusion_site.composed_ns_per_element),
+                        ),
+                        (
+                            "speedup_vs_composed",
+                            JsonValue::from(fusion_site.speedup_vs_composed()),
+                        ),
+                        (
+                            "same_backend_composed_ns_per_element",
+                            JsonValue::from(fusion_site.same_backend_composed_ns_per_element),
+                        ),
+                        (
+                            "speedup_vs_same_backend",
+                            JsonValue::from(fusion_site.speedup_vs_same_backend()),
+                        ),
+                    ]),
                 ),
             ]),
         ),
@@ -1621,10 +1420,6 @@ fn main() {
                                 JsonValue::from(point.aggregate_tokens_per_s),
                             ),
                             ("rows_per_batch", JsonValue::from(point.rows_per_batch)),
-                            (
-                                "requests_per_batch",
-                                JsonValue::from(point.requests_per_batch),
-                            ),
                             ("paged_pool_bytes", JsonValue::from(point.paged_pool_bytes)),
                             (
                                 "dense_equivalent_bytes",
@@ -1664,10 +1459,6 @@ fn main() {
                 (
                     "injected_exhaustions",
                     JsonValue::from(robustness.injected_exhaustions),
-                ),
-                (
-                    "p99_queue_wait_us",
-                    JsonValue::from(robustness.p99_queue_wait_us),
                 ),
             ]),
         ),
@@ -1802,23 +1593,21 @@ fn main() {
         fused_speedup >= 1.0,
         "fused path regressed below the scalar oracle ({fused_speedup:.2}x)"
     );
-    for fusion_site in &fusion_sites {
-        assert!(
-            fusion_site.speedup_vs_composed() >= 1.2,
-            "fused {} ({:.3} ns/element) must beat the composed path \
-             ({:.3} ns/element) by >= 1.2x on {COLS}-wide rows, got {:.2}x",
-            fusion_site.name,
-            fusion_site.fused_ns_per_element,
-            fusion_site.composed_ns_per_element,
-            fusion_site.speedup_vs_composed()
-        );
-        assert!(
-            fusion_site.speedup_vs_same_backend() >= 1.0,
-            "fused {} regressed below its own composed decomposition ({:.2}x)",
-            fusion_site.name,
-            fusion_site.speedup_vs_same_backend()
-        );
-    }
+    assert!(
+        fusion_site.speedup_vs_composed() >= 1.2,
+        "fused {} ({:.3} ns/element) must beat the composed path \
+         ({:.3} ns/element) by >= 1.2x on {COLS}-wide rows, got {:.2}x",
+        fusion_site.name,
+        fusion_site.fused_ns_per_element,
+        fusion_site.composed_ns_per_element,
+        fusion_site.speedup_vs_composed()
+    );
+    assert!(
+        fusion_site.speedup_vs_same_backend() >= 1.0,
+        "fused {} regressed below its own composed decomposition ({:.2}x)",
+        fusion_site.name,
+        fusion_site.speedup_vs_same_backend()
+    );
     let longest = decode_points.last().expect("at least one decode point");
     assert!(
         longest.cached_speedup() >= 3.0,

@@ -44,30 +44,26 @@
 //! Telemetry is *not* a backend concern: element-read accounting is fully determined
 //! by the request shape, so the caller computes it uniformly for every backend.
 //!
-//! # Fusion sites
+//! # Fusion site
 //!
-//! Beyond the plain row sweep, a backend is a *fusion-site executor*: the transformer
-//! block hands it the operations adjacent to a normalization so they can share one
-//! traversal of the data (the d-Matrix operation-fusion observation):
+//! Beyond the plain row sweep, a backend executes the transformer block's
+//! residual+norm fusion site (the d-Matrix operation-fusion observation):
+//! [`NormBackend::fuse_residual_norm`] takes a [`ResidualNormRequest`] whose residual
+//! add streams through while row statistics accumulate, producing both the summed
+//! matrix and the normalized matrix in one pass instead of write-then-re-read.
 //!
-//! * [`NormBackend::fuse_residual_norm`] — a [`ResidualNormRequest`]: the residual
-//!   add streams through while row statistics accumulate, producing both the summed
-//!   matrix and the normalized matrix in one pass instead of write-then-re-read.
-//! * [`NormBackend::norm_matmul_epilogue`] — a [`NormMatmulRequest`]: γβ is applied
-//!   inside the cache-blocked matmul's output-tile loop for one or more consumer
-//!   weight matrices (e.g. the attention Q/K/V projections), so the normalized
-//!   matrix never materializes.
-//!
-//! The default implementations are the **scalar composition oracle** — a separate
-//!   add → `normalize_batch` → blocked matmul — and [`ScalarBackend`] deliberately
-//! keeps them. [`FusedBackend`] / [`ParallelBackend`] override both with single-pass
-//! kernels whose float-operation order is unchanged, so their fused outputs are
-//! bit-identical to their own composed outputs (and within the usual ≤ 1e-5 relative
-//! tolerance of the scalar oracle).
+//! The default implementation is the **scalar composition oracle** — a separate add
+//! followed by `normalize_batch` — and [`ScalarBackend`] deliberately keeps it.
+//! [`FusedBackend`] / [`ParallelBackend`] override it with a single-pass kernel whose
+//! float-operation order is unchanged, so the fused output is bit-identical to their
+//! own composed output (and within the usual ≤ 1e-5 relative tolerance of the scalar
+//! oracle). Normalization folded into the following matmul has no backend entry
+//! point: the transformer composes it as normalize-then-matmul (see
+//! `ARCHITECTURE.md`, "Fusion sites", for the measurement that retired it).
 
 use crate::config::ParallelPolicy;
 use crate::quantization::QuantizationPolicy;
-use haan_numerics::fusion::{add_rows_stats_chunked, matmul_rows_into, norm_matmul_epilogue_into};
+use haan_numerics::fusion::add_rows_stats_chunked;
 use haan_numerics::invsqrt::fast_inv_sqrt;
 use haan_numerics::stats::{
     apply_norm_into, normalize_rows_into, RowNormMode, VectorStats, DEFAULT_EPS,
@@ -196,118 +192,6 @@ impl<'a> ResidualNormRequest<'a> {
     }
 }
 
-/// One consumer of a norm+matmul-epilogue fusion site: a `cols × n` row-major weight
-/// matrix the normalized rows are multiplied into.
-#[derive(Debug, Clone, Copy)]
-pub struct MatmulConsumer<'a> {
-    /// Row-major weights, `cols × n` where `cols` is the norm request's row width.
-    pub weights: &'a [f32],
-    /// Output width of this consumer (columns of the weight matrix).
-    pub n: usize,
-}
-
-impl<'a> MatmulConsumer<'a> {
-    /// Wraps a row-major `cols × n` weight buffer as an epilogue consumer.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use haan::backend::MatmulConsumer;
-    ///
-    /// // A 2 × 3 weight matrix: rows must divide evenly into the output width.
-    /// let weights = [1.0f32, 0.0, 0.0, 0.0, 1.0, 0.0];
-    /// let consumer = MatmulConsumer::new(&weights, 3);
-    /// assert_eq!(consumer.weights.len() / consumer.n, 2);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weights` is not a whole number of `n`-wide rows.
-    #[must_use]
-    pub fn new(weights: &'a [f32], n: usize) -> Self {
-        if n == 0 {
-            assert!(
-                weights.is_empty(),
-                "a zero-width consumer cannot carry weights"
-            );
-        } else {
-            assert_eq!(
-                weights.len() % n,
-                0,
-                "weights must be a whole number of n-wide rows"
-            );
-        }
-        Self { weights, n }
-    }
-}
-
-/// A norm+matmul-epilogue fusion site: the γβ apply rides the output-tile loop of one
-/// or more cache-blocked matmuls over the same normalized input.
-///
-/// This is the transformer block's `norm → Q/K/V projections` seam (and the MLP's
-/// `norm → w_in/w_gate` seam): row statistics are computed **once** and the
-/// normalized matrix is never materialized — each reduction panel is normalized into
-/// a hot buffer and consumed immediately by every weight matrix.
-#[derive(Debug, Clone, Copy)]
-pub struct NormMatmulRequest<'a> {
-    /// The normalization request for the shared input rows.
-    pub norm: BatchRequest<'a>,
-    /// The consumer weight matrices; each is `cols × n` for its own `n`.
-    pub consumers: &'a [MatmulConsumer<'a>],
-}
-
-impl<'a> NormMatmulRequest<'a> {
-    /// Builds a norm+matmul-epilogue request from a validated [`BatchRequest`] and
-    /// its consumer weight matrices.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use haan::backend::{BatchRequest, MatmulConsumer, NormMatmulRequest};
-    /// use haan::quantization::QuantizationPolicy;
-    /// use haan_numerics::stats::{RowNormMode, DEFAULT_EPS};
-    ///
-    /// let data = [1.0f32, 2.0, 3.0, 4.0];
-    /// let gamma = [1.0f32, 1.0];
-    /// let beta = [0.0f32, 0.0];
-    /// let quantization = QuantizationPolicy::disabled();
-    /// let norm = BatchRequest {
-    ///     data: &data,
-    ///     cols: 2,
-    ///     gamma: &gamma,
-    ///     beta: &beta,
-    ///     mode: RowNormMode::RmsNorm,
-    ///     eps: DEFAULT_EPS,
-    ///     prefix_len: 2,
-    ///     quantization: &quantization,
-    ///     newton_iterations: None,
-    ///     predicted_isd: None,
-    /// };
-    /// // Two consumers sharing one set of row statistics (think Q and K projections).
-    /// let w_a = [1.0f32, 0.0, 0.0, 1.0];
-    /// let w_b = [0.5f32, 0.5];
-    /// let consumers = [MatmulConsumer::new(&w_a, 2), MatmulConsumer::new(&w_b, 1)];
-    /// let request = NormMatmulRequest::new(norm, &consumers);
-    /// assert_eq!(request.consumers.len(), 2);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when any consumer's weight buffer is not `norm.cols` rows of `n`
-    /// elements.
-    #[must_use]
-    pub fn new(norm: BatchRequest<'a>, consumers: &'a [MatmulConsumer<'a>]) -> Self {
-        for consumer in consumers {
-            assert_eq!(
-                consumer.weights.len(),
-                norm.cols * consumer.n,
-                "consumer weights must be cols × n"
-            );
-        }
-        Self { norm, consumers }
-    }
-}
-
 /// An execution backend of the batched normalization engine.
 ///
 /// Implementations are stateless or internally synchronised (`&self` receiver): one
@@ -359,33 +243,6 @@ pub trait NormBackend: std::fmt::Debug + Send + Sync {
             ..request.norm
         };
         self.normalize_batch(&summed, out, isds_out, scratch);
-    }
-
-    /// Executes a norm+matmul-epilogue site: multiplies the normalized rows of
-    /// `request.norm.data` into every consumer's weight matrix, writing `rows × n`
-    /// into the matching `outs` entry.
-    ///
-    /// The default implementation is the **scalar composition oracle** — it
-    /// materializes the normalized matrix via [`NormBackend::normalize_batch`] and
-    /// runs a cache-blocked matmul per consumer. Fused backends override it to apply
-    /// γβ inside the matmul's output-tile loop so the intermediate never exists;
-    /// because the reduction still accumulates in ascending `k` order, the override
-    /// is bit-identical to the backend's own composed path.
-    fn norm_matmul_epilogue(
-        &self,
-        request: &NormMatmulRequest<'_>,
-        outs: &mut [&mut [f32]],
-        isds_out: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) {
-        let rows = request.norm.rows();
-        let cols = request.norm.cols;
-        let mut normalized = vec![0.0f32; rows * cols];
-        self.normalize_batch(&request.norm, &mut normalized, isds_out, scratch);
-        for (consumer, out) in request.consumers.iter().zip(outs.iter_mut()) {
-            matmul_rows_into(&normalized, cols, consumer.weights, consumer.n, out)
-                .expect("fusion buffers were validated by the caller");
-        }
     }
 }
 
@@ -592,58 +449,13 @@ fn sweep_residual_rows(
     }
 }
 
-/// The per-row statistics pass of the fused norm+matmul epilogue: resolves the mean
-/// and ISD of every row with the same policy branching as [`sweep_rows`], but defers
-/// the apply to the epilogue kernel. Reads only each row's `prefix_len`-element
-/// prefix; the full row is touched exactly once, inside the matmul.
-#[allow(clippy::too_many_arguments)]
-fn epilogue_row_stats(
-    norm: &BatchRequest<'_>,
-    row_offset: usize,
-    data: &[f32],
-    mut isds_out: Option<&mut [f32]>,
-    scratch: &mut Vec<f32>,
-    means: &mut Vec<f32>,
-    isds: &mut Vec<f32>,
-) {
-    for (r, z) in data.chunks_exact(norm.cols).enumerate() {
-        if let Some(predicted) = norm.predicted_isd {
-            let isd = predicted[row_offset + r];
-            let mean = match norm.mode {
-                RowNormMode::LayerNorm => {
-                    prefix_stats(norm, z, scratch, |z| VectorStats::compute_chunked(z).ok())
-                        .map_or(0.0, |stats| stats.mean)
-                }
-                RowNormMode::RmsNorm => 0.0,
-            };
-            means.push(mean);
-            isds.push(isd);
-        } else {
-            let stats = prefix_stats(norm, z, scratch, |z| VectorStats::compute_chunked(z).ok())
-                .expect("rows are non-empty (cols >= 1 was validated by the caller)");
-            let isd = tracked_isd(
-                norm.mode,
-                stats.mean,
-                stats.variance,
-                norm.eps,
-                norm.newton_iterations,
-            );
-            if let Some(buf) = isds_out.as_deref_mut() {
-                buf[r] = isd;
-            }
-            means.push(stats.mean);
-            isds.push(isd);
-        }
-    }
-}
-
 /// The two-pass reference oracle: per-row statistics via the numerically robust
 /// two-pass mean/variance, sequential row loop. The slowest backend, kept as the
 /// parity baseline every other backend is tested against.
 ///
-/// Deliberately keeps the default [`NormBackend::fuse_residual_norm`] /
-/// [`NormBackend::norm_matmul_epilogue`] implementations: its fusion-site behavior
-/// **is** the scalar composition oracle the differential suites compare against.
+/// Deliberately keeps the default [`NormBackend::fuse_residual_norm`]
+/// implementation: its fusion-site behavior **is** the scalar composition oracle the
+/// differential suites compare against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScalarBackend;
 
@@ -721,41 +533,6 @@ impl NormBackend for FusedBackend {
             isds_out,
             scratch,
         );
-    }
-
-    fn norm_matmul_epilogue(
-        &self,
-        request: &NormMatmulRequest<'_>,
-        outs: &mut [&mut [f32]],
-        isds_out: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) {
-        let norm = &request.norm;
-        let rows = norm.rows();
-        if rows == 0 {
-            for out in outs.iter_mut() {
-                out.fill(0.0);
-            }
-            return;
-        }
-        let mut means = Vec::with_capacity(rows);
-        let mut isds = Vec::with_capacity(rows);
-        epilogue_row_stats(norm, 0, norm.data, isds_out, scratch, &mut means, &mut isds);
-        for (consumer, out) in request.consumers.iter().zip(outs.iter_mut()) {
-            norm_matmul_epilogue_into(
-                norm.data,
-                norm.cols,
-                norm.gamma,
-                norm.beta,
-                norm.mode,
-                &means,
-                &isds,
-                consumer.weights,
-                consumer.n,
-                out,
-            )
-            .expect("fusion buffers were validated by the caller");
-        }
     }
 }
 
@@ -867,79 +644,6 @@ impl NormBackend for ParallelBackend {
                         isds_chunk,
                         &mut scratch,
                     );
-                });
-            }
-        });
-    }
-
-    fn norm_matmul_epilogue(
-        &self,
-        request: &NormMatmulRequest<'_>,
-        outs: &mut [&mut [f32]],
-        isds_out: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) {
-        let norm = &request.norm;
-        let rows = norm.rows();
-        let workers = self.policy.worker_count(rows, norm.cols);
-        if rows == 0 || workers <= 1 {
-            FusedBackend.norm_matmul_epilogue(request, outs, isds_out, scratch);
-            return;
-        }
-        let rows_per_worker = rows.div_ceil(workers);
-        let chunk = rows_per_worker * norm.cols;
-        let chunk_count = norm.data.len().div_ceil(chunk);
-        // Re-group the consumer outputs by worker: worker `w` owns the rows
-        // `w*rows_per_worker ..` of *every* consumer's output matrix.
-        let mut worker_outs: Vec<Vec<&mut [f32]>> = (0..chunk_count).map(|_| Vec::new()).collect();
-        for (consumer, out) in request.consumers.iter().zip(outs.iter_mut()) {
-            if consumer.n == 0 {
-                for wouts in &mut worker_outs {
-                    wouts.push(Default::default());
-                }
-                continue;
-            }
-            for (w, out_chunk) in out.chunks_mut(rows_per_worker * consumer.n).enumerate() {
-                worker_outs[w].push(out_chunk);
-            }
-        }
-        let mut isds_chunks = isds_out.map(|isds| isds.chunks_mut(rows_per_worker));
-        std::thread::scope(|scope| {
-            for ((index, data_chunk), mut wouts) in norm
-                .data
-                .chunks(chunk)
-                .enumerate()
-                .zip(worker_outs)
-            {
-                let isds_chunk = isds_chunks.as_mut().and_then(Iterator::next);
-                scope.spawn(move || {
-                    let mut scratch = Vec::new();
-                    let mut means = Vec::new();
-                    let mut isds = Vec::new();
-                    epilogue_row_stats(
-                        norm,
-                        index * rows_per_worker,
-                        data_chunk,
-                        isds_chunk,
-                        &mut scratch,
-                        &mut means,
-                        &mut isds,
-                    );
-                    for (consumer, out_chunk) in request.consumers.iter().zip(wouts.iter_mut()) {
-                        norm_matmul_epilogue_into(
-                            data_chunk,
-                            norm.cols,
-                            norm.gamma,
-                            norm.beta,
-                            norm.mode,
-                            &means,
-                            &isds,
-                            consumer.weights,
-                            consumer.n,
-                            out_chunk,
-                        )
-                        .expect("fusion buffers were validated by the caller");
-                    }
                 });
             }
         });

@@ -209,10 +209,10 @@ pub struct HaanConfig {
     pub parallel: ParallelPolicy,
     /// Execution-backend selection of the batched normalization engine.
     pub backend: BackendSelection,
-    /// Whether the block-level fusion sites (fused residual+norm and
-    /// norm+matmul-epilogue) dispatch to the backend's fused entry points. Disabled,
-    /// the normalizer runs the composed sequence (separate add → norm → matmul) the
-    /// fused paths are bit-identical to — useful for differential testing.
+    /// Whether the block's residual+norm fusion site dispatches to the backend's
+    /// fused entry point. Disabled, the normalizer runs the composed sequence
+    /// (separate add → norm) the fused path is bit-identical to — useful for
+    /// differential testing.
     pub fusion_enabled: bool,
 }
 
@@ -392,9 +392,9 @@ impl HaanConfigBuilder {
         self
     }
 
-    /// Enables or disables the block-level fusion sites (fused residual+norm and
-    /// norm+matmul-epilogue). On by default; disabling falls back to the composed
-    /// sequence the fused paths are parity-tested against.
+    /// Enables or disables the block's residual+norm fusion site. On by default;
+    /// disabling falls back to the composed sequence the fused path is
+    /// parity-tested against.
     #[must_use]
     pub fn fusion(mut self, enabled: bool) -> Self {
         self.config.fusion_enabled = enabled;

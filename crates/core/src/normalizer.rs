@@ -41,7 +41,7 @@ use crate::quantization::QuantizationPolicy;
 use crate::skipping::SkipPlan;
 use crate::subsample::SubsampleEstimator;
 use haan_llm::norm::{normalize_with_stats, NormSite, Normalizer};
-use haan_llm::{LlmError, Matrix, NormKind};
+use haan_llm::{Matrix, NormKind};
 use haan_numerics::stats::DEFAULT_EPS;
 use std::sync::Arc;
 
@@ -82,15 +82,12 @@ impl NormalizerTelemetry {
     }
 }
 
-/// A resumable snapshot of the skip-anchor state of a [`HaanNormalizer`].
+/// A snapshot of the skip-anchor state of a [`HaanNormalizer`].
 ///
 /// ISD skipping predicts a skipped layer's `log(ISD)` from the anchor layer's
 /// observation (Eq. 3), which is per-sequence, per-token state. The normalizer keeps
-/// it internally during a forward pass; this type makes it *portable*: a serving
-/// layer can snapshot the state after a client's request
-/// ([`HaanNormalizer::anchor_state`]), park it in a per-client session, and restore
-/// it before the client's next request ([`HaanNormalizer::set_anchor_state`]) — even
-/// when one shared normalizer interleaves batches from many clients in between.
+/// it internally during a forward pass; [`HaanNormalizer::anchor_state`] exposes it
+/// so parity suites can compare two execution paths anchor for anchor.
 ///
 /// The state has two tiers, mirroring the scalar and batched paths:
 ///
@@ -114,16 +111,6 @@ impl AnchorState {
         Self::default()
     }
 
-    /// Reassembles a state from its parts: the scalar last-row-wins anchor and the
-    /// per-row anchor `log(ISD)`s.
-    #[must_use]
-    pub fn from_parts(anchor_log_isd: Option<f64>, row_anchors: Vec<f64>) -> Self {
-        Self {
-            anchor_log_isd,
-            row_anchors,
-        }
-    }
-
     /// The scalar (last-row-wins) anchor `log(ISD)`, if an anchor site has been seen.
     #[must_use]
     pub fn scalar_log_isd(&self) -> Option<f64> {
@@ -142,19 +129,9 @@ impl AnchorState {
         self.anchor_log_isd.is_none() && self.row_anchors.is_empty()
     }
 
-    /// Resolves the anchor `log(ISD)` each of `rows` rows would predict from: the
-    /// per-row anchors when the row count matches, otherwise the scalar fallback (or
-    /// `calibration_fallback` when nothing has been observed). This is exactly the
-    /// resolution rule of the batched skipped-site path, exposed so a serving layer
-    /// can assemble one coalesced batch from many sessions' states.
-    pub fn resolved_row_logs(&self, rows: usize, calibration_fallback: f64) -> Vec<f64> {
-        self.row_log_iter(rows, calibration_fallback).collect()
-    }
-
-    /// The single implementation of the anchor-resolution rule, shared by
-    /// [`AnchorState::resolved_row_logs`] and the batched skipped-site path of
-    /// [`HaanNormalizer`] — they must never drift apart, or scheduler-assembled
-    /// batches stop being bit-identical to solo execution.
+    /// The anchor-resolution rule of the batched skipped-site path: the per-row
+    /// anchors when the row count matches, otherwise the scalar fallback (or
+    /// `calibration_fallback` when nothing has been observed).
     fn row_log_iter(
         &self,
         rows: usize,
@@ -163,21 +140,6 @@ impl AnchorState {
         let per_row = (self.row_anchors.len() == rows).then_some(self.row_anchors.as_slice());
         let fallback = self.anchor_log_isd.unwrap_or(calibration_fallback);
         (0..rows).map(move |row| per_row.map_or(fallback, |anchors| anchors[row]))
-    }
-
-    /// The per-session slice of a batch-level anchor snapshot: the given row range
-    /// of the per-row tier, with the scalar tier set to its last row — exactly how
-    /// the batched path records anchors (last-row-wins), so a serving layer can
-    /// hand each member of a coalesced batch the state it would have had running
-    /// alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` exceeds the per-row tier.
-    #[must_use]
-    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> AnchorState {
-        let rows = &self.row_anchors[range];
-        AnchorState::from_parts(rows.last().copied(), rows.to_vec())
     }
 
     fn clear(&mut self) {
@@ -194,8 +156,8 @@ pub struct HaanNormalizer {
     config: HaanConfig,
     plan: Option<SkipPlan>,
     quantization: QuantizationPolicy,
-    /// Skip-anchor state of the current sequence (snapshot/restore via
-    /// [`HaanNormalizer::anchor_state`] / [`HaanNormalizer::set_anchor_state`]).
+    /// Skip-anchor state of the current sequence (snapshot via
+    /// [`HaanNormalizer::anchor_state`]).
     anchors: AnchorState,
     /// Scratch buffer for quantized prefixes, reused across rows and calls.
     scratch: Vec<f32>,
@@ -249,7 +211,9 @@ impl HaanNormalizer {
     /// installed, every normalization call emits per-site counters
     /// (`haan.skip.site_N` / `haan.exact.site_N`, in rows) and refreshes the
     /// running `haan.skip_rate.site_N` gauge — the live view of which sites the
-    /// skip plan is actually predicting. Disabled, each call pays one branch.
+    /// skip plan is actually predicting — and rows that took the fused
+    /// residual+norm kernel count into `haan.path.fused_residual.site_N`.
+    /// Disabled, each call pays one branch.
     pub fn set_obs_sink(&mut self, obs: Option<Arc<dyn haan_obs::ObsSink>>) {
         self.obs = obs;
     }
@@ -322,27 +286,15 @@ impl HaanNormalizer {
     }
 
     /// Snapshots the current skip-anchor state (per-row anchors plus the scalar
-    /// fallback) so it can be parked outside the normalizer — e.g. in a per-client
-    /// serving session — and restored later with
-    /// [`HaanNormalizer::set_anchor_state`].
+    /// fallback).
     #[must_use]
     pub fn anchor_state(&self) -> AnchorState {
         self.anchors.clone()
     }
 
-    /// Restores a previously snapshotted skip-anchor state, replacing whatever the
-    /// normalizer currently holds. A serving layer uses this to resume a client's
-    /// sequence on a shared normalizer that served other clients in between; pass
-    /// [`AnchorState::new`] to start from a fresh sequence (equivalent to
-    /// [`Normalizer::begin_sequence`]).
-    pub fn set_anchor_state(&mut self, state: AnchorState) {
-        self.anchors = state;
-    }
-
     /// True when the attached skip plan skips this site's ISD (predicted instead of
     /// computed). This and [`HaanNormalizer::is_anchor_site`] are the site-role
-    /// policy the batched path applies internally, exposed so a serving layer
-    /// assembling batches can never disagree with it.
+    /// policy every batched entry point applies.
     #[must_use]
     pub fn is_skipped_site(&self, layer_index: usize) -> bool {
         self.plan
@@ -793,128 +745,12 @@ impl Normalizer for HaanNormalizer {
         self.predicted_scratch = predicted;
 
         self.finish_batched_site(site, &decisions, rows, cols, &isds);
-    }
-
-    fn normalize_matmul_into(
-        &mut self,
-        site: NormSite,
-        input: &Matrix,
-        gamma: &[f32],
-        beta: &[f32],
-        weights: &[&Matrix],
-        outs: &mut [Matrix],
-    ) -> Result<(), LlmError> {
-        if weights.len() != outs.len() {
-            return Err(LlmError::ShapeMismatch {
-                op: "normalize_matmul_into",
-                lhs: (weights.len(), 0),
-                rhs: (outs.len(), 0),
-            });
-        }
-        let (rows, cols) = input.shape();
-        for (weight, out) in weights.iter().zip(outs.iter()) {
-            if weight.rows() != cols {
-                return Err(LlmError::ShapeMismatch {
-                    op: "normalize_matmul_into",
-                    lhs: (rows, cols),
-                    rhs: weight.shape(),
-                });
-            }
-            if out.shape() != (rows, weight.cols()) {
-                return Err(LlmError::ShapeMismatch {
-                    op: "normalize_matmul_into",
-                    lhs: (rows, weight.cols()),
-                    rhs: out.shape(),
-                });
-            }
-        }
-        if rows == 0 || cols == 0 {
-            for out in outs.iter_mut() {
-                out.as_mut_slice().fill(0.0);
-            }
-            return Ok(());
-        }
-        assert_eq!(
-            gamma.len(),
-            cols,
-            "normalize_matmul_into gamma length mismatch"
-        );
-        assert_eq!(
-            beta.len(),
-            cols,
-            "normalize_matmul_into beta length mismatch"
-        );
-        if !self.config.fusion_enabled {
-            // Composed fallback: materialize the normalized matrix through the plain
-            // batched path, then one blocked matmul per consumer.
-            let normed = self.normalize_matrix(site, input, gamma, beta);
-            for (weight, out) in weights.iter().zip(outs.iter_mut()) {
-                normed.matmul_into(weight, out)?;
-            }
-            return Ok(());
-        }
-
-        let decisions = self.site_decisions(site.layer_index, rows, cols);
-        let external = (decisions.kind == BackendKind::AccelSim).then(|| self.external_backend());
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut predicted = std::mem::take(&mut self.predicted_scratch);
-        predicted.clear();
-        if decisions.skipped {
-            self.fill_predicted(
-                &mut predicted,
-                rows,
-                site.layer_index,
-                decisions.calibration_fallback,
+        if let Some(obs) = &self.obs {
+            obs.counter_add(
+                &format!("haan.path.fused_residual.site_{}", site.layer_index),
+                rows as u64,
             );
         }
-
-        let consumers: Vec<backend::MatmulConsumer<'_>> = weights
-            .iter()
-            .map(|weight| backend::MatmulConsumer::new(weight.as_slice(), weight.cols()))
-            .collect();
-        let request = backend::NormMatmulRequest::new(
-            BatchRequest {
-                data: input.as_slice(),
-                cols,
-                gamma,
-                beta,
-                mode: site.kind.row_mode(),
-                eps: DEFAULT_EPS,
-                prefix_len: decisions.prefix_len,
-                quantization: &self.quantization,
-                newton_iterations: self.config.invsqrt_newton_iterations,
-                predicted_isd: decisions.skipped.then_some(predicted.as_slice()),
-            },
-            &consumers,
-        );
-
-        let mut isds = if decisions.is_anchor {
-            vec![decisions.fallback_anchor_log.exp() as f32; rows]
-        } else {
-            Vec::new()
-        };
-        let mut out_slices: Vec<&mut [f32]> = outs.iter_mut().map(Matrix::as_mut_slice).collect();
-        let parallel_backend;
-        let backend: &dyn NormBackend = match decisions.kind {
-            BackendKind::Scalar => &ScalarBackend,
-            BackendKind::Fused => &FusedBackend,
-            BackendKind::Parallel => {
-                parallel_backend = ParallelBackend::new(self.effective_parallel_policy());
-                &parallel_backend
-            }
-            BackendKind::AccelSim => external.as_deref().expect("resolved above"),
-        };
-        backend.norm_matmul_epilogue(
-            &request,
-            &mut out_slices,
-            decisions.is_anchor.then_some(isds.as_mut_slice()),
-            &mut scratch,
-        );
-        self.scratch = scratch;
-        self.predicted_scratch = predicted;
-
-        self.finish_batched_site(site, &decisions, rows, cols, &isds);
-        Ok(())
     }
 
     fn begin_sequence(&mut self) {
@@ -1347,78 +1183,6 @@ mod tests {
         assert_eq!(batched.shape(), (6, 64));
         assert!(haan.telemetry().calls >= 6 * 9);
         assert!(haan.telemetry().read_fraction() < 1.0);
-    }
-
-    #[test]
-    fn anchor_state_snapshot_restores_skip_prediction() {
-        // Interleaving another client's batch between a session's anchor site and its
-        // skipped site must not change the session's prediction, as long as the
-        // session's anchor state is restored first.
-        let plan = SkipPlan {
-            start: 0,
-            end: 2,
-            decay: 0.0,
-            correlation: -1.0,
-            calibration_anchor_log_isd: 0.0,
-        };
-        let config = HaanConfig::builder().build();
-        let gamma = vec![1.0f32; 64];
-        let beta = vec![0.0f32; 64];
-        let input = gaussian_matrix(3, 64, 11, 1.4);
-        let intruder = gaussian_matrix(5, 64, 99, 6.0);
-
-        // Uninterrupted run: anchor at layer 0, prediction at layer 1.
-        let mut sequential = HaanNormalizer::new(config.clone()).with_plan(plan);
-        sequential.begin_sequence();
-        let _ = sequential.normalize_matrix(site(0, NormKind::LayerNorm), &input, &gamma, &beta);
-        let expected =
-            sequential.normalize_matrix(site(1, NormKind::LayerNorm), &input, &gamma, &beta);
-
-        // Shared-normalizer run: snapshot after the anchor site, serve an unrelated
-        // batch (which overwrites the anchors), restore, then predict.
-        let mut shared = HaanNormalizer::new(config).with_plan(plan);
-        shared.begin_sequence();
-        let _ = shared.normalize_matrix(site(0, NormKind::LayerNorm), &input, &gamma, &beta);
-        let saved = shared.anchor_state();
-        assert_eq!(saved.row_log_isds().len(), 3);
-        assert!(saved.scalar_log_isd().is_some());
-        assert!(!saved.is_empty());
-        let _ = shared.normalize_matrix(site(0, NormKind::LayerNorm), &intruder, &gamma, &beta);
-        assert_ne!(
-            shared.anchor_state(),
-            saved,
-            "intruder must move the anchors"
-        );
-        shared.set_anchor_state(saved);
-        let resumed = shared.normalize_matrix(site(1, NormKind::LayerNorm), &input, &gamma, &beta);
-        assert_eq!(resumed, expected, "restored anchor state diverged");
-    }
-
-    #[test]
-    fn anchor_state_resolution_rules() {
-        let empty = AnchorState::new();
-        assert!(empty.is_empty());
-        assert_eq!(empty.resolved_row_logs(2, -0.5), vec![-0.5, -0.5]);
-        let state = AnchorState::from_parts(Some(-1.0), vec![-1.5, -2.0]);
-        // Matching row count: per-row anchors win.
-        assert_eq!(state.resolved_row_logs(2, 0.0), vec![-1.5, -2.0]);
-        // Mismatched row count: the scalar fallback is broadcast.
-        assert_eq!(state.resolved_row_logs(3, 0.0), vec![-1.0, -1.0, -1.0]);
-        assert_eq!(state.row_log_isds(), &[-1.5, -2.0]);
-        assert_eq!(state.scalar_log_isd(), Some(-1.0));
-        // Slicing a batch-level snapshot applies the batched path's last-row-wins
-        // rule per segment.
-        let batch = AnchorState::from_parts(Some(-9.0), vec![-1.0, -2.0, -3.0, -4.0]);
-        let segment = batch.slice_rows(1..3);
-        assert_eq!(segment.row_log_isds(), &[-2.0, -3.0]);
-        assert_eq!(segment.scalar_log_isd(), Some(-3.0));
-        assert!(batch.slice_rows(0..0).is_empty());
-        // A restored empty state behaves like begin_sequence.
-        let mut haan = HaanNormalizer::new(HaanConfig::default());
-        haan.set_anchor_state(state);
-        assert!(!haan.anchor_state().is_empty());
-        haan.set_anchor_state(AnchorState::new());
-        assert!(haan.anchor_state().is_empty());
     }
 
     #[test]

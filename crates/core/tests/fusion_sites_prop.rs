@@ -1,6 +1,6 @@
-//! Property tests of the fusion-site request shapes: random shapes, site kinds,
+//! Property tests of the fusion-site entry points: random shapes, site kinds,
 //! skip plans, formats and backends through [`HaanNormalizer`]'s fused
-//! residual+norm and norm+matmul-epilogue entry points, checked against the
+//! residual+norm and (composed) norm+matmul entry points, checked against the
 //! scalar composition oracle.
 //!
 //! Tolerances mirror `tests/backend_dispatch.rs` at the repository root:
@@ -71,8 +71,8 @@ fn build(case: &Case, fusion: bool) -> HaanNormalizer {
     }
 }
 
-/// One anchor-then-skipped sequence through both fused request shapes,
-/// returning `(summed, normed, epilogue outs, anchor row count)`.
+/// One anchor-then-skipped sequence through both fusion entry points,
+/// returning `(summed, normed, matmul outs)`.
 fn run_sequence(
     normalizer: &mut HaanNormalizer,
     case: &Case,
@@ -166,7 +166,7 @@ proptest! {
             run_sequence(&mut composed, &case, &input, &residual, &gamma, &beta, &weight_refs);
         prop_assert_eq!(&fused_out.0, &composed_out.0, "summed stream diverged");
         prop_assert_eq!(&fused_out.1, &composed_out.1, "normalized rows diverged");
-        prop_assert_eq!(&fused_out.2, &composed_out.2, "epilogue outputs diverged");
+        prop_assert_eq!(&fused_out.2, &composed_out.2, "norm+matmul outputs diverged");
         prop_assert_eq!(fused.anchor_state(), composed.anchor_state());
         prop_assert_eq!(fused.telemetry(), composed.telemetry());
 
@@ -178,7 +178,7 @@ proptest! {
         prop_assert_eq!(&fused_out.0, &oracle_out.0, "sums must be exact on every backend");
         assert_close(&fused_out.1, &oracle_out.1, 1e-5, "fused residual+norm vs scalar oracle");
         for (fused_c, oracle_c) in fused_out.2.iter().zip(&oracle_out.2) {
-            assert_close(fused_c, oracle_c, 1e-4, "fused epilogue vs scalar oracle");
+            assert_close(fused_c, oracle_c, 1e-4, "norm+matmul vs scalar oracle");
         }
     }
 

@@ -236,7 +236,7 @@ impl MultiHeadAttention {
     }
 
     /// The Q/K/V projection weights, in that order — the matmul consumers a
-    /// fused norm+matmul-epilogue site multiplies the normalized input by. The
+    /// norm+matmul site multiplies the normalized input by. The
     /// output projection is not included: it consumes attention output, not the
     /// normalized residual stream.
     #[must_use]
@@ -245,9 +245,8 @@ impl MultiHeadAttention {
     }
 
     /// [`MultiHeadAttention::forward`] from already-projected queries, keys and
-    /// values (each `seq × E`, heads concatenated) — the back half the fused
-    /// norm+matmul-epilogue path enters after producing the projections without
-    /// materializing the normalized input. Bit-identical to
+    /// values (each `seq × E`, heads concatenated) — the back half a norm+matmul
+    /// site enters after producing the projections. Bit-identical to
     /// [`MultiHeadAttention::forward`] given the same projections, because it is
     /// the same per-head loop over the same kernels.
     ///
@@ -403,9 +402,9 @@ impl MultiHeadAttention {
 
     /// [`MultiHeadAttention::forward_cached_with`] from already-projected new
     /// rows: appends `new_keys`/`new_values` to the cache and attends the
-    /// projected `queries` against the whole cache. The fused
-    /// norm+matmul-epilogue decode path enters here after projecting Q/K/V
-    /// straight out of the normalization site; bit-identical to projecting via
+    /// projected `queries` against the whole cache. The decode path enters here
+    /// after projecting Q/K/V straight out of the normalization site;
+    /// bit-identical to projecting via
     /// [`MultiHeadAttention::forward_cached_with`] given the same projections.
     ///
     /// # Errors

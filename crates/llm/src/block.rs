@@ -215,7 +215,7 @@ impl TransformerBlock {
             });
         }
         let e = self.gamma_attn.len();
-        // One fused norm+matmul-epilogue call projects Q/K/V for the entire
+        // One norm+matmul call projects Q/K/V for the entire
         // stacked batch (row-local, so stacking changes no float).
         let (queries, keys, values) = self.project_qkv(hidden, normalizer)?;
         // Per-stream attention: one cached pass per segment, stacked back into
@@ -269,10 +269,9 @@ impl TransformerBlock {
         Ok(out)
     }
 
-    /// The pre-attention normalization site, fused into the Q/K/V projections:
-    /// one [`Normalizer::normalize_matmul_into`] call per batch computes row
-    /// statistics once and applies γ/β inside the matmul epilogue, so the
-    /// normalized matrix never materializes. Returns the projected
+    /// The pre-attention normalization site and the Q/K/V projections it feeds:
+    /// one [`Normalizer::normalize_matmul_into`] call per batch, so a normalizer
+    /// sees the site together with its consumers. Returns the projected
     /// (queries, keys, values).
     fn project_qkv<N: Normalizer + ?Sized>(
         &self,

@@ -67,7 +67,7 @@ impl FeedForward {
     }
 
     /// The input (up) projection weights — a matmul consumer of the pre-MLP
-    /// normalization site when the norm+matmul epilogue is fused.
+    /// normalization site.
     #[must_use]
     pub fn w_in(&self) -> &Matrix {
         &self.w_in
@@ -81,9 +81,8 @@ impl FeedForward {
     }
 
     /// Completes the MLP from already-projected hidden (and, when gated, gate)
-    /// activations — the back half a fused norm+matmul-epilogue path enters
-    /// after producing `input·w_in` (and `input·w_gate`) without materializing
-    /// the normalized input. Bit-identical to [`FeedForward::forward`] given the
+    /// activations — the back half a norm+matmul site enters after producing
+    /// `input·w_in` (and `input·w_gate`). Bit-identical to [`FeedForward::forward`] given the
     /// same projections: the activation and down-projection are shared.
     ///
     /// # Errors

@@ -190,16 +190,16 @@ pub trait Normalizer {
         self.normalize_matrix_into(site, sum_out, gamma, beta, out);
     }
 
-    /// Norm+matmul-epilogue site: normalizes `input` once and multiplies the result
-    /// into every weight matrix, writing `rows × weights[i].cols()` into `outs[i]`.
+    /// Norm+matmul site: normalizes `input` once and multiplies the result into
+    /// every weight matrix, writing `rows × weights[i].cols()` into `outs[i]`.
     ///
     /// This is the transformer block's `norm → Q/K/V projections` seam (and the MLP's
     /// `norm → w_in/w_gate` seam): the consumers share one set of row statistics. The
-    /// default implementation is the composed sequence — materialize
-    /// [`Normalizer::normalize_matrix`], then one blocked matmul per consumer — so
-    /// third-party normalizers keep the unfused observable behavior. The HAAN
-    /// normalizer overrides it to apply γβ inside the matmul's output-tile loop so
-    /// the normalized matrix never materializes.
+    /// implementation is the composed sequence — materialize
+    /// [`Normalizer::normalize_matrix`], then one blocked matmul per consumer. The
+    /// built-in normalizers keep it: a fused software epilogue measured slower than
+    /// this composition on a CPU, where the matmul is bound by weight bandwidth. The
+    /// seam stays so a wrapper can observe or time the site with its consumers.
     ///
     /// # Examples
     ///

@@ -1,42 +1,24 @@
-//! Cross-operation fusion kernels: residual+statistics and norm+matmul-epilogue.
+//! Cross-operation fusion kernel: residual add + row statistics.
 //!
 //! The d-Matrix fusion paper observes that normalization around a transformer block
-//! wastes memory bandwidth twice: the residual sum is written out and immediately
-//! re-read to compute row statistics, and the normalized matrix is materialized only
-//! to be streamed once into the adjacent matmul. The two kernels in this module close
-//! both seams in software, and they are written so that the fused result is
-//! **bit-identical** to the composed sequence they replace:
+//! wastes memory bandwidth: the residual sum is written out and immediately re-read
+//! to compute row statistics. [`add_rows_stats_chunked`] closes that seam in
+//! software and is written so that the fused result is **bit-identical** to the
+//! composed sequence it replaces: it computes `sum_out = a + b` elementwise while
+//! accumulating the same shift-centred, lane-parallel statistics as
+//! [`VectorStats::compute_chunked`] over the summed values — one traversal while the
+//! row is cache-hot instead of a write followed by a full re-read. Every float
+//! operation (the `a + b` add, the shift, the lane assignment, the pairwise lane
+//! tree, the health check, the one-pass fallback) matches the composed
+//! `add`-then-`compute_chunked` sequence exactly.
 //!
-//! * [`add_rows_stats_chunked`] computes `sum_out = a + b` elementwise while
-//!   accumulating the same shift-centred, lane-parallel statistics as
-//!   [`VectorStats::compute_chunked`] over the summed values — one traversal while the
-//!   row is cache-hot instead of a write followed by a full re-read. Every float
-//!   operation (the `a + b` add, the shift, the lane assignment, the pairwise lane
-//!   tree, the health check, the one-pass fallback) matches the composed
-//!   `add`-then-`compute_chunked` sequence exactly.
-//! * [`norm_matmul_epilogue_into`] multiplies the *normalized* rows of `data` by a
-//!   weight matrix without ever materializing the normalized matrix: each reduction
-//!   panel is normalized once into a hot 64-wide buffer (the exact
-//!   [`apply_norm_into`] expressions) and swept across the output tiles. Because every
-//!   output element still accumulates its `k` terms in ascending order — the same
-//!   order as [`matmul_rows_into`] — the fused product is bit-identical to
-//!   normalize-then-matmul.
-//! * [`matmul_rows_into`] is the plain cache-blocked slice matmul used as the composed
-//!   half of the parity oracle. It reproduces the accumulation order of the transformer
-//!   substrate's `Matrix::matmul_into` (ascending `k` per output element), so oracles
-//!   built from it agree bit-for-bit with the block's unfused path.
+//! The paper's other fusion seam, normalization folded into the following matmul,
+//! has no kernel here: on a CPU that streams the weights from memory the matmul is
+//! bound by weight bandwidth, and a software epilogue measured slower than
+//! normalize-then-matmul (see `ARCHITECTURE.md`, "Fusion sites").
 
 use crate::error::NumericError;
-use crate::stats::{
-    apply_norm_into, check_len, RowNormMode, VectorStats, CHUNK_BLOCK, CHUNK_LANES,
-};
-
-/// Reduction/output tile width of the blocked matmul kernels.
-///
-/// Chosen to match the transformer substrate's `Matrix` kernel tile; the value only
-/// affects performance, not results — per output element both kernels accumulate the
-/// reduction in ascending `k` order regardless of the tile width.
-const MATMUL_BLOCK: usize = 64;
+use crate::stats::{check_len, VectorStats, CHUNK_BLOCK, CHUNK_LANES};
 
 /// Hot lane loop of [`add_rows_stats_chunked`]: sums the whole-chunk portion of one
 /// block elementwise into `chunks_s` while accumulating the shifted statistics lanes.
@@ -148,153 +130,9 @@ pub fn add_rows_stats_chunked(
     })
 }
 
-/// Cache-blocked row-major matmul over raw slices: `out = a × b`, with `a` of shape
-/// `rows × a_cols` and `b` of shape `a_cols × b_cols`.
-///
-/// Reproduces the accumulation order of the transformer substrate's
-/// `Matrix::matmul_into` — per output element the reduction terms are added in
-/// ascending `k` order — so composed normalize-then-matmul oracles built from this
-/// kernel are bit-identical to the block's unfused path.
-///
-/// # Errors
-///
-/// Returns [`NumericError::LengthMismatch`] when `a` is not a whole number of rows or
-/// when `b` / `out` disagree with the implied shapes, and [`NumericError::EmptyInput`]
-/// when `a_cols` is zero while `a` is non-empty.
-pub fn matmul_rows_into(
-    a: &[f32],
-    a_cols: usize,
-    b: &[f32],
-    b_cols: usize,
-    out: &mut [f32],
-) -> Result<(), NumericError> {
-    if a_cols == 0 {
-        return if a.is_empty() && b.is_empty() && out.is_empty() {
-            Ok(())
-        } else {
-            Err(NumericError::EmptyInput)
-        };
-    }
-    if !a.len().is_multiple_of(a_cols) {
-        return Err(NumericError::LengthMismatch {
-            what: "a",
-            expected: a.len().div_ceil(a_cols) * a_cols,
-            actual: a.len(),
-        });
-    }
-    let rows = a.len() / a_cols;
-    check_len("b", a_cols * b_cols, b.len())?;
-    check_len("out", rows * b_cols, out.len())?;
-    out.fill(0.0);
-    for jj in (0..b_cols).step_by(MATMUL_BLOCK) {
-        let j_end = (jj + MATMUL_BLOCK).min(b_cols);
-        for kk in (0..a_cols).step_by(MATMUL_BLOCK) {
-            let k_end = (kk + MATMUL_BLOCK).min(a_cols);
-            for i in 0..rows {
-                let a_panel = &a[i * a_cols + kk..i * a_cols + k_end];
-                let out_tile = &mut out[i * b_cols + jj..i * b_cols + j_end];
-                let rhs_panel = b[kk * b_cols..k_end * b_cols].chunks_exact(b_cols);
-                for (&av, rhs_row) in a_panel.iter().zip(rhs_panel) {
-                    for (o, &bv) in out_tile.iter_mut().zip(&rhs_row[jj..j_end]) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Norm+matmul epilogue: multiplies the normalized rows of `data` by `weights`
-/// (`cols × n`, row-major) into `out` (`rows × n`) without materializing the
-/// normalized matrix.
-///
-/// Per-row statistics arrive precomputed in `means` / `isds` (the HAAN policy layer —
-/// subsampling, quantized statistics, skip prediction — decides them). Each row is
-/// normalized once into a single cache-hot `cols`-wide buffer with the exact
-/// [`apply_norm_into`] expressions and immediately multiplied against the weights, so
-/// the `rows × cols` normalized intermediate never touches memory: the live
-/// intermediate is one row, and the input is streamed row-major exactly once. The
-/// reduction still accumulates in ascending `k` order per output element, which makes
-/// the result bit-identical to [`apply_norm_into`]-then-[`matmul_rows_into`].
-///
-/// # Errors
-///
-/// Returns [`NumericError::LengthMismatch`] when any buffer disagrees with the implied
-/// shapes and [`NumericError::EmptyInput`] when `cols` is zero while `data` is
-/// non-empty.
-#[allow(clippy::too_many_arguments)]
-pub fn norm_matmul_epilogue_into(
-    data: &[f32],
-    cols: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    mode: RowNormMode,
-    means: &[f32],
-    isds: &[f32],
-    weights: &[f32],
-    n: usize,
-    out: &mut [f32],
-) -> Result<(), NumericError> {
-    if cols == 0 {
-        return if data.is_empty() && weights.is_empty() && out.is_empty() {
-            Ok(())
-        } else {
-            Err(NumericError::EmptyInput)
-        };
-    }
-    if !data.len().is_multiple_of(cols) {
-        return Err(NumericError::LengthMismatch {
-            what: "data",
-            expected: data.len().div_ceil(cols) * cols,
-            actual: data.len(),
-        });
-    }
-    let rows = data.len() / cols;
-    check_len("gamma", cols, gamma.len())?;
-    check_len("beta", cols, beta.len())?;
-    check_len("means", rows, means.len())?;
-    check_len("isds", rows, isds.len())?;
-    check_len("weights", cols * n, weights.len())?;
-    check_len("out", rows * n, out.len())?;
-    out.fill(0.0);
-    // One cache-hot row is the only normalized intermediate that ever exists —
-    // this is the fusion: the γβ apply feeds the matmul straight out of cache
-    // while `data` streams through row-major exactly once, and the weight
-    // panels stay resident across rows.
-    let mut row_buf = vec![0.0f32; cols];
-    for i in 0..rows {
-        apply_norm_into(
-            &data[i * cols..(i + 1) * cols],
-            gamma,
-            beta,
-            mode,
-            means[i],
-            isds[i],
-            &mut row_buf,
-        )?;
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for jj in (0..n).step_by(MATMUL_BLOCK) {
-            let j_end = (jj + MATMUL_BLOCK).min(n);
-            for kk in (0..cols).step_by(MATMUL_BLOCK) {
-                let k_end = (kk + MATMUL_BLOCK).min(cols);
-                let out_tile = &mut out_row[jj..j_end];
-                let rhs_panel = weights[kk * n..k_end * n].chunks_exact(n);
-                for (&av, rhs_row) in row_buf[kk..k_end].iter().zip(rhs_panel) {
-                    for (o, &bv) in out_tile.iter_mut().zip(&rhs_row[jj..j_end]) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::DEFAULT_EPS;
 
     const EDGE_LENGTHS: [usize; 8] = [1, 2, 7, 8, 9, 13, 127, 300];
 
@@ -364,105 +202,6 @@ mod tests {
         assert!(matches!(
             add_rows_stats_chunked(&[], &[], &mut empty),
             Err(NumericError::EmptyInput)
-        ));
-    }
-
-    #[test]
-    fn slice_matmul_matches_the_naive_product() {
-        let (rows, cols, n) = (3, 70, 65);
-        let a = varied_row(rows * cols, 1.0);
-        let b = varied_row(cols * n, 0.1);
-        let mut out = vec![0.0f32; rows * n];
-        matmul_rows_into(&a, cols, &b, n, &mut out).unwrap();
-        for i in 0..rows {
-            for j in 0..n {
-                let exact: f64 = (0..cols)
-                    .map(|k| f64::from(a[i * cols + k]) * f64::from(b[k * n + j]))
-                    .sum();
-                assert!(
-                    (f64::from(out[i * n + j]) - exact).abs() < 1e-3,
-                    "({i},{j}): {} vs {exact}",
-                    out[i * n + j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn epilogue_is_bit_identical_to_normalize_then_matmul() {
-        for &(rows, cols, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (2, 64, 64),
-            (4, 127, 33),
-        ] {
-            for mode in [RowNormMode::LayerNorm, RowNormMode::RmsNorm] {
-                let data = varied_row(rows * cols, 1.0);
-                let gamma = varied_row(cols, 0.3);
-                let beta = varied_row(cols, 0.1);
-                let weights = varied_row(cols * n, 0.2);
-                let mut means = vec![0.0f32; rows];
-                let mut isds = vec![0.0f32; rows];
-                for r in 0..rows {
-                    let stats =
-                        VectorStats::compute_chunked(&data[r * cols..(r + 1) * cols]).unwrap();
-                    means[r] = stats.mean;
-                    isds[r] = match mode {
-                        RowNormMode::LayerNorm => stats.isd(DEFAULT_EPS),
-                        RowNormMode::RmsNorm => 1.0 / stats.rms(DEFAULT_EPS),
-                    };
-                }
-
-                let mut fused = vec![0.0f32; rows * n];
-                norm_matmul_epilogue_into(
-                    &data, cols, &gamma, &beta, mode, &means, &isds, &weights, n, &mut fused,
-                )
-                .unwrap();
-
-                let mut normed = vec![0.0f32; rows * cols];
-                for r in 0..rows {
-                    apply_norm_into(
-                        &data[r * cols..(r + 1) * cols],
-                        &gamma,
-                        &beta,
-                        mode,
-                        means[r],
-                        isds[r],
-                        &mut normed[r * cols..(r + 1) * cols],
-                    )
-                    .unwrap();
-                }
-                let mut composed = vec![0.0f32; rows * n];
-                matmul_rows_into(&normed, cols, &weights, n, &mut composed).unwrap();
-
-                let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-                let composed_bits: Vec<u32> = composed.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(fused_bits, composed_bits, "{rows}x{cols}x{n} {mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn epilogue_validates_shapes() {
-        let mut out = [0.0f32; 2];
-        let err = norm_matmul_epilogue_into(
-            &[1.0, 2.0],
-            2,
-            &[1.0, 1.0],
-            &[0.0, 0.0],
-            RowNormMode::LayerNorm,
-            &[0.0],
-            &[1.0],
-            &[1.0, 0.0, 0.0],
-            2,
-            &mut out,
-        );
-        assert!(matches!(
-            err,
-            Err(NumericError::LengthMismatch {
-                what: "weights",
-                ..
-            })
         ));
     }
 }

@@ -20,10 +20,9 @@
 //!   [`stats::normalize_rows_into`] (statistics + affine apply per row into a
 //!   caller-provided buffer, no allocation). The scalar routines stay as the
 //!   reference oracle; the fused kernels are property-tested against them.
-//! * [`fusion`] — cross-operation fusion kernels: fused residual-add + statistics
-//!   ([`fusion::add_rows_stats_chunked`]) and the norm+matmul epilogue
-//!   ([`fusion::norm_matmul_epilogue_into`]), each bit-identical to the composed
-//!   sequence it replaces.
+//! * [`fusion`] — the cross-operation fusion kernel: fused residual-add +
+//!   statistics ([`fusion::add_rows_stats_chunked`]), bit-identical to the
+//!   composed add-then-statistics sequence it replaces.
 //!
 //! # Example
 //!

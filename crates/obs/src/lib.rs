@@ -1,8 +1,8 @@
 //! `haan_obs` — the unified observability layer of the HAAN reproduction.
 //!
-//! PRs 3–7 grew four disjoint snapshot APIs (`ServingStats`, `GroupStats`,
-//! `AdmissionStats`, pool counters) with no shared clock and no history. This
-//! crate is the one seam they all report through:
+//! The serving stack's snapshot APIs (`GroupStats`, `AdmissionStats`, pool
+//! counters) have no shared clock and no history. This crate is the one seam
+//! they all report through:
 //!
 //! * [`ObsRegistry`] — lock-cheap named [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket log-scale [`Histogram`]s, exportable as round-trippable
@@ -26,7 +26,7 @@ mod recorder;
 mod registry;
 mod sink;
 
-pub use recorder::{EventKind, FaultKind, FlightRecorder, ObsEvent};
+pub use recorder::{EventKind, FlightRecorder, ObsEvent};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, ObsRegistry, ObsSnapshot};
 pub use sink::{NullSink, Obs, ObsSink};
 
@@ -34,10 +34,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 ///
-/// Every long-lived lock in the stack (engine intern tables, pool free lists,
-/// telemetry recorders) wants the same policy — a poisoned mutex means a
-/// *past* batch died, and refusing service forever on its account would turn
-/// one panic into a full outage. This helper is that policy, deduplicated.
+/// Every long-lived lock in the stack (pool free lists, prefix stores, fault
+/// injector sites) wants the same policy — a poisoned mutex means a *past*
+/// caller panicked, and refusing service forever on its account would turn one
+/// panic into a full outage. This helper is that policy, deduplicated.
 ///
 /// ```
 /// use std::sync::Mutex;

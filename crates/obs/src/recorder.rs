@@ -13,17 +13,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
-/// Which injected fault fired (mirrors the serving fault plan's sites).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A batch was artificially delayed.
-    SlowBatch,
-    /// A batch was failed and retried.
-    FailBatch,
-    /// The worker thread was killed.
-    PanicWorker,
-}
-
 /// What happened, with the numbers that mattered at the site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -66,18 +55,6 @@ pub enum EventKind {
         requested_pages: u64,
         /// Pages that were free at that moment.
         free_pages: u64,
-    },
-    /// The engine dispatched one coalesced batch to the normalizer.
-    BatchDispatch {
-        /// Requests coalesced into the batch.
-        requests: u64,
-        /// Total rows across those requests.
-        rows: u64,
-    },
-    /// A seeded fault fired in the worker loop.
-    FaultInjected {
-        /// Which fault site fired.
-        kind: FaultKind,
     },
     /// The stream decoded to completion.
     Finish {
@@ -122,8 +99,6 @@ impl EventKind {
             EventKind::Preempt => "preempt",
             EventKind::Resume { .. } => "resume",
             EventKind::PoolExhausted { .. } => "pool_exhausted",
-            EventKind::BatchDispatch { .. } => "batch_dispatch",
-            EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::Finish { .. } => "finish",
             EventKind::Cancel => "cancel",
             EventKind::Place { .. } => "place",
@@ -139,7 +114,7 @@ pub struct ObsEvent {
     /// Microseconds on the engine's injected clock (since engine start).
     pub t_us: u64,
     /// Correlation ID of the decode stream this event belongs to, if any
-    /// (engine-wide events like batch dispatch carry `None`).
+    /// (engine-wide events like prefix evictions carry `None`).
     pub stream: Option<u64>,
     /// What happened.
     pub kind: EventKind,
@@ -171,10 +146,6 @@ impl fmt::Display for ObsEvent {
                 f,
                 "pool_exhausted (wanted {requested_pages}, free {free_pages})"
             ),
-            EventKind::BatchDispatch { requests, rows } => {
-                write!(f, "batch_dispatch ({requests} requests, {rows} rows)")
-            }
-            EventKind::FaultInjected { kind } => write!(f, "fault_injected ({kind:?})"),
             EventKind::Finish { generated } => write!(f, "finish ({generated} tokens)"),
             EventKind::Place { group } => write!(f, "place (group {group})"),
             EventKind::Migrate {
@@ -337,14 +308,7 @@ mod tests {
         recorder.record(event(1, Some(7), EventKind::Offer { est_pages: 2 }));
         recorder.record(event(2, Some(9), EventKind::Offer { est_pages: 2 }));
         recorder.record(event(3, Some(7), EventKind::Admit));
-        recorder.record(event(
-            4,
-            None,
-            EventKind::BatchDispatch {
-                requests: 2,
-                rows: 2,
-            },
-        ));
+        recorder.record(event(4, None, EventKind::PrefixEvict { rows: 16 }));
         recorder.record(event(5, Some(7), EventKind::Finish { generated: 3 }));
         let seven = recorder.stream_events(7);
         assert_eq!(seven.len(), 3);
@@ -375,19 +339,6 @@ mod tests {
                     free_pages: 1,
                 },
                 "pool_exhausted",
-            ),
-            (
-                EventKind::BatchDispatch {
-                    requests: 1,
-                    rows: 1,
-                },
-                "batch_dispatch",
-            ),
-            (
-                EventKind::FaultInjected {
-                    kind: FaultKind::SlowBatch,
-                },
-                "fault_injected",
             ),
             (EventKind::Finish { generated: 0 }, "finish"),
             (EventKind::Cancel, "cancel"),

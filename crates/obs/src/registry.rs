@@ -3,7 +3,7 @@
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`s over
 //! atomics: the registry mutex is touched only at registration time, never on
 //! the record path. Metric names are hierarchical dot-paths
-//! (`serve.queue_wait_us`, `pool.pages_in_use`, `haan.skip_rate.site_0`);
+//! (`group.tick_rows`, `pool.pages_in_use`, `haan.skip_rate.site_0`);
 //! [`ObsRegistry::export`] snapshots every metric sorted by name, and the
 //! snapshot renders as JSON (round-trippable via [`ObsSnapshot::from_json`])
 //! or Prometheus-style text.
@@ -246,11 +246,11 @@ struct RegistryInner {
 /// use haan_obs::ObsRegistry;
 ///
 /// let registry = ObsRegistry::new();
-/// registry.counter("serve.batches").add(3);
+/// registry.counter("serve.prefix.hits").add(3);
 /// registry.gauge("pool.pages_in_use").set(5.0);
-/// registry.histogram("serve.queue_wait_us").record(120);
+/// registry.histogram("group.tick_rows").record(120);
 /// let snapshot = registry.export();
-/// assert_eq!(snapshot.counter("serve.batches"), Some(3));
+/// assert_eq!(snapshot.counter("serve.prefix.hits"), Some(3));
 /// let round_trip = haan_obs::ObsSnapshot::from_json(&snapshot.to_json()).unwrap();
 /// assert_eq!(round_trip, snapshot);
 /// ```
@@ -605,10 +605,10 @@ mod tests {
     #[test]
     fn export_round_trips_through_json() {
         let registry = ObsRegistry::new();
-        registry.counter("serve.batches").add(42);
+        registry.counter("serve.prefix.hits").add(42);
         registry.gauge("pool.pages_in_use").set(12.5);
         registry.gauge("haan.skip_rate.site_0").set(0.75);
-        let h = registry.histogram("serve.queue_wait_us");
+        let h = registry.histogram("group.tick_rows");
         for v in [0, 1, 15, 16, 1000, 123_456_789, u64::MAX] {
             h.record(v);
         }
@@ -627,19 +627,19 @@ mod tests {
     #[test]
     fn prometheus_text_has_cumulative_buckets() {
         let registry = ObsRegistry::new();
-        registry.counter("serve.batches").add(2);
+        registry.counter("serve.prefix.hits").add(2);
         registry.gauge("pool.pages_in_use").set(3.0);
-        let h = registry.histogram("serve.queue_wait_us");
+        let h = registry.histogram("group.tick_rows");
         h.record(1);
         h.record(1);
         h.record(100);
         let text = registry.export().to_prometheus();
-        assert!(text.contains("# TYPE serve_batches counter\nserve_batches 2"));
+        assert!(text.contains("# TYPE serve_prefix_hits counter\nserve_prefix_hits 2"));
         assert!(text.contains("# TYPE pool_pages_in_use gauge\npool_pages_in_use 3"));
-        assert!(text.contains("serve_queue_wait_us_bucket{le=\"1\"} 2"));
-        assert!(text.contains("serve_queue_wait_us_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("serve_queue_wait_us_count 3"));
-        assert!(text.contains("serve_queue_wait_us_sum 102"));
+        assert!(text.contains("group_tick_rows_bucket{le=\"1\"} 2"));
+        assert!(text.contains("group_tick_rows_bucket{le=\"+Inf\"} 3"));
+        assert!(text.contains("group_tick_rows_count 3"));
+        assert!(text.contains("group_tick_rows_sum 102"));
     }
 
     #[test]

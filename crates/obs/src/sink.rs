@@ -16,7 +16,7 @@ use std::sync::Arc;
 ///
 /// Every method has a no-op default, so a sink implements only what it cares
 /// about. Implementations must be cheap and non-blocking: they run inside the
-/// engine's worker loop and the lockstep decode tick.
+/// lockstep decode tick and every normalization site call.
 pub trait ObsSink: fmt::Debug + Send + Sync {
     /// A structured, clock-stamped flight-recorder event.
     fn event(&self, event: ObsEvent) {
@@ -45,10 +45,10 @@ pub trait ObsSink: fmt::Debug + Send + Sync {
 /// use haan_obs::{EventKind, Obs, ObsEvent, ObsSink};
 ///
 /// let obs = Obs::new(1024);
-/// obs.counter_add("serve.batches", 1);
-/// obs.record("serve.queue_wait_us", 42);
+/// obs.counter_add("serve.prefix.hits", 1);
+/// obs.record("group.tick_rows", 42);
 /// obs.event(ObsEvent { t_us: 5, stream: Some(1), kind: EventKind::Admit });
-/// assert_eq!(obs.registry().export().counter("serve.batches"), Some(1));
+/// assert_eq!(obs.registry().export().counter("serve.prefix.hits"), Some(1));
 /// assert_eq!(obs.recorder().stream_events(1).len(), 1);
 /// ```
 #[derive(Debug)]

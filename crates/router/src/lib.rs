@@ -244,8 +244,7 @@ struct Placement {
 }
 
 /// One member of the fleet: an engine, its (initially empty) decode group,
-/// and the group's K/V pool. `group` is declared before `engine` so its
-/// session drops first on teardown.
+/// and the group's K/V pool.
 #[derive(Debug)]
 struct RouterGroup<'m> {
     group: DecodeGroup<'m>,
@@ -270,8 +269,8 @@ pub struct Router<'m> {
 
 impl<'m> Router<'m> {
     /// Builds a router with one group per entry of `group_configs`: each
-    /// config starts its own [`ServeEngine`] (own pool, own admission, own
-    /// worker). Group `i`'s correlation IDs are re-based to `i << 32`, so one
+    /// config starts its own [`ServeEngine`] (own pool, own admission) and one
+    /// decode group with its own normalizer. Group `i`'s correlation IDs are re-based to `i << 32`, so one
     /// shared sink sees fleet-unique stream IDs. The router's own events and
     /// counters go to the first config's sink (install the same `Arc` on
     /// every group for a fleet-wide view).
@@ -803,7 +802,7 @@ impl<'m> Router<'m> {
     }
 
     /// [`Router::step_all`] with every group ticking on its own thread —
-    /// groups share nothing (separate engines, pools, sessions), so this is
+    /// groups share nothing (separate engines, pools, normalizers), so this is
     /// the fleet's real parallel speedup and changes no tokens.
     ///
     /// # Errors
@@ -812,8 +811,7 @@ impl<'m> Router<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if a group's tick thread panics (which a group tick only does
-    /// if its engine died mid-pass).
+    /// Panics if a group's tick thread panics.
     pub fn step_all_concurrent(&mut self) -> Result<RouterTick, LlmError> {
         let lens: Vec<usize> = self.groups.iter().map(|g| g.group.len()).collect();
         let results: Vec<Result<Vec<Option<u32>>, LlmError>> = std::thread::scope(|scope| {

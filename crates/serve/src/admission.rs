@@ -250,15 +250,6 @@ impl AdmissionController {
         }
     }
 
-    /// Records one offer refused outside [`AdmissionController::offer`] (e.g. a
-    /// standalone stream that cannot queue treating `Queue` as a shed).
-    pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.counter_add("admission.shed", 1);
-        }
-    }
-
     /// Snapshot of the counters.
     #[must_use]
     pub fn stats(&self) -> AdmissionStats {

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-/// Errors surfaced by the serving engine and sessions.
+/// Errors surfaced by the serving engine and its decode groups.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The engine has shut down (or its worker is gone); the request was not, or may
-    /// not have been, executed.
-    Shutdown,
-    /// The request was malformed (shape mismatch, empty batch, zero width).
+    /// The request was malformed (empty or out-of-vocabulary prompt, mismatched
+    /// pool, a stream that cannot migrate).
     InvalidRequest(String),
     /// The admission controller refused the stream: the K/V pool is above its
     /// shed watermark (or the stream could never fit). Nothing was allocated;
@@ -17,42 +15,16 @@ pub enum ServeError {
         /// Suggested client backoff before re-offering, microseconds.
         retry_after_us: u64,
     },
-    /// The request's deadline elapsed while it was still queued; it was never
-    /// executed.
-    TimedOut,
-    /// The request was cancelled by its client while it was still queued; it
-    /// was never executed.
-    Cancelled,
-    /// The engine's worker thread died (panicked). The request was not
-    /// executed, and further submissions will fail the same way; the engine
-    /// must be restarted.
-    WorkerDied,
-    /// A batch kept failing after the worker's bounded retry budget (only
-    /// reachable under fault injection today; the normalization path itself is
-    /// infallible).
-    RetriesExhausted {
-        /// Attempts the worker made before giving up.
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Shutdown => write!(f, "serving engine has shut down"),
             ServeError::InvalidRequest(reason) => write!(f, "invalid request: {reason}"),
             ServeError::Shed { retry_after_us } => write!(
                 f,
                 "stream shed by admission control; retry after ~{retry_after_us} us"
             ),
-            ServeError::TimedOut => write!(f, "request deadline elapsed while queued"),
-            ServeError::Cancelled => write!(f, "request cancelled while queued"),
-            ServeError::WorkerDied => {
-                write!(f, "serving worker thread died; restart the engine")
-            }
-            ServeError::RetriesExhausted { attempts } => {
-                write!(f, "batch failed after {attempts} attempts")
-            }
         }
     }
 }
@@ -65,17 +37,11 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(ServeError::Shutdown.to_string().contains("shut down"));
         let invalid = ServeError::InvalidRequest("cols = 0".to_string());
         assert!(invalid.to_string().contains("cols = 0"));
         let shed = ServeError::Shed {
             retry_after_us: 750,
         };
         assert!(shed.to_string().contains("750"));
-        assert!(ServeError::TimedOut.to_string().contains("deadline"));
-        assert!(ServeError::Cancelled.to_string().contains("cancelled"));
-        assert!(ServeError::WorkerDied.to_string().contains("worker"));
-        let retries = ServeError::RetriesExhausted { attempts: 3 };
-        assert!(retries.to_string().contains("3 attempts"));
     }
 }

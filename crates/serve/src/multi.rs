@@ -1,17 +1,15 @@
 //! Batched multi-stream decode: many KV-cached streams advanced in lockstep
-//! through one engine session, with admission control and preempt/resume.
+//! through one in-process normalizer, with admission control and
+//! preempt/resume.
 //!
-//! A single [`DecodeStream`](crate::DecodeStream) submits one **single-row**
-//! normalization request per site per token; the scheduler only widens the batch
-//! when other client threads happen to be in flight at the same instant. A
-//! [`DecodeGroup`] removes the luck: each [`DecodeGroup::step_all`] tick gathers
-//! every ready stream and advances them through
-//! [`TransformerModel::advance_many`] — one incremental pass over the stacked
-//! rows, so the engine worker executes **one fused `normalize_matrix_into`
-//! call per normalization site carrying every stream's rows**. Attention stays
-//! per-stream (each row attends against its own paged K/V cache); every
-//! row-local stage (both norm sites per block, the MLPs, the final norm, the
-//! logit projection) runs batched.
+//! Each [`DecodeGroup::step_all`] tick gathers every ready stream and advances
+//! them through [`TransformerModel::advance_many`] — one incremental pass over
+//! the stacked rows, so the group's own [`HaanNormalizer`] executes **one
+//! batched call per normalization site carrying every stream's rows**, on the
+//! thread that ticks the group. Attention stays per-stream (each row attends
+//! against its own paged K/V cache); every row-local stage (both norm sites per
+//! block, the MLPs, the final norm, the logit projection) runs batched. A
+//! single stream is a group of one.
 //!
 //! # Continuous batching
 //!
@@ -59,9 +57,9 @@
 //! anchors stream `s` would see solo (`tests/kv_decode.rs`).
 
 use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::engine::ns_since;
+use crate::engine::Shared;
 use crate::error::ServeError;
-use crate::session::Session;
+use haan::HaanNormalizer;
 use haan_llm::{DecodeContext, EvictionPolicy, KvBlockPool, KvPrefix, LlmError, TransformerModel};
 use haan_obs::EventKind;
 use std::sync::Arc;
@@ -121,7 +119,7 @@ pub struct GroupStats {
     pub leaves: u64,
     /// Total K/V rows fed through the batched lockstep passes — decode rows
     /// plus, under chunked prefill, the prompt-chunk rows that ride the same
-    /// fused site requests. Unchunked catch-up prefills run as separate
+    /// batched site calls. Unchunked catch-up prefills run as separate
     /// per-stream passes and are *not* counted, so this divided by
     /// [`GroupStats::ticks`] is exactly the batching width chunking buys.
     pub occupied_rows: u64,
@@ -232,7 +230,7 @@ impl GroupStream<'_> {
 }
 
 /// A set of KV-cached greedy decode streams advanced in lockstep through one
-/// [`ServeEngine`](crate::ServeEngine) session.
+/// normalizer the group owns.
 ///
 /// Created by [`ServeEngine::decode_group`](crate::ServeEngine::decode_group).
 /// Each [`DecodeGroup::step_all`] tick retires streams at capacity, resumes
@@ -242,15 +240,14 @@ impl GroupStream<'_> {
 /// sequence length stop contributing rows — their slots report `None` — and
 /// streams queued, shed, or cancelled report `None` until (unless) they
 /// activate. See the [module docs](self) for the overload lifecycle.
-///
-/// # Panics
-///
-/// Like every [`Session`]-driven forward pass, a tick panics with a descriptive
-/// message if the engine shuts down mid-pass.
 #[derive(Debug)]
 pub struct DecodeGroup<'m> {
     model: &'m TransformerModel,
-    session: Session,
+    /// The engine's clock, sink and correlation-ID allocator.
+    shared: Arc<Shared>,
+    /// The group's private normalizer, built from the engine's configuration:
+    /// every norm site of a tick runs here, in-process.
+    normalizer: HaanNormalizer,
     streams: Vec<GroupStream<'m>>,
     pool: Arc<KvBlockPool>,
     admission: Arc<AdmissionController>,
@@ -263,7 +260,7 @@ pub struct DecodeGroup<'m> {
 
 impl<'m> DecodeGroup<'m> {
     /// Builds a group of `prompts.len()` streams whose K/V pages come from
-    /// `pool`, whose normalization runs through `session`, and whose admission
+    /// `pool`, whose normalization runs through `normalizer`, and whose admission
     /// is decided by `admission`: each prompt is offered in order, with
     /// already-accepted prompts' page estimates counting against the
     /// watermark, so an oversubscribed construction queues (and eventually
@@ -276,7 +273,8 @@ impl<'m> DecodeGroup<'m> {
     /// not match the model. Overload is **not** an error: shed slots come back
     /// as [`StreamStatus::Shed`] and simply never decode.
     pub(crate) fn new(
-        session: Session,
+        shared: Arc<Shared>,
+        normalizer: HaanNormalizer,
         pool: &Arc<KvBlockPool>,
         model: &'m TransformerModel,
         prompts: &[&[u32]],
@@ -284,7 +282,6 @@ impl<'m> DecodeGroup<'m> {
     ) -> Result<Self, ServeError> {
         let invalid = |err: LlmError| ServeError::InvalidRequest(err.to_string());
         let blocks = model.config().num_blocks;
-        let shared = Arc::clone(session.shared());
         let mut stats = GroupStats::default();
         let mut streams = Vec::with_capacity(prompts.len());
         // Pages spoken for by prompts accepted earlier in this construction
@@ -336,7 +333,8 @@ impl<'m> DecodeGroup<'m> {
         }
         Ok(Self {
             model,
-            session,
+            shared,
+            normalizer,
             streams,
             pool: Arc::clone(pool),
             admission,
@@ -349,7 +347,7 @@ impl<'m> DecodeGroup<'m> {
     /// restores one-shot activation prefills). With chunking on, a joining
     /// stream's long prompt is prefilled across `⌈len/rows⌉` ticks **inside
     /// the batched lockstep pass** — its chunk rows stack with the decode rows
-    /// in the same fused `normalize_matrix_into` call per site — so admitting
+    /// in the same batched normalizer call per site — so admitting
     /// a 256-token prompt never stalls the other streams' next token behind a
     /// monolithic prefill. Tokens are unchanged: chunked prefill is the cached
     /// incrementality invariant, and a stream emits only when its backlog
@@ -368,12 +366,6 @@ impl<'m> DecodeGroup<'m> {
     #[must_use]
     pub fn model(&self) -> &'m TransformerModel {
         self.model
-    }
-
-    /// The group's engine session (e.g. to inspect its skip-anchor state).
-    #[must_use]
-    pub fn session(&self) -> &Session {
-        &self.session
     }
 
     /// Number of member streams (shed slots included).
@@ -596,7 +588,7 @@ impl<'m> DecodeGroup<'m> {
             .iter()
             .filter(|s| matches!(s.status, StreamStatus::Queued))
             .count();
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         let corr = shared.next_corr();
         shared.emit(
             Some(corr),
@@ -663,8 +655,7 @@ impl<'m> DecodeGroup<'m> {
             return false;
         }
         self.streams[index].park();
-        self.session
-            .shared()
+        self.shared
             .emit(Some(self.streams[index].corr), EventKind::Preempt);
         self.stats.preemptions += 1;
         self.stats.leaves += 1;
@@ -691,7 +682,7 @@ impl<'m> DecodeGroup<'m> {
                 stream.catchup.clear();
                 stream.status = StreamStatus::Cancelled;
                 let corr = stream.corr;
-                self.session.shared().emit(Some(corr), EventKind::Cancel);
+                self.shared.emit(Some(corr), EventKind::Cancel);
                 true
             }
             StreamStatus::Finished
@@ -823,7 +814,7 @@ impl<'m> DecodeGroup<'m> {
     /// Retires active streams that can no longer accept a token, releasing
     /// their pool pages (windowed streams evict instead of finishing).
     fn finish_exhausted_streams(&mut self) {
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         for stream in &mut self.streams {
             if matches!(stream.status, StreamStatus::Active)
                 && stream.context.remaining_capacity() == 0
@@ -872,7 +863,7 @@ impl<'m> DecodeGroup<'m> {
     ) -> Result<(), LlmError> {
         let page_rows = self.pool.page_rows();
         let blocks = self.model.config().num_blocks;
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         for (index, slot) in results.iter_mut().enumerate() {
             if !matches!(self.streams[index].status, StreamStatus::Queued) {
                 continue;
@@ -884,7 +875,7 @@ impl<'m> DecodeGroup<'m> {
                 continue;
             }
             let stream = &mut self.streams[index];
-            match stream.context.prefill_last(&feed, &mut self.session) {
+            match stream.context.prefill_last(&feed, &mut self.normalizer) {
                 Ok(logits) => {
                     let resumed = stream.parked_resident.take().is_some();
                     stream.fed = stream.tokens.len();
@@ -941,7 +932,7 @@ impl<'m> DecodeGroup<'m> {
     fn activate_queued_streams(&mut self) {
         let page_rows = self.pool.page_rows();
         let blocks = self.model.config().num_blocks;
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         for index in 0..self.streams.len() {
             if !matches!(self.streams[index].status, StreamStatus::Queued) {
                 continue;
@@ -1005,8 +996,8 @@ impl<'m> DecodeGroup<'m> {
     /// admit queued streams whose pages now fit — in unchunked mode via
     /// separate one-shot catch-up prefills, in chunked mode by queuing their
     /// feed as a backlog — then advance every active stream together through
-    /// [`TransformerModel::advance_many`]: one batched pass, one fused
-    /// normalization request per site carrying each stream's rows (one decode
+    /// [`TransformerModel::advance_many`]: one batched pass, one batched
+    /// normalizer call per site carrying each stream's rows (one decode
     /// token, or up to `prefill_chunk_rows` backlog rows). When that pass hits
     /// pool exhaustion, the group parks a victim (fewest tokens decoded, ties
     /// to least recently advanced) and retries with the survivors.
@@ -1023,7 +1014,7 @@ impl<'m> DecodeGroup<'m> {
     pub fn step_all(&mut self) -> Result<Vec<Option<u32>>, LlmError> {
         self.stats.ticks += 1;
         let tick = self.stats.ticks;
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         let mut results = vec![None; self.streams.len()];
         self.finish_exhausted_streams();
         if self.prefill_chunk_rows == 0 {
@@ -1070,13 +1061,12 @@ impl<'m> DecodeGroup<'m> {
                 .map(|(_, stream)| &mut stream.context)
                 .collect();
             // Span profiling: the advance clock runs only with a sink
-            // installed. The measured span covers attention + MLP + logits
-            // model-side; the normalization phase inside it is timed
-            // separately by the engine worker (`serve.phase.normalize_ns`).
+            // installed. The measured span is the whole pass — attention,
+            // MLP, logits and every normalization site.
             let advance_started = shared.obs().map(|_| Instant::now());
             match self
                 .model
-                .advance_many(&mut contexts, &feed_refs, &mut self.session)
+                .advance_many(&mut contexts, &feed_refs, &mut self.normalizer)
             {
                 Ok(logits) => {
                     if let (Some(obs), Some(t)) = (shared.obs(), advance_started) {
@@ -1156,6 +1146,11 @@ impl<'m> DecodeGroup<'m> {
     }
 }
 
+/// Nanoseconds elapsed since `started`, saturated into `u64`.
+fn ns_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Greedy arg-max over a logits row.
 fn argmax(logits: &[f32]) -> u32 {
     logits
@@ -1187,7 +1182,7 @@ mod tests {
     #[test]
     fn group_matches_private_full_recompute_streams() {
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let prompts: [&[u32]; 3] = [&[2, 9, 4], &[1, 7], &[5, 5, 5, 5]];
         let mut group = engine.decode_group(&model, &prompts).unwrap();
         assert_eq!(group.len(), 3);
@@ -1208,17 +1203,15 @@ mod tests {
         let stats = group.stats();
         assert_eq!((stats.offered, stats.admitted, stats.shed), (3, 3, 0));
         assert_eq!(stats.ticks, TICKS as u64);
-        // Lockstep ticks carry one row per stream: rows/batch must exceed 1.
-        assert!(engine.stats().mean_batch_occupancy_rows() > 1.0);
-        let _ = group.session().anchor_state();
-        engine.shutdown();
+        // Lockstep ticks carry one row per stream: rows/tick must exceed 1.
+        assert!(stats.mean_tick_occupancy_rows() > 1.0);
     }
 
     #[test]
     fn exhausted_streams_stop_contributing_rows() {
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
         let max = model.config().max_seq_len;
-        let mut engine = engine();
+        let engine = engine();
         // One stream a single token from the end, one with plenty of room.
         let long: Vec<u32> = (0..(max as u32 - 1)).map(|i| i % 8).collect();
         let prompts: [&[u32]; 2] = [&long, &[3, 1]];
@@ -1239,7 +1232,6 @@ mod tests {
         assert!(third[1].is_some());
         assert_eq!(group.status(0), StreamStatus::Finished);
         assert_eq!(group.stats().completed, 1);
-        engine.shutdown();
     }
 
     #[test]
@@ -1249,7 +1241,7 @@ mod tests {
         // and once neither the active stream can grow nor the queued one fit,
         // ticks fail with the typed pool error, retry-safely.
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = ServeEngine::start(ServeConfig {
+        let engine = ServeEngine::start(ServeConfig {
             normalizer: HaanConfig {
                 backend: BackendSelection::Fused,
                 ..HaanConfig::unoptimized()
@@ -1280,13 +1272,12 @@ mod tests {
             assert_eq!(group.tokens(0).len(), prompts[0].len() + 1);
             assert_eq!(group.tokens(1).len(), prompts[1].len());
         }
-        engine.shutdown();
     }
 
     #[test]
     fn preempted_streams_resume_bit_identically() {
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let prompts: [&[u32]; 2] = [&[2, 9, 4], &[1, 7, 3]];
         let mut group = engine.decode_group(&model, &prompts).unwrap();
         group.decode(2).unwrap();
@@ -1314,13 +1305,12 @@ mod tests {
             let expected = oracle.decode(5, &mut ReferenceNormalizer::new()).unwrap();
             assert_eq!(group.generated(i), expected.as_slice(), "stream {i}");
         }
-        engine.shutdown();
     }
 
     #[test]
     fn cancelled_streams_free_pages_and_never_decode_again() {
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let prompts: [&[u32]; 2] = [&[2, 9, 4], &[1, 7, 3]];
         let mut group = engine.decode_group(&model, &prompts).unwrap();
         group.decode(2).unwrap();
@@ -1337,17 +1327,15 @@ mod tests {
             generated_at_cancel,
             "cancelled streams keep their history but stop decoding"
         );
-        engine.shutdown();
     }
 
     #[test]
     fn invalid_groups_are_rejected() {
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         assert!(engine.decode_group(&model, &[]).is_err());
         let bad: [&[u32]; 2] = [&[1, 2], &[40_000]];
         assert!(engine.decode_group(&model, &bad).is_err());
-        engine.shutdown();
     }
 
     #[test]
@@ -1355,11 +1343,10 @@ mod tests {
         // Satellite: a group that has never ticked must report 0.0, not NaN.
         assert_eq!(GroupStats::default().mean_tick_occupancy_rows(), 0.0);
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let group = engine.empty_decode_group(&model).unwrap();
         assert!(group.is_empty());
         assert_eq!(group.stats().mean_tick_occupancy_rows(), 0.0);
-        engine.shutdown();
     }
 
     #[test]
@@ -1369,7 +1356,7 @@ mod tests {
         // into the other, and the combined transcript must match the solo
         // full-recompute oracle token for token.
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let prompts: [&[u32]; 2] = [&[2, 9, 4], &[1, 7, 3]];
         let mut source = engine.decode_group(&model, &prompts).unwrap();
         let mut dest = engine.empty_decode_group(&model).unwrap();
@@ -1403,7 +1390,6 @@ mod tests {
                 .unwrap();
             assert_eq!(group.generated(index), expected.as_slice());
         }
-        engine.shutdown();
     }
 
     #[test]
@@ -1411,7 +1397,7 @@ mod tests {
         // A queued, never-activated stream migrates with fed reset: its
         // destination prefills the full prompt and parity still holds.
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let prompts: [&[u32]; 1] = [&[2, 9, 4, 6]];
         let mut source = engine.decode_group(&model, &prompts).unwrap();
         let mut dest = engine.empty_decode_group(&model).unwrap();
@@ -1425,13 +1411,12 @@ mod tests {
         let mut oracle = StreamingModel::new_full_recompute(&model, prompts[0]).unwrap();
         let expected = oracle.decode(5, &mut ReferenceNormalizer::new()).unwrap();
         assert_eq!(dest.generated(slot), expected.as_slice());
-        engine.shutdown();
     }
 
     #[test]
     fn eviction_changes_are_rejected_after_the_first_tick() {
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
-        let mut engine = engine();
+        let engine = engine();
         let prompts: [&[u32]; 1] = [&[2, 9, 4]];
         let mut group = engine.decode_group(&model, &prompts).unwrap();
         assert!(group
@@ -1439,6 +1424,5 @@ mod tests {
             .is_ok());
         group.step_all().unwrap();
         assert!(group.set_eviction(0, EvictionPolicy::Reject).is_err());
-        engine.shutdown();
     }
 }

@@ -36,10 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FaultPlan {
             exhaust_probability: 0.1,
             max_exhaustions: 4,
-            ..Default::default()
         },
     ));
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: HaanConfig {
             backend: BackendSelection::Fused,
             ..HaanConfig::unoptimized()
@@ -131,8 +130,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the injector must have fired"
     );
     println!("parity: {checked} admitted streams bit-identical to solo decode ✔");
-
-    drop(group);
-    engine.shutdown();
     Ok(())
 }

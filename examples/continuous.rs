@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         calibration_anchor_log_isd: -0.25,
     };
     let model = TransformerModel::new(&ModelConfig::tiny_test(), 2024)?;
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: config.clone(),
         plan: Some(plan),
         prefill_chunk_rows: CHUNK_ROWS,
@@ -137,7 +137,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(group);
     assert_eq!(pool.pages_in_use(), before, "streams returned their pages");
 
-    engine.shutdown();
     println!("continuous batching demo complete: all outputs bit-identical to solo decode");
     Ok(())
 }

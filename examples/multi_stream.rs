@@ -2,9 +2,8 @@
 //! streams in lockstep over one shared paged K/V pool.
 //!
 //! Six decode streams share one `ServeEngine`. Instead of stepping them one at a
-//! time (one single-row normalization request per site, as `examples/decode.rs`
-//! shows), the group advances every ready stream per tick through
-//! `TransformerModel::step_many`: **one fused normalization request per site
+//! time, the group advances every ready stream per tick through
+//! `TransformerModel::advance_many`: **one batched normalizer call per site
 //! carrying one row per stream**, while each stream's K/V rows stay in pages
 //! borrowed from the engine's shared `KvBlockPool`. The demo checks every stream
 //! bit-for-bit against the stateless full-recompute oracle on a private HAAN
@@ -37,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         calibration_anchor_log_isd: -0.25,
     };
     let model = TransformerModel::new(&ModelConfig::tiny_test(), 2024)?;
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: config.clone(),
         plan: Some(plan),
         kv_pool: KvPoolPolicy {
@@ -74,18 +73,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("parity: lockstep multi-stream decode == solo full recompute, bit for bit");
 
-    // The whole point: one fused request per site per tick, one row per stream.
-    let stats = engine.stats();
+    // The whole point: one batched call per site per tick, one row per stream.
+    let stats = group.stats();
     println!(
-        "engine: {} requests ({} rows) in {} batches — {:.1} rows/batch",
-        stats.requests,
-        stats.rows,
-        stats.batches,
-        stats.mean_batch_occupancy_rows(),
+        "group: {} rows over {} ticks — {:.1} rows per tick",
+        stats.occupied_rows,
+        stats.ticks,
+        stats.mean_tick_occupancy_rows(),
     );
     assert!(
-        stats.mean_batch_occupancy_rows() > 1.0,
-        "lockstep ticks must put more than one row per engine batch"
+        stats.mean_tick_occupancy_rows() > 1.0,
+        "lockstep ticks must put more than one row per site call"
     );
 
     // Pool residency: pages are shared, bounded, and returned on drop.
@@ -120,7 +118,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pool.peak_pages_in_use(),
     );
 
-    engine.shutdown();
-    println!("engine shut down cleanly");
     Ok(())
 }

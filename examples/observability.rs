@@ -6,8 +6,9 @@
 //! installed on the engine. Afterwards it dumps the metric registry (JSON and
 //! Prometheus renderings of the same [`haan_obs::ObsSnapshot`]) and replays
 //! one preempted stream's full lifecycle from the flight recorder alone, then
-//! asserts the key signals are present: batches and phase timings were
-//! metered, pool exhaustion was counted, and the lifecycle events
+//! asserts the key signals are present: tick shape and phase timings were
+//! metered, the fused residual+norm path and pool exhaustion were counted, and
+//! the lifecycle events
 //! (offer → admit/queue → chunk-drain → preempt → resume → finish) were all
 //! recorded with the right correlation ID.
 //!
@@ -35,14 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FaultPlan {
             exhaust_probability: 0.1,
             max_exhaustions: 4,
-            slow_probability: 0.5,
-            slow_us: 200,
-            max_slow_batches: 3,
-            ..Default::default()
         },
     ));
     let obs = Obs::shared(1 << 16);
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         // A skip range (sites 3..=5 predicted from the site-2 anchor) so the
         // per-site skip counters and skip-rate gauges have something to show.
         normalizer: HaanConfig {
@@ -105,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(round_trip, snapshot, "JSON round-trip must be lossless");
 
     // Key metrics from every instrumented layer landed in the one registry.
-    assert!(snapshot.counter("serve.batches").unwrap_or(0) > 0);
+    assert!(snapshot.counter("admission.offered").unwrap_or(0) > 0);
     assert!(snapshot.counter("pool.exhaustions").unwrap_or(0) > 0);
     assert!(snapshot.gauge("pool.pages_in_use").is_some());
     let ticks = snapshot.histogram("group.tick_rows").expect("tick shape");
@@ -113,15 +110,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ticks.count > 0 && ticks.max > 1,
         "lockstep ticks batch rows"
     );
-    for phase in [
-        "serve.phase.gather_ns",
-        "serve.phase.normalize_ns",
-        "serve.phase.scatter_ns",
-        "group.phase.advance_ns",
-    ] {
-        let h = snapshot.histogram(phase).expect("phase timings metered");
-        assert!(h.count > 0, "{phase} must have samples");
-    }
+    let advance = snapshot
+        .histogram("group.phase.advance_ns")
+        .expect("phase timings metered");
+    assert!(
+        advance.count > 0,
+        "group.phase.advance_ns must have samples"
+    );
+    assert!(
+        snapshot
+            .counters
+            .iter()
+            .any(|(name, rows)| name.starts_with("haan.path.fused_residual.site_") && *rows > 0),
+        "the group's normalizer must take the fused residual+norm path"
+    );
     assert!(
         snapshot
             .counters
@@ -157,13 +159,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for key in ["offer", "preempt", "resume", "finish"] {
         assert!(labels.contains(&key), "{key} missing from {labels:?}");
     }
-    let engine_events = obs.recorder().events();
-    for key in ["batch_dispatch", "pool_exhausted", "fault_injected"] {
-        assert!(
-            engine_events.iter().any(|e| e.kind.label() == key),
-            "{key} missing from the engine-wide event stream"
-        );
-    }
+    assert!(
+        obs.recorder()
+            .events()
+            .iter()
+            .any(|e| e.kind.label() == "pool_exhausted"),
+        "pool_exhausted missing from the engine-wide event stream"
+    );
     println!(
         "\nrecorder: {} events held ({} appended, {} dropped) ✔",
         obs.recorder().len(),
@@ -171,7 +173,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         obs.recorder().dropped()
     );
 
-    drop(group);
-    engine.shutdown();
     Ok(())
 }

@@ -9,8 +9,8 @@
 //! * [`haan_numerics`] — fixed-point / FP16 / fast-inverse-sqrt numerics.
 //! * [`haan_accel`] — the cycle-level accelerator simulator.
 //! * [`haan_baselines`] — DFX / SOLE / MHAA / GPU baselines and the end-to-end model.
-//! * [`haan_serve`] — the async serving layer (request-batching scheduler with
-//!   per-session skip-anchor state).
+//! * [`haan_serve`] — the serving layer (continuously batched decode groups with
+//!   admission control, each normalizing in-process).
 //! * [`haan_router`] — the routing tier: a multi-group session router with
 //!   prefix-aware placement, automatic prefix detection, and rebalancing over
 //!   the park/resume seam.

@@ -14,12 +14,11 @@
 //!   `0x5F3759DF` seed + Newton refinement, and the external-format output rounding
 //!   each contribute quantization error by design.
 
-use haan::{AnchorState, BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
+use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_accel::{AccelConfig, AccelSimBackend};
 use haan_llm::norm::{NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
 use haan_numerics::Format;
-use haan_serve::{NormRequest, QueueOrdering, SchedulerPolicy, ServeConfig, ServeEngine};
 use std::sync::Arc;
 
 fn site(layer_index: usize, kind: NormKind) -> NormSite {
@@ -217,96 +216,6 @@ fn accel_sim_is_reachable_via_config_after_install() {
         NormKind::LayerNorm,
     );
     assert_close(&simulated, &oracle, 5e-2, "registry-resolved accel-sim");
-}
-
-#[test]
-fn scheduler_assembled_batch_is_bit_identical_to_direct_fused_batch() {
-    // N independent single-row requests coalesced by the serving scheduler into one
-    // batch must equal one caller pushing the same N rows through
-    // `normalize_matrix_into` directly (fused backend) — bit for bit, including at
-    // a skipped site where each row predicts from its own anchor.
-    const N: usize = 6;
-    const COLS: usize = 48;
-    let plan = SkipPlan {
-        start: 0,
-        end: 2,
-        decay: -0.04,
-        correlation: -1.0,
-        calibration_anchor_log_isd: -0.3,
-    };
-    let config = HaanConfig::builder()
-        .label("scheduler parity")
-        .subsample(24)
-        .format(Format::Fp16)
-        .backend(BackendSelection::Fused)
-        .build();
-    let input = varied_matrix(N, COLS, 1.3);
-    let gamma: Vec<f32> = (0..COLS).map(|i| 1.0 + (i % 5) as f32 * 0.1).collect();
-    let beta: Vec<f32> = (0..COLS).map(|i| (i % 3) as f32 * 0.2 - 0.2).collect();
-
-    // Direct path: one caller, one N-row matrix, anchor site then skipped site.
-    let mut direct = HaanNormalizer::new(config.clone()).with_plan(plan);
-    let direct_anchor =
-        direct.normalize_matrix(site(0, NormKind::LayerNorm), &input, &gamma, &beta);
-    let direct_skip = direct.normalize_matrix(site(1, NormKind::LayerNorm), &input, &gamma, &beta);
-
-    // Served path: N single-row requests per site. The policy dispatches only once
-    // all N rows are queued, so the scheduler must assemble exactly one batch per
-    // site from N distinct submissions.
-    let mut engine = ServeEngine::start(ServeConfig {
-        normalizer: config,
-        plan: Some(plan),
-        scheduler: SchedulerPolicy {
-            max_batch_rows: N,
-            max_wait_us: 5_000_000,
-            ordering: QueueOrdering::SizeBinned,
-        },
-        ..Default::default()
-    });
-    let params = engine.intern_params(&gamma, &beta);
-    let submit_rows = |layer: usize, anchors: Vec<AnchorState>| -> Vec<_> {
-        let pending: Vec<_> = (0..N)
-            .map(|row| {
-                engine
-                    .submit(NormRequest {
-                        site: site(layer, NormKind::LayerNorm),
-                        cols: COLS,
-                        data: input.row(row).to_vec(),
-                        params: params.clone(),
-                        anchors: anchors[row].clone(),
-                        deadline_us: None,
-                    })
-                    .expect("engine is open")
-            })
-            .collect();
-        pending
-            .into_iter()
-            .map(|p| p.wait().expect("batched response"))
-            .collect()
-    };
-    let anchor_responses = submit_rows(0, vec![AnchorState::new(); N]);
-    let per_row_anchors: Vec<AnchorState> =
-        anchor_responses.iter().map(|r| r.anchors.clone()).collect();
-    let skip_responses = submit_rows(1, per_row_anchors);
-
-    for row in 0..N {
-        assert_eq!(
-            anchor_responses[row].data.as_slice(),
-            direct_anchor.row(row),
-            "anchor site row {row} diverged from the direct fused batch"
-        );
-        assert_eq!(
-            skip_responses[row].data.as_slice(),
-            direct_skip.row(row),
-            "skipped site row {row} diverged from the direct fused batch"
-        );
-    }
-    // The responses really came out of coalesced batches, not row-at-a-time runs.
-    let stats = engine.stats();
-    assert_eq!(stats.requests, 2 * N as u64);
-    assert_eq!(stats.batches, 2, "expected one assembled batch per site");
-    assert_eq!(stats.mean_batch_occupancy_requests(), N as f64);
-    engine.shutdown();
 }
 
 #[test]

@@ -14,7 +14,9 @@
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_llm::{ModelConfig, ModelFamily, StreamingModel, TransformerModel};
+use haan_obs::{Obs, ObsSink};
 use haan_serve::{KvPoolPolicy, ServeConfig, ServeEngine, StreamStatus};
+use std::sync::Arc;
 
 fn tiny_model() -> TransformerModel {
     TransformerModel::new(&ModelConfig::tiny_test(), 42).expect("valid test model")
@@ -86,7 +88,7 @@ fn chunked_group_prefill_is_bit_identical_and_amortized_over_ticks() {
     // skip plan the chunk boundaries straddle.
     let model = tiny_model();
     const CHUNK: usize = 3;
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: haan_config(),
         plan: Some(skip_plan()),
         prefill_chunk_rows: CHUNK,
@@ -144,7 +146,6 @@ fn chunked_group_prefill_is_bit_identical_and_amortized_over_ticks() {
         "chunked prefill must raise tick occupancy above pure decode, got {}",
         stats.mean_tick_occupancy_rows()
     );
-    engine.shutdown();
 }
 
 #[test]
@@ -158,7 +159,7 @@ fn mid_flight_join_matches_solo_oracle_and_leave_backfills_the_slot() {
     // 20 pages of 8 rows: two resident streams grow to 8 pages each, which
     // pins the pool above the admission watermark and below the activation
     // gate for a third 9-token prompt (9 rows → 8 pages) until one leaves.
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: haan_config(),
         plan: Some(skip_plan()),
         prefill_chunk_rows: 2,
@@ -233,7 +234,6 @@ fn mid_flight_join_matches_solo_oracle_and_leave_backfills_the_slot() {
     let stats = group.stats();
     assert_eq!(stats.joins, 3, "two construction joins plus the backfill");
     assert!(stats.leaves >= 1);
-    engine.shutdown();
 }
 
 #[test]
@@ -258,7 +258,7 @@ fn eight_streams_share_a_128_token_prefix_bit_identically_and_cheaply() {
     const TICKS: usize = 4;
 
     // Shared engine: one interned prefix, eight attached streams.
-    let mut shared_engine = ServeEngine::start(config());
+    let shared_engine = ServeEngine::start(config());
     let prefix = shared_engine
         .intern_prefix(&model, &prefix_tokens)
         .expect("whole-page prefix");
@@ -294,7 +294,7 @@ fn eight_streams_share_a_128_token_prefix_bit_identically_and_cheaply() {
 
     // Unshared engine: the same eight prompts, each materializing its own
     // copy of the prefix.
-    let mut unshared_engine = ServeEngine::start(config());
+    let unshared_engine = ServeEngine::start(config());
     let full_prompts: Vec<Vec<u32>> = suffixes
         .iter()
         .map(|suffix| {
@@ -349,7 +349,6 @@ fn eight_streams_share_a_128_token_prefix_bit_identically_and_cheaply() {
         prefix_pages,
         "after the streams drop, only the interned prefix holds pages"
     );
-    shared_engine.shutdown();
     drop(shared_engine);
     assert_eq!(
         shared_pool.pages_in_use(),
@@ -357,18 +356,17 @@ fn eight_streams_share_a_128_token_prefix_bit_identically_and_cheaply() {
         "refcounts must drain to zero"
     );
     assert_eq!(shared_pool.bytes_in_use(), 0);
-    unshared_engine.shutdown();
 }
 
 #[test]
 fn fused_decode_group_is_bit_identical_to_the_unfused_path_and_the_solo_oracle() {
-    // Cross-operation fusion regression: a DecodeGroup running with the fusion
-    // sites enabled (the default — residual+norm and norm+matmul-epilogue
-    // request shapes inside every block) must generate exactly what the same
-    // group generates with fusion disabled (the pre-fusion composed op order:
-    // separate add → norm → matmul), and exactly what solo full-recompute
-    // decode generates — under a skip plan whose anchors both fused shapes
-    // record and consume.
+    // Cross-operation fusion regression: a DecodeGroup running with residual
+    // fusion enabled (the default — the fused residual+norm kernel inside every
+    // block) must generate exactly what the same group generates with fusion
+    // disabled (the pre-fusion composed op order: separate add → norm), and
+    // exactly what solo full-recompute decode generates — under a skip plan
+    // whose anchors the fused site records and consumes. The group's path
+    // counter proves the fused kernel actually ran in serving.
     let model = tiny_model();
     let unfused_config = || {
         HaanConfig::builder()
@@ -381,8 +379,10 @@ fn fused_decode_group_is_bit_identical_to_the_unfused_path_and_the_solo_oracle()
     const TICKS: usize = 8;
     let mut generated: Vec<Vec<Vec<u32>>> = Vec::new();
     for config in [haan_config(), unfused_config()] {
-        assert_eq!(config.fusion_enabled, !config.label.contains("unfused"));
-        let mut engine = ServeEngine::start(ServeConfig {
+        let fusion = config.fusion_enabled;
+        assert_eq!(fusion, !config.label.contains("unfused"));
+        let obs = Obs::shared(1 << 12);
+        let engine = ServeEngine::start(ServeConfig {
             normalizer: config,
             plan: Some(skip_plan()),
             prefill_chunk_rows: 3,
@@ -390,6 +390,7 @@ fn fused_decode_group_is_bit_identical_to_the_unfused_path_and_the_solo_oracle()
                 page_rows: 8,
                 capacity_rows: 4 * model.config().max_seq_len * model.config().num_blocks,
             },
+            obs: Some(Arc::clone(&obs) as Arc<dyn ObsSink>),
             ..Default::default()
         });
         let mut group = engine
@@ -398,12 +399,24 @@ fn fused_decode_group_is_bit_identical_to_the_unfused_path_and_the_solo_oracle()
         for _ in 0..TICKS {
             group.step_all().expect("tick");
         }
+        // Every block's second norm site is the fused residual site.
+        let fused_rows: u64 = obs
+            .export()
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("haan.path.fused_residual.site_"))
+            .map(|(_, rows)| rows)
+            .sum();
+        if fusion {
+            assert!(fused_rows > 0, "the fused residual kernel never ran");
+        } else {
+            assert_eq!(fused_rows, 0, "fusion(false) must compose the site");
+        }
         generated.push(
             (0..prompts.len())
                 .map(|i| group.generated(i).to_vec())
                 .collect(),
         );
-        engine.shutdown();
     }
     assert_eq!(
         generated[0], generated[1],
@@ -432,7 +445,7 @@ fn long_prompt_joining_a_wide_group_never_stalls_resident_streams() {
     let model = TransformerModel::new(&long_context_config(320), 42).expect("valid model");
     const WIDTH: usize = 64;
     const CHUNK: usize = 32;
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: haan_config(),
         prefill_chunk_rows: CHUNK,
         kv_pool: KvPoolPolicy {
@@ -489,5 +502,4 @@ fn long_prompt_joining_a_wide_group_never_stalls_resident_streams() {
     // prefill ticks carried the chunk rows on top.
     let stats = group.stats();
     assert!(stats.mean_tick_occupancy_rows() > WIDTH as f64);
-    engine.shutdown();
 }

@@ -1,17 +1,16 @@
-//! Differential fusion-parity suite: the two fusion-site request shapes
-//! (fused residual+norm, norm+matmul-epilogue) against their composed scalar
-//! decompositions.
+//! Differential fusion-parity suite: the block's two fusion seams (fused
+//! residual+norm, and the norm+matmul site that composes normalize-then-matmul)
+//! against their composed scalar decompositions.
 //!
 //! The composed sequence — separate add → norm → matmul — is the oracle, and it
 //! stays reachable two ways: on the scalar backend (which deliberately keeps the
-//! composed [`NormBackend`](haan::backend::NormBackend) trait defaults) and on
+//! composed [`NormBackend`](haan::backend::NormBackend) trait default) and on
 //! any backend via [`HaanConfig::builder().fusion(false)`](haan::HaanConfig).
 //! Tolerances mirror `tests/backend_dispatch.rs`:
 //!
 //! * **fused vs its own composed path** — bit-identical: the fused residual
 //!   sweep reproduces the chunked statistics kernel's reduction order over the
-//!   summed row, and the fused matmul epilogue preserves the blocked matmul's
-//!   ascending-`k` accumulation order;
+//!   summed row;
 //! * **fused vs the scalar oracle** — ≤ 1e-5 relative on normalized rows, with
 //!   a wider 1e-4 envelope after a matmul consumer (the per-element 1e-5
 //!   statistics difference accumulates across the reduction);
@@ -97,8 +96,8 @@ fn run_residual(
     (summed, normed)
 }
 
-/// Runs the fused norm+matmul-epilogue site over the given consumers.
-fn run_epilogue(
+/// Runs the norm+matmul site over the given consumers.
+fn run_norm_matmul(
     normalizer: &mut HaanNormalizer,
     kind: NormKind,
     input: &Matrix,
@@ -175,9 +174,9 @@ fn fused_sites_are_bit_identical_to_their_own_composed_path() {
                 assert_eq!(sum_on, sum_off, "residual sums diverged [{label}]");
                 assert_eq!(norm_on, norm_off, "residual norms diverged [{label}]");
 
-                let outs_on = run_epilogue(&mut on, kind, &input, &gamma, &beta, &weight_refs);
-                let outs_off = run_epilogue(&mut off, kind, &input, &gamma, &beta, &weight_refs);
-                assert_eq!(outs_on, outs_off, "epilogue outputs diverged [{label}]");
+                let outs_on = run_norm_matmul(&mut on, kind, &input, &gamma, &beta, &weight_refs);
+                let outs_off = run_norm_matmul(&mut off, kind, &input, &gamma, &beta, &weight_refs);
+                assert_eq!(outs_on, outs_off, "norm+matmul outputs diverged [{label}]");
                 assert_eq!(
                     on.telemetry(),
                     off.telemetry(),
@@ -189,7 +188,7 @@ fn fused_sites_are_bit_identical_to_their_own_composed_path() {
 }
 
 #[test]
-fn norm_matmul_epilogue_matches_the_composed_scalar_oracle() {
+fn norm_matmul_site_matches_the_composed_scalar_oracle() {
     for kind in [NormKind::LayerNorm, NormKind::RmsNorm] {
         for format in [Format::Fp32, Format::Fp16, Format::Int8] {
             for (rows, cols) in EDGE_SHAPES {
@@ -213,14 +212,16 @@ fn norm_matmul_epilogue_matches_the_composed_scalar_oracle() {
                     .collect();
 
                 let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, format, true));
-                let outs = run_epilogue(&mut fused, kind, &input, &gamma, &beta, &weight_refs);
+                let outs = run_norm_matmul(&mut fused, kind, &input, &gamma, &beta, &weight_refs);
 
                 for (n, (out, oracle_out)) in outs.iter().zip(&oracle_outs).enumerate() {
                     assert_close(
                         out,
                         oracle_out,
                         1e-4,
-                        &format!("epilogue consumer {n} vs oracle [{kind} {format} {rows}x{cols}]"),
+                        &format!(
+                            "norm+matmul consumer {n} vs oracle [{kind} {format} {rows}x{cols}]"
+                        ),
                     );
                 }
             }
@@ -272,7 +273,7 @@ fn fusion_sites_handle_constant_and_subnormal_rows() {
                 );
             }
 
-            let outs_on = run_epilogue(
+            let outs_on = run_norm_matmul(
                 &mut on,
                 NormKind::LayerNorm,
                 input,
@@ -280,7 +281,7 @@ fn fusion_sites_handle_constant_and_subnormal_rows() {
                 &beta,
                 &weight_refs,
             );
-            let outs_off = run_epilogue(
+            let outs_off = run_norm_matmul(
                 &mut off,
                 NormKind::LayerNorm,
                 input,
@@ -288,7 +289,7 @@ fn fusion_sites_handle_constant_and_subnormal_rows() {
                 &beta,
                 &weight_refs,
             );
-            assert_eq!(outs_on, outs_off, "epilogue diverged [{label}]");
+            assert_eq!(outs_on, outs_off, "norm+matmul diverged [{label}]");
         }
     }
 }
@@ -320,9 +321,9 @@ fn parallel_backend_is_bit_identical_to_fused_at_fusion_sites() {
             assert_eq!(sum_f, sum_p, "parallel residual sums diverged [{label}]");
             assert_eq!(norm_f, norm_p, "parallel residual norms diverged [{label}]");
 
-            let outs_f = run_epilogue(&mut fused, kind, &input, &gamma, &beta, &weight_refs);
-            let outs_p = run_epilogue(&mut parallel, kind, &input, &gamma, &beta, &weight_refs);
-            assert_eq!(outs_f, outs_p, "parallel epilogue diverged [{label}]");
+            let outs_f = run_norm_matmul(&mut fused, kind, &input, &gamma, &beta, &weight_refs);
+            let outs_p = run_norm_matmul(&mut parallel, kind, &input, &gamma, &beta, &weight_refs);
+            assert_eq!(outs_f, outs_p, "parallel norm+matmul diverged [{label}]");
         }
     }
 }
@@ -330,9 +331,8 @@ fn parallel_backend_is_bit_identical_to_fused_at_fusion_sites() {
 #[test]
 fn quantized_skip_anchor_sites_round_trip_anchor_state_bit_identically() {
     // A quantized, subsampled sequence through an anchor site (0) and a skipped
-    // site (1), both entered through the fused request shapes. The resulting
-    // AnchorState must be bit-identical between the fused and composed paths, and
-    // survive a snapshot/restore round trip.
+    // site (1), both entered through the fusion entry points. The resulting
+    // AnchorState must be bit-identical between the fused and composed paths.
     let plan = SkipPlan {
         start: 0,
         end: 2,
@@ -378,14 +378,13 @@ fn quantized_skip_anchor_sites_round_trip_anchor_state_bit_identically() {
         let state = normalizer.anchor_state();
         assert!(!state.is_empty(), "anchor site must record anchors");
         assert_eq!(state.row_log_isds().len(), ROWS);
+        assert_eq!(
+            state.scalar_log_isd(),
+            state.row_log_isds().last().copied(),
+            "the scalar tier is the last row's anchor"
+        );
 
-        // Round trip the state through from_parts, as a serving layer would.
-        let rebuilt =
-            AnchorState::from_parts(state.scalar_log_isd(), state.row_log_isds().to_vec());
-        assert_eq!(rebuilt, state, "snapshot/restore must be lossless");
-        normalizer.set_anchor_state(rebuilt);
-
-        // Skipped site consumes the per-row anchors through both fused shapes.
+        // Skipped site consumes the per-row anchors through both entry points.
         let mut skip_sum = Matrix::zeros(ROWS, COLS);
         let mut skip_norm = Matrix::zeros(ROWS, COLS);
         normalizer.normalize_residual_into(
@@ -459,7 +458,7 @@ fn accel_sim_fusion_sites_report_cycles_and_match_their_composed_path() {
     assert_eq!(sum_f, sum_c, "accel-sim residual sums diverged");
     assert_eq!(norm_f, norm_c, "accel-sim residual norms diverged");
 
-    let outs_f = run_epilogue(
+    let outs_f = run_norm_matmul(
         &mut fused,
         NormKind::LayerNorm,
         &input,
@@ -467,7 +466,7 @@ fn accel_sim_fusion_sites_report_cycles_and_match_their_composed_path() {
         &beta,
         &weight_refs,
     );
-    let outs_c = run_epilogue(
+    let outs_c = run_norm_matmul(
         &mut composed,
         NormKind::LayerNorm,
         &input,
@@ -475,7 +474,7 @@ fn accel_sim_fusion_sites_report_cycles_and_match_their_composed_path() {
         &beta,
         &weight_refs,
     );
-    assert_eq!(outs_f, outs_c, "accel-sim epilogue diverged");
+    assert_eq!(outs_f, outs_c, "accel-sim norm+matmul diverged");
 
     // Against the scalar software oracle the hardware envelope applies.
     let mut oracle_sum = input.clone();

@@ -1,6 +1,6 @@
 //! Parity suite of the stateful incremental forward-pass API: KV-cached decode
-//! (`DecodeContext` / `StreamingModel` / serve-layer `DecodeStream` /
-//! `DecodeGroup`) must be **bit-identical** to the stateless full-prefix
+//! (`DecodeContext` / `StreamingModel` / serve-layer `DecodeGroup`) must be
+//! **bit-identical** to the stateless full-prefix
 //! recompute oracle, over edge shapes and across HAAN skip-anchor sites — and
 //! paged pool-backed K/V storage must be bit-identical to the dense
 //! `start_decode_dense` storage oracle.
@@ -417,7 +417,7 @@ fn engine_decode_group_matches_solo_full_recompute_with_skipping() {
     // full-recompute decodes on private normalizers.
     let model = model();
     let plan = skip_plans()[0];
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: haan_config(),
         plan: Some(plan),
         kv_pool: KvPoolPolicy {
@@ -447,11 +447,11 @@ fn engine_decode_group_matches_solo_full_recompute_with_skipping() {
     }
     // Lockstep ticks carry one row per stream — the batch occupancy the whole
     // exercise exists to produce.
-    let stats = engine.stats();
+    let stats = group.stats();
     assert!(
-        stats.mean_batch_occupancy_rows() > 1.0,
+        stats.mean_tick_occupancy_rows() > 1.0,
         "expected > 1 row per site per tick, got {}",
-        stats.mean_batch_occupancy_rows()
+        stats.mean_tick_occupancy_rows()
     );
     // All pages come from one engine pool, bounded and shared.
     let pool = engine.kv_pool(model.config().embedding_dim);
@@ -462,19 +462,17 @@ fn engine_decode_group_matches_solo_full_recompute_with_skipping() {
         0,
         "dropped streams release their pages"
     );
-    engine.shutdown();
 }
 
 #[test]
 fn interleaved_engine_decode_streams_match_solo_full_recompute() {
-    // Two KV-cached decode streams share one ServeEngine, their single-row
-    // normalization requests interleaving (and coalescing) in the scheduler. Each
-    // stream must generate exactly the tokens of a full-recompute decode on a
-    // private HAAN normalizer — incremental, batched, multi-tenant decode changes
-    // nothing observable.
+    // Two KV-cached decode streams — each a group of one — share one
+    // ServeEngine and its pool, their ticks interleaving. Each must generate
+    // exactly the tokens of a full-recompute decode on a private HAAN
+    // normalizer: incremental, multi-tenant decode changes nothing observable.
     let model = model();
     let plan = skip_plans()[0];
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: haan_config(),
         plan: Some(plan),
         ..Default::default()
@@ -482,12 +480,16 @@ fn interleaved_engine_decode_streams_match_solo_full_recompute() {
     let prompts: [&[u32]; 2] = [&[1, 9, 17], &[4, 8, 15, 16, 23]];
     let mut streams: Vec<_> = prompts
         .iter()
-        .map(|prompt| engine.decode_stream(&model, prompt).expect("valid prompt"))
+        .map(|prompt| {
+            engine
+                .decode_group(&model, &[prompt])
+                .expect("valid prompt")
+        })
         .collect();
     const STEPS: usize = 6;
     for _ in 0..STEPS {
         for stream in &mut streams {
-            stream.step().expect("engine decode step");
+            assert!(stream.step_all().expect("engine decode step")[0].is_some());
         }
     }
     for (prompt, stream) in prompts.iter().zip(&streams) {
@@ -495,42 +497,10 @@ fn interleaved_engine_decode_streams_match_solo_full_recompute() {
         let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
         let expected = oracle.decode(STEPS, &mut private).unwrap();
         assert_eq!(
-            stream.generated(),
+            stream.generated(0),
             expected.as_slice(),
             "prompt {prompt:?} diverged from solo full recompute"
         );
     }
-    assert!(engine.stats().requests > 0);
-    engine.shutdown();
-}
-
-#[test]
-fn streaming_through_a_session_is_incremental_and_identical() {
-    // The pre-existing serving path (StreamingModel + Session-as-Normalizer) now
-    // rides the KV cache by default; it must keep matching a private normalizer
-    // while submitting 1-row requests after prefill.
-    let model = model();
-    let plan = skip_plans()[1];
-    let mut engine = ServeEngine::start(ServeConfig {
-        normalizer: haan_config(),
-        plan: Some(plan),
-        ..Default::default()
-    });
-    let prompt = [6u32, 2, 27];
-    let mut session = engine.session();
-    let mut served_stream = StreamingModel::new(&model, &prompt).unwrap();
-    let served = served_stream.decode(4, &mut session).unwrap();
-
-    let mut private = HaanNormalizer::new(haan_config()).with_plan(plan);
-    let mut private_stream = StreamingModel::new_full_recompute(&model, &prompt).unwrap();
-    let expected = private_stream.decode(4, &mut private).unwrap();
-    assert_eq!(served, expected);
-
-    let stats = engine.stats();
-    // 1 prefill pass over 3 rows + 3 single-row passes, 9 sites each: the row
-    // count proves the prefix was never resubmitted.
-    let sites = model.num_norm_layers() as u64;
-    assert_eq!(stats.requests, 4 * sites);
-    assert_eq!(stats.rows, (3 + 3) * sites);
-    engine.shutdown();
+    assert_eq!(engine.admission_stats().admitted, 2);
 }

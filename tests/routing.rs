@@ -202,7 +202,7 @@ fn prefix_affinity_beats_least_loaded_on_shared_prefix_workloads() {
 #[test]
 fn engine_prefix_store_is_a_bounded_lru_with_typed_stats() {
     let model = model();
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: fused(),
         kv_pool: KvPoolPolicy {
             page_rows: 4,
@@ -249,7 +249,6 @@ fn engine_prefix_store_is_a_bounded_lru_with_typed_stats() {
     assert_eq!(engine.prefix_store_stats().released, 1);
     assert_eq!(engine.prefix_store_len(), 1);
     assert!(pool.pages_in_use() < pages_with_two);
-    engine.shutdown();
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Chaos suite of the overload-safe serving layer: a deterministic,
 //! seeded fault-injection drill proving that admission control, preemption,
 //! and resume keep every *admitted* stream **bit-identical** to a solo decode
-//! while an oversubscribed pool sheds the rest with typed errors — no panics,
-//! no hung clients — and that the whole drill reproduces exactly per seed.
+//! while an oversubscribed pool sheds the rest with typed errors — no panics —
+//! and that the whole drill reproduces exactly per seed.
 //!
 //! The drill shape follows the acceptance bar of the overload issue: a K/V
 //! pool sized for N full-length streams is offered 4N prompts. Admission
@@ -60,10 +60,9 @@ fn run_overload_drill(seed: u64) -> DrillTranscript {
         FaultPlan {
             exhaust_probability: 0.1,
             max_exhaustions: 4,
-            ..Default::default()
         },
     ));
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: fused(),
         // Pool sized for exactly N streams decoded all the way to max_seq_len.
         kv_pool: KvPoolPolicy {
@@ -158,7 +157,6 @@ fn run_overload_drill(seed: u64) -> DrillTranscript {
             other => panic!("stream {i} ended the drill as {other:?}"),
         }
     }
-    engine.shutdown();
     transcript
 }
 
@@ -241,14 +239,13 @@ fn chunked_prefix_drill_survives_mid_chunk_exhaustion_and_sharer_preemption() {
         FaultPlan {
             exhaust_probability: 0.1,
             max_exhaustions: 5,
-            ..Default::default()
         },
     ));
     // The whole drill records into one flight recorder, sized so nothing is
     // evicted: the lifecycle assertions below reconstruct a stream's history
     // from the recorder *alone*.
     let obs = Obs::shared(1 << 16);
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: fused(),
         prefill_chunk_rows: 2,
         kv_pool: KvPoolPolicy {
@@ -411,8 +408,8 @@ fn chunked_prefix_drill_survives_mid_chunk_exhaustion_and_sharer_preemption() {
         Some("finish"),
         "lifecycle {lifecycle:?}"
     );
-    // Engine-wide events landed too: the injected mid-drill exhaustions and
-    // the coalesced dispatches are in the same recorder, uncorrelated.
+    // Engine-wide events landed too: the injected mid-drill exhaustions are
+    // in the same recorder, uncorrelated.
     let engine_labels: Vec<&'static str> = obs
         .recorder()
         .events()
@@ -430,109 +427,45 @@ fn chunked_prefix_drill_survives_mid_chunk_exhaustion_and_sharer_preemption() {
     drop(group);
     drop(prefix);
     assert_eq!(pool.pages_in_use(), prefix_pages);
-    engine.shutdown();
     drop(engine);
     assert_eq!(pool.pages_in_use(), 0, "every shared page must drain");
 }
 
 #[test]
 fn shed_streams_get_a_typed_retry_hint_not_a_panic() {
-    // A standalone decode stream against a deliberately hot pool: the refusal
-    // is a typed Shed carrying the policy's retry-after hint.
+    // A deliberately hot pool: work it cannot take is refused typed, carrying
+    // the policy's retry-after hint, never as a panic.
     let model = model();
-    let mut engine = ServeEngine::start(ServeConfig {
+    let engine = ServeEngine::start(ServeConfig {
         normalizer: fused(),
         kv_pool: KvPoolPolicy {
             page_rows: 4,
             capacity_rows: 16,
         },
         admission: AdmissionPolicy {
+            max_queued: 0,
             retry_after_us: 1_234,
             ..Default::default()
         },
         ..Default::default()
     });
+    // Two pages per block for 4 blocks: a 4-page pool cannot materialize it.
     let err = engine
-        .decode_stream(&model, &[1, 2, 3, 4])
-        .expect_err("a 4-page pool cannot admit a 4-block stream");
+        .intern_prefix(&model, &[1, 2, 3, 4, 5, 6, 7, 8])
+        .expect_err("a 4-page pool cannot hold an 8-page prefix");
     match err {
         ServeError::Shed { retry_after_us } => assert_eq!(retry_after_us, 1_234),
         other => panic!("expected Shed, got {other:?}"),
     }
+    // A stream with no room to queue is shed at admission; its slot never
+    // decodes.
+    let mut group = engine
+        .decode_group(&model, &[&[1, 2, 3, 4]])
+        .expect("overload is not a constructor error");
+    assert_eq!(group.status(0), StreamStatus::Shed);
+    assert_eq!(
+        group.step_all().expect("a shed slot is skipped"),
+        vec![None]
+    );
     assert_eq!(engine.admission_stats().shed, 1);
-    engine.shutdown();
-}
-
-#[test]
-fn a_killed_worker_leaves_no_hung_clients() {
-    // PanicWorker at batch 0: the in-flight client gets WorkerDied (it
-    // returns — the assertion *is* that this line is reached), and later
-    // submissions fail fast with the same typed error instead of queueing
-    // into a dead engine.
-    use haan::AnchorState;
-    use haan_llm::norm::NormSite;
-    use haan_llm::NormKind;
-    use haan_serve::NormRequest;
-    let mut engine = ServeEngine::start(ServeConfig {
-        normalizer: fused(),
-        faults: Some(Arc::new(SeededFaults::new(
-            1,
-            FaultPlan {
-                panic_at_batch: Some(0),
-                ..Default::default()
-            },
-        ))),
-        ..Default::default()
-    });
-    let request = || NormRequest {
-        site: NormSite {
-            layer_index: 0,
-            kind: NormKind::LayerNorm,
-        },
-        cols: 4,
-        data: vec![1.0, 2.0, 3.0, 4.0],
-        params: engine.intern_params(&[1.0; 4], &[0.0; 4]),
-        anchors: AnchorState::new(),
-        deadline_us: None,
-    };
-    let pending = engine.submit(request()).expect("worker still looks alive");
-    assert!(matches!(pending.wait(), Err(ServeError::WorkerDied)));
-    assert!(!engine.worker_is_alive());
-    assert!(matches!(
-        engine.submit(request()),
-        Err(ServeError::WorkerDied)
-    ));
-    engine.shutdown();
-}
-
-#[test]
-fn slow_batches_delay_but_never_hang_or_corrupt() {
-    // Injected latency on every early batch: decode through the engine still
-    // completes with bit-identical tokens — slowness is survivable, silence
-    // is not.
-    let model = model();
-    let faults = Arc::new(SeededFaults::new(
-        3,
-        FaultPlan {
-            slow_probability: 1.0,
-            slow_us: 2_000,
-            max_slow_batches: 5,
-            ..Default::default()
-        },
-    ));
-    let mut engine = ServeEngine::start(ServeConfig {
-        normalizer: fused(),
-        faults: Some(Arc::clone(&faults) as Arc<dyn haan_serve::FaultInjector>),
-        ..Default::default()
-    });
-    let prompt: &[u32] = &[2, 9, 4];
-    let mut stream = engine.decode_stream(&model, prompt).expect("admitted");
-    let generated = stream.decode(4).expect("slow but correct");
-    let mut oracle = StreamingModel::new_full_recompute(&model, prompt).expect("oracle");
-    let expected = oracle
-        .decode(4, &mut ReferenceNormalizer::new())
-        .expect("oracle decode");
-    assert_eq!(generated, expected);
-    assert_eq!(faults.injected().slow_batches, 5, "latency budget spent");
-    engine.shutdown();
 }
