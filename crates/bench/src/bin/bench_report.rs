@@ -8,22 +8,25 @@
 //! residual+norm site against its composed decomposition, plus KV-cached,
 //! multi-stream, overload, continuous-batching, observability and routing numbers
 //! of the `haan_serve` decode groups, plus matmul GFLOP/s of the cache-blocked
-//! kernels, and writes the numbers to `BENCH_norm.json` (first CLI argument
-//! overrides the output path).
+//! kernels and of the register-tiled kernel over panel-packed weights, and writes
+//! the numbers to `BENCH_norm.json` (first CLI argument overrides the output path).
 //! Future PRs diff this file to keep the perf trajectory honest.
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, ParallelPolicy};
 use haan_accel::AccelSimBackend;
-use haan_bench::json::JsonValue;
 use haan_bench::timing::{measure_default, Measurement};
-use haan_bench::{print_experiment_header, MarkdownTable};
+use haan_bench::{print_experiment_header, to_json, MarkdownTable};
 use haan_llm::norm::{NormSite, Normalizer, ReferenceNormalizer};
 use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel};
+use haan_obs::json::JsonValue;
 use haan_router::{PlacementPolicy, Router, RouterConfig};
 use haan_serve::{GroupStats, KvPoolPolicy, ServeConfig, ServeEngine};
 
 const ROWS: usize = 16;
 const COLS: usize = 4096;
+/// (rows, k, n) of the decode-shaped matmul: decode_gpt2's 8 streams through
+/// its widest projection (E = 768 into the 3072-wide MLP).
+const DECODE_MATMUL_SHAPE: (usize, usize, usize) = (8, 768, 3072);
 
 fn input_matrix() -> Matrix {
     let data: Vec<f32> = (0..ROWS * COLS)
@@ -1267,6 +1270,35 @@ fn main() {
         std::hint::black_box(out.get(0, 0));
     });
     let gflops = |m: &Measurement| flops / m.nanos_per_iter;
+    // The same kernel, and the register-tiled one over panel-packed weights,
+    // at the widest projection of a decode_gpt2 tick: 8 stream rows × E=768
+    // against the 768 × 3072 MLP input weight.
+    let (rows, inner, cols) = DECODE_MATMUL_SHAPE;
+    let x = Matrix::from_vec(
+        rows,
+        inner,
+        (0..rows * inner).map(|i| (i as f32).sin()).collect(),
+    )
+    .unwrap();
+    let w_row_major = Matrix::from_vec(
+        inner,
+        cols,
+        (0..inner * cols).map(|i| (i as f32).cos()).collect(),
+    )
+    .unwrap();
+    let w_packed = Matrix::packed_from_fn(inner, cols, |r, c| w_row_major.get(r, c));
+    let mut decode_out = Matrix::zeros(rows, cols);
+    let decode_flops = 2.0 * (rows * inner * cols) as f64;
+    let mut decode_gflops = |w: &Matrix| {
+        let m = measure_default(|| {
+            x.matmul_into(w, &mut decode_out).expect("decode shapes");
+            std::hint::black_box(decode_out.get(0, 0));
+        });
+        decode_flops / m.nanos_per_iter
+    };
+    let decode_row_major_gflops = decode_gflops(&w_row_major);
+    let decode_packed_gflops = decode_gflops(&w_packed);
+    let packed_speedup = decode_packed_gflops / decode_row_major_gflops;
     let mut mm_table = MarkdownTable::new(vec!["kernel", "GFLOP/s"]);
     mm_table.push_row(vec![
         "matmul_blocked".to_string(),
@@ -1275,6 +1307,14 @@ fn main() {
     mm_table.push_row(vec![
         "matmul_transposed_blocked".to_string(),
         format!("{:.2}", gflops(&matmul_t)),
+    ]);
+    mm_table.push_row(vec![
+        format!("matmul_blocked, {rows}x{inner}·{inner}x{cols}"),
+        format!("{decode_row_major_gflops:.2}"),
+    ]);
+    mm_table.push_row(vec![
+        format!("matmul_packed, {rows}x{inner}·{inner}x{cols}"),
+        format!("{decode_packed_gflops:.2} ({packed_speedup:.2}x)"),
     ]);
     println!("{}", mm_table.render());
 
@@ -1580,11 +1620,22 @@ fn main() {
                     JsonValue::from(gflops(&matmul_t)),
                 ),
                 ("n", JsonValue::from(n)),
+                (
+                    "decode_shape",
+                    JsonValue::object([
+                        ("rows", JsonValue::from(rows)),
+                        ("k", JsonValue::from(inner)),
+                        ("n", JsonValue::from(cols)),
+                        ("row_major_gflops", JsonValue::from(decode_row_major_gflops)),
+                        ("packed_gflops", JsonValue::from(decode_packed_gflops)),
+                        ("packed_speedup", JsonValue::from(packed_speedup)),
+                    ]),
+                ),
             ]),
         ),
         ("parallel_workers", JsonValue::from(workers)),
     ]);
-    let rendered = report.render_pretty();
+    let rendered = to_json(&report);
     std::fs::write(&out_path, format!("{rendered}\n")).expect("write BENCH_norm.json");
     println!("wrote {out_path}");
 
@@ -1680,5 +1731,11 @@ fn main() {
     assert!(
         routing.chaos_drained_streams > 0,
         "the chaos drill drained no streams off the dry group"
+    );
+    assert!(
+        packed_speedup >= 1.5,
+        "panel-packed weights ({decode_packed_gflops:.2} GFLOP/s) must beat the row-major \
+         kernel ({decode_row_major_gflops:.2} GFLOP/s) by >= 1.5x at \
+         {rows}x{inner}·{inner}x{cols}, got {packed_speedup:.2}x"
     );
 }

@@ -3,16 +3,17 @@
 //!
 //! Every binary prints a human-readable markdown table to stdout (the same rows/series
 //! the paper reports) and can optionally serialise the raw numbers to JSON for
-//! `EXPERIMENTS.md` bookkeeping. JSON is produced by the dependency-free [`json`]
-//! module (the build container has no network access, so no serde). The `bench_report`
-//! binary uses it to emit `BENCH_norm.json`, the machine-readable perf trajectory of
-//! the fused batched normalization engine.
+//! `EXPERIMENTS.md` bookkeeping. JSON is produced by the dependency-free
+//! [`haan_obs::json`] module (the build container has no network access, so no serde).
+//! The `bench_report` binary uses it to emit `BENCH_norm.json`, the machine-readable
+//! perf trajectory of the fused batched normalization engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod timing;
+
+use haan_obs::json::JsonValue;
 
 /// A simple markdown table builder.
 #[derive(Debug, Clone, Default)]
@@ -90,9 +91,9 @@ pub fn print_experiment_header(id: &str, description: &str) {
 }
 
 /// Serialises an experiment result to pretty JSON (for archival alongside the markdown
-/// output). Thin wrapper over [`json::JsonValue::render_pretty`].
+/// output). Thin wrapper over [`JsonValue::render_pretty`].
 #[must_use]
-pub fn to_json(value: &json::JsonValue) -> String {
+pub fn to_json(value: &JsonValue) -> String {
     value.render_pretty()
 }
 
@@ -121,9 +122,9 @@ mod tests {
 
     #[test]
     fn json_serialisation_round_trips() {
-        let row = json::JsonValue::object([
-            ("name", json::JsonValue::from("x")),
-            ("value", json::JsonValue::from(1.5)),
+        let row = JsonValue::object([
+            ("name", JsonValue::from("x")),
+            ("value", JsonValue::from(1.5)),
         ]);
         let rendered = to_json(&row);
         assert!(rendered.contains("\"value\": 1.5"));

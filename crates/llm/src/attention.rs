@@ -13,7 +13,7 @@
 //! the paged gather produces the very panels the dense window copy produces.
 
 use crate::error::LlmError;
-use crate::init::gaussian_matrix;
+use crate::init::gaussian_weight;
 use crate::paging::{KvStore, PagedKvCache};
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
@@ -210,10 +210,10 @@ impl MultiHeadAttention {
         Self {
             embedding_dim,
             num_heads,
-            w_query: gaussian_matrix(rng, embedding_dim, embedding_dim, std),
-            w_key: gaussian_matrix(rng, embedding_dim, embedding_dim, std),
-            w_value: gaussian_matrix(rng, embedding_dim, embedding_dim, std),
-            w_output: gaussian_matrix(rng, embedding_dim, embedding_dim, std * output_gain),
+            w_query: gaussian_weight(rng, embedding_dim, embedding_dim, std),
+            w_key: gaussian_weight(rng, embedding_dim, embedding_dim, std),
+            w_value: gaussian_weight(rng, embedding_dim, embedding_dim, std),
+            w_output: gaussian_weight(rng, embedding_dim, embedding_dim, std * output_gain),
         }
     }
 
@@ -242,6 +242,17 @@ impl MultiHeadAttention {
     #[must_use]
     pub fn qkv_weights(&self) -> [&Matrix; 3] {
         [&self.w_query, &self.w_key, &self.w_value]
+    }
+
+    /// Every projection weight: Q, K, V and the output projection.
+    pub(crate) fn projection_weights(&self) -> [&Matrix; 4] {
+        [&self.w_query, &self.w_key, &self.w_value, &self.w_output]
+    }
+
+    /// The output projection of stacked head-concat rows (row-local, so any
+    /// stacking of streams gives each row the float it gets alone).
+    pub(crate) fn project_output(&self, heads: &Matrix) -> Result<Matrix, LlmError> {
+        heads.matmul(&self.w_output)
     }
 
     /// [`MultiHeadAttention::forward`] from already-projected queries, keys and
@@ -394,32 +405,34 @@ impl MultiHeadAttention {
             });
         }
         let queries = self.project_and_append(input, |keys, values| cache.append(keys, values))?;
-        self.attend_cached(&queries, offset, total, scratch, |col_start, k, v| {
+        let heads = self.attend_cached(&queries, offset, total, scratch, |col_start, k, v| {
             cache.keys.window_into(0, col_start, k)?;
             cache.values.window_into(0, col_start, v)
-        })
+        })?;
+        self.project_output(heads)
     }
 
-    /// [`MultiHeadAttention::forward_cached_with`] from already-projected new
-    /// rows: appends `new_keys`/`new_values` to the cache and attends the
-    /// projected `queries` against the whole cache. The decode path enters here
-    /// after projecting Q/K/V straight out of the normalization site;
-    /// bit-identical to projecting via
-    /// [`MultiHeadAttention::forward_cached_with`] given the same projections.
+    /// The attention half of [`MultiHeadAttention::forward_cached_with`] from
+    /// already-projected new rows: appends `new_keys`/`new_values` to the cache,
+    /// attends the projected `queries` against the whole cache, and returns the
+    /// head-concat rows *before* the output projection (held in `scratch`). The
+    /// decode path enters here after projecting Q/K/V straight out of the
+    /// normalization site, and applies [`MultiHeadAttention::project_output`]
+    /// once over every stream's rows.
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::ShapeMismatch`] when the three matrices disagree in
     /// shape, their width differs from the configured embedding dimension or the
     /// cache's width, or the new rows exceed the cache capacity.
-    pub fn forward_cached_projected_with(
+    pub(crate) fn attend_cached_projected<'s>(
         &self,
         queries: &Matrix,
         new_keys: &Matrix,
         new_values: &Matrix,
         cache: &mut AttentionKvCache,
-        scratch: &mut AttnScratch,
-    ) -> Result<Matrix, LlmError> {
+        scratch: &'s mut AttnScratch,
+    ) -> Result<&'s Matrix, LlmError> {
         if queries.cols() != self.embedding_dim
             || new_keys.shape() != queries.shape()
             || new_values.shape() != queries.shape()
@@ -490,58 +503,27 @@ impl MultiHeadAttention {
         let offset = cache.len();
         let total = offset + input.rows();
         let queries = self.project_and_append(input, |keys, values| cache.append(keys, values))?;
-        // One pool-lock acquisition gathers every live row at full width; the
-        // per-head loop then slices panels from the local copy exactly as the
-        // dense path slices its cache matrices — lock-free and byte-identical.
-        // Split borrows: the gather panels are read by the closure while the
-        // remaining scratch fields are written by the head loop.
-        let AttnScratch {
-            concat,
-            q,
-            k,
-            v,
-            scores,
-            head_out,
-            keys_all,
-            values_all,
-        } = scratch;
-        keys_all.resize(total, self.embedding_dim);
-        values_all.resize(total, self.embedding_dim);
-        cache.gather_window(0, keys_all, values_all);
-        self.attend_into(
-            &queries,
-            offset,
-            total,
-            |col_start, k, v| {
-                keys_all.window_into(0, col_start, k)?;
-                values_all.window_into(0, col_start, v)
-            },
-            concat,
-            q,
-            k,
-            v,
-            scores,
-            head_out,
-        )
+        let heads = self.attend_paged(&queries, offset, total, cache, scratch)?;
+        self.project_output(heads)
     }
 
-    /// [`MultiHeadAttention::forward_paged_with`] from already-projected new
-    /// rows — the paged-storage twin of
-    /// [`MultiHeadAttention::forward_cached_projected_with`].
+    /// [`MultiHeadAttention::attend_cached_projected`] over paged storage:
+    /// appends the projected K/V rows (borrowing pool pages as needed) and
+    /// returns the head-concat rows before the output projection.
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::ShapeMismatch`] on shape or width disagreement and
     /// [`LlmError::KvPoolExhausted`] when the pool cannot supply the pages the
     /// appended rows need (the cache is left unchanged).
-    pub fn forward_paged_projected_with(
+    pub(crate) fn attend_paged_projected<'s>(
         &self,
         queries: &Matrix,
         new_keys: &Matrix,
         new_values: &Matrix,
         cache: &mut PagedKvCache,
-        scratch: &mut AttnScratch,
-    ) -> Result<Matrix, LlmError> {
+        scratch: &'s mut AttnScratch,
+    ) -> Result<&'s Matrix, LlmError> {
         if queries.cols() != self.embedding_dim
             || new_keys.shape() != queries.shape()
             || new_values.shape() != queries.shape()
@@ -556,57 +538,30 @@ impl MultiHeadAttention {
         let offset = cache.len();
         let total = offset + queries.rows();
         cache.append(new_keys, new_values)?;
-        let AttnScratch {
-            concat,
-            q,
-            k,
-            v,
-            scores,
-            head_out,
-            keys_all,
-            values_all,
-        } = scratch;
-        keys_all.resize(total, self.embedding_dim);
-        values_all.resize(total, self.embedding_dim);
-        cache.gather_window(0, keys_all, values_all);
-        self.attend_into(
-            queries,
-            offset,
-            total,
-            |col_start, k, v| {
-                keys_all.window_into(0, col_start, k)?;
-                values_all.window_into(0, col_start, v)
-            },
-            concat,
-            q,
-            k,
-            v,
-            scores,
-            head_out,
-        )
+        self.attend_paged(queries, offset, total, cache, scratch)
     }
 
-    /// [`MultiHeadAttention::forward_cached_projected_with`] /
-    /// [`MultiHeadAttention::forward_paged_projected_with`] dispatched on a
+    /// [`MultiHeadAttention::attend_cached_projected`] /
+    /// [`MultiHeadAttention::attend_paged_projected`] dispatched on a
     /// [`KvStore`].
     ///
     /// # Errors
     ///
     /// The contract of whichever storage path runs.
-    pub fn forward_kv_projected_with(
+    pub(crate) fn attend_kv_projected<'s>(
         &self,
         queries: &Matrix,
         new_keys: &Matrix,
         new_values: &Matrix,
         kv: &mut KvStore,
-        scratch: &mut AttnScratch,
-    ) -> Result<Matrix, LlmError> {
+        scratch: &'s mut AttnScratch,
+    ) -> Result<&'s Matrix, LlmError> {
         match kv {
             KvStore::Dense(cache) => {
-                self.forward_cached_projected_with(queries, new_keys, new_values, cache, scratch)
+                self.attend_cached_projected(queries, new_keys, new_values, cache, scratch)
             }
             KvStore::Paged(cache) => {
-                self.forward_paged_projected_with(queries, new_keys, new_values, cache, scratch)
+                self.attend_paged_projected(queries, new_keys, new_values, cache, scratch)
             }
         }
     }
@@ -655,15 +610,15 @@ impl MultiHeadAttention {
 
     /// The shared back half of the cached paths, resizing the caller's scratch
     /// to this call's shapes (an allocation only when the stream outgrew every
-    /// earlier call) before running the head loop.
-    fn attend_cached(
+    /// earlier call) before running the head loop. Returns the head-concat rows.
+    fn attend_cached<'s>(
         &self,
         queries: &Matrix,
         offset: usize,
         total: usize,
-        scratch: &mut AttnScratch,
+        scratch: &'s mut AttnScratch,
         gather: impl FnMut(usize, &mut Matrix, &mut Matrix) -> Result<(), LlmError>,
-    ) -> Result<Matrix, LlmError> {
+    ) -> Result<&'s Matrix, LlmError> {
         let AttnScratch {
             concat,
             q,
@@ -675,13 +630,60 @@ impl MultiHeadAttention {
         } = scratch;
         self.attend_into(
             queries, offset, total, gather, concat, q, k, v, scores, head_out,
-        )
+        )?;
+        Ok(concat)
+    }
+
+    /// The paged back half: one pool-lock acquisition gathers every live row at
+    /// full width, then the per-head loop slices panels from the local copy
+    /// exactly as the dense path slices its cache matrices — lock-free and
+    /// byte-identical. Returns the head-concat rows.
+    fn attend_paged<'s>(
+        &self,
+        queries: &Matrix,
+        offset: usize,
+        total: usize,
+        cache: &PagedKvCache,
+        scratch: &'s mut AttnScratch,
+    ) -> Result<&'s Matrix, LlmError> {
+        // Split borrows: the gather panels are read by the closure while the
+        // remaining scratch fields are written by the head loop.
+        let AttnScratch {
+            concat,
+            q,
+            k,
+            v,
+            scores,
+            head_out,
+            keys_all,
+            values_all,
+        } = scratch;
+        keys_all.resize(total, self.embedding_dim);
+        values_all.resize(total, self.embedding_dim);
+        cache.gather_window(0, keys_all, values_all);
+        self.attend_into(
+            queries,
+            offset,
+            total,
+            |col_start, k, v| {
+                keys_all.window_into(0, col_start, k)?;
+                values_all.window_into(0, col_start, v)
+            },
+            concat,
+            q,
+            k,
+            v,
+            scores,
+            head_out,
+        )?;
+        Ok(concat)
     }
 
     /// The per-head score/softmax/value loop over `total` cached positions,
     /// with the storage-specific `gather` filling the per-head K/V scratch
-    /// panels (rows in position order). Every numeric kernel lives here, which
-    /// is what makes dense and paged storage bit-identical by construction.
+    /// panels (rows in position order), leaving the head-concat rows in
+    /// `concat`. Every numeric kernel lives here, which is what makes dense
+    /// and paged storage bit-identical by construction.
     #[allow(clippy::too_many_arguments)] // the split-borrowed scratch fields
     fn attend_into(
         &self,
@@ -695,7 +697,7 @@ impl MultiHeadAttention {
         v: &mut Matrix,
         scores: &mut Matrix,
         head_out: &mut Matrix,
-    ) -> Result<Matrix, LlmError> {
+    ) -> Result<(), LlmError> {
         let new = queries.rows();
         let head_dim = self.head_dim();
         let scale = 1.0 / (head_dim as f32).sqrt();
@@ -720,7 +722,7 @@ impl MultiHeadAttention {
             scores.matmul_into(v, head_out)?;
             concat.set_columns(col_start, head_out)?;
         }
-        concat.matmul(&self.w_output)
+        Ok(())
     }
 
     /// Number of multiply-accumulate operations for a sequence of the given length,

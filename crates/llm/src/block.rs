@@ -51,6 +51,14 @@ impl TransformerBlock {
         self.block_index
     }
 
+    /// Every projection weight: attention Q/K/V/O, then the MLP's in/gate/out.
+    pub(crate) fn projection_weights(&self) -> impl Iterator<Item = &Matrix> {
+        self.attention
+            .projection_weights()
+            .into_iter()
+            .chain(self.mlp.projection_weights())
+    }
+
     /// Global index of the block's first normalization layer (pre-attention).
     #[must_use]
     pub fn first_norm_index(&self) -> usize {
@@ -104,8 +112,12 @@ impl TransformerBlock {
         normalizer: &mut N,
         cache: &mut AttentionKvCache,
     ) -> Result<Matrix, LlmError> {
-        self.forward_cached_inner(hidden, normalizer, |attention, q, k, v| {
-            attention.forward_cached_projected_with(q, k, v, cache, &mut AttnScratch::new())
+        self.forward_cached_inner(hidden, normalizer, |attention, q, k, v, heads| {
+            let mut scratch = AttnScratch::new();
+            heads.set_rows(
+                0,
+                attention.attend_cached_projected(q, k, v, cache, &mut scratch)?,
+            )
         })
     }
 
@@ -124,9 +136,7 @@ impl TransformerBlock {
         normalizer: &mut N,
         kv: &mut KvStore,
     ) -> Result<Matrix, LlmError> {
-        self.forward_cached_inner(hidden, normalizer, |attention, q, k, v| {
-            attention.forward_kv_projected_with(q, k, v, kv, &mut AttnScratch::new())
-        })
+        self.forward_cached_kv_with(hidden, normalizer, kv, &mut AttnScratch::new())
     }
 
     /// [`TransformerBlock::forward_cached_kv`] reusing caller-owned attention
@@ -142,17 +152,15 @@ impl TransformerBlock {
         kv: &mut KvStore,
         scratch: &mut AttnScratch,
     ) -> Result<Matrix, LlmError> {
-        self.forward_cached_inner(hidden, normalizer, |attention, q, k, v| {
-            attention.forward_kv_projected_with(q, k, v, kv, scratch)
-        })
+        self.forward_cached_segments(hidden, &[hidden.rows()], normalizer, &mut [(kv, scratch)])
     }
 
     /// Advances many decode streams through the block in lockstep: row `s` of
     /// `hidden` is the newest position of stream `s`, whose K/V storage is
-    /// `caches[s]`. Both normalization sites and the MLP run **once over the
-    /// whole row batch** (they are row-local, so stacking rows changes no float);
-    /// only the attention sublayer loops per stream, each row attending against
-    /// its own cache. This is the per-block half of
+    /// `caches[s]`. Both normalization sites and every projection run **once
+    /// over the whole row batch** (they are row-local, so stacking rows changes
+    /// no float); only the score/softmax/value loop runs per stream, each row
+    /// attending against its own cache. This is the per-block half of
     /// [`TransformerModel::step_many`](crate::TransformerModel::step_many), and
     /// the reason a batched multi-stream tick issues one
     /// [`Normalizer::normalize_matrix_into`] call per site instead of one per
@@ -183,12 +191,13 @@ impl TransformerBlock {
     /// *variable-length* per-stream segments — the per-block half of continuous
     /// batching. Stream `s` contributes `segments[s]` consecutive rows of
     /// `hidden` (decode streams contribute one row, chunk-prefilling streams a
-    /// whole chunk), in stream order. Both normalization sites and the MLP run
-    /// once over the **entire stacked batch**; only the attention sublayer
-    /// loops per stream, each segment attending against (and appending to) its
-    /// own cache through its own reusable [`AttnScratch`]. Row-locality of
-    /// norm/MLP/residual means stacking changes no float, so every stream stays
-    /// bit-identical to its solo cached pass.
+    /// whole chunk), in stream order. Both normalization sites, every
+    /// projection (Q/K/V, attention output, MLP) run once over the **entire
+    /// stacked batch**; only the score/softmax/value loop runs per stream, each
+    /// segment attending against (and appending to) its own cache through its
+    /// own reusable [`AttnScratch`]. Row-locality of norm/projections/residual
+    /// means stacking changes no float, so every stream stays bit-identical to
+    /// its solo cached pass.
     ///
     /// # Errors
     ///
@@ -215,44 +224,51 @@ impl TransformerBlock {
             });
         }
         let e = self.gamma_attn.len();
-        // One norm+matmul call projects Q/K/V for the entire
-        // stacked batch (row-local, so stacking changes no float).
-        let (queries, keys, values) = self.project_qkv(hidden, normalizer)?;
-        // Per-stream attention: one cached pass per segment, stacked back into
-        // the row batch. The segment buffers are reused across streams (grow-only).
-        let mut after_attn = Matrix::zeros(hidden.rows(), e);
-        let mut q_buf = Matrix::default();
-        let mut k_buf = Matrix::default();
-        let mut v_buf = Matrix::default();
-        let mut start = 0;
-        for (&rows, (kv, scratch)) in segments.iter().zip(streams.iter_mut()) {
-            q_buf.resize(rows, e);
-            k_buf.resize(rows, e);
-            v_buf.resize(rows, e);
-            queries.window_into(start, 0, &mut q_buf)?;
-            keys.window_into(start, 0, &mut k_buf)?;
-            values.window_into(start, 0, &mut v_buf)?;
-            let attended = self
-                .attention
-                .forward_kv_projected_with(&q_buf, &k_buf, &v_buf, kv, scratch)?;
-            after_attn.set_rows(start, &attended)?;
-            start += rows;
-        }
-
-        let (summed, normed_mlp) = self.residual_norm_mlp_site(&after_attn, hidden, normalizer);
-        let mut out = self.mlp.forward(&normed_mlp)?;
-        out.add_assign(&summed)?;
-        Ok(out)
+        self.forward_cached_inner(
+            hidden,
+            normalizer,
+            |attention, queries, keys, values, heads| {
+                // Per-stream attention: one cached pass per segment, its head-concat
+                // rows stacked back into the row batch. The segment buffers are
+                // reused across streams (grow-only).
+                let mut q_buf = Matrix::default();
+                let mut k_buf = Matrix::default();
+                let mut v_buf = Matrix::default();
+                let mut start = 0;
+                for (&rows, (kv, scratch)) in segments.iter().zip(streams.iter_mut()) {
+                    q_buf.resize(rows, e);
+                    k_buf.resize(rows, e);
+                    v_buf.resize(rows, e);
+                    queries.window_into(start, 0, &mut q_buf)?;
+                    keys.window_into(start, 0, &mut k_buf)?;
+                    values.window_into(start, 0, &mut v_buf)?;
+                    heads.set_rows(
+                        start,
+                        attention.attend_kv_projected(&q_buf, &k_buf, &v_buf, kv, scratch)?,
+                    )?;
+                    start += rows;
+                }
+                Ok(())
+            },
+        )
     }
 
-    /// The single body of the cached block paths; `attend` supplies the
-    /// storage-specific attention sublayer, consuming the Q/K/V projections the
-    /// fused pre-attention norm site produced.
+    /// The single body of the cached block paths. One norm+matmul call projects
+    /// Q/K/V for the whole row batch; `attend` supplies the storage-specific
+    /// attention sublayer, filling `heads` with the head-concat rows of every
+    /// stream; the output projection, residual+norm site and MLP then run once
+    /// over the batch (all row-local, so stacking streams changes no float).
     fn forward_cached_inner<N: Normalizer + ?Sized>(
         &self,
         hidden: &Matrix,
         normalizer: &mut N,
-        attend: impl FnOnce(&MultiHeadAttention, &Matrix, &Matrix, &Matrix) -> Result<Matrix, LlmError>,
+        attend: impl FnOnce(
+            &MultiHeadAttention,
+            &Matrix,
+            &Matrix,
+            &Matrix,
+            &mut Matrix,
+        ) -> Result<(), LlmError>,
     ) -> Result<Matrix, LlmError> {
         if hidden.cols() != self.gamma_attn.len() {
             return Err(LlmError::ShapeMismatch {
@@ -262,7 +278,9 @@ impl TransformerBlock {
             });
         }
         let (queries, keys, values) = self.project_qkv(hidden, normalizer)?;
-        let after_attn = attend(&self.attention, &queries, &keys, &values)?;
+        let mut heads = Matrix::zeros(hidden.rows(), hidden.cols());
+        attend(&self.attention, &queries, &keys, &values, &mut heads)?;
+        let after_attn = self.attention.project_output(&heads)?;
         let (summed, normed_mlp) = self.residual_norm_mlp_site(&after_attn, hidden, normalizer);
         let mut out = self.mlp.forward(&normed_mlp)?;
         out.add_assign(&summed)?;

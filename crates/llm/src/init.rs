@@ -14,18 +14,32 @@ use rand::Rng;
 /// deviation (Box–Muller, so only `rand::Rng` is required).
 #[must_use]
 pub fn gaussian_matrix(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Matrix {
-    let mut data = Vec::with_capacity(rows * cols);
-    while data.len() < rows * cols {
+    let data = gaussian_samples(rng, std).take(rows * cols).collect();
+    Matrix::from_vec(rows, cols, data).expect("dimensions are consistent by construction")
+}
+
+/// [`gaussian_matrix`] in the column-panel layout of projection weights
+/// ([`Matrix::packed_from_fn`]): the same draws in the same order, each written
+/// straight into its panel slot.
+#[must_use]
+pub fn gaussian_weight(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Matrix {
+    let mut samples = gaussian_samples(rng, std);
+    Matrix::packed_from_fn(rows, cols, |_, _| {
+        samples.next().expect("the sample stream never ends")
+    })
+}
+
+/// An endless stream of Gaussian samples: Box–Muller pairs, cosine then sine.
+/// A pair is drawn only when its first sample is taken.
+fn gaussian_samples(rng: &mut StdRng, std: f32) -> impl Iterator<Item = f32> + '_ {
+    std::iter::repeat_with(move || {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(r * theta.cos() * std);
-        if data.len() < rows * cols {
-            data.push(r * theta.sin() * std);
-        }
-    }
-    Matrix::from_vec(rows, cols, data).expect("dimensions are consistent by construction")
+        [r * theta.cos() * std, r * theta.sin() * std]
+    })
+    .flatten()
 }
 
 /// Draws a bias / scale vector with i.i.d. Gaussian entries around `mean`.
@@ -79,6 +93,23 @@ mod tests {
         let c = gaussian_matrix(&mut StdRng::seed_from_u64(4), 4, 4, 1.0);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn gaussian_weight_draws_the_gaussian_matrix_stream() {
+        // Odd sizes leave a discarded sine sample; the next draw must still line up.
+        let mut rng_a = StdRng::seed_from_u64(12);
+        let mut rng_b = StdRng::seed_from_u64(12);
+        for (rows, cols) in [(3, 5), (17, 33)] {
+            let dense = gaussian_matrix(&mut rng_a, rows, cols, 0.7);
+            let packed = gaussian_weight(&mut rng_b, rows, cols, 0.7);
+            assert!(packed.is_packed());
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(packed.get(r, c).to_bits(), dense.get(r, c).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::ModelFamily;
 use crate::error::LlmError;
-use crate::init::gaussian_matrix;
+use crate::init::gaussian_weight;
 use crate::tensor::{gelu, silu, Matrix};
 use rand::rngs::StdRng;
 
@@ -35,16 +35,16 @@ impl FeedForward {
         let std_in = (1.0 / embedding_dim as f32).sqrt();
         let std_out = (1.0 / mlp_dim as f32).sqrt() * output_gain;
         let w_gate = match family {
-            ModelFamily::Llama => Some(gaussian_matrix(rng, embedding_dim, mlp_dim, std_in)),
+            ModelFamily::Llama => Some(gaussian_weight(rng, embedding_dim, mlp_dim, std_in)),
             ModelFamily::Opt | ModelFamily::Gpt2 => None,
         };
         Self {
             family,
             embedding_dim,
             mlp_dim,
-            w_in: gaussian_matrix(rng, embedding_dim, mlp_dim, std_in),
+            w_in: gaussian_weight(rng, embedding_dim, mlp_dim, std_in),
             w_gate,
-            w_out: gaussian_matrix(rng, mlp_dim, embedding_dim, std_out),
+            w_out: gaussian_weight(rng, mlp_dim, embedding_dim, std_out),
         }
     }
 
@@ -78,6 +78,13 @@ impl FeedForward {
     #[must_use]
     pub fn w_gate(&self) -> Option<&Matrix> {
         self.w_gate.as_ref()
+    }
+
+    /// Every projection weight: in, gate (when gated), out.
+    pub(crate) fn projection_weights(&self) -> impl Iterator<Item = &Matrix> {
+        std::iter::once(&self.w_in)
+            .chain(&self.w_gate)
+            .chain(std::iter::once(&self.w_out))
     }
 
     /// Completes the MLP from already-projected hidden (and, when gated, gate)

@@ -93,6 +93,18 @@ impl TransformerModel {
         &self.config
     }
 
+    /// Every projection weight of every block, in block order (attention
+    /// Q/K/V/O, then the MLP's in/gate/out). All of them are stored in the
+    /// column-panel layout of [`Matrix::packed_from_fn`]; the embeddings stay
+    /// row-major because lookups and the tied logit projection read rows.
+    #[must_use]
+    pub fn projection_weights(&self) -> Vec<&Matrix> {
+        self.blocks
+            .iter()
+            .flat_map(TransformerBlock::projection_weights)
+            .collect()
+    }
+
     /// The weight seed the model was built with.
     #[must_use]
     pub fn seed(&self) -> u64 {

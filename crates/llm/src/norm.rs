@@ -196,10 +196,12 @@ pub trait Normalizer {
     /// This is the transformer block's `norm → Q/K/V projections` seam (and the MLP's
     /// `norm → w_in/w_gate` seam): the consumers share one set of row statistics. The
     /// implementation is the composed sequence — materialize
-    /// [`Normalizer::normalize_matrix`], then one blocked matmul per consumer. The
-    /// built-in normalizers keep it: a fused software epilogue measured slower than
-    /// this composition on a CPU, where the matmul is bound by weight bandwidth. The
-    /// seam stays so a wrapper can observe or time the site with its consumers.
+    /// [`Normalizer::normalize_matrix`], then one matmul per consumer (the
+    /// register-tiled kernel, since model weights are panel-packed). The built-in
+    /// normalizers keep it: a fused software epilogue swept the whole weight
+    /// matrix once per row and measured slower than this composition, whose
+    /// matmul is bound by the kernel's arithmetic rate, not by weight bandwidth.
+    /// The seam stays so a wrapper can observe or time the site with its consumers.
     ///
     /// # Examples
     ///

@@ -1,4 +1,4 @@
-//! A minimal row-major matrix type and the elementwise kernels a decoder needs.
+//! A minimal matrix type and the elementwise kernels a decoder needs.
 //!
 //! This is intentionally small: the transformer substrate only needs 2-D matrices,
 //! matrix multiplication, row softmax and GeLU. Keeping it dependency-free makes the
@@ -6,7 +6,24 @@
 
 use crate::error::LlmError;
 
-/// A row-major `rows × cols` matrix of `f32`.
+/// Width, in columns, of one panel of the packed layout (see
+/// [`Matrix::packed_from_fn`]).
+const PANEL: usize = 16;
+
+/// Rows of the left operand one register tile of the packed kernel covers: a
+/// `ROW_TILE × PANEL` block of accumulators stays in registers across the
+/// whole reduction.
+const ROW_TILE: usize = 4;
+
+/// A `rows × cols` matrix of `f32`.
+///
+/// Storage is row-major, except for matrices built by [`Matrix::packed_from_fn`]:
+/// those hold column panels, the layout the projection weights use so that
+/// [`Matrix::matmul_into`] can run a register-tiled kernel over them. The layout
+/// is private to this type. [`Matrix::get`]/[`Matrix::set`] and the elementwise
+/// helpers work on either; the row-slice accessors and every kernel that walks
+/// rows panic on a packed matrix rather than hand out panel-ordered data.
+/// Equality is structural, so a packed matrix never equals a row-major one.
 ///
 /// # Example
 ///
@@ -23,6 +40,8 @@ pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+    /// `data` holds column panels rather than rows.
+    packed: bool,
 }
 
 impl Matrix {
@@ -33,6 +52,7 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
+            packed: false,
         }
     }
 
@@ -59,7 +79,12 @@ impl Matrix {
                 rhs: (data.len(), 1),
             });
         }
-        Ok(Self { rows, cols, data })
+        Ok(Self {
+            rows,
+            cols,
+            data,
+            packed: false,
+        })
     }
 
     /// Creates a matrix from row slices.
@@ -87,7 +112,58 @@ impl Matrix {
             rows: rows.len(),
             cols,
             data,
+            packed: false,
         })
+    }
+
+    /// Creates a matrix in the column-panel layout of the projection weights,
+    /// calling `value(row, col)` once per element in row-major order, so a
+    /// seeded generator draws the same values in the same order that
+    /// [`Matrix::from_vec`] would store.
+    ///
+    /// The columns are cut into panels 16 wide (the last one narrower when
+    /// `cols` is not a multiple of 16), and each panel stores its
+    /// `rows × width` block contiguously, row by row. As the right-hand side of
+    /// [`Matrix::matmul_into`] a packed matrix takes a register-tiled kernel
+    /// that is bit-identical to the row-major one.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use haan_llm::Matrix;
+    /// let w = Matrix::packed_from_fn(2, 3, |row, col| (row * 3 + col) as f32);
+    /// assert!(w.is_packed());
+    /// assert_eq!(w.get(1, 2), 5.0);
+    /// let x = Matrix::from_rows(&[&[1.0, 1.0]])?;
+    /// assert_eq!(x.matmul(&w)?.row(0), &[3.0, 5.0, 7.0]);
+    /// # Ok::<(), haan_llm::LlmError>(())
+    /// ```
+    #[must_use]
+    pub fn packed_from_fn(
+        rows: usize,
+        cols: usize,
+        mut value: impl FnMut(usize, usize) -> f32,
+    ) -> Self {
+        let mut m = Self {
+            rows,
+            cols,
+            data: vec![0.0; rows * cols],
+            packed: true,
+        };
+        for row in 0..rows {
+            for col in 0..cols {
+                let at = m.index(row, col);
+                m.data[at] = value(row, col);
+            }
+        }
+        m
+    }
+
+    /// True when the matrix is stored in the column-panel layout of
+    /// [`Matrix::packed_from_fn`].
+    #[must_use]
+    pub fn is_packed(&self) -> bool {
+        self.packed
     }
 
     /// Number of rows.
@@ -108,7 +184,30 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// Element accessor.
+    /// Offset of element `(row, col)` in `data` under this matrix's layout.
+    fn index(&self, row: usize, col: usize) -> usize {
+        if self.packed {
+            let start = col - col % PANEL;
+            let width = PANEL.min(self.cols - start);
+            start * self.rows + row * width + col % PANEL
+        } else {
+            row * self.cols + col
+        }
+    }
+
+    /// The row-major buffer.
+    fn row_major(&self) -> &[f32] {
+        assert!(!self.packed, "a panel-packed matrix has no row-major view");
+        &self.data
+    }
+
+    /// The row-major buffer, mutably.
+    fn row_major_mut(&mut self) -> &mut [f32] {
+        assert!(!self.packed, "a panel-packed matrix has no row-major view");
+        &mut self.data
+    }
+
+    /// Element accessor (either layout).
     ///
     /// # Panics
     ///
@@ -116,60 +215,72 @@ impl Matrix {
     #[must_use]
     pub fn get(&self, row: usize, col: usize) -> f32 {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
-        self.data[row * self.cols + col]
+        self.data[self.index(row, col)]
     }
 
-    /// Element mutator.
+    /// Element mutator (either layout).
     ///
     /// # Panics
     ///
     /// Panics when the indices are out of bounds.
     pub fn set(&mut self, row: usize, col: usize, value: f32) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
-        self.data[row * self.cols + col] = value;
+        let at = self.index(row, col);
+        self.data[at] = value;
     }
 
     /// Borrows one row as a slice.
     ///
     /// # Panics
     ///
-    /// Panics when `row` is out of bounds.
+    /// Panics when `row` is out of bounds or the matrix is packed.
     #[must_use]
     pub fn row(&self, row: usize) -> &[f32] {
         assert!(row < self.rows, "row out of bounds");
-        &self.data[row * self.cols..(row + 1) * self.cols]
+        &self.row_major()[row * self.cols..(row + 1) * self.cols]
     }
 
     /// Mutably borrows one row.
     ///
     /// # Panics
     ///
-    /// Panics when `row` is out of bounds.
+    /// Panics when `row` is out of bounds or the matrix is packed.
     pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
         assert!(row < self.rows, "row out of bounds");
-        &mut self.data[row * self.cols..(row + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.row_major_mut()[row * cols..(row + 1) * cols]
     }
 
     /// Borrows the underlying row-major buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is packed.
     #[must_use]
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        self.row_major()
     }
 
     /// Mutably borrows the underlying row-major buffer (used by the batched kernels).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is packed.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.row_major_mut()
     }
 
-    /// Reshapes the matrix in place to `rows × cols`, reusing the existing
-    /// buffer. The buffer only ever grows (`Vec::resize` keeps its capacity on
-    /// shrink), which is what makes reusable scratch matrices allocation-free
-    /// at steady state — see [`Matrix::buffer_capacity`]. Old element values do
-    /// not survive a reshape in any meaningful layout; callers must treat the
-    /// contents as uninitialized and overwrite every element they read.
+    /// Reshapes the matrix in place to a row-major `rows × cols`, reusing the
+    /// existing buffer. The buffer only ever grows (`Vec::resize` keeps its
+    /// capacity on shrink), which is what makes reusable scratch matrices
+    /// allocation-free at steady state — see [`Matrix::buffer_capacity`]. Old
+    /// element values do not survive a reshape in any meaningful layout;
+    /// callers must treat the contents as uninitialized and overwrite every
+    /// element they read.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
+        self.packed = false;
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -194,17 +305,25 @@ impl Matrix {
 
     /// Matrix multiplication `self × rhs` into a caller-provided output matrix.
     ///
-    /// The kernel is cache-blocked over the `k` (reduction) and `j` (output column)
-    /// dimensions: each `k`-panel of `rhs` is streamed against a row of `self` while
-    /// the corresponding slice of the output row stays hot, and the inner `j` loop is
-    /// a contiguous multiply-add the compiler can vectorise. For every output element
-    /// the reduction still runs in ascending-`k` order, so results are bit-identical
-    /// to the naive triple loop.
+    /// A row-major `rhs` takes a kernel cache-blocked over the `k` (reduction)
+    /// and `j` (output column) dimensions: each `k`-panel of `rhs` is streamed
+    /// against a row of `self` while the corresponding slice of the output row
+    /// stays hot, and the inner `j` loop is a contiguous multiply-add the
+    /// compiler can vectorise. A packed `rhs` ([`Matrix::packed_from_fn`])
+    /// takes a register-tiled kernel: a 4-row × 16-column block of outputs
+    /// stays in registers across the whole reduction, so every weight load
+    /// feeds four rows. Either way every output element starts at `0.0` and
+    /// adds its products in ascending-`k` order, so both kernels are
+    /// bit-identical to the naive triple loop at any row count.
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::ShapeMismatch`] when `self.cols() != rhs.rows()` or when
     /// `out` is not `self.rows() × rhs.cols()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `self` or `out` is packed.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LlmError> {
         if self.cols != rhs.rows {
             return Err(LlmError::ShapeMismatch {
@@ -220,15 +339,21 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        out.data.fill(0.0);
+        let lhs = self.row_major();
+        let out = out.row_major_mut();
+        if rhs.packed {
+            matmul_panels(lhs, self.cols, &rhs.data, rhs.cols, out);
+            return Ok(());
+        }
+        out.fill(0.0);
         let n = rhs.cols;
         for jj in (0..n).step_by(Self::BLOCK) {
             let j_end = (jj + Self::BLOCK).min(n);
             for kk in (0..self.cols).step_by(Self::BLOCK) {
                 let k_end = (kk + Self::BLOCK).min(self.cols);
                 for i in 0..self.rows {
-                    let a_panel = &self.data[i * self.cols + kk..i * self.cols + k_end];
-                    let out_tile = &mut out.data[i * n + jj..i * n + j_end];
+                    let a_panel = &lhs[i * self.cols + kk..i * self.cols + k_end];
+                    let out_tile = &mut out[i * n + jj..i * n + j_end];
                     let rhs_panel = rhs.data[kk * n..k_end * n].chunks_exact(n);
                     for (&a, rhs_row) in a_panel.iter().zip(rhs_panel) {
                         let rhs_tile = &rhs_row[jj..j_end];
@@ -266,6 +391,10 @@ impl Matrix {
     ///
     /// Returns [`LlmError::ShapeMismatch`] when `self.cols() != rhs.cols()` or when
     /// `out` is not `self.rows() × rhs.rows()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when any of the three matrices is packed.
     pub fn matmul_transposed_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LlmError> {
         if self.cols != rhs.cols {
             return Err(LlmError::ShapeMismatch {
@@ -281,14 +410,16 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
+        let (lhs, rhs_data) = (self.row_major(), rhs.row_major());
+        let out = out.row_major_mut();
         let n = rhs.rows;
         for jj in (0..n).step_by(Self::BLOCK) {
             let j_end = (jj + Self::BLOCK).min(n);
             for i in 0..self.rows {
-                let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
+                let a_row = &lhs[i * self.cols..(i + 1) * self.cols];
                 for j in jj..j_end {
-                    let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                    out.data[i * n + j] = dot_unrolled(a_row, b_row);
+                    let b_row = &rhs_data[j * rhs.cols..(j + 1) * rhs.cols];
+                    out[i * n + j] = dot_unrolled(a_row, b_row);
                 }
             }
         }
@@ -324,7 +455,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
+        for (a, &b) in self.row_major_mut().iter_mut().zip(rhs.row_major()) {
             *a += b;
         }
         Ok(())
@@ -344,7 +475,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
+        for (a, &b) in self.row_major_mut().iter_mut().zip(rhs.row_major()) {
             *a *= b;
         }
         Ok(())
@@ -375,11 +506,7 @@ impl Matrix {
     /// Scales every element.
     #[must_use]
     pub fn scale(&self, factor: f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * factor).collect(),
-        }
+        self.map(|v| v * factor)
     }
 
     /// Scales every element in place (no allocation).
@@ -393,9 +520,8 @@ impl Matrix {
     #[must_use]
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Matrix {
         Matrix {
-            rows: self.rows,
-            cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
+            ..*self
         }
     }
 
@@ -461,9 +587,11 @@ impl Matrix {
                 rhs: src.shape(),
             });
         }
-        for row in 0..self.rows {
-            let dst = &mut self.data[row * self.cols + start..row * self.cols + start + width];
-            dst.copy_from_slice(&src.data[row * width..(row + 1) * width]);
+        let (rows, cols) = self.shape();
+        let (dst, src) = (self.row_major_mut(), src.row_major());
+        for row in 0..rows {
+            dst[row * cols + start..row * cols + start + width]
+                .copy_from_slice(&src[row * width..(row + 1) * width]);
         }
         Ok(())
     }
@@ -489,10 +617,12 @@ impl Matrix {
                 rhs: (row_start + out.rows, col_start + out.cols),
             });
         }
-        for row in 0..out.rows {
+        let (rows, width) = out.shape();
+        let src = self.row_major();
+        let dst = out.row_major_mut();
+        for row in 0..rows {
             let src_base = (row_start + row) * self.cols + col_start;
-            out.data[row * out.cols..(row + 1) * out.cols]
-                .copy_from_slice(&self.data[src_base..src_base + out.cols]);
+            dst[row * width..(row + 1) * width].copy_from_slice(&src[src_base..src_base + width]);
         }
         Ok(())
     }
@@ -514,7 +644,8 @@ impl Matrix {
             });
         }
         let dst_base = row_start * self.cols;
-        self.data[dst_base..dst_base + src.data.len()].copy_from_slice(&src.data);
+        let src = src.row_major();
+        self.row_major_mut()[dst_base..dst_base + src.len()].copy_from_slice(src);
         Ok(())
     }
 
@@ -559,6 +690,73 @@ impl Matrix {
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
+}
+
+/// The packed-rhs kernel of [`Matrix::matmul_into`]: `lhs` is row-major
+/// `m × k`, `panels` the packed `k × n` right-hand side, `out` row-major
+/// `m × n`. Full-width panels run [`ROW_TILE`]-row register tiles (two- and
+/// one-row tiles for the leftover rows); a narrower last panel runs row by row.
+fn matmul_panels(lhs: &[f32], k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let m = lhs.len() / k;
+    for (p, panel) in panels.chunks(PANEL * k).enumerate() {
+        let col = p * PANEL;
+        if panel.len() == PANEL * k {
+            let mut row = 0;
+            while row < m {
+                row += match m - row {
+                    ROW_TILE.. => panel_tile::<ROW_TILE>(lhs, k, row, panel, out, n, col),
+                    2.. => panel_tile::<2>(lhs, k, row, panel, out, n, col),
+                    _ => panel_tile::<1>(lhs, k, row, panel, out, n, col),
+                };
+            }
+        } else {
+            let width = panel.len() / k;
+            for (a_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                let out_tile = &mut out_row[col..col + width];
+                out_tile.fill(0.0);
+                for (&a, b) in a_row.iter().zip(panel.chunks_exact(width)) {
+                    for (o, &b) in out_tile.iter_mut().zip(b) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One `R × PANEL` register tile: rows `row..row + R` of `lhs` times one
+/// full-width `panel`, written to columns `col..col + PANEL` of `out`. The
+/// accumulators start at `0.0` and take the products in ascending-`k` order.
+/// Returns `R`, the rows it covered.
+fn panel_tile<const R: usize>(
+    lhs: &[f32],
+    k: usize,
+    row: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col: usize,
+) -> usize {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &lhs[(row + r) * k..(row + r + 1) * k]);
+    let (b_rows, _) = panel.as_chunks::<PANEL>();
+    let mut acc = [[0.0f32; PANEL]; R];
+    for (kk, b) in b_rows.iter().enumerate() {
+        for r in 0..R {
+            let x = a[r][kk];
+            for j in 0..PANEL {
+                acc[r][j] += x * b[j];
+            }
+        }
+    }
+    for (r, tile) in acc.iter().enumerate() {
+        let at = (row + r) * n + col;
+        out[at..at + PANEL].copy_from_slice(tile);
+    }
+    R
 }
 
 /// Dot product over four independent accumulator lanes (breaks the floating-point
@@ -741,6 +939,119 @@ mod tests {
         }
     }
 
+    /// Row-major values with the awkward cases mixed in: signed zeros and
+    /// subnormals of either sign between ordinary magnitudes.
+    fn edge_values(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let bits = (state >> 32) as u32;
+                match bits % 8 {
+                    0 => -0.0,
+                    1 => f32::from_bits((bits >> 9) | ((bits & 2) << 30)),
+                    _ => (bits >> 8) as f32 / (1u32 << 23) as f32 - 1.0,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `a · b` with `b` packed must equal `a · b` row-major bit for bit.
+    fn assert_packed_matches_row_major(rows: usize, inner: usize, cols: usize, seed: u64) {
+        let a = Matrix::from_vec(rows, inner, edge_values(rows * inner, seed)).unwrap();
+        let b = Matrix::from_vec(inner, cols, edge_values(inner * cols, !seed)).unwrap();
+        let packed = Matrix::packed_from_fn(inner, cols, |r, c| b.get(r, c));
+        assert!(packed.is_packed() && !b.is_packed());
+        assert_eq!(
+            bits(&a.matmul(&packed).unwrap()),
+            bits(&a.matmul(&b).unwrap()),
+            "{rows}x{inner} · {inner}x{cols}, seed {seed}"
+        );
+    }
+
+    #[test]
+    fn packed_matmul_is_bit_identical_on_edge_shapes() {
+        // Rows on and off the 4-row tile, k = 1, and widths below, at and
+        // around the 16-column panel.
+        for rows in 1..=9 {
+            for inner in [1, 2, 17] {
+                for cols in [1, 15, 16, 17, 33, 48] {
+                    assert_packed_matches_row_major(
+                        rows,
+                        inner,
+                        cols,
+                        (rows * inner + cols) as u64,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_layout_round_trips_through_get_and_set() {
+        let m = Matrix::from_vec(3, 20, (0..60).map(|i| i as f32).collect()).unwrap();
+        let mut packed = Matrix::packed_from_fn(3, 20, |r, c| m.get(r, c));
+        for r in 0..3 {
+            for c in 0..20 {
+                assert_eq!(packed.get(r, c), m.get(r, c), "({r}, {c})");
+            }
+        }
+        packed.set(2, 17, -1.0);
+        assert_eq!(packed.get(2, 17), -1.0);
+        assert_ne!(packed, m, "equality is structural");
+        let mut scaled = packed.scale(2.0);
+        assert!(scaled.is_packed());
+        assert_eq!(scaled.get(1, 3), 2.0 * m.get(1, 3));
+        scaled.resize(2, 2);
+        assert!(
+            !scaled.is_packed(),
+            "a reshape hands back a row-major scratch"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row-major view")]
+    fn packed_matrix_refuses_row_slices() {
+        let packed = Matrix::packed_from_fn(2, 3, |r, c| (r + c) as f32);
+        let _ = packed.row(0);
+    }
+
+    #[test]
+    fn model_projection_weights_take_the_packed_kernel() {
+        use crate::{ModelConfig, ModelFamily, TransformerModel};
+        for (family, per_block) in [(ModelFamily::Gpt2, 6), (ModelFamily::Llama, 7)] {
+            let config = ModelConfig {
+                family,
+                ..ModelConfig::tiny_test()
+            };
+            let model = TransformerModel::new(&config, 5).unwrap();
+            let weights = model.projection_weights();
+            assert_eq!(weights.len(), config.num_blocks * per_block);
+            for (w, weight) in weights.iter().enumerate() {
+                assert!(weight.is_packed(), "{family:?} weight {w} is row-major");
+                // Eight stacked rows (two full register tiles) equal eight
+                // one-row products.
+                let k = weight.rows();
+                let batch = Matrix::from_vec(8, k, edge_values(8 * k, w as u64)).unwrap();
+                let stacked = bits(&batch.matmul(weight).unwrap());
+                for r in 0..8 {
+                    let one = Matrix::from_vec(1, k, batch.row(r).to_vec()).unwrap();
+                    assert_eq!(
+                        bits(&one.matmul(weight).unwrap()),
+                        stacked[r * weight.cols()..(r + 1) * weight.cols()],
+                        "{family:?} weight {w}, row {r}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn in_place_helpers_match_allocating_forms() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
@@ -901,6 +1212,16 @@ mod tests {
             let m = Matrix::from_vec(rows, cols, data).unwrap();
             let i = Matrix::identity(cols);
             prop_assert_eq!(m.matmul(&i).unwrap(), m);
+        }
+
+        #[test]
+        fn prop_packed_matmul_is_bit_identical_to_row_major(
+            rows in 1usize..10,
+            inner in 1usize..40,
+            cols in 1usize..50,
+            seed in 0u64..1_000_000,
+        ) {
+            assert_packed_matches_row_major(rows, inner, cols, seed);
         }
 
         #[test]

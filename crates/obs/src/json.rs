@@ -1,10 +1,12 @@
-//! A self-contained JSON value tree with a renderer **and** a parser.
+//! A self-contained JSON value tree with compact and pretty renderers **and** a
+//! parser — the workspace's one JSON implementation (the build container has no
+//! network access, so no serde).
 //!
 //! [`ObsSnapshot::to_json`](crate::ObsSnapshot::to_json) must round-trip — an
-//! exported registry snapshot is re-loadable for offline diffing — so unlike
-//! the report-only builder in `haan_bench`, this module can also parse. Only
-//! what snapshots need is implemented: objects, arrays, strings, unsigned
-//! integers and finite floats, booleans and null.
+//! exported registry snapshot is re-loadable for offline diffing — and the
+//! report binaries archive their numbers as pretty JSON (`BENCH_norm.json`) that
+//! later changes parse and diff. Only what those need is implemented: objects,
+//! arrays, strings, unsigned integers and finite floats, booleans and null.
 
 use std::fmt::Write as _;
 
@@ -71,11 +73,21 @@ impl JsonValue {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders with two-space indentation, one member per line; empty
+    /// containers stay inline and there is no trailing newline.
+    #[must_use]
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out
+    }
+
+    /// Renders compactly when `indent` is `None`, else pretty at that depth.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Self::Null => out.push_str("null"),
             Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -100,27 +112,14 @@ impl JsonValue {
             }
             Self::String(s) => render_string(out, s),
             Self::Array(values) => {
-                out.push('[');
-                for (i, value) in values.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    value.render_into(out);
-                }
-                out.push(']');
+                render_container(out, ['[', ']'], indent, values.iter().map(|v| (None, v)));
             }
-            Self::Object(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(out, key);
-                    out.push(':');
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
+            Self::Object(pairs) => render_container(
+                out,
+                ['{', '}'],
+                indent,
+                pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 
@@ -146,6 +145,45 @@ impl JsonValue {
     }
 }
 
+/// Renders one array or object: its `items` (keyed for an object) between the
+/// `brackets`, compact or pretty as [`JsonValue::render_into`] asks.
+fn render_container<'a>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    indent: Option<usize>,
+    items: impl Iterator<Item = (Option<&'a str>, &'a JsonValue)>,
+) {
+    out.push(open);
+    let inner = indent.map(|level| level + 1);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(level) = inner {
+            out.push('\n');
+            push_indent(out, level);
+        }
+        if let Some(key) = key {
+            render_string(out, key);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        value.render_into(out, inner);
+    }
+    if let (Some(level), false) = (indent, empty) {
+        out.push('\n');
+        push_indent(out, level);
+    }
+    out.push(close);
+}
+
+fn push_indent(out: &mut String, level: usize) {
+    for _ in 0..level {
+        out.push_str("  ");
+    }
+}
+
 fn render_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -162,6 +200,42 @@ fn render_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+impl From<&str> for JsonValue {
+    fn from(value: &str) -> Self {
+        Self::String(value.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(value: String) -> Self {
+        Self::String(value)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(value: f64) -> Self {
+        Self::Number(value)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(value: u64) -> Self {
+        Self::Number(value as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(value: usize) -> Self {
+        Self::Number(value as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(value: bool) -> Self {
+        Self::Bool(value)
+    }
 }
 
 struct Parser<'a> {
@@ -381,6 +455,53 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "12 34", "nul", "--1"] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn renders_nested_documents() {
+        let doc = JsonValue::object([
+            ("name", JsonValue::from("norm")),
+            ("ok", JsonValue::from(true)),
+            ("none", JsonValue::Null),
+            (
+                "series",
+                JsonValue::array([JsonValue::from(1.0), JsonValue::from(2.5)]),
+            ),
+        ]);
+        let rendered = doc.render_pretty();
+        assert!(rendered.starts_with("{\n  \"name\": \"norm\""));
+        assert!(rendered.contains("\"series\": [\n    1,\n    2.5\n  ]"));
+        assert!(rendered.ends_with('}'));
+        assert_eq!(
+            JsonValue::parse(&rendered).expect("pretty output parses"),
+            doc
+        );
+    }
+
+    #[test]
+    fn escapes_strings_and_handles_non_finite() {
+        let doc = JsonValue::object([
+            ("quote", JsonValue::from("a\"b\\c\nd")),
+            ("nan", JsonValue::Number(f64::NAN)),
+        ]);
+        let rendered = doc.render_pretty();
+        assert!(rendered.contains("\\\"b\\\\c\\n"));
+        assert!(rendered.contains("\"nan\": null"));
+    }
+
+    #[test]
+    fn empty_containers_render_inline() {
+        assert_eq!(JsonValue::array([]).render_pretty(), "[]");
+        assert_eq!(
+            JsonValue::object(Vec::<(String, JsonValue)>::new()).render_pretty(),
+            "{}"
+        );
+    }
+
+    #[test]
+    fn integers_render_without_decimal_point() {
+        assert_eq!(JsonValue::from(4096u64).render_pretty(), "4096");
+        assert_eq!(JsonValue::from(0.125).render_pretty(), "0.125");
     }
 
     #[test]
