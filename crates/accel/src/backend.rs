@@ -1,12 +1,11 @@
 //! [`AccelSimBackend`] — the accelerator simulator as a batched-engine backend.
 //!
 //! `haan_accel` sits *above* the `haan` core crate in the dependency graph, so the
-//! core's [`NormBackend`] trait cannot name this type directly. Instead the backend
-//! registers itself in the core's [external backend registry](haan::backend) under
-//! [`haan::backend::ACCEL_SIM_BACKEND`]; once [`AccelSimBackend::install`] has run,
-//! selecting [`BackendSelection::AccelSim`](haan::BackendSelection) in a
-//! [`HaanConfig`](haan::HaanConfig) routes every
-//! `Normalizer::normalize_matrix_into` call through the cycle-level datapath model:
+//! core cannot name this type. It implements the core's [`NormBackend`] trait
+//! instead and is attached to a normalizer as a trait object with
+//! [`HaanNormalizer::with_external_backend`](haan::HaanNormalizer::with_external_backend);
+//! the attached backend takes precedence over the configured software backend, so
+//! every batched `Normalizer` call then runs through the cycle-level datapath model:
 //!
 //! * statistics come from the fixed-point [`InputStatisticsCalculator`] (Fig. 4)
 //!   over the quantized subsampled prefix;
@@ -29,13 +28,10 @@ use crate::norm_unit::NormalizationUnit;
 use crate::pipeline::{pipeline_latency, StageTiming};
 use crate::predictor_unit::IsdPredictorUnit;
 use crate::sqrt_inv::SquareRootInverter;
-use haan::backend::{
-    register_backend, BatchRequest, NormBackend, ResidualNormRequest, ACCEL_SIM_BACKEND,
-};
+use haan::backend::{BatchRequest, NormBackend, ResidualNormRequest};
 use haan_llm::NormKind;
 use haan_numerics::stats::RowNormMode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The normalization kind a numerics-level row mode corresponds to.
 fn norm_kind(mode: RowNormMode) -> NormKind {
@@ -50,7 +46,7 @@ fn norm_kind(mode: RowNormMode) -> NormKind {
 /// Functional results go through the fixed-point datapath units; timing goes through
 /// the pipeline model and accumulates in [`AccelSimBackend::total_cycles`]. The type
 /// is internally synchronised (`&self` everywhere), so one instance can be shared —
-/// via [`Arc`] — between a normalizer and the test or report that reads its counters.
+/// via [`Arc`](std::sync::Arc) — between a normalizer and the test or report that reads its counters.
 #[derive(Debug)]
 pub struct AccelSimBackend {
     config: AccelConfig,
@@ -91,21 +87,6 @@ impl AccelSimBackend {
     #[must_use]
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Registers the HAAN-v1 configuration in the core backend registry, making
-    /// [`BackendSelection::AccelSim`](haan::BackendSelection) resolvable from a
-    /// plain [`HaanConfig`](haan::HaanConfig). Idempotent; later calls (or
-    /// [`AccelSimBackend::install_with`]) replace the registered configuration.
-    pub fn install() {
-        Self::install_with(AccelConfig::haan_v1());
-    }
-
-    /// Registers a specific hardware configuration in the core backend registry.
-    pub fn install_with(config: AccelConfig) {
-        register_backend(ACCEL_SIM_BACKEND, move |_algorithm| {
-            Arc::new(AccelSimBackend::new(config)) as Arc<dyn NormBackend>
-        });
     }
 }
 
@@ -310,16 +291,5 @@ mod tests {
         // The skipped batch replaces the inverter stage with the predictor's fixed
         // latency, so it can never be slower per vector.
         assert_eq!(backend.batches(), 2);
-    }
-
-    #[test]
-    fn install_makes_the_selection_resolvable() {
-        AccelSimBackend::install();
-        let resolved =
-            haan::backend::resolve_backend(ACCEL_SIM_BACKEND, &haan::HaanConfig::default())
-                .expect("install registered the factory");
-        assert_eq!(resolved.name(), "accel-sim");
-        AccelSimBackend::install_with(AccelConfig::haan_v2());
-        assert!(haan::backend::registered_backends().contains(&ACCEL_SIM_BACKEND));
     }
 }

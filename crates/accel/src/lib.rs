@@ -16,9 +16,9 @@
 //! [`power`] model FPGA cost (Alveo U280 budget, Table III), and [`accelerator`] ties
 //! everything into [`HaanAccelerator`], the functional + timing top level. [`backend`]
 //! additionally exposes the datapath as an execution backend ([`AccelSimBackend`]) of
-//! the core crate's batched normalization engine, so
-//! `haan::BackendSelection::AccelSim` routes `normalize_matrix_into` calls through
-//! the simulator.
+//! the core crate's batched normalization engine: attached with
+//! `haan::HaanNormalizer::with_external_backend`, it runs every batched
+//! normalization call through the simulator.
 //!
 //! # Example
 //!

@@ -2,9 +2,10 @@
 //! normalization engine.
 //!
 //! Measures ns/element of the normalization paths (scalar oracle vs fused batched vs
-//! row-parallel) on paper-width (4096-element) rows, plus per-backend ns/element of
-//! the dispatchable execution backends (`BackendSelection::{Scalar, Fused, Parallel,
-//! AccelSim}`) through the same `normalize_matrix_into` entry point, plus the fused
+//! the HAAN engine on exact statistics) on paper-width (4096-element) rows, plus
+//! per-backend ns/element of the execution backends (`BackendSelection::{Scalar,
+//! Fused}` and the attached accelerator simulator) through the same
+//! `normalize_matrix_into` entry point, plus the fused
 //! residual+norm site against its composed decomposition, plus KV-cached,
 //! multi-stream, overload, continuous-batching, observability and routing numbers
 //! of the `haan_serve` decode groups, plus matmul GFLOP/s of the cache-blocked
@@ -12,8 +13,9 @@
 //! the numbers to `BENCH_norm.json` (first CLI argument overrides the output path).
 //! Future PRs diff this file to keep the perf trajectory honest.
 
-use haan::{BackendSelection, HaanConfig, HaanNormalizer, ParallelPolicy};
-use haan_accel::AccelSimBackend;
+use haan::backend::NormBackend;
+use haan::{BackendSelection, HaanConfig, HaanNormalizer};
+use haan_accel::{AccelConfig, AccelSimBackend};
 use haan_bench::timing::{measure_default, Measurement};
 use haan_bench::{print_experiment_header, to_json, MarkdownTable};
 use haan_llm::norm::{NormSite, Normalizer, ReferenceNormalizer};
@@ -21,6 +23,7 @@ use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, Trans
 use haan_obs::json::JsonValue;
 use haan_router::{PlacementPolicy, Router, RouterConfig};
 use haan_serve::{GroupStats, KvPoolPolicy, ServeConfig, ServeEngine};
+use std::sync::Arc;
 
 const ROWS: usize = 16;
 const COLS: usize = 4096;
@@ -812,7 +815,6 @@ fn run_observability_benchmark(
     disabled_tokens_per_s: f64,
 ) -> ObservabilityPoint {
     use haan_obs::{EventKind, Obs, ObsEvent, ObsSink};
-    use std::sync::Arc;
 
     // Populate a registry shaped like the serving drill's real export.
     let obs = Obs::new(4096);
@@ -899,7 +901,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_norm.json".to_string());
     print_experiment_header(
         "BENCH_norm",
-        "normalization ns/element (scalar vs fused vs parallel) and matmul GFLOP/s",
+        "normalization ns/element (scalar vs fused) and matmul GFLOP/s",
     );
 
     let input = input_matrix();
@@ -938,34 +940,12 @@ fn main() {
         },
     };
 
-    // The HAAN engine on an unoptimized config (exact statistics), sequential vs
-    // row-parallel: isolates the thread-fan-out gain from the approximation gains.
+    // The HAAN engine on an unoptimized config (exact statistics) and its default
+    // fused backend: the engine's own overhead on top of the plain fused kernel.
     let haan_sequential = PathResult {
         name: "haan_exact_sequential",
         measurement: {
-            // Pin the fused sequential backend explicitly so this field keeps
-            // measuring the sequential kernel whatever the `Auto` heuristic does.
-            let config = HaanConfig {
-                backend: BackendSelection::Fused,
-                ..HaanConfig::unoptimized()
-            };
-            let mut norm = HaanNormalizer::new(config);
-            let mut out = Matrix::zeros(ROWS, COLS);
-            measure_default(|| {
-                norm.normalize_matrix_into(site, &input, &gamma, &beta, &mut out);
-                std::hint::black_box(out.get(0, 0));
-            })
-        },
-    };
-    let workers = std::thread::available_parallelism().map_or(2, usize::from);
-    let haan_parallel = PathResult {
-        name: "haan_exact_parallel",
-        measurement: {
-            let config = HaanConfig {
-                parallel: ParallelPolicy::Threads(workers),
-                ..HaanConfig::unoptimized()
-            };
-            let mut norm = HaanNormalizer::new(config);
+            let mut norm = HaanNormalizer::new(HaanConfig::unoptimized());
             let mut out = Matrix::zeros(ROWS, COLS);
             measure_default(|| {
                 norm.normalize_matrix_into(site, &input, &gamma, &beta, &mut out);
@@ -974,7 +954,7 @@ fn main() {
         },
     };
 
-    let paths = [&scalar, &fused, &haan_sequential, &haan_parallel];
+    let paths = [&scalar, &fused, &haan_sequential];
     let mut table = MarkdownTable::new(vec!["path", "ns/element", "speedup vs scalar"]);
     for path in paths {
         table.push_row(vec![
@@ -987,37 +967,27 @@ fn main() {
 
     // Per-backend dispatch: the same `normalize_matrix_into` call routed through each
     // execution backend of the engine on an exact-statistics config, so differences
-    // are pure execution cost. The accelerator simulator is a functional/timing
-    // model, not a fast path — its number is reported for completeness, not compared.
-    AccelSimBackend::install();
+    // are pure execution cost. The accelerator simulator (attached, so it runs
+    // instead of the configured backend) is a functional/timing model, not a fast
+    // path — its number is reported for completeness, not compared.
+    let accel_sim: Arc<dyn NormBackend> = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
     let backend_paths: Vec<PathResult> = [
-        (
-            "scalar",
-            BackendSelection::Scalar,
-            ParallelPolicy::Sequential,
-        ),
-        ("fused", BackendSelection::Fused, ParallelPolicy::Sequential),
-        (
-            "parallel",
-            BackendSelection::Parallel,
-            ParallelPolicy::Threads(workers),
-        ),
-        (
-            "accel_sim",
-            BackendSelection::AccelSim,
-            ParallelPolicy::Sequential,
-        ),
+        ("scalar", BackendSelection::Scalar, None),
+        ("fused", BackendSelection::Fused, None),
+        ("accel_sim", BackendSelection::Fused, Some(accel_sim)),
     ]
     .into_iter()
-    .map(|(name, backend, parallel)| PathResult {
+    .map(|(name, backend, external)| PathResult {
         name,
         measurement: {
             let config = HaanConfig {
                 backend,
-                parallel,
                 ..HaanConfig::unoptimized()
             };
             let mut norm = HaanNormalizer::new(config);
+            if let Some(external) = external {
+                norm = norm.with_external_backend(external);
+            }
             let mut out = Matrix::zeros(ROWS, COLS);
             measure_default(|| {
                 norm.normalize_matrix_into(site, &input, &gamma, &beta, &mut out);
@@ -1328,6 +1298,9 @@ fn main() {
             ("iterations", JsonValue::from(p.measurement.iterations)),
         ])
     };
+    // Hardware threads of this host: recorded in the JSON and read by the routing
+    // floor below.
+    let workers = std::thread::available_parallelism().map_or(2, usize::from);
     let report = JsonValue::object([
         ("benchmark", JsonValue::from("normalization_batched_engine")),
         (

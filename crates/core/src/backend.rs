@@ -13,20 +13,16 @@
 //!   ([`VectorStats::compute_chunked`]) fused with the affine apply, allocation-free.
 //!   This is the default software hot path; when a request needs no HAAN
 //!   approximation at all it lowers to [`normalize_rows_into`] directly.
-//! * [`ParallelBackend`] — the fused kernel fanned out over scoped worker threads,
-//!   honoring [`ParallelPolicy`]. Row kernels are independent, so its output is
-//!   bit-identical to [`FusedBackend`].
 //! * `AccelSimBackend` (in the `haan_accel` crate) — the cycle-level model of the
 //!   paper's accelerator datapath (fixed-point statistics calculator, square root
-//!   inverter, normalization units), bridged through the [external backend
-//!   registry](register_backend) because `haan_accel` sits *above* this crate in the
-//!   dependency graph.
+//!   inverter, normalization units). `haan_accel` sits *above* this crate in the
+//!   dependency graph, so it plugs in as a trait object attached with
+//!   [`HaanNormalizer::with_external_backend`](crate::HaanNormalizer::with_external_backend).
 //!
-//! Which backend runs is chosen by [`BackendSelection`](crate::BackendSelection) in
-//! [`HaanConfig`](crate::HaanConfig); `Auto` picks between the fused and parallel
-//! paths from the batch shape, operand format and thread policy (an explicitly
-//! sequential policy is always honored). See `ARCHITECTURE.md` at the repository
-//! root for the full dispatch diagram.
+//! A normalizer runs exactly one backend: the attached external one if there is one,
+//! otherwise the software backend named by
+//! [`BackendSelection`](crate::BackendSelection) in [`HaanConfig`](crate::HaanConfig).
+//! See `ARCHITECTURE.md` at the repository root for the dispatch diagram.
 //!
 //! # Contract
 //!
@@ -54,26 +50,19 @@
 //!
 //! The default implementation is the **scalar composition oracle** — a separate add
 //! followed by `normalize_batch` — and [`ScalarBackend`] deliberately keeps it.
-//! [`FusedBackend`] / [`ParallelBackend`] override it with a single-pass kernel whose
-//! float-operation order is unchanged, so the fused output is bit-identical to their
-//! own composed output (and within the usual ≤ 1e-5 relative tolerance of the scalar
-//! oracle). Normalization folded into the following matmul has no backend entry
-//! point: the transformer composes it as normalize-then-matmul (see
-//! `ARCHITECTURE.md`, "Fusion sites", for the measurement that retired it).
+//! [`FusedBackend`] overrides it with a single-pass kernel whose float-operation
+//! order is unchanged, so the fused output is bit-identical to its own composed
+//! output (and within the usual ≤ 1e-5 relative tolerance of the scalar oracle).
+//! Normalization folded into the following matmul has no backend entry point: the
+//! transformer composes it as normalize-then-matmul (see `ARCHITECTURE.md`, "Fusion
+//! sites", for the measurement that retired it).
 
-use crate::config::ParallelPolicy;
 use crate::quantization::QuantizationPolicy;
 use haan_numerics::fusion::add_rows_stats_chunked;
 use haan_numerics::invsqrt::fast_inv_sqrt;
 use haan_numerics::stats::{
     apply_norm_into, normalize_rows_into, RowNormMode, VectorStats, DEFAULT_EPS,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Registry name of the accelerator-simulator backend provided by `haan_accel`
-/// (see [`register_backend`]).
-pub const ACCEL_SIM_BACKEND: &str = "accel-sim";
 
 /// One fully-resolved batched normalization request.
 ///
@@ -285,28 +274,24 @@ fn prefix_stats(
     }
 }
 
-/// The shared software row sweep: every backend below is this loop with a different
-/// statistics kernel (and, for the parallel backend, a different thread layout).
-///
-/// `row_offset` is the index of `data`'s first row within the whole request, used to
-/// look up predicted ISDs when the rows are chunked across workers.
+/// The shared software row sweep: both software backends are this loop with a
+/// different statistics kernel.
 fn sweep_rows(
     request: &BatchRequest<'_>,
-    row_offset: usize,
-    data: &[f32],
     out: &mut [f32],
     mut isds_out: Option<&mut [f32]>,
     scratch: &mut Vec<f32>,
     stats_fn: fn(&[f32]) -> Option<VectorStats>,
 ) {
     let cols = request.cols;
-    for (r, (z, out_row)) in data
+    for (r, (z, out_row)) in request
+        .data
         .chunks_exact(cols)
         .zip(out.chunks_exact_mut(cols))
         .enumerate()
     {
         if let Some(predicted) = request.predicted_isd {
-            let isd = predicted[row_offset + r];
+            let isd = predicted[r];
             // The mean (LayerNorm only) is still estimated from the subsampled
             // prefix; this is cheap because only the prefix entries are read.
             let mean = match request.mode {
@@ -357,20 +342,16 @@ fn sweep_rows(
     }
 }
 
-/// The fused residual+norm row sweep shared by [`FusedBackend`] and
-/// [`ParallelBackend`] workers: statistics accumulate while the residual add streams
-/// through, with the same per-row policy branching as [`sweep_rows`].
+/// The fused residual+norm row sweep of [`FusedBackend`]: statistics accumulate
+/// while the residual add streams through, with the same per-row policy branching
+/// as [`sweep_rows`].
 ///
 /// Rows whose statistics need a quantized or subsampled prefix fall back to
 /// sum-then-stats for that row (the quantization round trip must see the summed
 /// values), which is exactly the composed order — so every branch stays bit-identical
 /// to add-then-`normalize_batch`.
-#[allow(clippy::too_many_arguments)]
 fn sweep_residual_rows(
     request: &ResidualNormRequest<'_>,
-    row_offset: usize,
-    data: &[f32],
-    residual: &[f32],
     sum_out: &mut [f32],
     out: &mut [f32],
     mut isds_out: Option<&mut [f32]>,
@@ -381,9 +362,10 @@ fn sweep_residual_rows(
     // One traversal is only exact when the statistics see the plain full-width sum.
     let single_pass =
         norm.predicted_isd.is_none() && norm.quantization.is_identity() && norm.prefix_len == cols;
-    for (r, (((z, res), sum_row), out_row)) in data
+    for (r, (((z, res), sum_row), out_row)) in norm
+        .data
         .chunks_exact(cols)
-        .zip(residual.chunks_exact(cols))
+        .zip(request.residual.chunks_exact(cols))
         .zip(sum_out.chunks_exact_mut(cols))
         .zip(out.chunks_exact_mut(cols))
         .enumerate()
@@ -411,7 +393,7 @@ fn sweep_residual_rows(
             *s = a + b;
         }
         if let Some(predicted) = norm.predicted_isd {
-            let isd = predicted[row_offset + r];
+            let isd = predicted[r];
             let mean = match norm.mode {
                 RowNormMode::LayerNorm => prefix_stats(norm, sum_row, scratch, |z| {
                     VectorStats::compute_chunked(z).ok()
@@ -471,7 +453,7 @@ impl NormBackend for ScalarBackend {
         isds_out: Option<&mut [f32]>,
         scratch: &mut Vec<f32>,
     ) {
-        sweep_rows(request, 0, request.data, out, isds_out, scratch, |z| {
+        sweep_rows(request, out, isds_out, scratch, |z| {
             VectorStats::try_compute(z).ok()
         });
     }
@@ -510,7 +492,7 @@ impl NormBackend for FusedBackend {
             .expect("batched buffers were validated by the caller");
             return;
         }
-        sweep_rows(request, 0, request.data, out, isds_out, scratch, |z| {
+        sweep_rows(request, out, isds_out, scratch, |z| {
             VectorStats::compute_chunked(z).ok()
         });
     }
@@ -523,184 +505,8 @@ impl NormBackend for FusedBackend {
         isds_out: Option<&mut [f32]>,
         scratch: &mut Vec<f32>,
     ) {
-        sweep_residual_rows(
-            request,
-            0,
-            request.norm.data,
-            request.residual,
-            sum_out,
-            out,
-            isds_out,
-            scratch,
-        );
+        sweep_residual_rows(request, sum_out, out, isds_out, scratch);
     }
-}
-
-/// The row-parallel path: the fused kernel over chunks of rows on scoped worker
-/// threads. Row kernels are independent, so the output is bit-identical to
-/// [`FusedBackend`] for any worker count — the policy only trades latency against
-/// thread overhead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelBackend {
-    policy: ParallelPolicy,
-}
-
-impl ParallelBackend {
-    /// A parallel backend honoring the given row-parallelism policy.
-    #[must_use]
-    pub fn new(policy: ParallelPolicy) -> Self {
-        Self { policy }
-    }
-
-    /// The row-parallelism policy.
-    #[must_use]
-    pub fn policy(&self) -> ParallelPolicy {
-        self.policy
-    }
-}
-
-impl NormBackend for ParallelBackend {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn normalize_batch(
-        &self,
-        request: &BatchRequest<'_>,
-        out: &mut [f32],
-        isds_out: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) {
-        let rows = request.rows();
-        let workers = self.policy.worker_count(rows, request.cols);
-        if workers <= 1 {
-            FusedBackend.normalize_batch(request, out, isds_out, scratch);
-            return;
-        }
-        let rows_per_worker = rows.div_ceil(workers);
-        let chunk = rows_per_worker * request.cols;
-        let mut isds_chunks = isds_out.map(|isds| isds.chunks_mut(rows_per_worker));
-        std::thread::scope(|scope| {
-            for (index, (data_chunk, out_chunk)) in request
-                .data
-                .chunks(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-            {
-                let isds_chunk = isds_chunks.as_mut().and_then(Iterator::next);
-                scope.spawn(move || {
-                    let mut scratch = Vec::new();
-                    sweep_rows(
-                        request,
-                        index * rows_per_worker,
-                        data_chunk,
-                        out_chunk,
-                        isds_chunk,
-                        &mut scratch,
-                        |z| VectorStats::compute_chunked(z).ok(),
-                    );
-                });
-            }
-        });
-    }
-
-    fn fuse_residual_norm(
-        &self,
-        request: &ResidualNormRequest<'_>,
-        sum_out: &mut [f32],
-        out: &mut [f32],
-        isds_out: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) {
-        let rows = request.norm.rows();
-        let workers = self.policy.worker_count(rows, request.norm.cols);
-        if rows == 0 || workers <= 1 {
-            FusedBackend.fuse_residual_norm(request, sum_out, out, isds_out, scratch);
-            return;
-        }
-        let rows_per_worker = rows.div_ceil(workers);
-        let chunk = rows_per_worker * request.norm.cols;
-        let mut isds_chunks = isds_out.map(|isds| isds.chunks_mut(rows_per_worker));
-        std::thread::scope(|scope| {
-            for (index, (((data_chunk, res_chunk), sum_chunk), out_chunk)) in request
-                .norm
-                .data
-                .chunks(chunk)
-                .zip(request.residual.chunks(chunk))
-                .zip(sum_out.chunks_mut(chunk))
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-            {
-                let isds_chunk = isds_chunks.as_mut().and_then(Iterator::next);
-                scope.spawn(move || {
-                    let mut scratch = Vec::new();
-                    sweep_residual_rows(
-                        request,
-                        index * rows_per_worker,
-                        data_chunk,
-                        res_chunk,
-                        sum_chunk,
-                        out_chunk,
-                        isds_chunk,
-                        &mut scratch,
-                    );
-                });
-            }
-        });
-    }
-}
-
-type BackendFactory = Box<dyn Fn(&crate::HaanConfig) -> Arc<dyn NormBackend> + Send + Sync>;
-
-fn registry() -> &'static Mutex<HashMap<&'static str, BackendFactory>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, BackendFactory>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Registers (or replaces) an external backend factory under a stable name.
-///
-/// This is the dependency-inversion seam for backends that live *above* this crate:
-/// `haan_accel::AccelSimBackend::install()` registers itself under
-/// [`ACCEL_SIM_BACKEND`] so that selecting
-/// [`BackendSelection::AccelSim`](crate::BackendSelection) in a
-/// [`HaanConfig`](crate::HaanConfig)
-/// reaches the accelerator simulator without a dependency cycle. Future explicit-SIMD
-/// or GPU backends plug in the same way.
-///
-/// The factory runs under the registry lock, so it must not call back into the
-/// registry.
-pub fn register_backend(
-    name: &'static str,
-    factory: impl Fn(&crate::HaanConfig) -> Arc<dyn NormBackend> + Send + Sync + 'static,
-) {
-    registry()
-        .lock()
-        .expect("backend registry poisoned")
-        .insert(name, Box::new(factory));
-}
-
-/// Instantiates a registered external backend for an algorithm configuration, or
-/// `None` when nothing is registered under `name`.
-#[must_use]
-pub fn resolve_backend(name: &str, config: &crate::HaanConfig) -> Option<Arc<dyn NormBackend>> {
-    registry()
-        .lock()
-        .expect("backend registry poisoned")
-        .get(name)
-        .map(|factory| factory(config))
-}
-
-/// Names of the currently registered external backends, sorted.
-#[must_use]
-pub fn registered_backends() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = registry()
-        .lock()
-        .expect("backend registry poisoned")
-        .keys()
-        .copied()
-        .collect();
-    names.sort_unstable();
-    names
 }
 
 #[cfg(test)]
@@ -734,30 +540,6 @@ mod tests {
             .map(|i| ((i as u64 * 2654435761) % 1000) as f32 / 250.0 - 2.0)
             .collect();
         Matrix::from_vec(rows, cols, data).expect("consistent shape")
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_fused_for_any_worker_count() {
-        let input = varied_matrix(9, 70);
-        let gamma = vec![1.1f32; 70];
-        let beta = vec![-0.2f32; 70];
-        let quantization = QuantizationPolicy::new(haan_numerics::Format::Fp16);
-        let mut req = request(input.as_slice(), 70, &gamma, &beta, &quantization);
-        req.prefix_len = 33;
-        req.newton_iterations = Some(1);
-
-        let mut fused_out = vec![0.0f32; 9 * 70];
-        let mut fused_isds = vec![0.0f32; 9];
-        FusedBackend.normalize_batch(&req, &mut fused_out, Some(&mut fused_isds), &mut Vec::new());
-        for workers in [2usize, 3, 5, 16] {
-            let backend = ParallelBackend::new(ParallelPolicy::Threads(workers));
-            assert_eq!(backend.policy(), ParallelPolicy::Threads(workers));
-            let mut out = vec![0.0f32; 9 * 70];
-            let mut isds = vec![0.0f32; 9];
-            backend.normalize_batch(&req, &mut out, Some(&mut isds), &mut Vec::new());
-            assert_eq!(out, fused_out, "{workers} workers diverged");
-            assert_eq!(isds, fused_isds, "{workers} workers: ISDs diverged");
-        }
     }
 
     #[test]
@@ -801,32 +583,6 @@ mod tests {
             // Row 0: mean 3, isd 1 → (2−3)·1, (4−3)·1. Row 1: mean 7, isd 0.5.
             assert_eq!(out, vec![-1.0, 1.0, -0.5, 0.5], "{}", backend.name());
         }
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        #[derive(Debug)]
-        struct Dummy;
-        impl NormBackend for Dummy {
-            fn name(&self) -> &'static str {
-                "dummy"
-            }
-            fn normalize_batch(
-                &self,
-                request: &BatchRequest<'_>,
-                out: &mut [f32],
-                _isds_out: Option<&mut [f32]>,
-                _scratch: &mut Vec<f32>,
-            ) {
-                out.copy_from_slice(request.data);
-            }
-        }
-        assert!(resolve_backend("test-dummy", &crate::HaanConfig::default()).is_none());
-        register_backend("test-dummy", |_| Arc::new(Dummy));
-        let resolved =
-            resolve_backend("test-dummy", &crate::HaanConfig::default()).expect("registered above");
-        assert_eq!(resolved.name(), "dummy");
-        assert!(registered_backends().contains(&"test-dummy"));
     }
 
     #[test]

@@ -3,171 +3,29 @@
 use crate::error::HaanError;
 use haan_numerics::Format;
 
-/// How the batched normalization engine distributes rows across threads.
-///
-/// Row kernels are independent, so the parallel path is bit-identical to the
-/// sequential one — the policy only trades latency against thread overhead. The
-/// default is [`ParallelPolicy::Sequential`]: small models lose more to thread
-/// startup than they gain, and determinism-sensitive callers get the simplest path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ParallelPolicy {
-    /// Process every row on the calling thread. This is a hard guarantee: no layer
-    /// of the engine (including [`BackendSelection::Auto`]) spawns worker threads
-    /// behind a `Sequential` policy.
-    #[default]
-    Sequential,
-    /// Split rows across up to `n` scoped worker threads (values of 0 or 1 fall back
-    /// to the sequential path).
-    Threads(usize),
-    /// Use the host's available parallelism when the batch is large enough to
-    /// amortise thread startup, otherwise stay sequential. The threshold here is
-    /// format-blind (a policy knows nothing about operand formats);
-    /// [`BackendSelection::Auto`] layers the format-aware variant
-    /// ([`BackendSelection::auto_parallel_elements`]) on top of this policy.
-    Auto,
-}
-
-/// Minimum batch rows before any auto heuristic fans out to worker threads.
-const AUTO_PARALLEL_MIN_ROWS: usize = 4;
-
-/// Elements-per-batch threshold for fanning out with untouched-FP32 statistics.
-/// Thread startup costs tens of microseconds; only fan out when each worker gets a
-/// meaningful slice of work. The format-aware variant is
-/// [`BackendSelection::auto_parallel_elements`].
-const AUTO_PARALLEL_ELEMENTS_FP32: usize = 64 * 1024;
-
-impl ParallelPolicy {
-    /// Number of worker threads to use for a `rows × cols` batch (1 = sequential).
-    #[must_use]
-    pub fn worker_count(&self, rows: usize, cols: usize) -> usize {
-        let limit = match self {
-            ParallelPolicy::Sequential => 1,
-            ParallelPolicy::Threads(n) => (*n).max(1),
-            ParallelPolicy::Auto => {
-                if rows >= AUTO_PARALLEL_MIN_ROWS
-                    && rows.saturating_mul(cols) >= AUTO_PARALLEL_ELEMENTS_FP32
-                {
-                    std::thread::available_parallelism().map_or(1, usize::from)
-                } else {
-                    1
-                }
-            }
-        };
-        limit.min(rows.max(1))
-    }
-}
-
-/// Which execution backend the batched normalization engine dispatches to.
+/// Which software backend the batched normalization engine runs.
 ///
 /// The policy side of HAAN (skipping, subsampling, quantization) is independent of
 /// *how* the row sweep executes; this enum picks the execution substrate (see
 /// [`crate::backend`] for the backend implementations and `ARCHITECTURE.md` for the
-/// dispatch diagram). The default is [`BackendSelection::Auto`], which chooses
-/// between the fused and row-parallel software paths from the batch shape, the
-/// operand format and the configured [`ParallelPolicy`] — it never auto-selects the
-/// scalar oracle (strictly slower) or the accelerator simulator (a functional/timing
-/// model, not a fast path), and it never parallelizes a
-/// [`ParallelPolicy::Sequential`] configuration.
+/// dispatch diagram). A backend attached with
+/// [`HaanNormalizer::with_external_backend`](crate::HaanNormalizer::with_external_backend)
+/// — such as `haan_accel`'s cycle-level accelerator simulator — takes precedence over
+/// this selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendSelection {
-    /// Shape/format heuristic over the fused and parallel backends (see
-    /// [`BackendSelection::resolve`]).
+    /// The two-pass scalar oracle (`ScalarBackend`).
+    Scalar,
+    /// The fused chunked kernel (`FusedBackend`), the software hot path.
     #[default]
-    Auto,
-    /// Always the two-pass scalar oracle (`ScalarBackend`).
-    Scalar,
-    /// Always the fused sequential kernel (`FusedBackend`).
     Fused,
-    /// Always the row-parallel path (`ParallelBackend`), honoring
-    /// [`HaanConfig::parallel`]; with [`ParallelPolicy::Sequential`] it degrades to
-    /// the fused sequential sweep.
-    Parallel,
-    /// The cycle-level accelerator simulator. Requires the external backend to be
-    /// registered first (`haan_accel::AccelSimBackend::install()`) or attached with
-    /// `HaanNormalizer::with_external_backend`.
-    AccelSim,
-}
-
-/// The backend a [`BackendSelection`] resolved to for one concrete batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The two-pass scalar oracle.
-    Scalar,
-    /// The fused sequential kernel.
-    Fused,
-    /// The row-parallel path.
-    Parallel,
-    /// The accelerator simulator.
-    AccelSim,
-}
-
-impl BackendSelection {
-    /// Elements-per-batch threshold above which [`BackendSelection::Auto`] fans out
-    /// to the row-parallel backend. Quantized statistics (FP16 / INT8 operands) cost
-    /// roughly twice as much per element as the untouched-FP32 path, so thread
-    /// startup amortises at half the batch size.
-    #[must_use]
-    pub fn auto_parallel_elements(format: Format) -> usize {
-        match format {
-            Format::Fp32 => AUTO_PARALLEL_ELEMENTS_FP32,
-            // Quantized statistics paths (FP16 / INT8 / fixed point) pay the operand
-            // round trip per element.
-            _ => AUTO_PARALLEL_ELEMENTS_FP32 / 2,
-        }
-    }
-
-    /// Resolves the selection for one concrete `rows × cols` batch.
-    ///
-    /// Explicit selections map to their backend unconditionally. `Auto` picks:
-    ///
-    /// 1. [`BackendKind::Parallel`] when the configured [`ParallelPolicy`] already
-    ///    asks for more than one worker on this shape;
-    /// 2. [`BackendKind::Parallel`] when the policy is [`ParallelPolicy::Auto`] and
-    ///    the batch clears the *format-aware* threshold
-    ///    ([`BackendSelection::auto_parallel_elements`], with at least 4 rows) even
-    ///    though the policy's own format-blind threshold did not fan out — results
-    ///    are bit-identical, so this only changes latency;
-    /// 3. [`BackendKind::Fused`] otherwise. In particular
-    ///    [`ParallelPolicy::Sequential`] is always honored: `Auto` never spawns
-    ///    threads behind an explicitly sequential configuration.
-    ///
-    /// This is a pure function of the inputs so the heuristic is unit-testable.
-    #[must_use]
-    pub fn resolve(
-        self,
-        rows: usize,
-        cols: usize,
-        format: Format,
-        parallel: ParallelPolicy,
-    ) -> BackendKind {
-        match self {
-            BackendSelection::Scalar => BackendKind::Scalar,
-            BackendSelection::Fused => BackendKind::Fused,
-            BackendSelection::Parallel => BackendKind::Parallel,
-            BackendSelection::AccelSim => BackendKind::AccelSim,
-            BackendSelection::Auto => {
-                if parallel.worker_count(rows, cols) > 1
-                    || (parallel == ParallelPolicy::Auto
-                        && rows >= AUTO_PARALLEL_MIN_ROWS
-                        && rows.saturating_mul(cols) >= Self::auto_parallel_elements(format))
-                {
-                    BackendKind::Parallel
-                } else {
-                    BackendKind::Fused
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for BackendSelection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            BackendSelection::Auto => "auto",
             BackendSelection::Scalar => "scalar",
             BackendSelection::Fused => "fused",
-            BackendSelection::Parallel => "parallel",
-            BackendSelection::AccelSim => "accel-sim",
         };
         f.write_str(name)
     }
@@ -205,8 +63,6 @@ pub struct HaanConfig {
     /// Number of Newton iterations in the fast inverse square root; `None` uses the
     /// exact square root (no bit-trick approximation).
     pub invsqrt_newton_iterations: Option<u32>,
-    /// Row-parallelism policy of the batched normalization engine.
-    pub parallel: ParallelPolicy,
     /// Execution-backend selection of the batched normalization engine.
     pub backend: BackendSelection,
     /// Whether the block's residual+norm fusion site dispatches to the backend's
@@ -233,8 +89,7 @@ impl HaanConfig {
             skip_range: None,
             format: Format::Fp32,
             invsqrt_newton_iterations: None,
-            parallel: ParallelPolicy::Sequential,
-            backend: BackendSelection::Auto,
+            backend: BackendSelection::Fused,
             fusion_enabled: true,
         }
     }
@@ -248,8 +103,7 @@ impl HaanConfig {
             skip_range: Some((50, 60)),
             format: Format::Int8,
             invsqrt_newton_iterations: Some(1),
-            parallel: ParallelPolicy::Sequential,
-            backend: BackendSelection::Auto,
+            backend: BackendSelection::Fused,
             fusion_enabled: true,
         }
     }
@@ -263,8 +117,7 @@ impl HaanConfig {
             skip_range: Some((55, 62)),
             format: Format::Fp16,
             invsqrt_newton_iterations: Some(1),
-            parallel: ParallelPolicy::Sequential,
-            backend: BackendSelection::Auto,
+            backend: BackendSelection::Fused,
             fusion_enabled: true,
         }
     }
@@ -278,8 +131,7 @@ impl HaanConfig {
             skip_range: Some((85, 92)),
             format: Format::Fp16,
             invsqrt_newton_iterations: Some(1),
-            parallel: ParallelPolicy::Sequential,
-            backend: BackendSelection::Auto,
+            backend: BackendSelection::Fused,
             fusion_enabled: true,
         }
     }
@@ -328,8 +180,7 @@ impl Default for HaanConfig {
             skip_range: None,
             format: Format::Fp16,
             invsqrt_newton_iterations: Some(1),
-            parallel: ParallelPolicy::Sequential,
-            backend: BackendSelection::Auto,
+            backend: BackendSelection::Fused,
             fusion_enabled: true,
         }
     }
@@ -375,13 +226,6 @@ impl HaanConfigBuilder {
     #[must_use]
     pub fn invsqrt_iterations(mut self, iterations: Option<u32>) -> Self {
         self.config.invsqrt_newton_iterations = iterations;
-        self
-    }
-
-    /// Sets the row-parallelism policy of the batched normalization engine.
-    #[must_use]
-    pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
-        self.config.parallel = policy;
         self
     }
 
@@ -476,97 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_policy_worker_counts() {
-        assert_eq!(ParallelPolicy::Sequential.worker_count(100, 4096), 1);
-        assert_eq!(ParallelPolicy::Threads(4).worker_count(100, 4096), 4);
-        // Degenerate thread counts fall back to sequential; requests are clamped to
-        // the number of rows.
-        assert_eq!(ParallelPolicy::Threads(0).worker_count(100, 4096), 1);
-        assert_eq!(ParallelPolicy::Threads(8).worker_count(2, 16), 2);
-        // Auto stays sequential for small batches.
-        assert_eq!(ParallelPolicy::Auto.worker_count(2, 8), 1);
-        assert!(ParallelPolicy::Auto.worker_count(64, 4096) >= 1);
-        assert_eq!(ParallelPolicy::default(), ParallelPolicy::Sequential);
-
-        let config = HaanConfig::builder()
-            .parallel(ParallelPolicy::Threads(2))
-            .build();
-        assert_eq!(config.parallel, ParallelPolicy::Threads(2));
-        assert_eq!(HaanConfig::default().parallel, ParallelPolicy::Sequential);
-    }
-
-    #[test]
-    fn auto_selection_picks_the_expected_backend_per_shape() {
-        let auto = BackendSelection::Auto;
-        // Small batches stay on the fused sequential kernel.
-        assert_eq!(
-            auto.resolve(4, 64, Format::Fp32, ParallelPolicy::Auto),
-            BackendKind::Fused
-        );
-        // A decode step (one row) never fans out, no matter how wide.
-        assert_eq!(
-            auto.resolve(1, 1 << 20, Format::Fp32, ParallelPolicy::Auto),
-            BackendKind::Fused
-        );
-        // A Sequential policy is a hard guarantee: Auto never parallelizes it,
-        // no matter the batch size.
-        assert_eq!(
-            auto.resolve(64, 4096, Format::Fp32, ParallelPolicy::Sequential),
-            BackendKind::Fused
-        );
-        // With an Auto policy, big batches cross the elements threshold and fan out.
-        assert_eq!(
-            auto.resolve(64, 4096, Format::Fp32, ParallelPolicy::Auto),
-            BackendKind::Parallel
-        );
-        // Quantized statistics amortise threads at half the batch size: 16×2048
-        // elements sit between the FP16 (32 Ki) and FP32 (64 Ki) thresholds, so the
-        // format-aware escalation fans out where the format-blind policy would not.
-        assert_eq!(
-            auto.resolve(16, 2048, Format::Fp16, ParallelPolicy::Auto),
-            BackendKind::Parallel
-        );
-        assert_eq!(
-            auto.resolve(16, 2048, Format::Fp32, ParallelPolicy::Auto),
-            BackendKind::Fused
-        );
-        // An explicit thread request wins regardless of shape.
-        assert_eq!(
-            auto.resolve(2, 8, Format::Fp32, ParallelPolicy::Threads(2)),
-            BackendKind::Parallel
-        );
-        // Explicit selections are unconditional.
-        assert_eq!(
-            BackendSelection::Scalar.resolve(64, 4096, Format::Fp32, ParallelPolicy::Auto),
-            BackendKind::Scalar
-        );
-        assert_eq!(
-            BackendSelection::Fused.resolve(64, 4096, Format::Fp32, ParallelPolicy::Auto),
-            BackendKind::Fused
-        );
-        assert_eq!(
-            BackendSelection::Parallel.resolve(1, 1, Format::Fp32, ParallelPolicy::Sequential),
-            BackendKind::Parallel
-        );
-        assert_eq!(
-            BackendSelection::AccelSim.resolve(1, 1, Format::Fp32, ParallelPolicy::Sequential),
-            BackendKind::AccelSim
-        );
-    }
-
-    #[test]
     fn backend_selection_display_and_builder() {
-        assert_eq!(BackendSelection::default(), BackendSelection::Auto);
-        assert_eq!(BackendSelection::Auto.to_string(), "auto");
+        assert_eq!(BackendSelection::default(), BackendSelection::Fused);
         assert_eq!(BackendSelection::Scalar.to_string(), "scalar");
         assert_eq!(BackendSelection::Fused.to_string(), "fused");
-        assert_eq!(BackendSelection::Parallel.to_string(), "parallel");
-        assert_eq!(BackendSelection::AccelSim.to_string(), "accel-sim");
         let config = HaanConfig::builder()
-            .backend(BackendSelection::Fused)
+            .backend(BackendSelection::Scalar)
             .build();
-        assert_eq!(config.backend, BackendSelection::Fused);
-        assert_eq!(HaanConfig::default().backend, BackendSelection::Auto);
+        assert_eq!(config.backend, BackendSelection::Scalar);
+        assert_eq!(HaanConfig::default().backend, BackendSelection::Fused);
     }
 
     #[test]
@@ -575,16 +337,14 @@ mod tests {
         // engine-facing config must support `..Default::default()` construction.
         let config = HaanConfig {
             n_sub: Some(128),
-            backend: BackendSelection::Fused,
+            backend: BackendSelection::Scalar,
             ..Default::default()
         };
         assert_eq!(config.n_sub, Some(128));
-        assert_eq!(config.backend, BackendSelection::Fused);
-        assert_eq!(config.parallel, ParallelPolicy::default());
+        assert_eq!(config.backend, BackendSelection::Scalar);
         assert_eq!(config.format, HaanConfig::default().format);
-        // The enums themselves carry defaults usable in that position.
-        assert_eq!(ParallelPolicy::default(), ParallelPolicy::Sequential);
-        assert_eq!(BackendSelection::default(), BackendSelection::Auto);
+        // The enum itself carries a default usable in that position.
+        assert_eq!(BackendSelection::default(), BackendSelection::Fused);
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //!   per-site decisions hoisted out of the row loop, a reused scratch buffer, fused
 //!   chunked kernels, and per-row skip anchors.
 //! * [`backend`] — the execution backends of the batched engine and the
-//!   [`NormBackend`] trait they implement: the two-pass scalar
-//!   oracle, the fused chunked kernel, the row-parallel path (gated by
-//!   [`ParallelPolicy`]), and — through the external registry — `haan_accel`'s
-//!   cycle-level accelerator simulator. [`BackendSelection`] in [`HaanConfig`] picks
-//!   the backend per site (or lets the `Auto` heuristic decide per batch shape).
+//!   [`NormBackend`] trait they implement: the two-pass scalar oracle and the fused
+//!   chunked kernel, picked by [`BackendSelection`] in [`HaanConfig`] (fused by
+//!   default). A backend attached with [`HaanNormalizer::with_external_backend`] —
+//!   such as `haan_accel`'s cycle-level accelerator simulator — runs instead.
 //! * [`calibration`] — the offline calibration pipeline (run a calibration set, gather
 //!   ISD profiles, run Algorithm 1).
 //! * [`evaluate`] — accuracy-evaluation helpers used to regenerate Tables I and II.
@@ -76,7 +75,7 @@ pub mod subsample;
 
 pub use backend::NormBackend;
 pub use calibration::{CalibrationOutcome, Calibrator};
-pub use config::{BackendKind, BackendSelection, HaanConfig, HaanConfigBuilder, ParallelPolicy};
+pub use config::{BackendSelection, HaanConfig, HaanConfigBuilder};
 pub use error::HaanError;
 pub use normalizer::{AnchorState, HaanNormalizer, NormalizerTelemetry};
 pub use predictor::{cal_decay, IsdPredictor};

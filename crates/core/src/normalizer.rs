@@ -17,26 +17,26 @@
 //! reference oracle. [`Normalizer::normalize_matrix_into`] is the batched engine: one
 //! call per normalization site processes every row of the sequence with the per-site
 //! decisions (skip lookup, subsample length, quantization policy) hoisted out of the
-//! row loop into a [`crate::backend::BatchRequest`], then dispatched to the execution
-//! backend selected by [`crate::config::BackendSelection`] — the two-pass scalar
-//! oracle, the fused chunked kernel, the `std::thread::scope` row-parallel path
-//! (honoring [`crate::config::ParallelPolicy`]), or the cycle-level accelerator
-//! simulator registered by `haan_accel`. The batched path also tracks the skip-anchor
+//! row loop into a [`crate::backend::BatchRequest`], then dispatched to exactly one
+//! execution backend: the one attached with [`HaanNormalizer::with_external_backend`]
+//! (such as `haan_accel`'s cycle-level accelerator simulator) if there is one,
+//! otherwise the software backend selected by [`crate::config::BackendSelection`] —
+//! the fused chunked kernel (the default) or the two-pass scalar oracle. The batched
+//! path also tracks the skip-anchor
 //! ISD *per row* (per token), where the scalar path can only remember the last row it
 //! saw — so batched skipping predicts each token from its own anchor observation,
 //! which is both closer to the paper and measurably more accurate on multi-token
 //! sequences.
 //!
-//! Backend selection applies to the **batched path only**: the per-token scalar path
-//! always runs the in-process software reference regardless of
-//! [`crate::config::BackendSelection`] (it is the oracle the backends are tested
-//! against), which is why [`Normalizer::description`] labels the selection as the
-//! *batched* backend.
+//! The backend applies to the **batched path only**: the per-token scalar path
+//! always runs the in-process software reference regardless of the backend (it is
+//! the oracle the backends are tested against), which is why
+//! [`Normalizer::description`] labels it as the *batched* backend.
 
 use crate::backend::{
-    self, BatchRequest, FusedBackend, NormBackend, ParallelBackend, ScalarBackend,
+    self, BatchRequest, FusedBackend, NormBackend, ResidualNormRequest, ScalarBackend,
 };
-use crate::config::{BackendKind, BackendSelection, HaanConfig, ParallelPolicy};
+use crate::config::{BackendSelection, HaanConfig};
 use crate::quantization::QuantizationPolicy;
 use crate::skipping::SkipPlan;
 use crate::subsample::SubsampleEstimator;
@@ -165,8 +165,8 @@ pub struct HaanNormalizer {
     /// calls so the skipped hot path stays allocation-free.
     predicted_scratch: Vec<f32>,
     /// Externally-provided execution backend (the accelerator simulator, or anything
-    /// attached with [`HaanNormalizer::with_external_backend`]); lazily resolved from
-    /// the [`crate::backend`] registry when [`BackendSelection::AccelSim`] is active.
+    /// attached with [`HaanNormalizer::with_external_backend`]); when set, it runs
+    /// every batched site instead of the configured software backend.
     external: Option<Arc<dyn NormBackend>>,
     telemetry: NormalizerTelemetry,
     /// Optional observability sink: per-site skip/exact counters and skip-rate
@@ -242,10 +242,9 @@ impl HaanNormalizer {
         );
     }
 
-    /// Attaches an externally-constructed execution backend, used when the
-    /// configuration selects [`BackendSelection::AccelSim`]. Without an attached
-    /// backend that selection falls back to the [`crate::backend`] registry (where
-    /// `haan_accel::AccelSimBackend::install()` registers itself).
+    /// Attaches an externally-constructed execution backend (for example
+    /// `haan_accel::AccelSimBackend`). It takes precedence over
+    /// [`HaanConfig::backend`]: every batched site runs on it.
     #[must_use]
     pub fn with_external_backend(mut self, backend: Arc<dyn NormBackend>) -> Self {
         self.external = Some(backend);
@@ -331,48 +330,19 @@ impl HaanNormalizer {
         )
     }
 
-    /// The [`ParallelPolicy`] the row-parallel backend should honor: the configured
-    /// policy, except that when [`BackendSelection::Auto`] escalates an `Auto`-policy
-    /// configuration past the format-aware threshold (where the policy's own
-    /// format-blind threshold would have stayed at one worker), the host's available
-    /// parallelism is pinned explicitly.
-    fn effective_parallel_policy(&self) -> ParallelPolicy {
-        match (self.config.backend, self.config.parallel) {
-            (BackendSelection::Auto, ParallelPolicy::Auto) => {
-                ParallelPolicy::Threads(std::thread::available_parallelism().map_or(1, usize::from))
-            }
-            (_, policy) => policy,
+    /// The one backend every batched site dispatches to: the attached external
+    /// backend if there is one, otherwise the configured software backend.
+    fn backend(&self) -> &dyn NormBackend {
+        match (&self.external, self.config.backend) {
+            (Some(external), _) => external.as_ref(),
+            (None, BackendSelection::Scalar) => &ScalarBackend,
+            (None, BackendSelection::Fused) => &FusedBackend,
         }
-    }
-
-    /// Resolves the external backend used by [`BackendSelection::AccelSim`]: the one
-    /// attached with [`HaanNormalizer::with_external_backend`], or the registry entry
-    /// under [`backend::ACCEL_SIM_BACKEND`] (cached after the first lookup).
-    ///
-    /// # Panics
-    ///
-    /// Panics when neither is available — selecting the accelerator backend without
-    /// `haan_accel::AccelSimBackend::install()` is a configuration error.
-    fn external_backend(&mut self) -> Arc<dyn NormBackend> {
-        if let Some(attached) = &self.external {
-            return Arc::clone(attached);
-        }
-        let resolved = backend::resolve_backend(backend::ACCEL_SIM_BACKEND, &self.config)
-            .unwrap_or_else(|| {
-                panic!(
-                    "BackendSelection::AccelSim selected but no '{}' backend is registered; \
-                     call haan_accel::AccelSimBackend::install() or attach one with \
-                     HaanNormalizer::with_external_backend",
-                    backend::ACCEL_SIM_BACKEND
-                )
-            });
-        self.external = Some(Arc::clone(&resolved));
-        resolved
     }
 
     /// Hoists the per-site decisions shared by every batched entry point (the plain
-    /// matrix path and both fusion shapes) out of the row loop.
-    fn site_decisions(&self, layer_index: usize, rows: usize, cols: usize) -> SiteDecisions {
+    /// matrix path and the residual+norm fusion shape) out of the row loop.
+    fn site_decisions(&self, layer_index: usize, cols: usize) -> SiteDecisions {
         let calibration_fallback = self
             .plan
             .as_ref()
@@ -383,10 +353,6 @@ impl HaanNormalizer {
             prefix_len: self.config.n_sub.unwrap_or(cols).max(1).min(cols),
             calibration_fallback,
             fallback_anchor_log: self.anchors.anchor_log_isd.unwrap_or(calibration_fallback),
-            kind: self
-                .config
-                .backend
-                .resolve(rows, cols, self.config.format, self.config.parallel),
         }
     }
 
@@ -414,6 +380,75 @@ impl HaanNormalizer {
                     predicted_log.exp() as f32
                 }),
         );
+    }
+
+    /// Runs one batched site on the [picked backend](Self::backend). Shared by both
+    /// batched entry points, which differ only in the backend method `dispatch`
+    /// calls: it hoists the per-site decisions, fills the predicted ISDs of a
+    /// skipped site, builds the [`BatchRequest`] over `input`, hands it to
+    /// `dispatch` with the anchor-ISD output and the scratch buffer, then accounts
+    /// the site. Returns `false`, having done nothing, for an empty input.
+    fn run_batched_site(
+        &mut self,
+        site: NormSite,
+        input: &Matrix,
+        gamma: &[f32],
+        beta: &[f32],
+        dispatch: impl FnOnce(&dyn NormBackend, &BatchRequest<'_>, Option<&mut [f32]>, &mut Vec<f32>),
+    ) -> bool {
+        let (rows, cols) = input.shape();
+        if rows == 0 || cols == 0 {
+            return false;
+        }
+        assert_eq!(gamma.len(), cols, "batched site gamma length mismatch");
+        assert_eq!(beta.len(), cols, "batched site beta length mismatch");
+        let decisions = self.site_decisions(site.layer_index, cols);
+
+        // Skipped sites: the predictor is policy, not execution, so it runs here and
+        // backends see plain per-row ISDs (consumed from the per-row anchors when the
+        // anchor site has been seen with this row count, the scalar fallback anchor
+        // otherwise). The member buffers keep the hot path allocation-free.
+        let mut predicted = std::mem::take(&mut self.predicted_scratch);
+        predicted.clear();
+        if decisions.skipped {
+            self.fill_predicted(
+                &mut predicted,
+                rows,
+                site.layer_index,
+                decisions.calibration_fallback,
+            );
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        // Per-row ISDs come back from the backend only at the anchor site.
+        let mut isds = if decisions.is_anchor {
+            vec![decisions.fallback_anchor_log.exp() as f32; rows]
+        } else {
+            Vec::new()
+        };
+
+        let request = BatchRequest {
+            data: input.as_slice(),
+            cols,
+            gamma,
+            beta,
+            mode: site.kind.row_mode(),
+            eps: DEFAULT_EPS,
+            prefix_len: decisions.prefix_len,
+            quantization: &self.quantization,
+            newton_iterations: self.config.invsqrt_newton_iterations,
+            predicted_isd: decisions.skipped.then_some(predicted.as_slice()),
+        };
+        dispatch(
+            self.backend(),
+            &request,
+            decisions.is_anchor.then_some(isds.as_mut_slice()),
+            &mut scratch,
+        );
+        self.scratch = scratch;
+        self.predicted_scratch = predicted;
+
+        self.finish_batched_site(site, &decisions, rows, cols, &isds);
+        true
     }
 
     /// Post-dispatch bookkeeping shared by every batched entry point: telemetry
@@ -465,7 +500,6 @@ struct SiteDecisions {
     prefix_len: usize,
     calibration_fallback: f64,
     fallback_anchor_log: f64,
-    kind: BackendKind,
 }
 
 impl Normalizer for HaanNormalizer {
@@ -554,84 +588,15 @@ impl Normalizer for HaanNormalizer {
             out.shape(),
             "normalize_matrix_into shape mismatch"
         );
-        let (rows, cols) = input.shape();
-        if rows == 0 || cols == 0 {
-            return;
-        }
-        assert_eq!(
-            gamma.len(),
-            cols,
-            "normalize_matrix_into gamma length mismatch"
-        );
-        assert_eq!(
-            beta.len(),
-            cols,
-            "normalize_matrix_into beta length mismatch"
-        );
-
-        // Per-site decisions, hoisted out of the row loop. The external accelerator
-        // backend needs `&mut self` for its lazy registry cache, so it cannot
-        // overlap the request's borrows below.
-        let decisions = self.site_decisions(site.layer_index, rows, cols);
-        let external = (decisions.kind == BackendKind::AccelSim).then(|| self.external_backend());
-        let mut scratch = std::mem::take(&mut self.scratch);
-
-        // Skipped sites: the predictor is policy, not execution, so it runs here and
-        // backends see plain per-row ISDs (consumed from the per-row anchors when the
-        // anchor site has been seen with this row count, the scalar fallback anchor
-        // otherwise). The member buffer keeps the skipped hot path allocation-free.
-        let mut predicted = std::mem::take(&mut self.predicted_scratch);
-        predicted.clear();
-        if decisions.skipped {
-            self.fill_predicted(
-                &mut predicted,
-                rows,
-                site.layer_index,
-                decisions.calibration_fallback,
-            );
-        }
-
-        let request = BatchRequest {
-            data: input.as_slice(),
-            cols,
+        self.run_batched_site(
+            site,
+            input,
             gamma,
             beta,
-            mode: site.kind.row_mode(),
-            eps: DEFAULT_EPS,
-            prefix_len: decisions.prefix_len,
-            quantization: &self.quantization,
-            newton_iterations: self.config.invsqrt_newton_iterations,
-            predicted_isd: decisions.skipped.then_some(predicted.as_slice()),
-        };
-
-        // Per-row ISDs come back from the backend only at the anchor site.
-        let mut isds = if decisions.is_anchor {
-            vec![decisions.fallback_anchor_log.exp() as f32; rows]
-        } else {
-            Vec::new()
-        };
-        let parallel_backend;
-        let backend: &dyn NormBackend = match decisions.kind {
-            BackendKind::Scalar => &ScalarBackend,
-            BackendKind::Fused => &FusedBackend,
-            BackendKind::Parallel => {
-                // Constructed only when selected: the effective policy may query the
-                // host's available parallelism, which is a syscall.
-                parallel_backend = ParallelBackend::new(self.effective_parallel_policy());
-                &parallel_backend
-            }
-            BackendKind::AccelSim => external.as_deref().expect("resolved above"),
-        };
-        backend.normalize_batch(
-            &request,
-            out.as_mut_slice(),
-            decisions.is_anchor.then_some(isds.as_mut_slice()),
-            &mut scratch,
+            |backend, request, isds, scratch| {
+                backend.normalize_batch(request, out.as_mut_slice(), isds, scratch);
+            },
         );
-        self.scratch = scratch;
-        self.predicted_scratch = predicted;
-
-        self.finish_batched_site(site, &decisions, rows, cols, &isds);
     }
 
     fn normalize_residual_into(
@@ -644,39 +609,16 @@ impl Normalizer for HaanNormalizer {
         sum_out: &mut Matrix,
         out: &mut Matrix,
     ) {
-        assert_eq!(
-            input.shape(),
-            residual.shape(),
-            "normalize_residual_into shape mismatch"
-        );
-        assert_eq!(
-            input.shape(),
-            sum_out.shape(),
-            "normalize_residual_into shape mismatch"
-        );
-        assert_eq!(
-            input.shape(),
-            out.shape(),
-            "normalize_residual_into shape mismatch"
-        );
-        let (rows, cols) = input.shape();
-        if rows == 0 || cols == 0 {
-            return;
+        for other in [residual.shape(), sum_out.shape(), out.shape()] {
+            assert_eq!(
+                input.shape(),
+                other,
+                "normalize_residual_into shape mismatch"
+            );
         }
-        assert_eq!(
-            gamma.len(),
-            cols,
-            "normalize_residual_into gamma length mismatch"
-        );
-        assert_eq!(
-            beta.len(),
-            cols,
-            "normalize_residual_into beta length mismatch"
-        );
         if !self.config.fusion_enabled {
             // Composed fallback: the exact pre-fusion operation order — an
-            // elementwise add, then the plain batched path (which accounts
-            // telemetry and anchors itself).
+            // elementwise add, then the plain batched path.
             for ((s, &a), &b) in sum_out
                 .as_mut_slice()
                 .iter_mut()
@@ -689,66 +631,25 @@ impl Normalizer for HaanNormalizer {
             return;
         }
 
-        let decisions = self.site_decisions(site.layer_index, rows, cols);
-        let external = (decisions.kind == BackendKind::AccelSim).then(|| self.external_backend());
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut predicted = std::mem::take(&mut self.predicted_scratch);
-        predicted.clear();
-        if decisions.skipped {
-            self.fill_predicted(
-                &mut predicted,
-                rows,
-                site.layer_index,
-                decisions.calibration_fallback,
-            );
-        }
-
-        let request = backend::ResidualNormRequest::new(
-            BatchRequest {
-                data: input.as_slice(),
-                cols,
-                gamma,
-                beta,
-                mode: site.kind.row_mode(),
-                eps: DEFAULT_EPS,
-                prefix_len: decisions.prefix_len,
-                quantization: &self.quantization,
-                newton_iterations: self.config.invsqrt_newton_iterations,
-                predicted_isd: decisions.skipped.then_some(predicted.as_slice()),
+        let ran = self.run_batched_site(
+            site,
+            input,
+            gamma,
+            beta,
+            |backend, request, isds, scratch| {
+                backend.fuse_residual_norm(
+                    &ResidualNormRequest::new(*request, residual.as_slice()),
+                    sum_out.as_mut_slice(),
+                    out.as_mut_slice(),
+                    isds,
+                    scratch,
+                );
             },
-            residual.as_slice(),
         );
-
-        let mut isds = if decisions.is_anchor {
-            vec![decisions.fallback_anchor_log.exp() as f32; rows]
-        } else {
-            Vec::new()
-        };
-        let parallel_backend;
-        let backend: &dyn NormBackend = match decisions.kind {
-            BackendKind::Scalar => &ScalarBackend,
-            BackendKind::Fused => &FusedBackend,
-            BackendKind::Parallel => {
-                parallel_backend = ParallelBackend::new(self.effective_parallel_policy());
-                &parallel_backend
-            }
-            BackendKind::AccelSim => external.as_deref().expect("resolved above"),
-        };
-        backend.fuse_residual_norm(
-            &request,
-            sum_out.as_mut_slice(),
-            out.as_mut_slice(),
-            decisions.is_anchor.then_some(isds.as_mut_slice()),
-            &mut scratch,
-        );
-        self.scratch = scratch;
-        self.predicted_scratch = predicted;
-
-        self.finish_batched_site(site, &decisions, rows, cols, &isds);
-        if let Some(obs) = &self.obs {
+        if let (true, Some(obs)) = (ran, &self.obs) {
             obs.counter_add(
                 &format!("haan.path.fused_residual.site_{}", site.layer_index),
-                rows as u64,
+                input.rows() as u64,
             );
         }
     }
@@ -768,7 +669,11 @@ impl Normalizer for HaanNormalizer {
         };
         format!(
             "HAAN normalizer [{}; {}; {}; {}; {} batched backend]",
-            self.config.label, skip, sub, self.config.format, self.config.backend
+            self.config.label,
+            skip,
+            sub,
+            self.config.format,
+            self.backend().name()
         )
     }
 }
@@ -776,7 +681,7 @@ impl Normalizer for HaanNormalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HaanConfig, ParallelPolicy};
+    use crate::config::HaanConfig;
     use haan_llm::norm::ReferenceNormalizer;
     use haan_llm::{ModelConfig, TransformerModel};
     use haan_numerics::Format;
@@ -1093,44 +998,6 @@ mod tests {
             }
             // Telemetry accounting is identical: one call per row.
             assert_eq!(batched.telemetry(), scalar.telemetry());
-        }
-    }
-
-    #[test]
-    fn parallel_rows_are_bit_identical_to_sequential() {
-        for policy in [ParallelPolicy::Threads(3), ParallelPolicy::Auto] {
-            let sequential_config = HaanConfig::builder().subsample(32).build();
-            let parallel_config = HaanConfig::builder().subsample(32).parallel(policy).build();
-            let plan = SkipPlan {
-                start: 0,
-                end: 2,
-                decay: -0.08,
-                correlation: -1.0,
-                calibration_anchor_log_isd: -0.5,
-            };
-            let mut sequential = HaanNormalizer::new(sequential_config).with_plan(plan);
-            let mut parallel = HaanNormalizer::new(parallel_config).with_plan(plan);
-            let input = gaussian_matrix(13, 64, 77, 1.3);
-            let gamma = vec![0.9f32; 64];
-            let beta = vec![-0.05f32; 64];
-            sequential.begin_sequence();
-            parallel.begin_sequence();
-            for layer in 0..3 {
-                let a = sequential.normalize_matrix(
-                    site(layer, NormKind::LayerNorm),
-                    &input,
-                    &gamma,
-                    &beta,
-                );
-                let b = parallel.normalize_matrix(
-                    site(layer, NormKind::LayerNorm),
-                    &input,
-                    &gamma,
-                    &beta,
-                );
-                assert_eq!(a, b, "{policy:?}: layer {layer} diverged");
-            }
-            assert_eq!(sequential.telemetry(), parallel.telemetry());
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property tests of the fusion-site entry points: random shapes, site kinds,
-//! skip plans, formats and backends through [`HaanNormalizer`]'s fused
-//! residual+norm and (composed) norm+matmul entry points, checked against the
+//! skip plans and formats through [`HaanNormalizer`]'s fused residual+norm and
+//! (composed) norm+matmul entry points on the fused backend, checked against the
 //! scalar composition oracle.
 //!
 //! Tolerances mirror `tests/backend_dispatch.rs` at the repository root:
@@ -9,11 +9,9 @@
 //!   including the returned [`AnchorState`] at anchor sites;
 //! * fused software backends vs the **scalar oracle**: ≤ 1e-5 relative on
 //!   normalized rows, ≤ 1e-4 after a matmul consumer (the reduction accumulates
-//!   the per-element statistics difference);
-//! * the parallel backend vs the fused backend: bit-identical for any worker
-//!   count (row kernels are independent).
+//!   the per-element statistics difference).
 
-use haan::{BackendSelection, HaanConfig, HaanNormalizer, ParallelPolicy, SkipPlan};
+use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_llm::norm::{NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
 use haan_numerics::Format;
@@ -58,9 +56,6 @@ fn build(case: &Case, fusion: bool) -> HaanNormalizer {
         .format(case.format)
         .backend(case.backend)
         .fusion(fusion);
-    if case.backend == BackendSelection::Parallel {
-        builder = builder.parallel(ParallelPolicy::Threads(3));
-    }
     if let Some(n_sub) = case.subsample {
         builder = builder.subsample(n_sub);
     }
@@ -124,17 +119,13 @@ proptest! {
         rows in 1usize..7,
         cols in 1usize..140,
         seed in 1u64..u64::MAX,
-        picks in (0usize..2, 0usize..2, 0usize..3, 0usize..4),
+        picks in (0usize..2, 0usize..3, 0usize..4),
         consumer_cols in proptest::collection::vec(1usize..40, 1..4),
     ) {
-        let (kind_pick, backend_pick, format_pick, site_pick) = picks;
+        let (kind_pick, format_pick, site_pick) = picks;
         let case = Case {
             kind: if kind_pick == 0 { NormKind::LayerNorm } else { NormKind::RmsNorm },
-            backend: if backend_pick == 0 {
-                BackendSelection::Fused
-            } else {
-                BackendSelection::Parallel
-            },
+            backend: BackendSelection::Fused,
             format: [Format::Fp32, Format::Fp16, Format::Int8][format_pick],
             // Skip plans and subsampling are drawn from the same pick: each
             // combination of {plain, skipped, subsampled, both} occurs.
@@ -180,55 +171,5 @@ proptest! {
         for (fused_c, oracle_c) in fused_out.2.iter().zip(&oracle_out.2) {
             assert_close(fused_c, oracle_c, 1e-4, "norm+matmul vs scalar oracle");
         }
-    }
-
-    #[test]
-    fn prop_parallel_is_bit_identical_to_fused_for_any_worker_count(
-        rows in 1usize..9,
-        cols in 1usize..140,
-        seed in 1u64..u64::MAX,
-        threads in 2usize..6,
-        kind_pick in 0usize..2,
-    ) {
-        let kind = if kind_pick == 0 { NormKind::LayerNorm } else { NormKind::RmsNorm };
-        let case = |backend| Case {
-            kind,
-            backend,
-            format: Format::Fp32,
-            plan: None,
-            subsample: None,
-        };
-        let input = seeded_matrix(rows, cols, seed, 2.0);
-        let residual = seeded_matrix(rows, cols, seed.rotate_left(29), 1.0);
-        let gamma = vec![1.0f32; cols];
-        let beta = vec![0.0f32; cols];
-        let weights = [seeded_matrix(cols, 11, seed.rotate_left(37), 0.5)];
-        let weight_refs: Vec<&Matrix> = weights.iter().collect();
-
-        let fused_case = case(BackendSelection::Fused);
-        let mut fused = build(&fused_case, true);
-        let parallel_case = case(BackendSelection::Parallel);
-        let mut parallel = HaanNormalizer::new(
-            HaanConfig::builder()
-                .format(Format::Fp32)
-                .backend(BackendSelection::Parallel)
-                .parallel(ParallelPolicy::Threads(threads))
-                .fusion(true)
-                .build(),
-        );
-        let fused_out =
-            run_sequence(&mut fused, &fused_case, &input, &residual, &gamma, &beta, &weight_refs);
-        let parallel_out = run_sequence(
-            &mut parallel,
-            &parallel_case,
-            &input,
-            &residual,
-            &gamma,
-            &beta,
-            &weight_refs,
-        );
-        prop_assert_eq!(fused_out.0, parallel_out.0);
-        prop_assert_eq!(fused_out.1, parallel_out.1);
-        prop_assert_eq!(fused_out.2, parallel_out.2);
     }
 }

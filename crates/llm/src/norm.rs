@@ -9,8 +9,9 @@
 //!   matrix. The default implementation loops the scalar path (so custom normalizers
 //!   keep working unchanged); the built-in normalizers override it with the fused,
 //!   allocation-free kernels of [`haan_numerics::stats`], and the HAAN normalizer
-//!   (in the `haan` core crate) dispatches it to a configurable execution backend —
-//!   scalar oracle, fused, row-parallel, or the cycle-level accelerator simulator.
+//!   (in the `haan` core crate) dispatches it to one execution backend — the fused
+//!   kernel, the scalar oracle, or an attached one such as the cycle-level
+//!   accelerator simulator.
 //!
 //! Each invocation carries *which* normalization layer (global index) it is computing,
 //! so an implementation can keep cross-layer state — exactly what HAAN's ISD-skipping
@@ -62,8 +63,8 @@ pub trait Normalizer {
     /// delegates to [`Normalizer::normalize`] row by row, preserving the exact
     /// observable behavior (site order, per-row statistics) for third-party
     /// implementations; the built-in normalizers override it with fused batch
-    /// kernels, and the HAAN normalizer dispatches it to a configurable execution
-    /// backend (scalar / fused / row-parallel / accelerator-simulated).
+    /// kernels, and the HAAN normalizer dispatches it to one execution backend
+    /// (fused / scalar / an attached one such as the accelerator simulator).
     ///
     /// # Examples
     ///

@@ -24,9 +24,9 @@
 //!
 //! These kernels are the substrate of the core crate's execution backends: the
 //! `haan::backend` module composes [`VectorStats::compute_chunked`] /
-//! [`apply_norm_into`] / [`normalize_rows_into`] into scalar, fused and row-parallel
-//! backends behind one dispatchable trait (see `ARCHITECTURE.md` at the repository
-//! root for the full layering).
+//! [`apply_norm_into`] / [`normalize_rows_into`] into the scalar and fused backends
+//! behind one dispatchable trait (see `ARCHITECTURE.md` at the repository root for
+//! the full layering).
 
 use crate::error::NumericError;
 

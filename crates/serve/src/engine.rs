@@ -35,8 +35,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The HAAN configuration every decode group builds its own normalizer
-    /// from. Use [`BackendSelection::Fused`](haan::BackendSelection) for
-    /// deterministic parity with direct `normalize_matrix_into` calls.
+    /// from. Its backend (fused by default) runs in-process on the thread that
+    /// ticks the group, so a group's output is bit-identical to direct
+    /// `normalize_matrix_into` calls on a normalizer of the same configuration.
     pub normalizer: HaanConfig,
     /// Calibrated skip plan attached to every group's normalizer, if any.
     pub plan: Option<SkipPlan>,

@@ -2,16 +2,16 @@
 //! layer, inspect its resource / power / latency estimates, and compare against the
 //! DFX, SOLE, MHAA and GPU baselines on the GPT2-1.5B workload.
 //!
-//! The simulator is also reachable as an execution *backend* of the batched
-//! normalization engine: after `AccelSimBackend::install()`, building a
-//! `HaanNormalizer` with `HaanConfig::builder().backend(BackendSelection::AccelSim)`
-//! routes every `normalize_matrix_into` call through the fixed-point datapath and
-//! the pipeline cycle model — the final section below does exactly that (see
+//! The simulator is also an execution *backend* of the batched normalization
+//! engine: attaching an `AccelSimBackend` to a `HaanNormalizer` with
+//! `with_external_backend` routes every `normalize_matrix_into` call through the
+//! fixed-point datapath and the pipeline cycle model instead of the configured
+//! software backend — the final section below does exactly that (see
 //! `ARCHITECTURE.md` for the dispatch diagram).
 //!
 //! Run with: `cargo run --release --example accelerator_sim`
 
-use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
+use haan::{HaanConfig, HaanNormalizer, SkipPlan};
 use haan_accel::{AccelConfig, AccelSimBackend, HaanAccelerator};
 use haan_baselines::{
     compare_engines, DfxEngine, GpuNormEngine, MhaaEngine, NormEngine, NormWorkload, SoleEngine,
@@ -19,6 +19,7 @@ use haan_baselines::{
 use haan_llm::norm::{NormSite, Normalizer};
 use haan_llm::NormKind;
 use haan_numerics::Format;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // HAAN-v1 with the paper's GPT-2 settings: half-length subsampling and a skip range
@@ -88,17 +89,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The simulator as a dispatchable backend: install it in the core backend
-    // registry, then drive it through the exact same `normalize_matrix_into` call
-    // path the software backends use.
-    AccelSimBackend::install();
+    // The simulator as an execution backend: attach it to a normalizer, then drive
+    // it through the exact same `normalize_matrix_into` call path the software
+    // backends use. Keeping the `Arc` lets us read its cycle counter afterwards.
+    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
     let backend_config = HaanConfig::builder()
         .label("HAAN (accel-sim backend)")
         .subsample(800)
         .format(Format::Fp16)
-        .backend(BackendSelection::AccelSim)
         .build();
-    let mut normalizer = HaanNormalizer::new(backend_config);
+    let mut normalizer = HaanNormalizer::new(backend_config).with_external_backend(backend.clone());
     let batch = haan_llm::Matrix::from_vec(
         tokens.len(),
         1600,
@@ -110,10 +110,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let normalized = normalizer.normalize_matrix(site, &batch, &gamma, &beta);
     println!(
-        "\naccel-sim backend via normalize_matrix_into: {} ({} rows normalized, {:.0}% of elements read)",
+        "\naccel-sim backend via normalize_matrix_into: {} ({} rows normalized, {:.0}% of elements read, {} cycles)",
         normalizer.description(),
         normalized.rows(),
-        normalizer.telemetry().read_fraction() * 100.0
+        normalizer.telemetry().read_fraction() * 100.0,
+        backend.total_cycles()
     );
     Ok(())
 }

@@ -1,11 +1,11 @@
 //! Quickstart: calibrate HAAN on a model, attach the resulting skip plan to the HAAN
 //! normalizer, and compare its outputs and telemetry against exact normalization.
 //!
-//! The normalizer's execution backend is selected through the configuration
-//! (`HaanConfig::builder().backend(BackendSelection::…)`): `Auto` (the default)
-//! picks between the fused and row-parallel software kernels per batch shape and
-//! thread policy, `Scalar` pins the two-pass oracle, and `AccelSim` routes the same calls through
-//! the cycle-level accelerator simulator (see `examples/accelerator_sim.rs` and
+//! The normalizer runs one execution backend. The configuration names a software
+//! one (`HaanConfig::builder().backend(BackendSelection::…)`): `Fused`, the
+//! default, or `Scalar`, the two-pass oracle. A backend attached with
+//! `HaanNormalizer::with_external_backend` runs instead; the cycle-level
+//! accelerator simulator plugs in that way (see `examples/accelerator_sim.rs` and
 //! `ARCHITECTURE.md` for the dispatch diagram).
 //!
 //! Run with: `cargo run --release --example quickstart`
@@ -37,14 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Build the HAAN normalizer: subsampled statistics, FP16 operands, fast inverse
-    //    square root, plus the calibrated skip plan. `BackendSelection::Auto` lets the
-    //    engine pick the execution backend (fused vs row-parallel) per batch shape;
-    //    pin `Scalar`, `Fused`, `Parallel` or `AccelSim` here to force one.
+    //    square root, plus the calibrated skip plan. Every batched site runs on the
+    //    fused kernel (the default backend, spelled out here); `Scalar` would run
+    //    the two-pass oracle instead.
     let haan_config = HaanConfig::builder()
         .label("HAAN quickstart")
         .subsample(32)
         .format(Format::Fp16)
-        .backend(BackendSelection::Auto)
+        .backend(BackendSelection::Fused)
         .build();
     let mut haan = HaanNormalizer::new(haan_config).with_plan(outcome.plan);
     let mut reference = ReferenceNormalizer::new();

@@ -6,10 +6,9 @@
 //! element, rows straddling the chunk-lane width, constant rows, subnormal-scale
 //! rows). Tolerances:
 //!
-//! * **fused / parallel** — ≤ 1e-5 relative against the scalar oracle (the chunked
-//!   lane-parallel summation order differs, exactly like a hardware adder tree;
-//!   bit-exactness against the oracle is not possible, but fused and parallel are
-//!   bit-identical to *each other*);
+//! * **fused** — ≤ 1e-5 relative against the scalar oracle (the chunked
+//!   lane-parallel summation order differs, exactly like a hardware adder tree, so
+//!   bit-exactness against the oracle is not possible);
 //! * **accel-sim** — ≤ 5e-2 relative: the fixed-point statistics calculator, the
 //!   `0x5F3759DF` seed + Newton refinement, and the external-format output rounding
 //!   each contribute quantization error by design.
@@ -91,24 +90,8 @@ fn software_backends_match_the_scalar_oracle_on_edge_shapes() {
                     );
                     let fused =
                         run_backend(BackendSelection::Fused, format, &input, &gamma, &beta, kind);
-                    let parallel = {
-                        let config = HaanConfig::builder()
-                            .format(format)
-                            .backend(BackendSelection::Parallel)
-                            .parallel(haan::ParallelPolicy::Threads(3))
-                            .build();
-                        HaanNormalizer::new(config).normalize_matrix(
-                            site(0, kind),
-                            &input,
-                            &gamma,
-                            &beta,
-                        )
-                    };
                     let label = format!("{kind} {format} {rows}x{cols} scale {scale}");
                     assert_close(&fused, &oracle, 1e-5, &format!("fused vs oracle [{label}]"));
-                    // Row kernels are independent: the parallel sweep is bit-identical
-                    // to the fused one regardless of the thread layout.
-                    assert_eq!(parallel, fused, "parallel vs fused diverged [{label}]");
                 }
             }
         }
@@ -170,11 +153,9 @@ fn accel_sim_backend_tracks_the_oracle_within_hardware_tolerance() {
                 &beta,
                 kind,
             );
-            let mut accel = HaanNormalizer::new(config_with_backend(
-                BackendSelection::AccelSim,
-                Format::Fp16,
-            ))
-            .with_external_backend(backend.clone());
+            let mut accel =
+                HaanNormalizer::new(config_with_backend(BackendSelection::Fused, Format::Fp16))
+                    .with_external_backend(backend.clone());
             let simulated = accel.normalize_matrix(site(0, kind), &input, &gamma, &beta);
             assert_close(
                 &simulated,
@@ -193,29 +174,65 @@ fn accel_sim_backend_tracks_the_oracle_within_hardware_tolerance() {
 }
 
 #[test]
-fn accel_sim_is_reachable_via_config_after_install() {
-    AccelSimBackend::install();
+fn an_attached_backend_runs_both_entry_points_over_the_configured_one() {
+    // The attached backend takes precedence over `HaanConfig::backend`, here the
+    // scalar oracle, on the plain and the fused residual+norm entry point alike.
+    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
     let config = HaanConfig::builder()
-        .label("accel-sim via registry")
-        .backend(BackendSelection::AccelSim)
+        .label("attached accel-sim")
+        .backend(BackendSelection::Scalar)
         .format(Format::Fp16)
         .build();
-    let mut normalizer = HaanNormalizer::new(config);
+    let mut normalizer = HaanNormalizer::new(config).with_external_backend(backend.clone());
     assert!(normalizer.description().contains("accel-sim"));
-    let input = varied_matrix(4, 96, 1.0);
-    let gamma = vec![1.0f32; 96];
-    let beta = vec![0.0f32; 96];
+    let (rows, cols) = (4, 96);
+    let input = varied_matrix(rows, cols, 1.0);
+    let residual = varied_matrix(rows, cols, 0.5);
+    let gamma = vec![1.0f32; cols];
+    let beta = vec![0.0f32; cols];
+    let oracle_of = |data: &Matrix| {
+        run_backend(
+            BackendSelection::Scalar,
+            Format::Fp16,
+            data,
+            &gamma,
+            &beta,
+            NormKind::LayerNorm,
+        )
+    };
+
+    let before = backend.batches();
     let simulated =
         normalizer.normalize_matrix(site(0, NormKind::LayerNorm), &input, &gamma, &beta);
-    let oracle = run_backend(
-        BackendSelection::Scalar,
-        Format::Fp16,
+    assert_eq!(
+        backend.batches(),
+        before + 1,
+        "matrix site skipped the attachment"
+    );
+    assert_close(&simulated, &oracle_of(&input), 5e-2, "attached accel-sim");
+
+    let mut summed = Matrix::zeros(rows, cols);
+    let mut normed = Matrix::zeros(rows, cols);
+    normalizer.normalize_residual_into(
+        site(1, NormKind::LayerNorm),
         &input,
+        &residual,
         &gamma,
         &beta,
-        NormKind::LayerNorm,
+        &mut summed,
+        &mut normed,
     );
-    assert_close(&simulated, &oracle, 5e-2, "registry-resolved accel-sim");
+    assert_eq!(
+        backend.batches(),
+        before + 2,
+        "residual site skipped the attachment"
+    );
+    assert_close(
+        &normed,
+        &oracle_of(&summed),
+        5e-2,
+        "attached accel-sim residual",
+    );
 }
 
 #[test]
@@ -234,16 +251,8 @@ fn skipped_sites_stay_parity_across_backends() {
     let gamma = vec![1.0f32; 64];
     let beta = vec![0.0f32; 64];
     let mut per_backend = Vec::new();
-    for backend in [
-        BackendSelection::Scalar,
-        BackendSelection::Fused,
-        BackendSelection::Parallel,
-    ] {
-        let config = HaanConfig::builder()
-            .backend(backend)
-            .parallel(haan::ParallelPolicy::Threads(2))
-            .subsample(32)
-            .build();
+    for backend in [BackendSelection::Scalar, BackendSelection::Fused] {
+        let config = HaanConfig::builder().backend(backend).subsample(32).build();
         let mut normalizer = HaanNormalizer::new(config).with_plan(plan);
         normalizer.begin_sequence();
         let anchored =
@@ -264,9 +273,5 @@ fn skipped_sites_stay_parity_across_backends() {
         &per_backend[0],
         1e-5,
         "fused vs scalar on a skipped site",
-    );
-    assert_eq!(
-        per_backend[2], per_backend[1],
-        "parallel vs fused diverged on a skipped site"
     );
 }
