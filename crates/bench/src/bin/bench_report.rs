@@ -18,7 +18,7 @@ use haan::{BackendSelection, HaanConfig, HaanNormalizer};
 use haan_accel::{AccelConfig, AccelSimBackend};
 use haan_bench::timing::{measure_default, Measurement};
 use haan_bench::{print_experiment_header, to_json, MarkdownTable};
-use haan_llm::norm::{NormSite, Normalizer, ReferenceNormalizer};
+use haan_llm::norm::{Composed, NormSite, Normalizer, ReferenceNormalizer};
 use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel};
 use haan_obs::json::JsonValue;
 use haan_router::{PlacementPolicy, Router, RouterConfig};
@@ -46,8 +46,8 @@ const FUSION_ROWS: usize = 1024;
 /// The residual+norm fusion site measured three ways: the fused request shape,
 /// the scalar composition (separate add → norm — the parity oracle and the
 /// pre-fusion operation order), and the composed decomposition on the same
-/// fused backend (fusion disabled), which isolates the pure fusion gain from
-/// the backend's kernel quality.
+/// fused backend (the normalizer wrapped in [`Composed`]), which isolates the
+/// pure fusion gain from the backend's kernel quality.
 struct FusionSite {
     name: &'static str,
     fused_ns_per_element: f64,
@@ -88,12 +88,13 @@ fn run_fusion_benchmark() -> FusionSite {
         kind: NormKind::LayerNorm,
     };
 
-    let measure = |backend: BackendSelection, fusion: bool| {
-        let mut norm = HaanNormalizer::new(HaanConfig {
+    let haan = |backend: BackendSelection| {
+        HaanNormalizer::new(HaanConfig {
             backend,
-            fusion_enabled: fusion,
             ..HaanConfig::unoptimized()
-        });
+        })
+    };
+    let measure = |norm: &mut dyn Normalizer| {
         let mut summed = Matrix::zeros(FUSION_ROWS, COLS);
         let mut normed = Matrix::zeros(FUSION_ROWS, COLS);
         let residual_m = measure_default(|| {
@@ -113,9 +114,9 @@ fn run_fusion_benchmark() -> FusionSite {
 
     FusionSite {
         name: "residual_norm",
-        fused_ns_per_element: measure(BackendSelection::Fused, true),
-        composed_ns_per_element: measure(BackendSelection::Scalar, false),
-        same_backend_composed_ns_per_element: measure(BackendSelection::Fused, false),
+        fused_ns_per_element: measure(&mut haan(BackendSelection::Fused)),
+        composed_ns_per_element: measure(&mut Composed(haan(BackendSelection::Scalar))),
+        same_backend_composed_ns_per_element: measure(&mut Composed(haan(BackendSelection::Fused))),
     }
 }
 
@@ -1010,7 +1011,7 @@ fn main() {
 
     // Fusion site: the fused residual+norm request shape vs the scalar
     // composition (the pre-fusion operation order) and vs the composed
-    // decomposition on the same backend (fusion disabled).
+    // decomposition on the same backend (under `Composed`).
     let fusion_site = run_fusion_benchmark();
     let mut fusion_table = MarkdownTable::new(vec![
         "fusion site",

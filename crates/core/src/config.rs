@@ -65,11 +65,6 @@ pub struct HaanConfig {
     pub invsqrt_newton_iterations: Option<u32>,
     /// Execution-backend selection of the batched normalization engine.
     pub backend: BackendSelection,
-    /// Whether the block's residual+norm fusion site dispatches to the backend's
-    /// fused entry point. Disabled, the normalizer runs the composed sequence
-    /// (separate add → norm) the fused path is bit-identical to — useful for
-    /// differential testing.
-    pub fusion_enabled: bool,
 }
 
 impl HaanConfig {
@@ -90,7 +85,6 @@ impl HaanConfig {
             format: Format::Fp32,
             invsqrt_newton_iterations: None,
             backend: BackendSelection::Fused,
-            fusion_enabled: true,
         }
     }
 
@@ -104,7 +98,6 @@ impl HaanConfig {
             format: Format::Int8,
             invsqrt_newton_iterations: Some(1),
             backend: BackendSelection::Fused,
-            fusion_enabled: true,
         }
     }
 
@@ -118,7 +111,6 @@ impl HaanConfig {
             format: Format::Fp16,
             invsqrt_newton_iterations: Some(1),
             backend: BackendSelection::Fused,
-            fusion_enabled: true,
         }
     }
 
@@ -132,7 +124,6 @@ impl HaanConfig {
             format: Format::Fp16,
             invsqrt_newton_iterations: Some(1),
             backend: BackendSelection::Fused,
-            fusion_enabled: true,
         }
     }
 
@@ -181,7 +172,6 @@ impl Default for HaanConfig {
             format: Format::Fp16,
             invsqrt_newton_iterations: Some(1),
             backend: BackendSelection::Fused,
-            fusion_enabled: true,
         }
     }
 }
@@ -233,15 +223,6 @@ impl HaanConfigBuilder {
     #[must_use]
     pub fn backend(mut self, backend: BackendSelection) -> Self {
         self.config.backend = backend;
-        self
-    }
-
-    /// Enables or disables the block's residual+norm fusion site. On by default;
-    /// disabling falls back to the composed sequence the fused path is
-    /// parity-tested against.
-    #[must_use]
-    pub fn fusion(mut self, enabled: bool) -> Self {
-        self.config.fusion_enabled = enabled;
         self
     }
 

@@ -173,10 +173,43 @@ pub struct HaanNormalizer {
     /// gauges are emitted here when installed; `None` (the default) keeps every
     /// site decision a single branch.
     obs: Option<Arc<dyn haan_obs::ObsSink>>,
-    /// Per-site `(skipped_rows, exact_rows)` running totals backing the
-    /// `haan.skip_rate.site_N` gauges, indexed by layer and grown on demand.
-    /// Only maintained while a sink is installed.
-    site_rows: Vec<(u64, u64)>,
+    /// Per-site row totals and metric names, indexed by layer and grown on
+    /// demand. Only maintained while a sink is installed.
+    site_rows: Vec<SiteMetrics>,
+}
+
+/// One site's observability state: the running `(skipped, exact)` row totals
+/// behind its `haan.skip_rate.site_N` gauge, and its metric names, formatted
+/// once when the site is first seen instead of on every call.
+#[derive(Debug, Clone)]
+struct SiteMetrics {
+    skipped_rows: u64,
+    exact_rows: u64,
+    skip: String,
+    exact: String,
+    skip_rate: String,
+    fused_residual: String,
+}
+
+impl SiteMetrics {
+    fn new(layer: usize) -> Self {
+        Self {
+            skipped_rows: 0,
+            exact_rows: 0,
+            skip: format!("haan.skip.site_{layer}"),
+            exact: format!("haan.exact.site_{layer}"),
+            skip_rate: format!("haan.skip_rate.site_{layer}"),
+            fused_residual: format!("haan.path.fused_residual.site_{layer}"),
+        }
+    }
+
+    /// The entry of `layer`, growing `sites` up to it.
+    fn of(sites: &mut Vec<SiteMetrics>, layer: usize) -> &mut SiteMetrics {
+        while sites.len() <= layer {
+            sites.push(SiteMetrics::new(sites.len()));
+        }
+        &mut sites[layer]
+    }
 }
 
 impl HaanNormalizer {
@@ -219,26 +252,22 @@ impl HaanNormalizer {
     }
 
     /// Accounts one site decision (skip vs exact, `rows` rows) on the installed
-    /// sink. Name formatting and the per-site totals only run when enabled.
+    /// sink. The per-site totals and names only exist while enabled.
     fn note_site_decision(&mut self, layer: usize, skipped: bool, rows: u64) {
-        let Some(obs) = self.obs.clone() else {
+        let Some(obs) = &self.obs else {
             return;
         };
-        if self.site_rows.len() <= layer {
-            self.site_rows.resize(layer + 1, (0, 0));
-        }
-        let entry = &mut self.site_rows[layer];
+        let site = SiteMetrics::of(&mut self.site_rows, layer);
         if skipped {
-            entry.0 += rows;
-            obs.counter_add(&format!("haan.skip.site_{layer}"), rows);
+            site.skipped_rows += rows;
+            obs.counter_add(&site.skip, rows);
         } else {
-            entry.1 += rows;
-            obs.counter_add(&format!("haan.exact.site_{layer}"), rows);
+            site.exact_rows += rows;
+            obs.counter_add(&site.exact, rows);
         }
-        let (skip, exact) = *entry;
         obs.gauge_set(
-            &format!("haan.skip_rate.site_{layer}"),
-            skip as f64 / (skip + exact) as f64,
+            &site.skip_rate,
+            site.skipped_rows as f64 / (site.skipped_rows + site.exact_rows) as f64,
         );
     }
 
@@ -616,21 +645,6 @@ impl Normalizer for HaanNormalizer {
                 "normalize_residual_into shape mismatch"
             );
         }
-        if !self.config.fusion_enabled {
-            // Composed fallback: the exact pre-fusion operation order — an
-            // elementwise add, then the plain batched path.
-            for ((s, &a), &b) in sum_out
-                .as_mut_slice()
-                .iter_mut()
-                .zip(input.as_slice())
-                .zip(residual.as_slice())
-            {
-                *s = a + b;
-            }
-            self.normalize_matrix_into(site, sum_out, gamma, beta, out);
-            return;
-        }
-
         let ran = self.run_batched_site(
             site,
             input,
@@ -647,10 +661,8 @@ impl Normalizer for HaanNormalizer {
             },
         );
         if let (true, Some(obs)) = (ran, &self.obs) {
-            obs.counter_add(
-                &format!("haan.path.fused_residual.site_{}", site.layer_index),
-                input.rows() as u64,
-            );
+            let names = SiteMetrics::of(&mut self.site_rows, site.layer_index);
+            obs.counter_add(&names.fused_residual, input.rows() as u64);
         }
     }
 

@@ -5,17 +5,21 @@
 //!
 //! Tolerances mirror `tests/backend_dispatch.rs` at the repository root:
 //!
-//! * fused vs the backend's **own composed path** (`fusion(false)`): bit-identical,
-//!   including the returned [`AnchorState`] at anchor sites;
+//! * fused vs the backend's **own composed path** (the same normalizer wrapped
+//!   in [`Composed`]): bit-identical, including the returned
+//!   [`AnchorState`](haan::AnchorState) at anchor sites, with the
+//!   `haan.path.fused_residual.site_N` counter proving which side fused;
 //! * fused software backends vs the **scalar oracle**: ≤ 1e-5 relative on
 //!   normalized rows, ≤ 1e-4 after a matmul consumer (the reduction accumulates
 //!   the per-element statistics difference).
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
-use haan_llm::norm::{NormSite, Normalizer};
+use haan_llm::norm::{Composed, NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
 use haan_numerics::Format;
+use haan_obs::{Obs, ObsSink};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Deterministic pseudo-random matrix from a seed (the shim's strategies sample
 /// independently, so data is derived from a sampled seed instead of a
@@ -51,11 +55,10 @@ struct Case {
     subsample: Option<usize>,
 }
 
-fn build(case: &Case, fusion: bool) -> HaanNormalizer {
+fn build(case: &Case) -> HaanNormalizer {
     let mut builder = HaanConfig::builder()
         .format(case.format)
-        .backend(case.backend)
-        .fusion(fusion);
+        .backend(case.backend);
     if let Some(n_sub) = case.subsample {
         builder = builder.subsample(n_sub);
     }
@@ -66,10 +69,24 @@ fn build(case: &Case, fusion: bool) -> HaanNormalizer {
     }
 }
 
+/// Attaches a fresh observability sink to `normalizer` and returns it.
+fn observe(normalizer: &mut HaanNormalizer) -> Arc<Obs> {
+    let obs = Obs::shared(1 << 10);
+    normalizer.set_obs_sink(Some(Arc::clone(&obs) as Arc<dyn ObsSink>));
+    obs
+}
+
+/// Rows the sink saw take the fused residual+norm path at site 0.
+fn fused_residual_rows(obs: &Obs) -> u64 {
+    obs.export()
+        .counter("haan.path.fused_residual.site_0")
+        .unwrap_or(0)
+}
+
 /// One anchor-then-skipped sequence through both fusion entry points,
 /// returning `(summed, normed, matmul outs)`.
-fn run_sequence(
-    normalizer: &mut HaanNormalizer,
+fn run_sequence<N: Normalizer>(
+    normalizer: &mut N,
     case: &Case,
     input: &Matrix,
     residual: &Matrix,
@@ -150,20 +167,23 @@ proptest! {
         let weight_refs: Vec<&Matrix> = weights.iter().collect();
 
         // Fused vs the same backend's composed path: bit-identical, anchors included.
-        let mut fused = build(&case, true);
-        let mut composed = build(&case, false);
+        let mut fused = build(&case);
+        let mut composed = Composed(build(&case));
+        let (obs_fused, obs_composed) = (observe(&mut fused), observe(&mut composed.0));
         let fused_out = run_sequence(&mut fused, &case, &input, &residual, &gamma, &beta, &weight_refs);
         let composed_out =
             run_sequence(&mut composed, &case, &input, &residual, &gamma, &beta, &weight_refs);
         prop_assert_eq!(&fused_out.0, &composed_out.0, "summed stream diverged");
         prop_assert_eq!(&fused_out.1, &composed_out.1, "normalized rows diverged");
         prop_assert_eq!(&fused_out.2, &composed_out.2, "norm+matmul outputs diverged");
-        prop_assert_eq!(fused.anchor_state(), composed.anchor_state());
-        prop_assert_eq!(fused.telemetry(), composed.telemetry());
+        prop_assert_eq!(fused.anchor_state(), composed.0.anchor_state());
+        prop_assert_eq!(fused.telemetry(), composed.0.telemetry());
+        prop_assert_eq!(fused_residual_rows(&obs_fused), rows as u64, "fused side did not fuse");
+        prop_assert_eq!(fused_residual_rows(&obs_composed), 0, "composed side fused");
 
         // Fused software backend vs the scalar composition oracle.
         let oracle_case = Case { backend: BackendSelection::Scalar, ..case };
-        let mut oracle = build(&oracle_case, false);
+        let mut oracle = Composed(build(&oracle_case));
         let oracle_out =
             run_sequence(&mut oracle, &oracle_case, &input, &residual, &gamma, &beta, &weight_refs);
         prop_assert_eq!(&fused_out.0, &oracle_out.0, "sums must be exact on every backend");

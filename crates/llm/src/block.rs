@@ -1,12 +1,12 @@
 //! A Pre-LN transformer block: `x + Attn(Norm(x))` followed by `x + MLP(Norm(x))`.
 
-use crate::attention::{AttentionKvCache, AttnScratch, MultiHeadAttention};
+use crate::attention::{AttnScratch, MultiHeadAttention};
 use crate::config::{ModelConfig, NormKind};
 use crate::error::LlmError;
 use crate::init::{depth_gain, gaussian_vector};
 use crate::mlp::FeedForward;
 use crate::norm::{NormSite, Normalizer};
-use crate::paging::KvStore;
+use crate::paging::PagedKvCache;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 
@@ -95,191 +95,66 @@ impl TransformerBlock {
         Ok(out)
     }
 
-    /// Runs the block incrementally over the `new × E` hidden-state rows of the
-    /// newest positions, attending against (and appending to) the block's KV
-    /// `cache`. Normalization, residuals and the MLP are row-local, so only the new
-    /// rows flow through them; the attention sublayer is the only place the prefix
-    /// is consulted. Bit-identical to [`TransformerBlock::forward`] over the full
-    /// prefix, restricted to the new rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LlmError::ShapeMismatch`] if the hidden-state width is
-    /// inconsistent with the block's weights or the rows exceed the cache capacity.
-    pub fn forward_cached<N: Normalizer + ?Sized>(
-        &self,
-        hidden: &Matrix,
-        normalizer: &mut N,
-        cache: &mut AttentionKvCache,
-    ) -> Result<Matrix, LlmError> {
-        self.forward_cached_inner(hidden, normalizer, |attention, q, k, v, heads| {
-            let mut scratch = AttnScratch::new();
-            heads.set_rows(
-                0,
-                attention.attend_cached_projected(q, k, v, cache, &mut scratch)?,
-            )
-        })
-    }
-
-    /// [`TransformerBlock::forward_cached`] over any [`KvStore`] — pool-backed
-    /// paged storage (the default of
-    /// [`TransformerModel::start_decode`](crate::TransformerModel::start_decode))
-    /// or the dense oracle. Identical contract and bit-identical outputs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TransformerBlock::forward_cached`], plus
-    /// [`LlmError::KvPoolExhausted`] when paged storage cannot grow.
-    pub fn forward_cached_kv<N: Normalizer + ?Sized>(
-        &self,
-        hidden: &Matrix,
-        normalizer: &mut N,
-        kv: &mut KvStore,
-    ) -> Result<Matrix, LlmError> {
-        self.forward_cached_kv_with(hidden, normalizer, kv, &mut AttnScratch::new())
-    }
-
-    /// [`TransformerBlock::forward_cached_kv`] reusing caller-owned attention
-    /// scratch buffers — the allocation-free steady-state decode path.
-    ///
-    /// # Errors
-    ///
-    /// The contract of [`TransformerBlock::forward_cached_kv`].
-    pub fn forward_cached_kv_with<N: Normalizer + ?Sized>(
-        &self,
-        hidden: &Matrix,
-        normalizer: &mut N,
-        kv: &mut KvStore,
-        scratch: &mut AttnScratch,
-    ) -> Result<Matrix, LlmError> {
-        self.forward_cached_segments(hidden, &[hidden.rows()], normalizer, &mut [(kv, scratch)])
-    }
-
-    /// Advances many decode streams through the block in lockstep: row `s` of
-    /// `hidden` is the newest position of stream `s`, whose K/V storage is
-    /// `caches[s]`. Both normalization sites and every projection run **once
-    /// over the whole row batch** (they are row-local, so stacking rows changes
-    /// no float); only the score/softmax/value loop runs per stream, each row
-    /// attending against its own cache. This is the per-block half of
-    /// [`TransformerModel::step_many`](crate::TransformerModel::step_many), and
-    /// the reason a batched multi-stream tick issues one
-    /// [`Normalizer::normalize_matrix_into`] call per site instead of one per
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LlmError::ShapeMismatch`] when the hidden width is inconsistent
-    /// with the block's weights or `caches` does not match the row count, plus
-    /// any single-stream cached-path error.
-    pub fn forward_cached_many<N: Normalizer + ?Sized>(
-        &self,
-        hidden: &Matrix,
-        normalizer: &mut N,
-        caches: &mut [&mut KvStore],
-    ) -> Result<Matrix, LlmError> {
-        let segments = vec![1usize; caches.len()];
-        let mut scratches: Vec<AttnScratch> = caches.iter().map(|_| AttnScratch::new()).collect();
-        let mut streams: Vec<(&mut KvStore, &mut AttnScratch)> = caches
-            .iter_mut()
-            .zip(scratches.iter_mut())
-            .map(|(kv, scratch)| (&mut **kv, scratch))
-            .collect();
-        self.forward_cached_segments(hidden, &segments, normalizer, &mut streams)
-    }
-
-    /// The generalization of [`TransformerBlock::forward_cached_many`] to
-    /// *variable-length* per-stream segments — the per-block half of continuous
-    /// batching. Stream `s` contributes `segments[s]` consecutive rows of
-    /// `hidden` (decode streams contribute one row, chunk-prefilling streams a
-    /// whole chunk), in stream order. Both normalization sites, every
-    /// projection (Q/K/V, attention output, MLP) run once over the **entire
-    /// stacked batch**; only the score/softmax/value loop runs per stream, each
-    /// segment attending against (and appending to) its own cache through its
-    /// own reusable [`AttnScratch`]. Row-locality of norm/projections/residual
-    /// means stacking changes no float, so every stream stays bit-identical to
-    /// its solo cached pass.
+    /// Runs the block incrementally over the hidden-state rows of the newest
+    /// positions of many decode streams — the per-block half of
+    /// [`TransformerModel::advance_many`](crate::TransformerModel::advance_many)
+    /// and of every [`DecodeContext`](crate::DecodeContext) pass. Stream `s`
+    /// contributes `segments[s]` consecutive rows of `hidden` (decode streams
+    /// one row, chunk-prefilling streams a whole chunk), in stream order. Both
+    /// normalization sites and every projection (Q/K/V, attention output, MLP)
+    /// run once over the **entire stacked batch**; only the score/softmax/value
+    /// loop runs per stream, each segment attending against (and appending to)
+    /// its own paged cache through its own reusable [`AttnScratch`].
+    /// Normalization, projections and residuals are row-local, so stacking
+    /// changes no float: every stream's rows are bit-identical to
+    /// [`TransformerBlock::forward`] over its full prefix, restricted to the
+    /// new rows.
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::ShapeMismatch`] when the hidden width is
     /// inconsistent with the block's weights, `segments`/`streams` disagree, or
-    /// the segment rows do not sum to the batch rows — plus any single-stream
-    /// cached-path error (notably [`LlmError::KvPoolExhausted`]).
+    /// the segment rows do not sum to the batch rows, and
+    /// [`LlmError::KvPoolExhausted`] when a stream's cache cannot grow.
     pub fn forward_cached_segments<N: Normalizer + ?Sized>(
         &self,
         hidden: &Matrix,
         segments: &[usize],
         normalizer: &mut N,
-        streams: &mut [(&mut KvStore, &mut AttnScratch)],
+        streams: &mut [(&mut PagedKvCache, &mut AttnScratch)],
     ) -> Result<Matrix, LlmError> {
         let total: usize = segments.iter().sum();
-        if hidden.cols() != self.gamma_attn.len()
-            || hidden.rows() != total
-            || segments.len() != streams.len()
-        {
+        let e = self.gamma_attn.len();
+        if hidden.cols() != e || hidden.rows() != total || segments.len() != streams.len() {
             return Err(LlmError::ShapeMismatch {
                 op: "block forward_cached_segments",
                 lhs: hidden.shape(),
-                rhs: (total, self.gamma_attn.len()),
-            });
-        }
-        let e = self.gamma_attn.len();
-        self.forward_cached_inner(
-            hidden,
-            normalizer,
-            |attention, queries, keys, values, heads| {
-                // Per-stream attention: one cached pass per segment, its head-concat
-                // rows stacked back into the row batch. The segment buffers are
-                // reused across streams (grow-only).
-                let mut q_buf = Matrix::default();
-                let mut k_buf = Matrix::default();
-                let mut v_buf = Matrix::default();
-                let mut start = 0;
-                for (&rows, (kv, scratch)) in segments.iter().zip(streams.iter_mut()) {
-                    q_buf.resize(rows, e);
-                    k_buf.resize(rows, e);
-                    v_buf.resize(rows, e);
-                    queries.window_into(start, 0, &mut q_buf)?;
-                    keys.window_into(start, 0, &mut k_buf)?;
-                    values.window_into(start, 0, &mut v_buf)?;
-                    heads.set_rows(
-                        start,
-                        attention.attend_kv_projected(&q_buf, &k_buf, &v_buf, kv, scratch)?,
-                    )?;
-                    start += rows;
-                }
-                Ok(())
-            },
-        )
-    }
-
-    /// The single body of the cached block paths. One norm+matmul call projects
-    /// Q/K/V for the whole row batch; `attend` supplies the storage-specific
-    /// attention sublayer, filling `heads` with the head-concat rows of every
-    /// stream; the output projection, residual+norm site and MLP then run once
-    /// over the batch (all row-local, so stacking streams changes no float).
-    fn forward_cached_inner<N: Normalizer + ?Sized>(
-        &self,
-        hidden: &Matrix,
-        normalizer: &mut N,
-        attend: impl FnOnce(
-            &MultiHeadAttention,
-            &Matrix,
-            &Matrix,
-            &Matrix,
-            &mut Matrix,
-        ) -> Result<(), LlmError>,
-    ) -> Result<Matrix, LlmError> {
-        if hidden.cols() != self.gamma_attn.len() {
-            return Err(LlmError::ShapeMismatch {
-                op: "block forward_cached",
-                lhs: hidden.shape(),
-                rhs: (self.gamma_attn.len(), self.gamma_attn.len()),
+                rhs: (total, e),
             });
         }
         let (queries, keys, values) = self.project_qkv(hidden, normalizer)?;
-        let mut heads = Matrix::zeros(hidden.rows(), hidden.cols());
-        attend(&self.attention, &queries, &keys, &values, &mut heads)?;
+        // Per-stream attention: one cached pass per segment, its head-concat
+        // rows stacked back into the row batch. The segment buffers are reused
+        // across streams (grow-only).
+        let mut heads = Matrix::zeros(total, e);
+        let mut q_buf = Matrix::default();
+        let mut k_buf = Matrix::default();
+        let mut v_buf = Matrix::default();
+        let mut start = 0;
+        for (&rows, (cache, scratch)) in segments.iter().zip(streams.iter_mut()) {
+            q_buf.resize(rows, e);
+            k_buf.resize(rows, e);
+            v_buf.resize(rows, e);
+            queries.window_into(start, 0, &mut q_buf)?;
+            keys.window_into(start, 0, &mut k_buf)?;
+            values.window_into(start, 0, &mut v_buf)?;
+            heads.set_rows(
+                start,
+                self.attention
+                    .attend_paged_projected(&q_buf, &k_buf, &v_buf, cache, scratch)?,
+            )?;
+            start += rows;
+        }
         let after_attn = self.attention.project_output(&heads)?;
         let (summed, normed_mlp) = self.residual_norm_mlp_site(&after_attn, hidden, normalizer);
         let mut out = self.mlp.forward(&normed_mlp)?;
@@ -445,37 +320,49 @@ mod tests {
         assert!(b.mac_count(32) > b.mac_count(16));
     }
 
+    /// One stream's cached pass: `hidden` is a single segment.
+    fn cached_step(
+        b: &TransformerBlock,
+        hidden: &Matrix,
+        cache: &mut PagedKvCache,
+    ) -> Result<Matrix, LlmError> {
+        b.forward_cached_segments(
+            hidden,
+            &[hidden.rows()],
+            &mut ReferenceNormalizer::new(),
+            &mut [(cache, &mut AttnScratch::new())],
+        )
+    }
+
     #[test]
     fn cached_block_matches_full_forward_row_by_row() {
+        use crate::paging::KvBlockPool;
         let b = block(1);
         let mut rng = StdRng::seed_from_u64(11);
         let hidden = crate::init::gaussian_matrix(&mut rng, 5, 32, 1.0);
         let full = b.forward(&hidden, &mut ReferenceNormalizer::new()).unwrap();
         // Prefill rows 0..3 in one call, then decode rows 3 and 4 one at a time.
-        let mut cache = AttentionKvCache::new(5, 32);
+        let mut cache = PagedKvCache::new(KvBlockPool::shared(8, 2, 32));
         let mut prefix = Matrix::zeros(3, 32);
         for row in 0..3 {
             prefix.row_mut(row).copy_from_slice(hidden.row(row));
         }
-        let mut norm = ReferenceNormalizer::new();
-        let prefill = b.forward_cached(&prefix, &mut norm, &mut cache).unwrap();
+        let prefill = cached_step(&b, &prefix, &mut cache).unwrap();
         for row in 0..3 {
             assert_eq!(prefill.row(row), full.row(row), "prefill row {row}");
         }
         for step in 3..5 {
             let mut row = Matrix::zeros(1, 32);
             row.row_mut(0).copy_from_slice(hidden.row(step));
-            let out = b.forward_cached(&row, &mut norm, &mut cache).unwrap();
+            let out = cached_step(&b, &row, &mut cache).unwrap();
             assert_eq!(out.row(0), full.row(step), "decode row {step}");
         }
-        assert!(b
-            .forward_cached(&Matrix::zeros(1, 16), &mut norm, &mut cache)
-            .is_err());
+        assert!(cached_step(&b, &Matrix::zeros(1, 16), &mut cache).is_err());
     }
 
     #[test]
     fn lockstep_rows_match_independent_single_stream_steps() {
-        use crate::paging::{KvBlockPool, KvStore, PagedKvCache};
+        use crate::paging::KvBlockPool;
         // Three streams with different prefixes, advanced one token each: the
         // lockstep row batch must reproduce each stream's solo 1-row step bit for
         // bit (normalization and the MLP are row-local; attention is per-stream).
@@ -488,33 +375,43 @@ mod tests {
         let step_rows = crate::init::gaussian_matrix(&mut rng, 3, 32, 1.0);
 
         let pool = KvBlockPool::shared(64, 4, 32);
-        let mut lockstep_kv: Vec<KvStore> = Vec::new();
-        let mut solo_kv: Vec<KvStore> = Vec::new();
-        let mut norm = ReferenceNormalizer::new();
+        let mut lockstep_kv: Vec<PagedKvCache> = Vec::new();
+        let mut solo_kv: Vec<PagedKvCache> = Vec::new();
         for prefix in &prefixes {
             for kvs in [&mut lockstep_kv, &mut solo_kv] {
-                let mut kv = KvStore::Paged(PagedKvCache::new(std::sync::Arc::clone(&pool)));
-                b.forward_cached_kv(prefix, &mut norm, &mut kv).unwrap();
+                let mut kv = PagedKvCache::new(std::sync::Arc::clone(&pool));
+                cached_step(&b, prefix, &mut kv).unwrap();
                 kvs.push(kv);
             }
         }
-        let mut caches: Vec<&mut KvStore> = lockstep_kv.iter_mut().collect();
+        let mut scratches: Vec<AttnScratch> = (0..3).map(|_| AttnScratch::new()).collect();
+        let mut streams: Vec<(&mut PagedKvCache, &mut AttnScratch)> =
+            lockstep_kv.iter_mut().zip(&mut scratches).collect();
         let batched = b
-            .forward_cached_many(&step_rows, &mut ReferenceNormalizer::new(), &mut caches)
+            .forward_cached_segments(
+                &step_rows,
+                &[1, 1, 1],
+                &mut ReferenceNormalizer::new(),
+                &mut streams,
+            )
             .unwrap();
         for (s, kv) in solo_kv.iter_mut().enumerate() {
             let mut row = Matrix::zeros(1, 32);
             row.row_mut(0).copy_from_slice(step_rows.row(s));
-            let solo = b
-                .forward_cached_kv(&row, &mut ReferenceNormalizer::new(), kv)
-                .unwrap();
+            let solo = cached_step(&b, &row, kv).unwrap();
             assert_eq!(batched.row(s), solo.row(0), "stream {s}");
             assert_eq!(lockstep_kv[s].len(), kv.len());
         }
-        // Mismatched cache counts and widths are rejected.
-        let mut caches: Vec<&mut KvStore> = lockstep_kv.iter_mut().take(2).collect();
+        // A mismatched stream count is rejected.
+        let mut streams: Vec<(&mut PagedKvCache, &mut AttnScratch)> =
+            lockstep_kv.iter_mut().zip(&mut scratches).take(2).collect();
         assert!(b
-            .forward_cached_many(&step_rows, &mut ReferenceNormalizer::new(), &mut caches)
+            .forward_cached_segments(
+                &step_rows,
+                &[1, 1, 1],
+                &mut ReferenceNormalizer::new(),
+                &mut streams,
+            )
             .is_err());
     }
 

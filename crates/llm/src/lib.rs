@@ -9,7 +9,8 @@
 //!   decoder-only transformer needs (matmul, softmax, GeLU).
 //! * [`norm`] — the [`Normalizer`] trait plus reference LayerNorm and
 //!   RMSNorm implementations. The HAAN normalizer in the `haan` crate plugs into the
-//!   same trait, so a model can be evaluated with either.
+//!   same trait, so a model can be evaluated with either; [`norm::Composed`]
+//!   wraps any normalizer to run its fused sites in the composed order.
 //! * [`model`] / [`block`] / [`attention`] / [`mlp`] — a from-scratch Pre-LN
 //!   decoder-only transformer with seeded random weights shaped so that the residual
 //!   stream statistics evolve with depth the way the paper's Fig. 2 profiles show.
@@ -26,9 +27,8 @@
 //! * [`perplexity`] — perplexity evaluation of a model under a given normalizer.
 //! * [`runtime`] — an analytic GPU runtime-breakdown model reproducing Fig. 1(b).
 //! * [`paging`] — the paged K/V subsystem: a shared [`KvBlockPool`] of fixed-size
-//!   pages, per-stream page tables ([`paging::PagedKvCache`]), the
-//!   [`KvStore`] storage dispatch, and the [`EvictionPolicy`] of streams that
-//!   outlive `max_seq_len`.
+//!   pages, per-stream page tables ([`PagedKvCache`]), and the
+//!   [`EvictionPolicy`] of streams that outlive `max_seq_len`.
 //! * [`prefix`] — the bounded LRU [`PrefixStore`] of interned, refcounted
 //!   [`KvPrefix`] handles (content-addressed by [`prefix_fingerprint`]):
 //!   refcount-0 entries past capacity are evicted and their pages returned to
@@ -38,9 +38,8 @@
 //!   serving-layer session sharing one batched engine across many streams. Streams
 //!   ride the incremental forward-pass API ([`TransformerModel::start_decode`] /
 //!   [`DecodeContext`]) so decode is O(seq) per token, with K/V rows paged out of
-//!   a [`KvBlockPool`] by default (dense [`AttentionKvCache`] storage and the
-//!   full-recompute loop are both kept as parity oracles). Many streams advance
-//!   in lockstep through [`TransformerModel::step_many`].
+//!   a [`KvBlockPool`] (the full-recompute loop is kept as the parity oracle).
+//!   Many streams advance in lockstep through [`TransformerModel::step_many`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,12 +63,12 @@ pub mod synthetic;
 pub mod tasks;
 pub mod tensor;
 
-pub use attention::{AttentionKvCache, AttnScratch};
+pub use attention::AttnScratch;
 pub use config::{ModelConfig, ModelFamily, NormKind};
 pub use error::LlmError;
 pub use model::{DecodeContext, KvPrefix, TransformerModel};
 pub use norm::{LayerNorm, Normalizer, RmsNorm};
-pub use paging::{AllocFaultHook, EvictionPolicy, KvBlockPool, KvStore, PagedKvCache};
+pub use paging::{AllocFaultHook, EvictionPolicy, KvBlockPool, PagedKvCache};
 pub use prefix::{prefix_fingerprint, PrefixStore, PrefixStoreStats};
 pub use streaming::StreamingModel;
 pub use tensor::Matrix;

@@ -7,11 +7,9 @@
 //! * the stateful incremental API: [`TransformerModel::start_decode`] creates a
 //!   [`DecodeContext`] whose per-block K/V rows live in pool-backed pages (a
 //!   private [`KvBlockPool`] by default, a shared one via
-//!   [`TransformerModel::start_decode_in`]; the dense [`AttentionKvCache`] mode
-//!   of [`TransformerModel::start_decode_dense`] is kept as the parity oracle),
-//!   and [`DecodeContext::prefill`] / [`DecodeContext::step`] advance it with
-//!   O(seq) work per token instead of O(seq²). All modes are bit-identical (see
-//!   `tests/kv_decode.rs`).
+//!   [`TransformerModel::start_decode_in`]), and [`DecodeContext::prefill`] /
+//!   [`DecodeContext::step`] advance it with O(seq) work per token instead of
+//!   O(seq²). Both APIs are bit-identical (see `tests/kv_decode.rs`).
 //!
 //! Many concurrent streams advance together through
 //! [`TransformerModel::step_many`]: one token per stream per call, with every
@@ -19,13 +17,13 @@
 //! stacked rows — which is how a serving engine turns per-stream decode into
 //! wide fused normalization batches.
 
-use crate::attention::{AttentionKvCache, AttnScratch};
+use crate::attention::AttnScratch;
 use crate::block::TransformerBlock;
 use crate::config::ModelConfig;
 use crate::error::LlmError;
 use crate::init::{gaussian_matrix, gaussian_vector};
 use crate::norm::{NormSite, Normalizer};
-use crate::paging::{EvictionPolicy, KvBlockPool, KvStore, PagedKvCache};
+use crate::paging::{EvictionPolicy, KvBlockPool, PagedKvCache};
 use crate::tensor::{log_softmax, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -309,9 +307,8 @@ impl TransformerModel {
     /// Starts an incremental decode stream: a [`DecodeContext`] whose per-block
     /// K/V rows are paged out of a private [`KvBlockPool`]. Pages materialize
     /// lazily as the stream grows, so a short stream touches far less memory
-    /// than the dense `max_seq × E` preallocation of
-    /// [`TransformerModel::start_decode_dense`]; to share one pool across many
-    /// streams use [`TransformerModel::start_decode_in`].
+    /// than a dense `max_seq × E` preallocation would; to share one pool
+    /// across many streams use [`TransformerModel::start_decode_in`].
     ///
     /// The private pool's capacity is twice the full-stream footprint — a bound,
     /// not an allocation — so a sliding-window eviction (which transiently holds
@@ -351,7 +348,7 @@ impl TransformerModel {
             kv: self
                 .blocks
                 .iter()
-                .map(|_| KvStore::Paged(PagedKvCache::new(Arc::clone(pool))))
+                .map(|_| PagedKvCache::new(Arc::clone(pool)))
                 .collect(),
             len: 0,
             history: Vec::new(),
@@ -389,40 +386,13 @@ impl TransformerModel {
             kv: prefix
                 .pages_per_block
                 .iter()
-                .map(|pages| {
-                    KvStore::Paged(PagedKvCache::attach_prefix(
-                        &prefix.pool,
-                        pages,
-                        prefix.rows,
-                    ))
-                })
+                .map(|pages| PagedKvCache::attach_prefix(&prefix.pool, pages, prefix.rows))
                 .collect(),
             len: prefix.rows,
             history: prefix.tokens.clone(),
             eviction: EvictionPolicy::Reject,
             scratch: AttnScratch::new(),
         })
-    }
-
-    /// Starts an incremental decode stream on dense per-block
-    /// [`AttentionKvCache`]s, each preallocated at `max_seq × E` — the storage
-    /// parity oracle the paged default is tested against (`tests/kv_decode.rs`).
-    #[must_use]
-    pub fn start_decode_dense(&self) -> DecodeContext<'_> {
-        let e = self.config.embedding_dim;
-        let capacity = self.config.max_seq_len;
-        DecodeContext {
-            model: self,
-            kv: self
-                .blocks
-                .iter()
-                .map(|_| KvStore::Dense(AttentionKvCache::new(capacity, e)))
-                .collect(),
-            len: 0,
-            history: Vec::new(),
-            eviction: EvictionPolicy::Reject,
-            scratch: AttnScratch::new(),
-        }
     }
 
     /// Advances many decode streams one token each, in lockstep: `tokens[s]` is
@@ -541,9 +511,9 @@ impl TransformerModel {
             start += feed.len();
         }
         for (b, block) in self.blocks.iter().enumerate() {
-            // Split borrows: each context lends this block's store and its own
+            // Split borrows: each context lends this block's cache and its own
             // attention scratch for the per-stream halves of the pass.
-            let mut streams: Vec<(&mut KvStore, &mut AttnScratch)> = contexts
+            let mut streams: Vec<(&mut PagedKvCache, &mut AttnScratch)> = contexts
                 .iter_mut()
                 .map(|ctx| {
                     let DecodeContext { kv, scratch, .. } = &mut **ctx;
@@ -650,10 +620,9 @@ impl Drop for KvPrefix {
 /// The stateful side of the incremental forward-pass API: one decode stream's
 /// per-block K/V storage plus its position counter.
 ///
-/// A context is created by [`TransformerModel::start_decode`] (paged storage on
-/// a private pool), [`TransformerModel::start_decode_in`] (paged storage on a
-/// shared pool) or [`TransformerModel::start_decode_dense`] (the dense parity
-/// oracle), filled with the prompt by [`DecodeContext::prefill`], and advanced
+/// A context is created by [`TransformerModel::start_decode`] (a private pool)
+/// or [`TransformerModel::start_decode_in`] (a shared pool), filled with the
+/// prompt by [`DecodeContext::prefill`], and advanced
 /// one token at a time by [`DecodeContext::step`] — each step costs O(seq)
 /// instead of the O(seq²) a stateless [`TransformerModel::logits`] call pays.
 /// Both entry points run the new rows through the given [`Normalizer`] exactly
@@ -690,9 +659,8 @@ impl Drop for KvPrefix {
 #[derive(Debug)]
 pub struct DecodeContext<'m> {
     model: &'m TransformerModel,
-    /// One K/V store per transformer block, in block order (paged by default,
-    /// dense for the oracle).
-    kv: Vec<KvStore>,
+    /// One paged K/V cache per transformer block, in block order.
+    kv: Vec<PagedKvCache>,
     /// Number of positions processed so far.
     len: usize,
     /// The tokens currently resident in the caches, oldest first — `len` long.
@@ -739,13 +707,6 @@ impl<'m> DecodeContext<'m> {
         &self.history
     }
 
-    /// True when the K/V rows live in pool pages (the default); false for the
-    /// dense oracle of [`TransformerModel::start_decode_dense`].
-    #[must_use]
-    pub fn is_paged(&self) -> bool {
-        matches!(self.kv.first(), Some(KvStore::Paged(_)) | None)
-    }
-
     /// The configured eviction policy.
     #[must_use]
     pub fn eviction(&self) -> EvictionPolicy {
@@ -785,16 +746,12 @@ impl<'m> DecodeContext<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`LlmError::InvalidConfig`] when the context uses dense storage
-    /// (there are no pool pages to share) or holds less than one full page of
-    /// positions.
+    /// Returns [`LlmError::InvalidConfig`] when the context holds less than one
+    /// full page of positions.
     pub fn export_prefix(&self) -> Result<KvPrefix, LlmError> {
-        let Some(KvStore::Paged(first)) = self.kv.first() else {
-            return Err(LlmError::InvalidConfig(
-                "export_prefix: only paged contexts can share pages".to_string(),
-            ));
-        };
-        let pool = Arc::clone(first.pool());
+        // A validated model has at least one block, and every block's cache
+        // borrows from the same pool.
+        let pool = Arc::clone(self.kv[0].pool());
         let page_rows = pool.page_rows();
         let rows = (self.len / page_rows) * page_rows;
         if rows == 0 {
@@ -807,13 +764,10 @@ impl<'m> DecodeContext<'m> {
         let pages_per_block: Vec<Vec<usize>> = self
             .kv
             .iter()
-            .map(|kv| match kv {
-                KvStore::Paged(cache) => {
-                    let pages = &cache.page_table()[..full_pages];
-                    pool.retain_pages(pages);
-                    pages.to_vec()
-                }
-                KvStore::Dense(_) => unreachable!("contexts never mix storage kinds"),
+            .map(|cache| {
+                let pages = &cache.page_table()[..full_pages];
+                pool.retain_pages(pages);
+                pages.to_vec()
             })
             .collect();
         Ok(KvPrefix {
@@ -826,9 +780,8 @@ impl<'m> DecodeContext<'m> {
         })
     }
 
-    /// Forgets the stream: clears every block's K/V storage (paged stores return
-    /// their pages to the pool) and rewinds the position counter, ready for a
-    /// fresh prompt.
+    /// Forgets the stream: clears every block's K/V cache (returning its pages
+    /// to the pool) and rewinds the position counter, ready for a fresh prompt.
     pub fn reset(&mut self) {
         for kv in &mut self.kv {
             kv.clear();
@@ -930,17 +883,14 @@ impl<'m> DecodeContext<'m> {
             });
         }
         self.model.check_vocab(tokens)?;
-        normalizer.begin_sequence();
-        let mut hidden = self.model.embed_rows(tokens, self.len);
-        let mut pass = || -> Result<Matrix, LlmError> {
-            for (block, kv) in self.model.blocks.iter().zip(&mut self.kv) {
-                hidden =
-                    block.forward_cached_kv_with(&hidden, normalizer, kv, &mut self.scratch)?;
-            }
-            let out = std::mem::replace(&mut hidden, Matrix::zeros(0, 0));
-            Ok(self.model.apply_final_norm(out, normalizer))
-        };
-        match pass() {
+        match run_blocks(
+            self.model,
+            tokens,
+            self.len,
+            &mut self.kv,
+            &mut self.scratch,
+            normalizer,
+        ) {
             Ok(out) => {
                 self.len += tokens.len();
                 self.history.extend_from_slice(tokens);
@@ -995,31 +945,64 @@ impl<'m> DecodeContext<'m> {
     ) -> Result<(), LlmError> {
         let keep = keep_last.min(self.len);
         let kept: Vec<u32> = self.history[self.history.len() - keep..].to_vec();
-        // Recompute the kept window into *fresh* stores before touching the
+        // Recompute the kept window into *fresh* caches before touching the
         // live ones, so eviction is all-or-nothing: a failed recompute (e.g.
-        // pool pressure from concurrent streams) drops the fresh stores —
+        // pool pressure from concurrent streams) drops the fresh caches —
         // returning their pages — and leaves the stream exactly as it was,
         // still consistent and retryable. The price is transiently holding the
         // old window and the kept window at once (`keep_last` extra rows per
         // block); pools serving windowed streams are sized with that headroom.
-        let mut fresh: Vec<KvStore> = self.kv.iter().map(KvStore::fresh_like).collect();
+        let mut fresh: Vec<PagedKvCache> = self
+            .kv
+            .iter()
+            .map(|cache| PagedKvCache::new(Arc::clone(cache.pool())))
+            .collect();
         if !kept.is_empty() {
             // The same pass a fresh context's prefill over `kept` would run —
             // begin_sequence, every block site, the final norm — so stateful
             // normalizers observe an identical call pattern and the recomputed
             // window is bit-identical to that fresh prefill.
-            normalizer.begin_sequence();
-            let mut hidden = self.model.embed_rows(&kept, 0);
-            for (block, kv) in self.model.blocks.iter().zip(&mut fresh) {
-                hidden = block.forward_cached_kv(&hidden, normalizer, kv)?;
-            }
-            let _ = self.model.apply_final_norm(hidden, normalizer);
+            run_blocks(
+                self.model,
+                &kept,
+                0,
+                &mut fresh,
+                &mut self.scratch,
+                normalizer,
+            )?;
         }
-        self.kv = fresh; // the old stores drop here, freeing their pages
+        self.kv = fresh; // the old caches drop here, freeing their pages
         self.len = keep;
         self.history = kept;
         Ok(())
     }
+}
+
+/// One single-context incremental pass: embeds `tokens` at positions
+/// `position_offset..`, runs them through every block's cached path as one
+/// segment over `kv` (one cache per block), and applies the final norm,
+/// returning the new rows' hidden states. Starts with
+/// [`Normalizer::begin_sequence`], exactly as a stateless forward pass does.
+fn run_blocks<N: Normalizer + ?Sized>(
+    model: &TransformerModel,
+    tokens: &[u32],
+    position_offset: usize,
+    kv: &mut [PagedKvCache],
+    scratch: &mut AttnScratch,
+    normalizer: &mut N,
+) -> Result<Matrix, LlmError> {
+    normalizer.begin_sequence();
+    let mut hidden = model.embed_rows(tokens, position_offset);
+    let rows = [tokens.len()];
+    for (block, cache) in model.blocks.iter().zip(kv) {
+        hidden = block.forward_cached_segments(
+            &hidden,
+            &rows,
+            normalizer,
+            &mut [(cache, &mut *scratch)],
+        )?;
+    }
+    Ok(model.apply_final_norm(hidden, normalizer))
 }
 
 #[cfg(test)]
@@ -1211,30 +1194,6 @@ mod tests {
             .logits(&tokens, &mut ReferenceNormalizer::new())
             .unwrap();
         assert_eq!(replay, oracle);
-    }
-
-    #[test]
-    fn paged_default_matches_the_dense_oracle_bit_for_bit() {
-        let model = tiny_model();
-        let tokens = [3u32, 7, 11, 13, 2];
-        let mut paged = model.start_decode();
-        assert!(paged.is_paged());
-        let mut dense = model.start_decode_dense();
-        assert!(!dense.is_paged());
-        let from_paged = paged
-            .prefill(&tokens[..3], &mut ReferenceNormalizer::new())
-            .unwrap();
-        let from_dense = dense
-            .prefill(&tokens[..3], &mut ReferenceNormalizer::new())
-            .unwrap();
-        assert_eq!(from_paged, from_dense);
-        for &token in &tokens[3..] {
-            let stepped_paged = paged.step(token, &mut ReferenceNormalizer::new()).unwrap();
-            let stepped_dense = dense.step(token, &mut ReferenceNormalizer::new()).unwrap();
-            assert_eq!(stepped_paged, stepped_dense);
-        }
-        assert_eq!(paged.resident_tokens(), &tokens);
-        assert_eq!(dense.resident_tokens(), &tokens);
     }
 
     #[test]

@@ -260,6 +260,64 @@ pub trait Normalizer {
     }
 }
 
+/// The composed-order oracle: wraps a normalizer and runs its fused sites as
+/// their composed decompositions.
+///
+/// `Composed` forwards [`Normalizer::normalize`],
+/// [`Normalizer::normalize_matrix_into`], [`Normalizer::begin_sequence`] and
+/// [`Normalizer::description`] to the wrapped normalizer, and leaves
+/// [`Normalizer::normalize_residual_into`] and
+/// [`Normalizer::normalize_matmul_into`] on the trait defaults. A residual site
+/// therefore runs an elementwise add followed by the wrapped
+/// `normalize_matrix_into` — the order a fused residual+norm kernel must
+/// reproduce bit for bit. Differential tests run the same normalizer bare and
+/// wrapped and compare the two.
+///
+/// # Example
+///
+/// ```
+/// use haan_llm::norm::{Composed, NormSite, Normalizer, ReferenceNormalizer};
+/// use haan_llm::{Matrix, NormKind};
+///
+/// let input = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0])?;
+/// let residual = Matrix::from_vec(1, 4, vec![0.5, -0.5, 0.5, -0.5])?;
+/// let (gamma, beta) = (vec![1.0f32; 4], vec![0.0f32; 4]);
+/// let site = NormSite { layer_index: 0, kind: NormKind::LayerNorm };
+/// let mut composed = Composed(ReferenceNormalizer::new());
+/// let (mut sum, mut normed) = (Matrix::zeros(1, 4), Matrix::zeros(1, 4));
+/// composed.normalize_residual_into(site, &input, &residual, &gamma, &beta, &mut sum, &mut normed);
+/// let direct = composed.0.normalize_matrix(site, &sum, &gamma, &beta);
+/// assert_eq!(normed, direct);
+/// # Ok::<(), haan_llm::LlmError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Composed<N>(pub N);
+
+impl<N: Normalizer> Normalizer for Composed<N> {
+    fn normalize(&mut self, site: NormSite, z: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f32> {
+        self.0.normalize(site, z, gamma, beta)
+    }
+
+    fn normalize_matrix_into(
+        &mut self,
+        site: NormSite,
+        input: &Matrix,
+        gamma: &[f32],
+        beta: &[f32],
+        out: &mut Matrix,
+    ) {
+        self.0.normalize_matrix_into(site, input, gamma, beta, out);
+    }
+
+    fn begin_sequence(&mut self) {
+        self.0.begin_sequence();
+    }
+
+    fn description(&self) -> String {
+        self.0.description()
+    }
+}
+
 impl NormKind {
     /// The numerics-crate row mode equivalent to this normalization kind.
     #[must_use]

@@ -1,22 +1,22 @@
 //! Paged key/value storage: a shared block pool, per-stream page tables, and the
 //! eviction policy of long-lived decode streams.
 //!
-//! The dense [`AttentionKvCache`] preallocates `max_seq × E` K and V matrices per
-//! block per stream — simple, and kept as the parity oracle — but it means a
-//! thousand mostly-short streams reserve a thousand full-length caches. Paged
-//! storage splits K/V rows into fixed-size **pages** owned by one shared
-//! [`KvBlockPool`]: every stream's [`PagedKvCache`] holds only a *page table*
-//! (pool page ids, in position order) and borrows pages on demand, so resident
-//! memory tracks the tokens actually cached, across all streams, instead of
-//! `streams × max_seq`. Freed pages (stream reset, eviction, drop) return to the
-//! pool's free list and are reused by whichever stream appends next.
+//! A dense cache would preallocate `max_seq × E` K and V matrices per block per
+//! stream, so a thousand mostly-short streams would reserve a thousand
+//! full-length caches. Paged storage splits K/V rows into fixed-size **pages**
+//! owned by one shared [`KvBlockPool`]: every stream's [`PagedKvCache`] holds
+//! only a *page table* (pool page ids, in position order) and borrows pages on
+//! demand, so resident memory tracks the tokens actually cached, across all
+//! streams, instead of `streams × max_seq`. Freed pages (stream reset,
+//! eviction, drop) return to the pool's free list and are reused by whichever
+//! stream appends next.
 //!
-//! Gathered reads keep the numerics bit-identical to the dense cache: an
-//! attention call copies the live rows, in position order, into the same
-//! per-head scratch panels the dense path fills with
-//! [`Matrix::window_into`] — the downstream matmul/softmax kernels never know
-//! which storage the rows came from (see
-//! [`MultiHeadAttention::forward_paged`](crate::attention::MultiHeadAttention::forward_paged)).
+//! Gathered reads add nothing numeric: an attention call copies the live rows,
+//! in position order, into full-width scratch panels under one pool lock and
+//! slices per-head panels from them with [`Matrix::window_into`], so the
+//! downstream matmul/softmax kernels see exactly the rows a full recompute
+//! projects (see
+//! [`TransformerBlock::forward_cached_segments`](crate::block::TransformerBlock::forward_cached_segments)).
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@
 //! # Ok::<(), haan_llm::LlmError>(())
 //! ```
 
-use crate::attention::AttentionKvCache;
 use crate::error::LlmError;
 use crate::tensor::Matrix;
 use haan_obs::ObsSink;
@@ -497,12 +496,9 @@ impl KvBlockPool {
 ///
 /// The cache owns a page table (`Vec` of pool page ids, position order) and its
 /// live length; everything else lives in the shared [`KvBlockPool`]. Pages are
-/// borrowed on append and returned on [`PagedKvCache::clear`] or drop. The paged
-/// cache is the default storage of
-/// [`TransformerModel::start_decode`](crate::TransformerModel::start_decode);
-/// the dense [`AttentionKvCache`] remains available through
-/// [`TransformerModel::start_decode_dense`](crate::TransformerModel::start_decode_dense)
-/// as the parity oracle.
+/// borrowed on append and returned on [`PagedKvCache::clear`] or drop. It is
+/// the K/V storage of every
+/// [`DecodeContext`](crate::DecodeContext), one per block.
 #[derive(Debug)]
 pub struct PagedKvCache {
     pool: Arc<KvBlockPool>,
@@ -665,70 +661,6 @@ impl Drop for PagedKvCache {
     }
 }
 
-/// The K/V storage of one attention layer of one decode stream: pool-backed
-/// pages (the default) or the dense preallocated cache (the parity oracle).
-///
-/// [`TransformerBlock::forward_cached_kv`](crate::block::TransformerBlock::forward_cached_kv)
-/// dispatches on this, so every decode entry point —
-/// [`DecodeContext`](crate::DecodeContext), `step_many`, the serving layer —
-/// works identically over either storage.
-#[derive(Debug)]
-pub enum KvStore {
-    /// Dense `max_seq × E` preallocated storage ([`AttentionKvCache`]).
-    Dense(AttentionKvCache),
-    /// Pool-backed paged storage ([`PagedKvCache`]).
-    Paged(PagedKvCache),
-}
-
-impl KvStore {
-    /// Number of positions cached so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            KvStore::Dense(cache) => cache.len(),
-            KvStore::Paged(cache) => cache.len(),
-        }
-    }
-
-    /// True when no position has been cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Forgets every cached position (paged storage returns its pages to the
-    /// pool; dense storage is retained).
-    pub fn clear(&mut self) {
-        match self {
-            KvStore::Dense(cache) => cache.clear(),
-            KvStore::Paged(cache) => cache.clear(),
-        }
-    }
-
-    /// Forgets every position past `len` (see the per-storage `truncate`).
-    pub(crate) fn truncate(&mut self, len: usize) {
-        match self {
-            KvStore::Dense(cache) => cache.truncate(len),
-            KvStore::Paged(cache) => cache.truncate(len),
-        }
-    }
-
-    /// A fresh, empty store of the same kind and backing: same pool for paged
-    /// storage, same capacity/width for dense. Sliding-window eviction builds
-    /// its recomputed window here first, so a failed recompute can drop the
-    /// fresh stores (returning their pages) without touching the live stream.
-    #[must_use]
-    pub(crate) fn fresh_like(&self) -> KvStore {
-        match self {
-            KvStore::Dense(cache) => KvStore::Dense(AttentionKvCache::new(
-                cache.capacity(),
-                cache.embedding_dim(),
-            )),
-            KvStore::Paged(cache) => KvStore::Paged(PagedKvCache::new(Arc::clone(cache.pool()))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,22 +794,15 @@ mod tests {
     }
 
     #[test]
-    fn kv_store_dispatches_len_and_clear() {
+    fn clear_empties_the_cache_and_returns_its_pages() {
         let pool = KvBlockPool::shared(8, 2, 4);
-        let mut paged = KvStore::Paged(PagedKvCache::new(Arc::clone(&pool)));
-        assert!(paged.is_empty());
-        if let KvStore::Paged(cache) = &mut paged {
-            cache.append(&rows(3, 4, 1), &rows(3, 4, 2)).unwrap();
-        }
-        assert_eq!(paged.len(), 3);
-        paged.clear();
-        assert!(paged.is_empty());
+        let mut cache = PagedKvCache::new(Arc::clone(&pool));
+        assert!(cache.is_empty());
+        cache.append(&rows(3, 4, 1), &rows(3, 4, 2)).unwrap();
+        assert_eq!(cache.len(), 3);
+        cache.clear();
+        assert!(cache.is_empty());
         assert_eq!(pool.pages_in_use(), 0);
-
-        let mut dense = KvStore::Dense(AttentionKvCache::new(4, 4));
-        assert!(dense.is_empty());
-        dense.clear();
-        assert_eq!(dense.len(), 0);
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! prompt is prefilled on the first step and every later step feeds exactly one
 //! token, so per-step work is O(seq) instead of the O(seq²) full recompute.
 //!
-//! Two parity oracles are kept deliberately, one per axis of the fast path:
-//! [`StreamingModel::new_full_recompute`] re-runs the whole prefix every step
-//! (the *incrementality* oracle), and [`TransformerModel::start_decode_dense`]
-//! provides dense preallocated K/V storage (the *paging* oracle). All paths
-//! generate bit-identical tokens (see `tests/kv_decode.rs`).
+//! One parity oracle is kept deliberately: [`StreamingModel::new_full_recompute`]
+//! re-runs the whole prefix every step (the *incrementality* oracle). The
+//! cached stream generates bit-identical tokens (see `tests/kv_decode.rs`).
 
 use crate::error::LlmError;
 use crate::model::{DecodeContext, TransformerModel};
@@ -76,8 +74,7 @@ impl<'m> StreamingModel<'m> {
 
     /// Starts a KV-cached decode stream on a caller-built [`DecodeContext`] —
     /// e.g. one borrowing pages from a shared [`KvBlockPool`](crate::KvBlockPool)
-    /// via [`TransformerModel::start_decode_in`], the dense parity oracle of
-    /// [`TransformerModel::start_decode_dense`], or a context configured with a
+    /// via [`TransformerModel::start_decode_in`], or a context configured with a
     /// sliding-window [`EvictionPolicy`] so the stream can generate past the
     /// model's maximum sequence length.
     ///
@@ -105,10 +102,8 @@ impl<'m> StreamingModel<'m> {
     }
 
     /// Starts a decode stream that re-runs the full prefix every step — the
-    /// stateless *incrementality* oracle the cached paths are tested against
-    /// (storage parity is covered separately by
-    /// [`TransformerModel::start_decode_dense`]). Same greedy decoding, same
-    /// contract, O(seq²) per step.
+    /// stateless *incrementality* oracle the cached paths are tested against.
+    /// Same greedy decoding, same contract, O(seq²) per step.
     ///
     /// # Errors
     ///

@@ -1,11 +1,11 @@
 //! Fusion site: the fused residual+norm request shape vs its composed
 //! decomposition (separate add → norm).
 //!
-//! The same `HaanNormalizer::normalize_residual_into` entry point runs twice —
-//! once with fusion enabled (the default) and once with
-//! `HaanConfig::builder().fusion(false)`, which restores the composed operation
-//! order — and the outputs must be bit-identical: the fused kernel preserves the
-//! composed reduction order exactly (see `tests/fusion_parity.rs`). A
+//! The same `normalize_residual_into` entry point runs twice — once on a bare
+//! `HaanNormalizer` (the fused kernel) and once on the same normalizer wrapped
+//! in `haan_llm::norm::Composed`, which runs the composed operation order — and
+//! the outputs must be bit-identical: the fused kernel preserves the composed
+//! reduction order exactly (see `tests/fusion_parity.rs`). A
 //! scalar-backend oracle bounds both within the documented tolerance, and
 //! ns/element timings show what the fusion actually buys on paper-width
 //! (4096-element) rows.
@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example fusion`
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer};
-use haan_llm::norm::{NormSite, Normalizer};
+use haan_llm::norm::{Composed, NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
 use std::time::Instant;
 
@@ -41,10 +41,9 @@ fn patterned_matrix(rows: usize, cols: usize, salt: u64, scale: f32) -> Matrix {
 /// Exact-statistics (Fp32, full-row) configuration: the fused residual+norm
 /// single pass engages only when quantization is the identity, so the exact
 /// config is where the fusion site shows its full effect.
-fn normalizer(backend: BackendSelection, fusion: bool) -> HaanNormalizer {
+fn normalizer(backend: BackendSelection) -> HaanNormalizer {
     HaanNormalizer::new(HaanConfig {
         backend,
-        fusion_enabled: fusion,
         ..HaanConfig::unoptimized()
     })
 }
@@ -83,12 +82,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Parity: the fused path must be bit-identical to the composed
     //    decomposition on the same backend, and oracle-close on the scalar one.
-    let mut fused = normalizer(BackendSelection::Fused, true);
-    let mut composed = normalizer(BackendSelection::Fused, false);
-    let mut oracle = normalizer(BackendSelection::Scalar, false);
+    let mut fused = normalizer(BackendSelection::Fused);
+    let mut composed = Composed(normalizer(BackendSelection::Fused));
+    let mut oracle = Composed(normalizer(BackendSelection::Scalar));
 
     let mut runs = Vec::new();
-    for norm in [&mut fused, &mut composed, &mut oracle] {
+    let parity_runs: [&mut dyn Normalizer; 3] = [&mut fused, &mut composed, &mut oracle];
+    for norm in parity_runs {
         let mut summed = Matrix::zeros(ROWS, COLS);
         let mut normed = Matrix::zeros(ROWS, COLS);
         norm.normalize_residual_into(
@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Timing: what the fusion saves over its composed decomposition.
     let mut summed = Matrix::zeros(ROWS, COLS);
     let mut normed = Matrix::zeros(ROWS, COLS);
-    let mut residual_site = |norm: &mut HaanNormalizer| {
+    let mut residual_site = |norm: &mut dyn Normalizer| {
         time_per_element(|| {
             norm.normalize_residual_into(
                 site,

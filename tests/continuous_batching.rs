@@ -13,6 +13,7 @@
 //! invariant).
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
+use haan_llm::norm::Composed;
 use haan_llm::{ModelConfig, ModelFamily, StreamingModel, TransformerModel};
 use haan_obs::{Obs, ObsSink};
 use haan_serve::{KvPoolPolicy, ServeConfig, ServeEngine, StreamStatus};
@@ -358,81 +359,84 @@ fn eight_streams_share_a_128_token_prefix_bit_identically_and_cheaply() {
     assert_eq!(shared_pool.bytes_in_use(), 0);
 }
 
+/// Rows `obs` saw take the fused residual+norm path, over every site.
+fn fused_residual_rows(obs: &Obs) -> u64 {
+    obs.export()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("haan.path.fused_residual.site_"))
+        .map(|(_, rows)| rows)
+        .sum()
+}
+
 #[test]
-fn fused_decode_group_is_bit_identical_to_the_unfused_path_and_the_solo_oracle() {
-    // Cross-operation fusion regression: a DecodeGroup running with residual
-    // fusion enabled (the default — the fused residual+norm kernel inside every
-    // block) must generate exactly what the same group generates with fusion
-    // disabled (the pre-fusion composed op order: separate add → norm), and
-    // exactly what solo full-recompute decode generates — under a skip plan
-    // whose anchors the fused site records and consumes. The group's path
-    // counter proves the fused kernel actually ran in serving.
+fn fused_decode_group_matches_fused_and_composed_solo_oracles() {
+    // Cross-operation fusion regression: a DecodeGroup running the fused
+    // residual+norm kernel inside every block must generate exactly what solo
+    // full-recompute decode generates, both on a bare HaanNormalizer (fused)
+    // and on the same normalizer under `Composed` (the composed op order:
+    // separate add → norm) — so fused == composed as well — under a skip plan
+    // whose anchors the fused site records and consumes. Path counters prove
+    // which order each side ran.
     let model = tiny_model();
-    let unfused_config = || {
-        HaanConfig::builder()
-            .label("continuous batching unfused")
-            .backend(BackendSelection::Fused)
-            .fusion(false)
-            .build()
-    };
     let prompts: [&[u32]; 3] = [&[2], &[1, 9, 17, 4, 8], &[5, 1, 0, 7, 2, 6, 4, 3]];
     const TICKS: usize = 8;
-    let mut generated: Vec<Vec<Vec<u32>>> = Vec::new();
-    for config in [haan_config(), unfused_config()] {
-        let fusion = config.fusion_enabled;
-        assert_eq!(fusion, !config.label.contains("unfused"));
-        let obs = Obs::shared(1 << 12);
-        let engine = ServeEngine::start(ServeConfig {
-            normalizer: config,
-            plan: Some(skip_plan()),
-            prefill_chunk_rows: 3,
-            kv_pool: KvPoolPolicy {
-                page_rows: 8,
-                capacity_rows: 4 * model.config().max_seq_len * model.config().num_blocks,
-            },
-            obs: Some(Arc::clone(&obs) as Arc<dyn ObsSink>),
-            ..Default::default()
-        });
-        let mut group = engine
-            .decode_group(&model, &prompts)
-            .expect("valid prompts");
-        for _ in 0..TICKS {
-            group.step_all().expect("tick");
-        }
-        // Every block's second norm site is the fused residual site.
-        let fused_rows: u64 = obs
-            .export()
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("haan.path.fused_residual.site_"))
-            .map(|(_, rows)| rows)
-            .sum();
-        if fusion {
-            assert!(fused_rows > 0, "the fused residual kernel never ran");
-        } else {
-            assert_eq!(fused_rows, 0, "fusion(false) must compose the site");
-        }
-        generated.push(
-            (0..prompts.len())
-                .map(|i| group.generated(i).to_vec())
-                .collect(),
-        );
+    let obs = Obs::shared(1 << 12);
+    let engine = ServeEngine::start(ServeConfig {
+        normalizer: haan_config(),
+        plan: Some(skip_plan()),
+        prefill_chunk_rows: 3,
+        kv_pool: KvPoolPolicy {
+            page_rows: 8,
+            capacity_rows: 4 * model.config().max_seq_len * model.config().num_blocks,
+        },
+        obs: Some(Arc::clone(&obs) as Arc<dyn ObsSink>),
+        ..Default::default()
+    });
+    let mut group = engine
+        .decode_group(&model, &prompts)
+        .expect("valid prompts");
+    for _ in 0..TICKS {
+        group.step_all().expect("tick");
     }
-    assert_eq!(
-        generated[0], generated[1],
-        "fused group diverged from the pre-fusion composed path"
+    // Every block's second norm site is the fused residual site.
+    assert!(
+        fused_residual_rows(&obs) > 0,
+        "the fused residual kernel never ran"
     );
-    // Both also equal solo full-recompute decode, with fusion on and off.
+    let observed = |normalizer: &mut HaanNormalizer| {
+        let obs = Obs::shared(1 << 12);
+        normalizer.set_obs_sink(Some(Arc::clone(&obs) as Arc<dyn ObsSink>));
+        obs
+    };
     for (i, prompt) in prompts.iter().enumerate() {
-        for config in [haan_config(), unfused_config()] {
-            let mut private = HaanNormalizer::new(config).with_plan(skip_plan());
-            let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
-            let expected = oracle.decode(generated[0][i].len(), &mut private).unwrap();
-            assert_eq!(
-                generated[0][i], expected,
-                "stream {i} diverged from its solo full-recompute oracle"
-            );
-        }
+        let generated = group.generated(i);
+        let mut fused = HaanNormalizer::new(haan_config()).with_plan(skip_plan());
+        let fused_obs = observed(&mut fused);
+        let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
+        let expected = oracle.decode(generated.len(), &mut fused).unwrap();
+        assert_eq!(
+            generated, expected,
+            "stream {i} diverged from its fused solo full-recompute oracle"
+        );
+        assert!(
+            fused_residual_rows(&fused_obs) > 0,
+            "solo oracle never fused"
+        );
+
+        let mut composed = Composed(HaanNormalizer::new(haan_config()).with_plan(skip_plan()));
+        let composed_obs = observed(&mut composed.0);
+        let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
+        let expected = oracle.decode(generated.len(), &mut composed).unwrap();
+        assert_eq!(
+            generated, expected,
+            "stream {i} diverged from its composed solo full-recompute oracle"
+        );
+        assert_eq!(
+            fused_residual_rows(&composed_obs),
+            0,
+            "the composed oracle took the fused path"
+        );
     }
 }
 

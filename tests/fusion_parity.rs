@@ -5,7 +5,10 @@
 //! The composed sequence — separate add → norm → matmul — is the oracle, and it
 //! stays reachable two ways: on the scalar backend (which deliberately keeps the
 //! composed [`NormBackend`](haan::backend::NormBackend) trait default) and on
-//! any backend via [`HaanConfig::builder().fusion(false)`](haan::HaanConfig).
+//! any backend by wrapping the normalizer in
+//! [`Composed`](haan_llm::norm::Composed). Every fused-vs-composed comparison
+//! reads the `haan.path.fused_residual.site_N` counter on both sides, so a
+//! test cannot pass with a fused path that never engaged.
 //! Tolerances mirror `tests/backend_dispatch.rs`:
 //!
 //! * **fused vs its own composed path** — bit-identical: the fused residual
@@ -19,9 +22,10 @@
 
 use haan::{AnchorState, BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_accel::{AccelConfig, AccelSimBackend};
-use haan_llm::norm::{NormSite, Normalizer};
+use haan_llm::norm::{Composed, NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
 use haan_numerics::Format;
+use haan_obs::{Obs, ObsSink};
 use std::sync::Arc;
 
 /// Edge shapes `(rows, cols)`: a single element, rows straddling the 16-lane
@@ -52,13 +56,43 @@ fn affine(cols: usize) -> (Vec<f32>, Vec<f32>) {
     (gamma, beta)
 }
 
-fn config(backend: BackendSelection, format: Format, fusion: bool) -> HaanConfig {
+fn config(backend: BackendSelection, format: Format) -> HaanConfig {
     HaanConfig::builder()
-        .label(format!("fusion parity {backend} fusion={fusion}"))
+        .label(format!("fusion parity {backend}"))
         .format(format)
         .backend(backend)
-        .fusion(fusion)
         .build()
+}
+
+/// Attaches a fresh observability sink to `normalizer` and returns it.
+fn observe(normalizer: &mut HaanNormalizer) -> Arc<Obs> {
+    let obs = Obs::shared(1 << 10);
+    normalizer.set_obs_sink(Some(Arc::clone(&obs) as Arc<dyn ObsSink>));
+    obs
+}
+
+/// Rows the sink saw take the fused residual+norm path, over every site.
+fn fused_residual_rows(obs: &Obs) -> u64 {
+    obs.export()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("haan.path.fused_residual.site_"))
+        .map(|(_, rows)| rows)
+        .sum()
+}
+
+/// Asserts the fused side took the fused residual path and the composed side
+/// never did.
+fn assert_paths(fused: &Obs, composed: &Obs, what: &str) {
+    assert!(
+        fused_residual_rows(fused) > 0,
+        "{what}: the fused residual kernel never ran"
+    );
+    assert_eq!(
+        fused_residual_rows(composed),
+        0,
+        "{what}: the composed side took the fused path"
+    );
 }
 
 fn assert_close(a: &Matrix, b: &Matrix, tolerance: f32, what: &str) {
@@ -73,9 +107,9 @@ fn assert_close(a: &Matrix, b: &Matrix, tolerance: f32, what: &str) {
     }
 }
 
-/// Runs the fused residual+norm site, returning `(summed, normed)`.
-fn run_residual(
-    normalizer: &mut HaanNormalizer,
+/// Runs the residual+norm site, returning `(summed, normed)`.
+fn run_residual<N: Normalizer>(
+    normalizer: &mut N,
     kind: NormKind,
     input: &Matrix,
     residual: &Matrix,
@@ -97,8 +131,8 @@ fn run_residual(
 }
 
 /// Runs the norm+matmul site over the given consumers.
-fn run_norm_matmul(
-    normalizer: &mut HaanNormalizer,
+fn run_norm_matmul<N: Normalizer>(
+    normalizer: &mut N,
     kind: NormKind,
     input: &Matrix,
     gamma: &[f32],
@@ -127,16 +161,20 @@ fn fused_residual_norm_matches_the_composed_scalar_oracle() {
                 // Composed oracle: explicit add, then the plain batched scalar path.
                 let mut oracle_sum = input.clone();
                 oracle_sum.add_assign(&residual).unwrap();
-                let mut oracle =
-                    HaanNormalizer::new(config(BackendSelection::Scalar, format, false));
+                let mut oracle = HaanNormalizer::new(config(BackendSelection::Scalar, format));
                 let oracle_norm =
                     oracle.normalize_matrix(site(0, kind), &oracle_sum, &gamma, &beta);
 
-                let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, format, true));
+                let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, format));
+                let obs = observe(&mut fused);
                 let (summed, normed) =
                     run_residual(&mut fused, kind, &input, &residual, &gamma, &beta);
 
                 let label = format!("{kind} {format} {rows}x{cols}");
+                assert!(
+                    fused_residual_rows(&obs) > 0,
+                    "the fused residual kernel never ran [{label}]"
+                );
                 // The streamed residual add is the same f32 add: bit-identical sums.
                 assert_eq!(summed, oracle_sum, "summed stream diverged [{label}]");
                 assert_close(
@@ -152,8 +190,9 @@ fn fused_residual_norm_matches_the_composed_scalar_oracle() {
 
 #[test]
 fn fused_sites_are_bit_identical_to_their_own_composed_path() {
-    // fusion(true) vs fusion(false) on the same backend must not change a single
-    // bit: the fused kernels reproduce the composed reduction orders exactly.
+    // A bare normalizer vs the same normalizer under `Composed`, on the same
+    // backend, must not change a single bit: the fused kernels reproduce the
+    // composed reduction orders exactly.
     for kind in [NormKind::LayerNorm, NormKind::RmsNorm] {
         for (rows, cols) in EDGE_SHAPES {
             let input = varied_matrix(rows, cols, 1.0);
@@ -163,8 +202,9 @@ fn fused_sites_are_bit_identical_to_their_own_composed_path() {
             let weight_refs: Vec<&Matrix> = weights.iter().collect();
 
             for backend in [BackendSelection::Fused, BackendSelection::Scalar] {
-                let mut on = HaanNormalizer::new(config(backend, Format::Fp32, true));
-                let mut off = HaanNormalizer::new(config(backend, Format::Fp32, false));
+                let mut on = HaanNormalizer::new(config(backend, Format::Fp32));
+                let mut off = Composed(HaanNormalizer::new(config(backend, Format::Fp32)));
+                let (obs_on, obs_off) = (observe(&mut on), observe(&mut off.0));
                 let label = format!("{kind} {backend} {rows}x{cols}");
 
                 let (sum_on, norm_on) =
@@ -179,9 +219,10 @@ fn fused_sites_are_bit_identical_to_their_own_composed_path() {
                 assert_eq!(outs_on, outs_off, "norm+matmul outputs diverged [{label}]");
                 assert_eq!(
                     on.telemetry(),
-                    off.telemetry(),
+                    off.0.telemetry(),
                     "telemetry accounting diverged [{label}]"
                 );
+                assert_paths(&obs_on, &obs_off, &label);
             }
         }
     }
@@ -203,15 +244,14 @@ fn norm_matmul_site_matches_the_composed_scalar_oracle() {
                 ];
                 let weight_refs: Vec<&Matrix> = weights.iter().collect();
 
-                let mut oracle =
-                    HaanNormalizer::new(config(BackendSelection::Scalar, format, false));
+                let mut oracle = HaanNormalizer::new(config(BackendSelection::Scalar, format));
                 let oracle_norm = oracle.normalize_matrix(site(0, kind), &input, &gamma, &beta);
                 let oracle_outs: Vec<Matrix> = weight_refs
                     .iter()
                     .map(|w| oracle_norm.matmul(w).unwrap())
                     .collect();
 
-                let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, format, true));
+                let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, format));
                 let outs = run_norm_matmul(&mut fused, kind, &input, &gamma, &beta, &weight_refs);
 
                 for (n, (out, oracle_out)) in outs.iter().zip(&oracle_outs).enumerate() {
@@ -244,8 +284,12 @@ fn fusion_sites_handle_constant_and_subnormal_rows() {
             let weights = [varied_matrix(cols, 7, 1.0)];
             let weight_refs: Vec<&Matrix> = weights.iter().collect();
 
-            let mut on = HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp32, true));
-            let mut off = HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp32, false));
+            let mut on = HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp32));
+            let mut off = Composed(HaanNormalizer::new(config(
+                BackendSelection::Fused,
+                Format::Fp32,
+            )));
+            let (obs_on, obs_off) = (observe(&mut on), observe(&mut off.0));
             let label = format!("{name} {rows}x{cols}");
 
             let (sum_on, norm_on) = run_residual(
@@ -290,32 +334,22 @@ fn fusion_sites_handle_constant_and_subnormal_rows() {
                 &weight_refs,
             );
             assert_eq!(outs_on, outs_off, "norm+matmul diverged [{label}]");
+            assert_paths(&obs_on, &obs_off, &label);
         }
     }
 }
 
-#[test]
-fn quantized_skip_anchor_sites_round_trip_anchor_state_bit_identically() {
-    // A quantized, subsampled sequence through an anchor site (0) and a skipped
-    // site (1), both entered through the fusion entry points. The resulting
-    // AnchorState must be bit-identical between the fused and composed paths.
-    let plan = SkipPlan {
-        start: 0,
-        end: 2,
-        decay: -0.04,
-        correlation: -1.0,
-        calibration_anchor_log_isd: -0.3,
-    };
-    let build = |fusion: bool| {
-        let config = HaanConfig::builder()
-            .label("anchor round trip")
-            .subsample(24)
-            .format(Format::Fp16)
-            .backend(BackendSelection::Fused)
-            .fusion(fusion)
-            .build();
-        HaanNormalizer::new(config).with_plan(plan)
-    };
+/// The skipped-site outputs of [`anchor_round_trip`]: the residual site's
+/// normalized rows and the norm+matmul site's consumer outputs.
+type SkippedOutputs = (Matrix, Vec<Matrix>);
+
+/// A quantized, subsampled sequence through an anchor site (0) and a skipped
+/// site (1), both entered through the fusion entry points. `haan` reaches the
+/// HAAN normalizer inside `normalizer` to inspect its anchor state.
+fn anchor_round_trip<N: Normalizer>(
+    normalizer: &mut N,
+    haan: impl Fn(&N) -> &HaanNormalizer,
+) -> (AnchorState, SkippedOutputs) {
     const ROWS: usize = 6;
     const COLS: usize = 48;
     let input = varied_matrix(ROWS, COLS, 1.3);
@@ -324,67 +358,89 @@ fn quantized_skip_anchor_sites_round_trip_anchor_state_bit_identically() {
     let weights = [varied_matrix(COLS, 16, 0.4)];
     let weight_refs: Vec<&Matrix> = weights.iter().collect();
 
-    let mut states: Vec<AnchorState> = Vec::new();
-    let mut skipped_outs: Vec<(Matrix, Vec<Matrix>)> = Vec::new();
-    for fusion in [true, false] {
-        let mut normalizer = build(fusion);
-        normalizer.begin_sequence();
-        // Anchor site through the fused residual shape records per-row anchors.
-        let mut summed = Matrix::zeros(ROWS, COLS);
-        let mut normed = Matrix::zeros(ROWS, COLS);
-        normalizer.normalize_residual_into(
-            site(0, NormKind::LayerNorm),
-            &input,
-            &residual,
-            &gamma,
-            &beta,
-            &mut summed,
-            &mut normed,
-        );
-        let state = normalizer.anchor_state();
-        assert!(!state.is_empty(), "anchor site must record anchors");
-        assert_eq!(state.row_log_isds().len(), ROWS);
-        assert_eq!(
-            state.scalar_log_isd(),
-            state.row_log_isds().last().copied(),
-            "the scalar tier is the last row's anchor"
-        );
+    normalizer.begin_sequence();
+    // Anchor site through the fused residual shape records per-row anchors.
+    let mut summed = Matrix::zeros(ROWS, COLS);
+    let mut normed = Matrix::zeros(ROWS, COLS);
+    normalizer.normalize_residual_into(
+        site(0, NormKind::LayerNorm),
+        &input,
+        &residual,
+        &gamma,
+        &beta,
+        &mut summed,
+        &mut normed,
+    );
+    let state = haan(normalizer).anchor_state();
+    assert!(!state.is_empty(), "anchor site must record anchors");
+    assert_eq!(state.row_log_isds().len(), ROWS);
+    assert_eq!(
+        state.scalar_log_isd(),
+        state.row_log_isds().last().copied(),
+        "the scalar tier is the last row's anchor"
+    );
 
-        // Skipped site consumes the per-row anchors through both entry points.
-        let mut skip_sum = Matrix::zeros(ROWS, COLS);
-        let mut skip_norm = Matrix::zeros(ROWS, COLS);
-        normalizer.normalize_residual_into(
+    // Skipped site consumes the per-row anchors through both entry points.
+    let mut skip_sum = Matrix::zeros(ROWS, COLS);
+    let mut skip_norm = Matrix::zeros(ROWS, COLS);
+    normalizer.normalize_residual_into(
+        site(1, NormKind::LayerNorm),
+        &input,
+        &residual,
+        &gamma,
+        &beta,
+        &mut skip_sum,
+        &mut skip_norm,
+    );
+    let mut outs = vec![Matrix::zeros(ROWS, 16)];
+    normalizer
+        .normalize_matmul_into(
             site(1, NormKind::LayerNorm),
             &input,
-            &residual,
             &gamma,
             &beta,
-            &mut skip_sum,
-            &mut skip_norm,
-        );
-        let mut outs = vec![Matrix::zeros(ROWS, 16)];
-        normalizer
-            .normalize_matmul_into(
-                site(1, NormKind::LayerNorm),
-                &input,
-                &gamma,
-                &beta,
-                &weight_refs,
-                &mut outs,
-            )
-            .unwrap();
-        assert!(normalizer.telemetry().skipped_isd >= 2 * ROWS as u64);
-        states.push(normalizer.anchor_state());
-        skipped_outs.push((skip_norm, outs));
-    }
+            &weight_refs,
+            &mut outs,
+        )
+        .unwrap();
+    assert!(haan(normalizer).telemetry().skipped_isd >= 2 * ROWS as u64);
+    (haan(normalizer).anchor_state(), (skip_norm, outs))
+}
+
+#[test]
+fn quantized_skip_anchor_sites_round_trip_anchor_state_bit_identically() {
+    // The resulting AnchorState must be bit-identical between the fused and
+    // composed paths.
+    let plan = SkipPlan {
+        start: 0,
+        end: 2,
+        decay: -0.04,
+        correlation: -1.0,
+        calibration_anchor_log_isd: -0.3,
+    };
+    let build = || {
+        let config = HaanConfig::builder()
+            .label("anchor round trip")
+            .subsample(24)
+            .format(Format::Fp16)
+            .backend(BackendSelection::Fused)
+            .build();
+        HaanNormalizer::new(config).with_plan(plan)
+    };
+    let mut fused = build();
+    let mut composed = Composed(build());
+    let (obs_fused, obs_composed) = (observe(&mut fused), observe(&mut composed.0));
+    let (fused_state, fused_outs) = anchor_round_trip(&mut fused, |n| n);
+    let (composed_state, composed_outs) = anchor_round_trip(&mut composed, |n| &n.0);
     assert_eq!(
-        states[0], states[1],
+        fused_state, composed_state,
         "anchor state diverged fused vs composed"
     );
     assert_eq!(
-        skipped_outs[0], skipped_outs[1],
+        fused_outs, composed_outs,
         "skipped-site outputs diverged fused vs composed"
     );
+    assert_paths(&obs_fused, &obs_composed, "anchor round trip");
 }
 
 #[test]
@@ -398,10 +454,13 @@ fn accel_sim_fusion_sites_report_cycles_and_match_their_composed_path() {
     let weights = [varied_matrix(cols, 24, 0.3)];
     let weight_refs: Vec<&Matrix> = weights.iter().collect();
 
-    let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp16, true))
+    let mut fused = HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp16))
         .with_external_backend(fused_backend.clone());
-    let mut composed = HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp16, false))
-        .with_external_backend(composed_backend.clone());
+    let mut composed = Composed(
+        HaanNormalizer::new(config(BackendSelection::Fused, Format::Fp16))
+            .with_external_backend(composed_backend.clone()),
+    );
+    let (obs_fused, obs_composed) = (observe(&mut fused), observe(&mut composed.0));
 
     let (sum_f, norm_f) = run_residual(
         &mut fused,
@@ -441,11 +500,12 @@ fn accel_sim_fusion_sites_report_cycles_and_match_their_composed_path() {
         &weight_refs,
     );
     assert_eq!(outs_f, outs_c, "accel-sim norm+matmul diverged");
+    assert_paths(&obs_fused, &obs_composed, "accel-sim");
 
     // Against the scalar software oracle the hardware envelope applies.
     let mut oracle_sum = input.clone();
     oracle_sum.add_assign(&residual).unwrap();
-    let mut oracle = HaanNormalizer::new(config(BackendSelection::Scalar, Format::Fp16, false));
+    let mut oracle = HaanNormalizer::new(config(BackendSelection::Scalar, Format::Fp16));
     let oracle_norm =
         oracle.normalize_matrix(site(0, NormKind::LayerNorm), &oracle_sum, &gamma, &beta);
     assert_close(&norm_f, &oracle_norm, 5e-2, "accel-sim residual vs oracle");
