@@ -22,7 +22,7 @@ use haan_llm::norm::{Composed, NormSite, Normalizer, ReferenceNormalizer};
 use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel};
 use haan_obs::json::JsonValue;
 use haan_router::{PlacementPolicy, Router, RouterConfig};
-use haan_serve::{GroupStats, KvPoolPolicy, ServeConfig, ServeEngine};
+use haan_serve::{DecodeGroup, GroupStats, KvPoolPolicy, ServeConfig, ServeEngine};
 use std::sync::Arc;
 
 const ROWS: usize = 16;
@@ -627,6 +627,8 @@ const CONTINUOUS_PREFIX_TOKENS: usize = 64;
 struct ContinuousBatchingPoint {
     chunked_occupancy_rows: f64,
     unchunked_occupancy_rows: f64,
+    chunked_max_tick_rows: u64,
+    unchunked_max_tick_rows: u64,
     join_latency_p50_us: u64,
     join_latency_p99_us: u64,
     join_first_token_ticks: u64,
@@ -638,10 +640,14 @@ struct ContinuousBatchingPoint {
 /// One continuous-batching join drill: `CONTINUOUS_WIDTH` resident streams
 /// decode while `CONTINUOUS_JOINS` long prompts join one at a time. Returns
 /// the group's mean tick occupancy, each join's wall-clock latency to first
-/// token (µs) and tick count, and the worst per-tick token delay any already
+/// token (µs) and tick count, the worst per-tick token delay any already
 /// resident stream suffered while a join was prefilling (the acceptance bar:
-/// 0 under chunking — residents never miss a tick).
-fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Vec<u64>, u64, u64) {
+/// 0 under chunking — residents never miss a tick), and the most rows one
+/// tick's batched pass carried after warm-up.
+fn run_continuous_join_drill(
+    model: &TransformerModel,
+    chunk: usize,
+) -> (f64, Vec<u64>, u64, u64, u64) {
     let config = model.config();
     let vocab = config.vocab_size as u32;
     let engine = ServeEngine::start(ServeConfig {
@@ -671,6 +677,13 @@ fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Ve
     let mut join_latencies_us = Vec::with_capacity(CONTINUOUS_JOINS);
     let mut join_ticks_total = 0u64;
     let mut max_delay_ticks = 0u64;
+    let mut max_tick_rows = 0u64;
+    let mut tick = |group: &mut DecodeGroup<'_>, what: &str| {
+        let rows_before = group.stats().occupied_rows;
+        let results = group.step_all().expect(what);
+        max_tick_rows = max_tick_rows.max(group.stats().occupied_rows - rows_before);
+        results
+    };
     for join in 0..CONTINUOUS_JOINS {
         let prompt: Vec<u32> = (0..CONTINUOUS_JOIN_PROMPT as u32)
             .map(|i| (i * 29 + join as u32 * 7 + 3) % vocab)
@@ -680,7 +693,7 @@ fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Ve
         let mut delay_this_join = 0u64;
         loop {
             join_ticks_total += 1;
-            let results = group.step_all().expect("join tick");
+            let results = tick(&mut group, "join tick");
             delay_this_join += resident.iter().filter(|&&i| results[i].is_none()).count() as u64;
             if results[index].is_some() {
                 break;
@@ -689,7 +702,7 @@ fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Ve
         join_latencies_us.push(started.elapsed().as_micros() as u64);
         max_delay_ticks = max_delay_ticks.max(delay_this_join);
         resident.push(index);
-        group.step_all().expect("settle tick");
+        tick(&mut group, "settle tick");
     }
     let occupancy = group.stats().mean_tick_occupancy_rows();
     (
@@ -697,20 +710,28 @@ fn run_continuous_join_drill(model: &TransformerModel, chunk: usize) -> (f64, Ve
         join_latencies_us,
         join_ticks_total,
         max_delay_ticks,
+        max_tick_rows,
     )
 }
 
-/// Measures the continuous-batching tentpole: tick occupancy with vs without
-/// chunked prefill over the same join drill, join latency percentiles under
+/// Measures the continuous-batching tentpole: tick occupancy and the widest
+/// tick with vs without chunked prefill over the same join drill (unchunked,
+/// a join's whole prompt rides one pass), join latency percentiles under
 /// chunking, and the live pool footprint of `CONTINUOUS_WIDTH` streams behind
 /// one interned `CONTINUOUS_PREFIX_TOKENS`-token prefix vs the same streams
 /// each materializing their own copy.
 fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatchingPoint {
     let config = model.config();
     let vocab = config.vocab_size as u32;
-    let (chunked_occupancy_rows, mut join_latencies_us, join_ticks, max_delay) =
-        run_continuous_join_drill(model, CONTINUOUS_CHUNK);
-    let (unchunked_occupancy_rows, _, _, _) = run_continuous_join_drill(model, 0);
+    let (
+        chunked_occupancy_rows,
+        mut join_latencies_us,
+        join_ticks,
+        max_delay,
+        chunked_max_tick_rows,
+    ) = run_continuous_join_drill(model, CONTINUOUS_CHUNK);
+    let (unchunked_occupancy_rows, _, _, _, unchunked_max_tick_rows) =
+        run_continuous_join_drill(model, 0);
     join_latencies_us.sort_unstable();
     let percentile = |p: f64| {
         let rank = ((join_latencies_us.len() as f64 - 1.0) * p).round() as usize;
@@ -777,6 +798,8 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
     ContinuousBatchingPoint {
         chunked_occupancy_rows,
         unchunked_occupancy_rows,
+        chunked_max_tick_rows,
+        unchunked_max_tick_rows,
         join_latency_p50_us: percentile(0.5),
         join_latency_p99_us: percentile(0.99),
         join_first_token_ticks: join_ticks / CONTINUOUS_JOINS as u64,
@@ -1114,7 +1137,7 @@ fn main() {
     ]);
     println!("{}", robustness_table.render());
 
-    // Continuous batching: chunked-prefill occupancy vs one-shot activation,
+    // Continuous batching: chunked-prefill occupancy vs whole-backlog activation,
     // join latency while residents keep ticking, and the live pool footprint
     // of prefix sharing vs per-stream prefix copies.
     let continuous = run_continuous_batching_benchmark(&decode_model);
@@ -1124,6 +1147,13 @@ fn main() {
         format!(
             "{:.1} / {:.1}",
             continuous.chunked_occupancy_rows, continuous.unchunked_occupancy_rows
+        ),
+    ]);
+    continuous_table.push_row(vec![
+        "max rows in one tick (chunked / unchunked)".to_string(),
+        format!(
+            "{} / {}",
+            continuous.chunked_max_tick_rows, continuous.unchunked_max_tick_rows
         ),
     ]);
     continuous_table.push_row(vec![
@@ -1496,6 +1526,14 @@ fn main() {
                     JsonValue::from(continuous.unchunked_occupancy_rows),
                 ),
                 (
+                    "chunked_max_tick_rows",
+                    JsonValue::from(continuous.chunked_max_tick_rows),
+                ),
+                (
+                    "unchunked_max_tick_rows",
+                    JsonValue::from(continuous.unchunked_max_tick_rows),
+                ),
+                (
                     "join_latency_p50_us",
                     JsonValue::from(continuous.join_latency_p50_us),
                 ),
@@ -1663,11 +1701,20 @@ fn main() {
         robustness.shed > 0 && robustness.preemptions > 0 && robustness.resumes > 0,
         "a 4x overload drill with no shedding or preemption measured nothing"
     );
+    // Every stream the drill ever holds feeds one row, plus at most one chunk
+    // of a joining prompt; without a bound a join's whole prompt rides a tick.
+    let chunked_row_bound = (CONTINUOUS_WIDTH + CONTINUOUS_JOINS + CONTINUOUS_CHUNK) as u64;
     assert!(
-        continuous.chunked_occupancy_rows > continuous.unchunked_occupancy_rows,
-        "chunked prefill ({:.1} rows/tick) must out-batch one-shot activation ({:.1})",
-        continuous.chunked_occupancy_rows,
-        continuous.unchunked_occupancy_rows
+        continuous.chunked_max_tick_rows <= chunked_row_bound,
+        "a chunked tick carried {} rows, over the {chunked_row_bound}-row bound of \
+         resident streams plus one chunk",
+        continuous.chunked_max_tick_rows
+    );
+    assert!(
+        continuous.unchunked_max_tick_rows >= CONTINUOUS_JOIN_PROMPT as u64,
+        "an unchunked join should feed its whole {CONTINUOUS_JOIN_PROMPT}-row prompt in \
+         one tick, the widest tick carried {}",
+        continuous.unchunked_max_tick_rows
     );
     assert_eq!(
         continuous.max_resident_token_delay_ticks, 0,

@@ -33,13 +33,13 @@
 //!   [`KvPrefix`] handles (content-addressed by [`prefix_fingerprint`]):
 //!   refcount-0 entries past capacity are evicted and their pages returned to
 //!   the pool, with typed hit/miss/eviction stats.
-//! * [`streaming`] — [`StreamingModel`], a greedy decode stream that pushes every
-//!   normalization site of each step through any [`Normalizer`] — including a
-//!   serving-layer session sharing one batched engine across many streams. Streams
-//!   ride the incremental forward-pass API ([`TransformerModel::start_decode`] /
-//!   [`DecodeContext`]) so decode is O(seq) per token, with K/V rows paged out of
-//!   a [`KvBlockPool`] (the full-recompute loop is kept as the parity oracle).
-//!   Many streams advance in lockstep through [`TransformerModel::step_many`].
+//! * [`streaming`] — [`StreamingModel`], the solo greedy decode stream that
+//!   pushes every normalization site of each step through any [`Normalizer`].
+//!   It rides the incremental forward-pass API ([`TransformerModel::start_decode`]
+//!   / [`DecodeContext`]) so decode is O(seq) per token, with K/V rows paged out
+//!   of a [`KvBlockPool`] (the full-recompute loop is kept as the parity oracle).
+//!   Many streams advance in one batched pass through
+//!   [`TransformerModel::advance_many`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

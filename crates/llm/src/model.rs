@@ -12,10 +12,11 @@
 //!   O(seq²). Both APIs are bit-identical (see `tests/kv_decode.rs`).
 //!
 //! Many concurrent streams advance together through
-//! [`TransformerModel::step_many`]: one token per stream per call, with every
-//! row-local stage (normalization, MLP, logit projection) executed once over the
-//! stacked rows — which is how a serving engine turns per-stream decode into
-//! wide fused normalization batches.
+//! [`TransformerModel::advance_many`]: each stream feeds its own rows (one
+//! decode token or a prompt chunk) and every row-local stage (normalization,
+//! MLP, logit projection) runs once over the stacked rows — which is how a
+//! serving engine turns per-stream decode into wide fused normalization
+//! batches.
 
 use crate::attention::AttnScratch;
 use crate::block::TransformerBlock;
@@ -395,63 +396,25 @@ impl TransformerModel {
         })
     }
 
-    /// Advances many decode streams one token each, in lockstep: `tokens[s]` is
-    /// fed to `contexts[s]`, and the returned matrix holds one logits row per
-    /// stream (row `s` predicts the successor of `tokens[s]`).
-    ///
-    /// The point is batching width for the normalizer: every row-local stage —
-    /// both normalization sites of every block, the final norm, the MLPs, the
-    /// vocabulary projection — runs **once over the stacked `S × E` rows**, so a
-    /// fused [`Normalizer::normalize_matrix_into`] implementation sees `S` rows
-    /// per site per tick instead of one. Only attention is per-stream (each row
-    /// attends against its own cache). Outputs are bit-identical to stepping
-    /// each context alone with its own normalizer run: every shared kernel is
-    /// row-local, and HAAN's skip-anchor state is per-row within a pass, so row
-    /// `s` records and consumes only its own anchors.
-    ///
-    /// Streams may sit at different positions; streams under
-    /// [`EvictionPolicy::SlidingWindow`] are evicted (per stream, before the
-    /// lockstep pass) exactly as a solo [`DecodeContext::step`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LlmError::InvalidConfig`] when `contexts` is empty, does not
-    /// match `tokens`, or contains a context of a different model;
-    /// [`LlmError::InvalidSequenceLength`] when a non-windowed stream is at
-    /// capacity; and any single-stream forward-pass error. On error, no
-    /// context's position counter has advanced past the failed pass.
-    pub fn step_many<N: Normalizer + ?Sized>(
-        &self,
-        contexts: &mut [&mut DecodeContext<'_>],
-        tokens: &[u32],
-        normalizer: &mut N,
-    ) -> Result<Matrix, LlmError> {
-        if contexts.len() != tokens.len() {
-            return Err(LlmError::InvalidConfig(format!(
-                "step_many: {} contexts for {} tokens",
-                contexts.len(),
-                tokens.len()
-            )));
-        }
-        let feeds: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
-        self.advance_many(contexts, &feeds, normalizer)
-    }
-
-    /// The continuous-batching generalization of [`TransformerModel::step_many`]:
-    /// advances every stream by its own *variable-length* feed in one batched
-    /// pass — decode streams feed one token, chunk-prefilling streams feed a
-    /// whole prompt chunk — and returns one logits row per stream, the row of
-    /// its **last** fed position (exactly what greedy decode and
+    /// Advances many decode streams in one batched pass, each by its own
+    /// *variable-length* feed — decode streams feed one token, catching-up
+    /// streams a whole prompt chunk — and returns one logits row per stream,
+    /// the row of its **last** fed position (exactly what greedy decode and
     /// [`DecodeContext::prefill_last`] consume).
     ///
-    /// Every row-local stage — both normalization sites of every block, the
-    /// final norm, the MLPs, the vocabulary projection — runs once over all
-    /// stacked rows, so the fused normalizer sees `Σ feed lengths` rows per
+    /// The point is batching width for the normalizer: every row-local stage
+    /// — both normalization sites of every block, the final norm, the MLPs,
+    /// the vocabulary projection — runs once over all stacked rows, so a fused
+    /// [`Normalizer::normalize_matrix_into`] sees `Σ feed lengths` rows per
     /// site per tick; only attention loops per stream, each segment attending
     /// against its own cache (see
-    /// [`TransformerBlock::forward_cached_segments`]). Bit-identity to solo
-    /// decode is preserved for the same reason as `step_many`: row-locality,
-    /// per-row HAAN anchor state within a pass, and shared reduction orders.
+    /// [`TransformerBlock::forward_cached_segments`]). Outputs are
+    /// bit-identical to feeding each context alone: every shared kernel is
+    /// row-local with a fixed reduction order, and HAAN's skip-anchor state is
+    /// per-row within a pass, so a row records and consumes only its own
+    /// anchors. Streams may sit at different positions; streams under
+    /// [`EvictionPolicy::SlidingWindow`] are evicted (per stream, before the
+    /// pass) exactly as a solo feed would.
     ///
     /// # Errors
     ///
@@ -1250,7 +1213,7 @@ mod tests {
     }
 
     #[test]
-    fn step_many_matches_individual_steps_bit_for_bit() {
+    fn advance_many_matches_individual_steps_bit_for_bit() {
         use crate::paging::KvBlockPool;
         let model = tiny_model();
         let pool = KvBlockPool::shared(
@@ -1277,9 +1240,10 @@ mod tests {
             .collect();
         for round in 0..3u32 {
             let tokens: Vec<u32> = (0..3u32).map(|s| (round * 7 + s) % 8).collect();
+            let feeds: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
             let mut refs: Vec<&mut DecodeContext> = lockstep.iter_mut().collect();
             let batched = model
-                .step_many(&mut refs, &tokens, &mut ReferenceNormalizer::new())
+                .advance_many(&mut refs, &feeds, &mut ReferenceNormalizer::new())
                 .unwrap();
             assert_eq!(batched.shape(), (3, model.config().vocab_size));
             for (s, ctx) in solo.iter_mut().enumerate() {
@@ -1296,21 +1260,60 @@ mod tests {
     }
 
     #[test]
-    fn step_many_rejects_mismatched_inputs() {
+    fn advance_many_with_mixed_length_feeds_matches_solo_feeds() {
+        // One pass stacking a one-token decode feed, a prompt chunk into a
+        // fed context, and a whole prompt into a fresh one: each logits row
+        // is the solo feed's last row, and each cache ends where solo does.
+        let model = tiny_model();
+        let warm: [&[u32]; 3] = [&[1, 5, 9], &[2, 4], &[]];
+        let feeds: [&[u32]; 3] = [&[6], &[7, 3, 1, 12, 0], &[3, 8, 2, 6]];
+        let mut batched: Vec<DecodeContext> = Vec::new();
+        let mut solo: Vec<DecodeContext> = Vec::new();
+        for prefix in warm {
+            for contexts in [&mut batched, &mut solo] {
+                let mut ctx = model.start_decode();
+                if !prefix.is_empty() {
+                    ctx.prefill(prefix, &mut ReferenceNormalizer::new())
+                        .unwrap();
+                }
+                contexts.push(ctx);
+            }
+        }
+        let mut refs: Vec<&mut DecodeContext> = batched.iter_mut().collect();
+        let logits = model
+            .advance_many(&mut refs, &feeds, &mut ReferenceNormalizer::new())
+            .unwrap();
+        assert_eq!(logits.shape(), (3, model.config().vocab_size));
+        for (s, (ctx, feed)) in solo.iter_mut().zip(feeds).enumerate() {
+            let last = ctx
+                .prefill_last(feed, &mut ReferenceNormalizer::new())
+                .unwrap();
+            assert_eq!(logits.row(s), last.as_slice(), "stream {s}");
+            assert_eq!(batched[s].resident_tokens(), ctx.resident_tokens());
+        }
+    }
+
+    #[test]
+    fn advance_many_rejects_mismatched_inputs() {
         let model = tiny_model();
         let other = TransformerModel::new(&ModelConfig::tiny_test(), 7).unwrap();
         let mut ctx = model.start_decode();
         let mut foreign = other.start_decode();
         let mut norm = ReferenceNormalizer::new();
         let empty: &mut [&mut DecodeContext] = &mut [];
-        assert!(model.step_many(empty, &[], &mut norm).is_err());
+        assert!(model.advance_many(empty, &[], &mut norm).is_err());
         assert!(model
-            .step_many(&mut [&mut ctx], &[1, 2], &mut norm)
+            .advance_many(&mut [&mut ctx], &[&[1], &[2]], &mut norm)
             .is_err());
         assert!(model
-            .step_many(&mut [&mut foreign], &[1], &mut norm)
+            .advance_many(&mut [&mut foreign], &[&[1]], &mut norm)
             .is_err());
-        assert!(model.step_many(&mut [&mut ctx], &[999], &mut norm).is_err());
+        assert!(model
+            .advance_many(&mut [&mut ctx], &[&[999]], &mut norm)
+            .is_err());
+        assert!(model
+            .advance_many(&mut [&mut ctx], &[&[]], &mut norm)
+            .is_err());
     }
 
     #[test]

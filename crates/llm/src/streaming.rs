@@ -1,15 +1,18 @@
-//! Greedy streaming decode on top of [`TransformerModel`].
+//! Solo greedy decode on top of [`TransformerModel`].
 //!
 //! [`StreamingModel`] holds the growing token buffer of one decode stream and
 //! advances it one token per [`StreamingModel::decode_step`] call through any
-//! [`Normalizer`] — including a serving-layer session, which is how many concurrent
-//! decode streams share one batched normalization engine. By default the stream
-//! rides a [`DecodeContext`] whose per-block K/V rows are **paged out of a
-//! [`KvBlockPool`](crate::KvBlockPool)** (a private pool under
-//! [`StreamingModel::new`]; pass a pool-backed context to
-//! [`StreamingModel::from_context`] to share one pool across many streams): the
-//! prompt is prefilled on the first step and every later step feeds exactly one
-//! token, so per-step work is O(seq) instead of the O(seq²) full recompute.
+//! [`Normalizer`]. By default the stream rides a [`DecodeContext`] whose
+//! per-block K/V rows are **paged out of a [`KvBlockPool`](crate::KvBlockPool)**
+//! (a private pool under [`StreamingModel::new`]; pass a pool-backed or
+//! windowed context to [`StreamingModel::from_context`]): the prompt is
+//! prefilled on the first step and every later step feeds exactly one token,
+//! so per-step work is O(seq) instead of the O(seq²) full recompute.
+//!
+//! This is the solo driver and the parity reference of serving. The stream
+//! lifecycle under load — chunked catch-up, preemption (park) and resume —
+//! lives in one place, the serving layer's `DecodeGroup`, which picks tokens
+//! with the same [`greedy_argmax`].
 //!
 //! One parity oracle is kept deliberately: [`StreamingModel::new_full_recompute`]
 //! re-runs the whole prefix every step (the *incrementality* oracle). The
@@ -48,13 +51,6 @@ pub struct StreamingModel<'m> {
     /// sliding-window eviction shrinks the context without un-feeding anything.
     fed: usize,
     prompt_len: usize,
-    /// Tokens that were resident in the K/V caches when the stream was parked
-    /// (see [`StreamingModel::park`]); `None` while the stream is live. The
-    /// next step re-prefills `parked ++ tokens[fed..]` into fresh pages.
-    parked: Option<Vec<u32>>,
-    /// Upper bound on rows fed per incremental pass (0 = unbounded). See
-    /// [`StreamingModel::set_prefill_chunk_rows`].
-    prefill_chunk_rows: usize,
 }
 
 impl<'m> StreamingModel<'m> {
@@ -96,8 +92,6 @@ impl<'m> StreamingModel<'m> {
             tokens: prompt.to_vec(),
             fed: 0,
             prompt_len: prompt.len(),
-            parked: None,
-            prefill_chunk_rows: 0,
         })
     }
 
@@ -119,8 +113,6 @@ impl<'m> StreamingModel<'m> {
             tokens: prompt.to_vec(),
             fed: 0,
             prompt_len: prompt.len(),
-            parked: None,
-            prefill_chunk_rows: 0,
         })
     }
 
@@ -128,13 +120,6 @@ impl<'m> StreamingModel<'m> {
     #[must_use]
     pub fn model(&self) -> &'m TransformerModel {
         self.model
-    }
-
-    /// True when the stream advances through a KV cache instead of recomputing the
-    /// full prefix every step.
-    #[must_use]
-    pub fn is_cached(&self) -> bool {
-        self.context.is_some()
     }
 
     /// The full token buffer: prompt followed by generated tokens.
@@ -175,68 +160,10 @@ impl<'m> StreamingModel<'m> {
         })
     }
 
-    /// True when the stream is parked: its K/V pages have been handed back to
-    /// the pool by [`StreamingModel::park`] and the next step will transparently
-    /// re-prefill the captured resident window.
-    #[must_use]
-    pub fn is_parked(&self) -> bool {
-        self.parked.is_some()
-    }
-
-    /// Bounds every incremental pass at `rows` K/V rows (0 — the default —
-    /// disables chunking): a long prompt is prefilled in `⌈len/rows⌉` bounded
-    /// chunks instead of one monolithic pass, so no single pass of a shared
-    /// engine is ever longer than one chunk. Chunked prefill is bit-identical
-    /// to one-shot prefill — feeding a prefix in chunks is exactly the cached
-    /// incrementality invariant `tests/kv_decode.rs` pins — and a chunk that
-    /// fails (e.g. pool exhaustion) leaves the earlier chunks resident, so the
-    /// next step resumes from the failed chunk, not from scratch.
-    ///
-    /// Ignored by the full-recompute oracle (it feeds no cache).
-    pub fn set_prefill_chunk_rows(&mut self, rows: usize) {
-        self.prefill_chunk_rows = rows;
-    }
-
-    /// The configured prefill chunk bound (0 = unbounded).
-    #[must_use]
-    pub fn prefill_chunk_rows(&self) -> usize {
-        self.prefill_chunk_rows
-    }
-
-    /// Parks the stream — the preemption primitive of overload-safe serving:
-    /// the tokens currently resident in the K/V caches are captured and every
-    /// page is returned to the pool, so other streams can use the memory. The
-    /// stream stays fully usable: the next [`StreamingModel::decode_step`]
-    /// re-prefills the captured window (plus any unfed suffix) into fresh pages
-    /// in one incremental pass, and the tokens it then generates are
-    /// bit-identical to never having parked — the post-resume state is exactly
-    /// the fresh-context-prefilled-with-resident-tokens state that cached
-    /// decode is already bit-equal to (see `tests/kv_decode.rs`).
-    ///
-    /// Returns `true` when the call released pages; `false` for the stateless
-    /// full-recompute oracle (nothing to free), an already-parked stream, or a
-    /// stream that has not fed anything yet.
-    pub fn park(&mut self) -> bool {
-        match &mut self.context {
-            None => false,
-            Some(context) => {
-                if self.parked.is_some() || context.is_empty() {
-                    return false;
-                }
-                self.parked = Some(context.resident_tokens().to_vec());
-                context.reset();
-                true
-            }
-        }
-    }
-
     /// Runs one greedy decode step: the unprocessed suffix of the token buffer
     /// (the whole prompt on the first call, one token afterwards) is fed through
     /// `normalizer`, and the arg-max of the final position's logits is appended to
     /// the stream. In full-recompute mode the entire buffer is re-run instead.
-    /// A parked stream first re-prefills its captured resident window (see
-    /// [`StreamingModel::park`]); if that re-prefill fails — e.g. the pool is
-    /// still exhausted — the stream stays parked and retryable.
     ///
     /// # Errors
     ///
@@ -253,81 +180,18 @@ impl<'m> StreamingModel<'m> {
                 max: self.model.config().max_seq_len,
             });
         }
-        let fed_after = self.tokens.len();
         let last_logits: Vec<f32> = match &mut self.context {
             None => {
                 let logits = self.model.logits(&self.tokens, normalizer)?;
                 logits.row(self.tokens.len() - 1).to_vec()
             }
-            Some(context) => match self.parked.as_ref() {
-                // Feed whatever the context has not seen yet — the prompt on the
-                // first step, exactly one token per step afterwards — projecting
-                // only the final position onto the vocabulary. With chunking
-                // enabled the pending feed is split into bounded passes; each
-                // completed chunk commits `fed` so a mid-prompt failure resumes
-                // from the failed chunk rather than re-feeding from scratch.
-                None => {
-                    if self.prefill_chunk_rows > 0 {
-                        while self.tokens.len() - self.fed > self.prefill_chunk_rows {
-                            let end = self.fed + self.prefill_chunk_rows;
-                            context.prefill_last(&self.tokens[self.fed..end], normalizer)?;
-                            self.fed = end;
-                        }
-                    }
-                    let pending = &self.tokens[self.fed..];
-                    context.prefill_last(pending, normalizer)?
-                }
-                // Resume: one re-prefill of the captured resident window plus
-                // the unfed suffix. If the window plus suffix no longer fits, a
-                // windowed stream keeps only its `keep_last` newest resident
-                // tokens — exactly the eviction a solo step at that point would
-                // have applied, so resumption stays bit-identical.
-                Some(resident) => {
-                    let tail = self.tokens.len() - self.fed;
-                    let max = self.model.config().max_seq_len;
-                    let mut feed = resident.clone();
-                    if let EvictionPolicy::SlidingWindow { keep_last } = context.eviction() {
-                        if feed.len() + tail > max {
-                            let keep = keep_last.min(feed.len());
-                            feed.drain(..feed.len() - keep);
-                        }
-                    }
-                    feed.extend_from_slice(&self.tokens[self.fed..]);
-                    // A failed re-prefill rolls the context back and keeps
-                    // `parked`, so the stream stays parked and retryable. The
-                    // resume feed is chunked like a live prefill, but commits
-                    // nothing until the whole window is resident: a mid-chunk
-                    // failure resets the context so the retry is all-or-nothing.
-                    let chunk = self.prefill_chunk_rows;
-                    let outcome = (|| {
-                        let mut start = 0;
-                        if chunk > 0 {
-                            while feed.len() - start > chunk {
-                                context.prefill_last(&feed[start..start + chunk], normalizer)?;
-                                start += chunk;
-                            }
-                        }
-                        context.prefill_last(&feed[start..], normalizer)
-                    })();
-                    let logits = match outcome {
-                        Ok(logits) => logits,
-                        Err(err) => {
-                            context.reset();
-                            return Err(err);
-                        }
-                    };
-                    self.parked = None;
-                    logits
-                }
-            },
+            // Feed whatever the context has not seen yet — the prompt on the
+            // first step, exactly one token per step afterwards — projecting
+            // only the final position onto the vocabulary.
+            Some(context) => context.prefill_last(&self.tokens[self.fed..], normalizer)?,
         };
-        self.fed = fed_after;
-        let next = last_logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i as u32)
-            .expect("non-empty vocabulary");
+        self.fed = self.tokens.len();
+        let next = greedy_argmax(&last_logits);
         self.tokens.push(next);
         Ok(next)
     }
@@ -351,6 +215,21 @@ impl<'m> StreamingModel<'m> {
     }
 }
 
+/// Greedy decoding's token choice: the index of the largest logit.
+///
+/// # Panics
+///
+/// Panics on an empty row or a NaN logit.
+#[must_use]
+pub fn greedy_argmax(logits: &[f32]) -> u32 {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+        .map(|(i, _)| i as u32)
+        .expect("non-empty vocabulary")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,7 +247,6 @@ mod tests {
         let mut stream = StreamingModel::new(&model, &prompt).unwrap();
         assert_eq!(stream.prompt_len(), 3);
         assert_eq!(stream.model().seed(), model.seed());
-        assert!(stream.is_cached());
         let mut norm = ReferenceNormalizer::new();
         let next = stream.decode_step(&mut norm).unwrap();
 
@@ -405,46 +283,9 @@ mod tests {
         let prompt = [7u32, 3, 1, 12];
         let mut cached = StreamingModel::new(&model, &prompt).unwrap();
         let mut oracle = StreamingModel::new_full_recompute(&model, &prompt).unwrap();
-        assert!(cached.is_cached());
-        assert!(!oracle.is_cached());
         let from_cache = cached.decode(6, &mut ReferenceNormalizer::new()).unwrap();
         let from_oracle = oracle.decode(6, &mut ReferenceNormalizer::new()).unwrap();
         assert_eq!(from_cache, from_oracle);
-    }
-
-    #[test]
-    fn chunked_prefill_is_bit_identical_to_one_shot() {
-        let model = tiny_model();
-        let prompt: Vec<u32> = (0..13u32).map(|i| (i * 5 + 1) % 8).collect();
-        let mut oracle = StreamingModel::new(&model, &prompt).unwrap();
-        let expected = oracle.decode(5, &mut ReferenceNormalizer::new()).unwrap();
-        // Chunk sizes that divide the prompt, leave remainders, and straddle
-        // any page/anchor boundary must all produce identical tokens.
-        for chunk in [1usize, 2, 3, 4, 7, 13, 64] {
-            let mut stream = StreamingModel::new(&model, &prompt).unwrap();
-            stream.set_prefill_chunk_rows(chunk);
-            assert_eq!(stream.prefill_chunk_rows(), chunk);
-            let got = stream.decode(5, &mut ReferenceNormalizer::new()).unwrap();
-            assert_eq!(got, expected, "chunk={chunk} must not change the stream");
-        }
-    }
-
-    #[test]
-    fn chunked_parked_streams_resume_bit_identically() {
-        let model = tiny_model();
-        let prompt: Vec<u32> = (0..9u32).map(|i| (i * 3 + 2) % 8).collect();
-        let mut oracle = StreamingModel::new(&model, &prompt).unwrap();
-        let mut oracle_norm = ReferenceNormalizer::new();
-        oracle.decode(3, &mut oracle_norm).unwrap();
-        let expected = oracle.decode(4, &mut oracle_norm).unwrap();
-
-        let mut stream = StreamingModel::new(&model, &prompt).unwrap();
-        stream.set_prefill_chunk_rows(2);
-        let mut norm = ReferenceNormalizer::new();
-        stream.decode(3, &mut norm).unwrap();
-        assert!(stream.park());
-        let resumed = stream.decode(4, &mut norm).unwrap();
-        assert_eq!(resumed, expected, "chunked resume must be bit-identical");
     }
 
     #[test]
@@ -495,68 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn parked_streams_resume_bit_identically() {
-        let model = tiny_model();
-        let prompt = [2u32, 7, 3];
-        let mut stream = StreamingModel::new(&model, &prompt).unwrap();
-        let mut oracle = StreamingModel::new(&model, &prompt).unwrap();
-        let mut norm = ReferenceNormalizer::new();
-        let mut oracle_norm = ReferenceNormalizer::new();
-        stream.decode(3, &mut norm).unwrap();
-        oracle.decode(3, &mut oracle_norm).unwrap();
-        assert!(!stream.is_parked());
-        assert!(stream.park(), "a fed cached stream parks");
-        assert!(stream.is_parked());
-        assert!(!stream.park(), "double park is a no-op");
-        let resumed = stream.decode(4, &mut norm).unwrap();
-        let expected = oracle.decode(4, &mut oracle_norm).unwrap();
-        assert_eq!(resumed, expected, "resume must be bit-identical");
-        assert!(!stream.is_parked());
-
-        let mut stateless = StreamingModel::new_full_recompute(&model, &prompt).unwrap();
-        assert!(!stateless.park(), "full recompute holds no pages");
-        let mut unfed = StreamingModel::new(&model, &prompt).unwrap();
-        assert!(!unfed.park(), "nothing resident before the first step");
-    }
-
-    #[test]
-    fn park_frees_pages_and_a_failed_resume_stays_parked() {
-        use crate::paging::KvBlockPool;
-        let model = tiny_model();
-        // 8 pages of 4 rows: exactly enough for one 5-token stream's 2 pages per
-        // block (4 blocks).
-        let pool = KvBlockPool::shared(32, 4, model.config().embedding_dim);
-        let ctx = model.start_decode_in(&pool).unwrap();
-        let mut a = StreamingModel::from_context(ctx, &[2, 7, 3]).unwrap();
-        let mut oracle = StreamingModel::new(&model, &[2, 7, 3]).unwrap();
-        let mut norm = ReferenceNormalizer::new();
-        let mut oracle_norm = ReferenceNormalizer::new();
-        a.decode_step(&mut norm).unwrap();
-        oracle.decode_step(&mut oracle_norm).unwrap();
-        assert_eq!(pool.pages_in_use(), 4);
-        assert!(a.park());
-        assert_eq!(pool.pages_in_use(), 0, "park returns every page");
-
-        // Another stream takes the whole pool while `a` is parked.
-        let ctx = model.start_decode_in(&pool).unwrap();
-        let mut b = StreamingModel::from_context(ctx, &[1, 2, 3, 4, 5]).unwrap();
-        b.decode_step(&mut norm).unwrap();
-        assert_eq!(pool.pages_free(), 0);
-
-        // Resume needs 2 pages per block for its 5 rows: typed failure, still
-        // parked, still retryable.
-        let err = a.decode_step(&mut norm).unwrap_err();
-        assert!(matches!(err, LlmError::KvPoolExhausted { .. }), "{err:?}");
-        assert!(a.is_parked());
-
-        drop(b);
-        let resumed = a.decode_step(&mut norm).unwrap();
-        let expected = oracle.decode_step(&mut oracle_norm).unwrap();
-        assert_eq!(resumed, expected, "post-pressure resume is bit-identical");
-        assert!(!a.is_parked());
-    }
-
-    #[test]
     fn windowed_streams_decode_past_the_model_maximum() {
         use crate::paging::EvictionPolicy;
         let model = tiny_model();
@@ -581,14 +360,7 @@ mod tests {
             let logits = model
                 .logits(&window, &mut ReferenceNormalizer::new())
                 .unwrap();
-            let expected = logits
-                .row(window.len() - 1)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i as u32)
-                .unwrap();
-            assert_eq!(token, expected);
+            assert_eq!(token, greedy_argmax(logits.row(window.len() - 1)));
             if window.len() + 1 > max {
                 window = window[window.len() - keep..].to_vec();
             }

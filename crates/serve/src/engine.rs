@@ -47,10 +47,12 @@ pub struct ServeConfig {
     /// Watermark policy of the admission controller gating new decode streams
     /// against live pool pressure (see [`AdmissionPolicy`]).
     pub admission: AdmissionPolicy,
-    /// Per-tick prompt-chunk bound inherited by every
-    /// [`ServeEngine::decode_group`] (0 — the default — keeps one-shot
-    /// activation prefills). See
-    /// [`DecodeGroup::set_prefill_chunk_rows`].
+    /// Per-tick bound on the catch-up rows (prompt or resume feed) each
+    /// stream of every [`ServeEngine::decode_group`] drains inside the batched
+    /// lockstep pass. 0 — the default — drains a stream's whole backlog on
+    /// its activation tick; `K > 0` spreads an `L`-row feed over `⌈L/K⌉`
+    /// ticks so a long prompt never stalls the other streams' next token.
+    /// Tokens are the same either way ([`DecodeGroup::prefill_chunk_rows`]).
     pub prefill_chunk_rows: usize,
     /// Bound of the engine's interned-prefix LRU store
     /// ([`ServeEngine::intern_prefix`]): interning past this many resident
@@ -346,16 +348,15 @@ impl ServeEngine {
         prompts: &[&[u32]],
     ) -> Result<DecodeGroup<'m>, ServeError> {
         let pool = self.kv_pool(model.config().embedding_dim);
-        let mut group = DecodeGroup::new(
+        DecodeGroup::new(
             Arc::clone(&self.shared),
             self.normalizer(),
             &pool,
             model,
             prompts,
             self.admission(),
-        )?;
-        group.set_prefill_chunk_rows(self.prefill_chunk_rows);
-        Ok(group)
+            self.prefill_chunk_rows,
+        )
     }
 
     /// Re-bases the engine's correlation-ID allocator: the next stream draws
@@ -586,8 +587,9 @@ mod tests {
             ..fused_config()
         });
         let mut group = engine.decode_group(&model, &[&[1, 2, 3]]).unwrap();
-        // Tick 1 hits the injected exhaustion and stays queued, tick 2
-        // prefills, tick 3 runs the lockstep pass.
+        // Tick 1's pass hits the injected exhaustion and the activation goes
+        // back to the queue; tick 2's pass prefills, tick 3's decodes. Only
+        // the two passes that committed are timed.
         assert_eq!(group.decode(3).unwrap(), 2);
         assert_eq!(faults.injected().exhaustions, 1);
         let snapshot = obs.export();
@@ -595,7 +597,7 @@ mod tests {
             snapshot
                 .histogram("group.phase.advance_ns")
                 .map(|h| h.count),
-            Some(1)
+            Some(2)
         );
         // The group's own normalizer reports into the engine's sink.
         let last_site = model.num_norm_layers() - 1;

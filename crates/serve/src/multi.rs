@@ -20,10 +20,12 @@
 //!   mid-flight; retired, cancelled, and shed slots free capacity that queued
 //!   streams backfill on the next tick. [`GroupStats`] counts the churn
 //!   (`joins`/`leaves`) and the per-tick row occupancy (`occupied_rows`).
-//! * **Chunked prefill** — with [`DecodeGroup::set_prefill_chunk_rows`], a
-//!   joining stream's prompt is fed at most `prefill_chunk_rows` rows per tick
-//!   *inside the same batched pass* as the decode rows, so a long prompt never
-//!   stalls other streams behind a monolithic prefill.
+//! * **One activation path** — a joining (or resuming) stream's catch-up feed
+//!   rides the *same batched pass* as the decode rows: the whole feed on its
+//!   first tick by default, or at most
+//!   [`ServeConfig::prefill_chunk_rows`](crate::ServeConfig::prefill_chunk_rows)
+//!   rows per tick, so a long prompt never stalls other streams behind a
+//!   monolithic prefill.
 //! * **Prefix sharing** — [`DecodeGroup::add_stream_with_prefix`] attaches a
 //!   stream to an interned [`KvPrefix`]: the common prompt's whole K/V pages
 //!   are refcounted and mapped by every sharer instead of recomputed and
@@ -44,9 +46,11 @@
 //!   parks a victim (fewest tokens decoded, ties to the least recently
 //!   advanced): its pages are freed but its token history is kept, and the
 //!   tick retries with the survivors.
-//! * **Resume** — each tick first re-prefills queued streams (parked victims
-//!   and never-started admissions alike) as soon as their pages fit, in one
-//!   catch-up pass over `resident ++ unfed` tokens.
+//! * **Resume** — each tick activates queued streams (parked victims and
+//!   never-started admissions alike) whose pages fit the tick's page budget;
+//!   their catch-up feed (`resident ++ unfed` tokens) drains through the
+//!   lockstep pass. An activation that the pass cannot seat goes back to the
+//!   queue before any resident stream is preempted.
 //!
 //! Parity: generated tokens are bit-identical to each stream decoding alone on
 //! a private normalizer — **including streams that were preempted and
@@ -60,6 +64,7 @@ use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::engine::Shared;
 use crate::error::ServeError;
 use haan::HaanNormalizer;
+use haan_llm::streaming::greedy_argmax;
 use haan_llm::{DecodeContext, EvictionPolicy, KvBlockPool, KvPrefix, LlmError, TransformerModel};
 use haan_obs::EventKind;
 use std::sync::Arc;
@@ -117,11 +122,10 @@ pub struct GroupStats {
     /// [`DecodeGroup::preempt`]), completions, and cancellations of active
     /// streams.
     pub leaves: u64,
-    /// Total K/V rows fed through the batched lockstep passes — decode rows
-    /// plus, under chunked prefill, the prompt-chunk rows that ride the same
-    /// batched site calls. Unchunked catch-up prefills run as separate
-    /// per-stream passes and are *not* counted, so this divided by
-    /// [`GroupStats::ticks`] is exactly the batching width chunking buys.
+    /// Total K/V rows fed through the batched lockstep passes: decode rows
+    /// plus every catch-up (prompt or resume) row, since all of them ride the
+    /// same batched site calls. Divided by [`GroupStats::ticks`] it is the
+    /// mean batching width of a tick.
     pub occupied_rows: u64,
 }
 
@@ -184,12 +188,11 @@ struct GroupStream<'m> {
     /// re-prefills exactly these plus the unfed suffix. `None` for streams
     /// that have never been parked (their catch-up feed is just `tokens[fed..]`).
     parked_resident: Option<Vec<u32>>,
-    /// Chunked-prefill backlog: catch-up tokens an activation moved out of
-    /// `tokens[fed..]` (and any trimmed resident window) that the lockstep
-    /// passes drain up to `prefill_chunk_rows` per tick. Always empty in
-    /// unchunked mode, where activation prefills the whole feed at once. The
-    /// stream emits a token only on the pass that drains the backlog — its
-    /// logits row is the last prompt position, exactly as one-shot prefill.
+    /// Catch-up backlog: the tokens an activation moved out of `tokens[fed..]`
+    /// (after any trimmed resident window) that the lockstep passes drain,
+    /// `prefill_chunk_rows` per tick or all at once. The stream emits a token
+    /// only on the pass that drains the backlog — its logits row is the last
+    /// prompt position, exactly as one-shot prefill.
     catchup: Vec<u32>,
     /// Tick at which the stream last advanced — the preemption tie-breaker
     /// (least recently advanced loses).
@@ -219,8 +222,8 @@ impl GroupStream<'_> {
 
     /// Parks the stream: captures its K/V-resident tokens, frees its pages,
     /// and re-queues it. The unfed token (if any) stays in `tokens` — and a
-    /// mid-prefill chunked stream keeps its `catchup` backlog — so the resume
-    /// feed reconstructs the exact solo state.
+    /// mid-catch-up stream keeps its `catchup` backlog — so the resume feed
+    /// reconstructs the exact solo state.
     fn park(&mut self) {
         debug_assert!(matches!(self.status, StreamStatus::Active));
         self.parked_resident = Some(self.context.resident_tokens().to_vec());
@@ -229,14 +232,24 @@ impl GroupStream<'_> {
     }
 }
 
+/// A queued stream moved into the active set this tick, with the state its
+/// activation replaced: a failed first pass restores it exactly, so the
+/// activation is not committed (counted, reported) until a pass carries it.
+#[derive(Debug)]
+struct Activation {
+    index: usize,
+    parked_resident: Option<Vec<u32>>,
+    catchup: Vec<u32>,
+    fed: usize,
+}
+
 /// A set of KV-cached greedy decode streams advanced in lockstep through one
 /// normalizer the group owns.
 ///
 /// Created by [`ServeEngine::decode_group`](crate::ServeEngine::decode_group).
-/// Each [`DecodeGroup::step_all`] tick retires streams at capacity, resumes
-/// queued streams whose pages now fit (prompts have different lengths, so
-/// these catch-up prefills run per stream), then feeds one token per active
-/// stream in a single batched pass. Streams that reach the model's maximum
+/// Each [`DecodeGroup::step_all`] tick retires streams at capacity, activates
+/// queued streams whose pages now fit, then feeds every active stream — one
+/// decode token, or rows of its catch-up backlog — in a single batched pass. Streams that reach the model's maximum
 /// sequence length stop contributing rows — their slots report `None` — and
 /// streams queued, shed, or cancelled report `None` until (unless) they
 /// activate. See the [module docs](self) for the overload lifecycle.
@@ -252,9 +265,8 @@ pub struct DecodeGroup<'m> {
     pool: Arc<KvBlockPool>,
     admission: Arc<AdmissionController>,
     stats: GroupStats,
-    /// Upper bound on prompt rows fed per stream per tick (0 = unbounded:
-    /// activation prefills the whole catch-up feed in one per-stream pass,
-    /// the pre-chunking behavior). See [`DecodeGroup::set_prefill_chunk_rows`].
+    /// Upper bound on catch-up rows fed per stream per tick (0 = unbounded:
+    /// the whole backlog drains in the activation tick's pass).
     prefill_chunk_rows: usize,
 }
 
@@ -264,7 +276,9 @@ impl<'m> DecodeGroup<'m> {
     /// is decided by `admission`: each prompt is offered in order, with
     /// already-accepted prompts' page estimates counting against the
     /// watermark, so an oversubscribed construction queues (and eventually
-    /// sheds) the tail instead of letting every stream race the pool.
+    /// sheds) the tail instead of letting every stream race the pool. Each
+    /// tick drains at most `prefill_chunk_rows` catch-up rows per stream
+    /// (0 = the whole backlog at once).
     ///
     /// # Errors
     ///
@@ -279,6 +293,7 @@ impl<'m> DecodeGroup<'m> {
         model: &'m TransformerModel,
         prompts: &[&[u32]],
         admission: Arc<AdmissionController>,
+        prefill_chunk_rows: usize,
     ) -> Result<Self, ServeError> {
         let invalid = |err: LlmError| ServeError::InvalidRequest(err.to_string());
         let blocks = model.config().num_blocks;
@@ -339,24 +354,13 @@ impl<'m> DecodeGroup<'m> {
             pool: Arc::clone(pool),
             admission,
             stats,
-            prefill_chunk_rows: 0,
+            prefill_chunk_rows,
         })
     }
 
-    /// Bounds every stream's prompt feed at `rows` per tick (0 — the default —
-    /// restores one-shot activation prefills). With chunking on, a joining
-    /// stream's long prompt is prefilled across `⌈len/rows⌉` ticks **inside
-    /// the batched lockstep pass** — its chunk rows stack with the decode rows
-    /// in the same batched normalizer call per site — so admitting
-    /// a 256-token prompt never stalls the other streams' next token behind a
-    /// monolithic prefill. Tokens are unchanged: chunked prefill is the cached
-    /// incrementality invariant, and a stream emits only when its backlog
-    /// drains, from the same last-prompt-position logits row.
-    pub fn set_prefill_chunk_rows(&mut self, rows: usize) {
-        self.prefill_chunk_rows = rows;
-    }
-
-    /// The configured per-tick prompt-chunk bound (0 = unbounded).
+    /// The per-tick catch-up bound inherited from
+    /// [`ServeConfig::prefill_chunk_rows`](crate::ServeConfig::prefill_chunk_rows)
+    /// (0 = unbounded).
     #[must_use]
     pub fn prefill_chunk_rows(&self) -> usize {
         self.prefill_chunk_rows
@@ -853,121 +857,75 @@ impl<'m> DecodeGroup<'m> {
         feed
     }
 
-    /// (Re)starts queued streams whose pages now fit, oldest slot first. A
-    /// pool-exhausted attempt rolls back, leaves the stream queued, and stops
-    /// the pass (later streams would only fail the same way this tick).
-    fn resume_queued_streams(
-        &mut self,
-        results: &mut [Option<u32>],
-        tick: u64,
-    ) -> Result<(), LlmError> {
+    /// Activates queued streams whose catch-up feed fits this tick's page
+    /// budget, oldest slot first, **without feeding anything**: the feed
+    /// becomes the stream's `catchup` backlog, which the lockstep pass drains.
+    /// The budget starts at the pool's free pages and drops by each activated
+    /// feed's estimate, so one tick never activates more than the pool holds.
+    /// (A prefix-attached context keeps its shared resident rows, which are a
+    /// whole-page multiple, so the feed's own pages are exactly its growth.)
+    /// Returns the activations, oldest first, for the pass to commit or undo.
+    fn activate_queued_streams(&mut self) -> Vec<Activation> {
         let page_rows = self.pool.page_rows();
         let blocks = self.model.config().num_blocks;
-        let shared = Arc::clone(&self.shared);
-        for (index, slot) in results.iter_mut().enumerate() {
-            if !matches!(self.streams[index].status, StreamStatus::Queued) {
-                continue;
-            }
-            let feed = self.resume_feed(index);
-            // Cheap gate: skip the attempt when the pool visibly lacks pages.
-            let est = blocks * feed.len().div_ceil(page_rows);
-            if est > self.pool.pages_free() {
-                continue;
-            }
-            let stream = &mut self.streams[index];
-            match stream.context.prefill_last(&feed, &mut self.normalizer) {
-                Ok(logits) => {
-                    let resumed = stream.parked_resident.take().is_some();
-                    stream.fed = stream.tokens.len();
-                    stream.status = StreamStatus::Active;
-                    stream.last_advanced_tick = tick;
-                    let next = argmax(&logits);
-                    stream.tokens.push(next);
-                    *slot = Some(next);
-                    self.stats.joins += 1;
-                    if resumed {
-                        self.stats.resumes += 1;
-                        self.stats.resume_reprefill_rows += feed.len() as u64;
-                        shared.emit(
-                            Some(stream.corr),
-                            EventKind::Resume {
-                                reprefill_rows: feed.len() as u64,
-                            },
-                        );
-                    } else {
-                        shared.emit(Some(stream.corr), EventKind::Activate);
-                    }
-                    if !stream.activated {
-                        stream.activated = true;
-                        self.stats.admitted += 1;
-                        self.admission.note_admitted();
-                    }
-                }
-                // Lost the race for pages (or hit an injected exhaustion):
-                // the pass rolled back, the stream stays queued and retryable.
-                Err(LlmError::KvPoolExhausted {
-                    requested_pages,
-                    free_pages,
-                }) => {
-                    shared.emit(
-                        Some(stream.corr),
-                        EventKind::PoolExhausted {
-                            requested_pages: requested_pages as u64,
-                            free_pages: free_pages as u64,
-                        },
-                    );
-                    break;
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        Ok(())
-    }
-
-    /// Chunked-mode activation: moves queued streams whose catch-up feed fits
-    /// the pool into the active set **without feeding anything** — the feed
-    /// becomes the stream's `catchup` backlog, drained `prefill_chunk_rows`
-    /// per tick inside the batched lockstep pass. (A prefix-attached context
-    /// keeps its shared resident rows; only the pages past them are gated.)
-    fn activate_queued_streams(&mut self) {
-        let page_rows = self.pool.page_rows();
-        let blocks = self.model.config().num_blocks;
-        let shared = Arc::clone(&self.shared);
+        let mut budget = self.pool.pages_free();
+        let mut activations = Vec::new();
         for index in 0..self.streams.len() {
             if !matches!(self.streams[index].status, StreamStatus::Queued) {
                 continue;
             }
             let feed = self.resume_feed(index);
-            // Cheap gate: resident rows are always a whole-page multiple, so
-            // the feed's own pages are exactly the growth the stream needs.
             let est = blocks * feed.len().div_ceil(page_rows);
-            if est > self.pool.pages_free() {
+            if est > budget {
                 continue;
             }
+            budget -= est;
             let stream = &mut self.streams[index];
-            let resumed = stream.parked_resident.take().is_some();
-            stream.catchup = feed;
-            stream.fed = stream.tokens.len();
+            activations.push(Activation {
+                index,
+                parked_resident: stream.parked_resident.take(),
+                catchup: std::mem::replace(&mut stream.catchup, feed),
+                fed: std::mem::replace(&mut stream.fed, stream.tokens.len()),
+            });
             stream.status = StreamStatus::Active;
-            self.stats.joins += 1;
-            if resumed {
-                self.stats.resumes += 1;
-                self.stats.resume_reprefill_rows += stream.catchup.len() as u64;
-                shared.emit(
-                    Some(stream.corr),
-                    EventKind::Resume {
-                        reprefill_rows: stream.catchup.len() as u64,
-                    },
-                );
-            } else {
-                shared.emit(Some(stream.corr), EventKind::Activate);
-            }
-            if !stream.activated {
-                stream.activated = true;
-                self.stats.admitted += 1;
-                self.admission.note_admitted();
-            }
         }
+        activations
+    }
+
+    /// Commits an activation once a pass carried the stream: counts the join
+    /// (and the resume with its re-prefill rows, or the first admission) and
+    /// reports it.
+    fn commit_activation(&mut self, activation: &Activation) {
+        let stream = &mut self.streams[activation.index];
+        self.stats.joins += 1;
+        if activation.parked_resident.is_some() {
+            let rows = stream.catchup.len() as u64;
+            self.stats.resumes += 1;
+            self.stats.resume_reprefill_rows += rows;
+            self.shared.emit(
+                Some(stream.corr),
+                EventKind::Resume {
+                    reprefill_rows: rows,
+                },
+            );
+        } else {
+            self.shared.emit(Some(stream.corr), EventKind::Activate);
+        }
+        if !stream.activated {
+            stream.activated = true;
+            self.stats.admitted += 1;
+            self.admission.note_admitted();
+        }
+    }
+
+    /// Puts an uncommitted activation back in the queue exactly as it was.
+    /// The failed pass already rolled the stream's context back.
+    fn undo_activation(&mut self, activation: Activation) {
+        let stream = &mut self.streams[activation.index];
+        stream.status = StreamStatus::Queued;
+        stream.parked_resident = activation.parked_resident;
+        stream.catchup = activation.catchup;
+        stream.fed = activation.fed;
     }
 
     /// Picks the preemption victim among the lockstep-ready streams: fewest
@@ -990,53 +948,50 @@ impl<'m> DecodeGroup<'m> {
 
     /// Advances the group one tick and returns, per stream, the token it
     /// generated (`None` for slots that did not advance: at capacity, still
-    /// queued, shed, or cancelled).
+    /// queued, mid catch-up, shed, or cancelled).
     ///
-    /// Tick order: retire streams at capacity (freeing their pages), then
-    /// admit queued streams whose pages now fit — in unchunked mode via
-    /// separate one-shot catch-up prefills, in chunked mode by queuing their
-    /// feed as a backlog — then advance every active stream together through
+    /// Tick order: retire streams at capacity (freeing their pages), activate
+    /// queued streams whose pages fit the tick's budget (their feed becomes a
+    /// backlog), then advance every active stream together through
     /// [`TransformerModel::advance_many`]: one batched pass, one batched
     /// normalizer call per site carrying each stream's rows (one decode
-    /// token, or up to `prefill_chunk_rows` backlog rows). When that pass hits
-    /// pool exhaustion, the group parks a victim (fewest tokens decoded, ties
-    /// to least recently advanced) and retries with the survivors.
+    /// token, or up to `prefill_chunk_rows` backlog rows — the whole backlog
+    /// when that bound is 0). When that pass hits pool exhaustion, the group
+    /// first returns this tick's activations to the queue, newest first; then
+    /// it parks a victim (fewest tokens decoded, ties to least recently
+    /// advanced) and retries with the survivors.
     ///
     /// # Errors
     ///
     /// Propagates forward-pass errors ([`LlmError`]), including
-    /// [`LlmError::KvPoolExhausted`] when even a single stream cannot make
-    /// progress (parking the last ready stream cannot free enough pages for
-    /// its own resume). A failed tick is **retry-safe**: every underlying pass
-    /// rolls back on error, so streams keep a consistent token/K-V state —
-    /// parked streams stay queued, advanced streams keep their token — and
-    /// calling `step_all` again resumes exactly where the tick stopped.
+    /// [`LlmError::KvPoolExhausted`] when even a single resident stream cannot
+    /// make progress (parking the last ready stream cannot free enough pages
+    /// for its own resume). A failed tick is **retry-safe**: every underlying
+    /// pass rolls back on error and uncommitted activations return to the
+    /// queue, so streams keep a consistent token/K-V state and calling
+    /// `step_all` again resumes exactly where the tick stopped.
     pub fn step_all(&mut self) -> Result<Vec<Option<u32>>, LlmError> {
         self.stats.ticks += 1;
         let tick = self.stats.ticks;
         let shared = Arc::clone(&self.shared);
         let mut results = vec![None; self.streams.len()];
         self.finish_exhausted_streams();
-        if self.prefill_chunk_rows == 0 {
-            self.resume_queued_streams(&mut results, tick)?;
-        } else {
-            self.activate_queued_streams();
-        }
-        // Lockstep pass with preempt-and-retry: every active stream not
-        // already stepped by a resume above contributes its next feed — one
-        // decode token, or (chunked mode) up to `prefill_chunk_rows` prompt
-        // rows from its catch-up backlog — in one batched variable-length
-        // pass. A stream emits a token only on the pass that exhausts its
-        // feed; mid-prefill rows produce no token this tick.
+        let mut activations = self.activate_queued_streams();
+        // Lockstep pass with preempt-and-retry: every active stream
+        // contributes its next feed — one decode token, or rows of its
+        // catch-up backlog — in one batched variable-length pass. A stream
+        // emits a token only on the pass that exhausts its feed; mid-catch-up
+        // rows produce no token this tick.
         loop {
             let ready: Vec<usize> = self
                 .streams
                 .iter()
                 .enumerate()
-                .filter(|(i, stream)| results[*i].is_none() && stream.is_lockstep_ready())
+                .filter(|(_, stream)| stream.is_lockstep_ready())
                 .map(|(i, _)| i)
                 .collect();
             if ready.is_empty() {
+                debug_assert!(activations.is_empty(), "activated streams are ready");
                 return Ok(results);
             }
             let feeds: Vec<Vec<u32>> = ready
@@ -1047,7 +1002,10 @@ impl<'m> DecodeGroup<'m> {
                         debug_assert_eq!(stream.fed + 1, stream.tokens.len());
                         stream.tokens[stream.fed..].to_vec()
                     } else {
-                        let take = self.prefill_chunk_rows.min(stream.catchup.len());
+                        let take = match self.prefill_chunk_rows {
+                            0 => stream.catchup.len(),
+                            rows => rows.min(stream.catchup.len()),
+                        };
                         stream.catchup[..take].to_vec()
                     }
                 })
@@ -1072,6 +1030,9 @@ impl<'m> DecodeGroup<'m> {
                     if let (Some(obs), Some(t)) = (shared.obs(), advance_started) {
                         obs.record("group.phase.advance_ns", ns_since(t));
                     }
+                    for activation in &activations {
+                        self.commit_activation(activation);
+                    }
                     let mut tick_rows = 0u64;
                     for (row, &i) in ready.iter().enumerate() {
                         let stream = &mut self.streams[i];
@@ -1089,7 +1050,7 @@ impl<'m> DecodeGroup<'m> {
                         self.stats.occupied_rows += rows as u64;
                         tick_rows += rows as u64;
                         if stream.catchup.is_empty() && stream.fed == stream.tokens.len() {
-                            let next = argmax(logits.row(row));
+                            let next = greedy_argmax(logits.row(row));
                             stream.tokens.push(next);
                             results[i] = Some(next);
                         }
@@ -1110,6 +1071,13 @@ impl<'m> DecodeGroup<'m> {
                             free_pages: free_pages as u64,
                         },
                     );
+                    // The failed pass rolled every context back. This tick's
+                    // activations yield first: they hold nothing yet, so
+                    // re-queuing one costs no preemption.
+                    if let Some(newest) = activations.pop() {
+                        self.undo_activation(newest);
+                        continue;
+                    }
                     if ready.len() == 1 {
                         // Parking the only ready stream cannot help: its own
                         // resume would need at least the pages it holds now.
@@ -1118,15 +1086,19 @@ impl<'m> DecodeGroup<'m> {
                             free_pages,
                         });
                     }
-                    // The failed pass rolled every context back; park the
-                    // victim and retry with one fewer stream.
+                    // Park the victim and retry with one fewer stream.
                     let victim = self.preemption_victim(&ready);
                     self.streams[victim].park();
                     shared.emit(Some(self.streams[victim].corr), EventKind::Preempt);
                     self.stats.preemptions += 1;
                     self.stats.leaves += 1;
                 }
-                Err(err) => return Err(err),
+                Err(err) => {
+                    while let Some(newest) = activations.pop() {
+                        self.undo_activation(newest);
+                    }
+                    return Err(err);
+                }
             }
         }
     }
@@ -1149,16 +1121,6 @@ impl<'m> DecodeGroup<'m> {
 /// Nanoseconds elapsed since `started`, saturated into `u64`.
 fn ns_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Greedy arg-max over a logits row.
-fn argmax(logits: &[f32]) -> u32 {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-        .map(|(i, _)| i as u32)
-        .expect("non-empty vocabulary")
 }
 
 #[cfg(test)]
@@ -1424,5 +1386,36 @@ mod tests {
             .is_ok());
         group.step_all().unwrap();
         assert!(group.set_eviction(0, EvictionPolicy::Reject).is_err());
+    }
+
+    #[test]
+    fn activation_reserves_pages_and_never_preempts_an_admitted_stream() {
+        // 6 pages of 4 rows and 4 blocks: each 4-token prompt needs 4 pages,
+        // so one tick can seat stream 0 but not both. Activation must reserve
+        // pages: activating both against one free-page count makes the pass
+        // preempt the admitted stream 0 to run the queued stream 1.
+        let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
+        for chunk in [0, 4] {
+            let engine = ServeEngine::start(ServeConfig {
+                normalizer: HaanConfig {
+                    backend: BackendSelection::Fused,
+                    ..HaanConfig::unoptimized()
+                },
+                kv_pool: KvPoolPolicy {
+                    page_rows: 4,
+                    capacity_rows: 24,
+                },
+                prefill_chunk_rows: chunk,
+                ..Default::default()
+            });
+            let prompts: [&[u32]; 2] = [&[1, 2, 3, 4], &[5, 6, 7, 8]];
+            let mut group = engine.decode_group(&model, &prompts).unwrap();
+            assert_eq!(group.prefill_chunk_rows(), chunk);
+            let first = group.step_all().unwrap();
+            assert_eq!(group.status(0), StreamStatus::Active, "chunk {chunk}");
+            assert_eq!(group.status(1), StreamStatus::Queued, "chunk {chunk}");
+            assert!(first[0].is_some() && first[1].is_none(), "chunk {chunk}");
+            assert_eq!(group.stats().preemptions, 0, "chunk {chunk}");
+        }
     }
 }

@@ -62,21 +62,41 @@ fn skip_plan() -> SkipPlan {
 
 #[test]
 fn chunked_streaming_prefill_matches_one_shot_across_skip_anchor_sites() {
-    // StreamingModel-level parity: a prompt prefilled in tick-sized chunks
-    // under a HAAN skip plan (whose anchor sites the chunk boundaries
-    // straddle) decodes exactly like the one-shot prefill.
+    // Single-stream parity: a prompt prefilled in tick-sized chunks — a group
+    // of one per chunk size — under a HAAN skip plan (whose anchor sites the
+    // chunk boundaries straddle) decodes exactly like the solo one-shot
+    // prefill, and emits its first token on the backlog-draining tick.
     let model = tiny_model();
     let prompt: Vec<u32> = (0..13u32).map(|i| (i * 5) % 8).collect();
     const STEPS: usize = 5;
     let mut oracle_norm = HaanNormalizer::new(haan_config()).with_plan(skip_plan());
     let mut oracle = StreamingModel::new(&model, &prompt).expect("one-shot stream");
     let expected = oracle.decode(STEPS, &mut oracle_norm).expect("one-shot");
-    for chunk in [1usize, 2, 3, 5, 13, 64] {
-        let mut norm = HaanNormalizer::new(haan_config()).with_plan(skip_plan());
-        let mut chunked = StreamingModel::new(&model, &prompt).expect("chunked stream");
-        chunked.set_prefill_chunk_rows(chunk);
-        let generated = chunked.decode(STEPS, &mut norm).expect("chunked decode");
-        assert_eq!(generated, expected, "chunk {chunk} diverged from one-shot");
+    for chunk in [0usize, 1, 2, 3, 5, 13, 64] {
+        let engine = ServeEngine::start(ServeConfig {
+            normalizer: haan_config(),
+            plan: Some(skip_plan()),
+            prefill_chunk_rows: chunk,
+            ..Default::default()
+        });
+        let mut group = engine
+            .decode_group(&model, &[&prompt])
+            .expect("chunked stream");
+        let mut ticks = 0;
+        while group.generated(0).len() < STEPS {
+            group.step_all().expect("chunked tick");
+            ticks += 1;
+        }
+        assert_eq!(
+            group.generated(0),
+            expected.as_slice(),
+            "chunk {chunk} diverged from one-shot"
+        );
+        let prefill_ticks = match chunk {
+            0 => 1,
+            rows => prompt.len().div_ceil(rows),
+        };
+        assert_eq!(ticks, prefill_ticks + STEPS - 1, "chunk {chunk}");
     }
 }
 

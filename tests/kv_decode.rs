@@ -17,11 +17,12 @@
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_llm::norm::ReferenceNormalizer;
+use haan_llm::streaming::greedy_argmax;
 use haan_llm::{
     EvictionPolicy, KvBlockPool, LlmError, ModelConfig, StreamingModel, TransformerModel,
 };
 use haan_numerics::Format;
-use haan_serve::{KvPoolPolicy, ServeConfig, ServeEngine};
+use haan_serve::{KvPoolPolicy, ServeConfig, ServeEngine, StreamStatus};
 
 fn model() -> TransformerModel {
     TransformerModel::new(&ModelConfig::tiny_test(), 42).expect("valid test model")
@@ -252,42 +253,46 @@ fn windowed_stream_outlives_max_seq_and_stays_parity_correct() {
 
 #[test]
 fn windowed_stream_survives_preemption_and_stays_parity_correct() {
-    // The overload-issue satellite: a sliding-window stream that is repeatedly
-    // *parked* (the preemption primitive — pages freed, token history kept) and
+    // The overload-issue satellite: a sliding-window stream — a group of one —
+    // that is repeatedly *preempted* (pages freed, token history kept) and
     // transparently resumed, including past max_seq_len where the resume must
-    // re-apply the window trim, generates exactly what (a) a never-parked twin
-    // generates and (b) a fresh-context stateless oracle over the resident
-    // window predicts — under the HAAN fused/FP16/subsampled config with a
-    // skip plan, the serving hot path.
+    // re-apply the window trim, generates exactly what (a) a never-preempted
+    // twin group generates and (b) a fresh-context stateless oracle over the
+    // resident window predicts — under the HAAN fused/FP16/subsampled config
+    // with a skip plan, the serving hot path.
     let model = model();
     let max = model.config().max_seq_len;
     let blocks = model.config().num_blocks;
     let keep = max / 2;
     let plan = skip_plans()[0];
     let window_policy = EvictionPolicy::SlidingWindow { keep_last: keep };
-    let pool = KvBlockPool::shared(2 * max * blocks, 4, model.config().embedding_dim);
-    let twin_pool = KvBlockPool::shared(2 * max * blocks, 4, model.config().embedding_dim);
+    let engine_of = || {
+        ServeEngine::start(ServeConfig {
+            normalizer: haan_config(),
+            plan: Some(plan),
+            kv_pool: KvPoolPolicy {
+                page_rows: 4,
+                capacity_rows: 2 * max * blocks,
+            },
+            ..Default::default()
+        })
+    };
+    let (engine, twin_engine) = (engine_of(), engine_of());
     let prompt: [u32; 3] = [4, 2, 7];
-    let mut preempted = StreamingModel::from_context(
-        model
-            .start_decode_in(&pool)
-            .expect("pool matches model")
-            .with_eviction(window_policy),
-        &prompt,
-    )
-    .expect("windowed stream");
-    let mut twin = StreamingModel::from_context(
-        model
-            .start_decode_in(&twin_pool)
-            .expect("pool matches model")
-            .with_eviction(window_policy),
-        &prompt,
-    )
-    .expect("twin stream");
-    let mut norm = HaanNormalizer::new(haan_config()).with_plan(plan);
-    let mut twin_norm = HaanNormalizer::new(haan_config()).with_plan(plan);
+    let mut preempted = engine
+        .decode_group(&model, &[&prompt])
+        .expect("windowed stream");
+    let mut twin = twin_engine
+        .decode_group(&model, &[&prompt])
+        .expect("twin stream");
+    for group in [&mut preempted, &mut twin] {
+        group
+            .set_eviction(0, window_policy)
+            .expect("set before the first tick");
+    }
+    let pool = engine.kv_pool(model.config().embedding_dim);
     // Manually tracked resident window, for the fresh-context oracle: the
-    // first step feeds the whole prompt, every later step feeds the previous
+    // first tick feeds the whole prompt, every later tick feeds the previous
     // round's token (evicting first when the window would overflow).
     let mut window: Vec<u32> = prompt.to_vec();
     let mut pending: Option<u32> = None;
@@ -299,34 +304,29 @@ fn windowed_stream_survives_preemption_and_stays_parity_correct() {
             }
             window.push(token);
         }
-        // Park on a cadence that lands before, during, and after the first
+        // Preempt on a cadence that lands before, during, and after the first
         // window wrap-around.
         if round % 7 == 3 {
-            assert!(preempted.park(), "an active stream must park");
-            assert!(preempted.is_parked());
+            assert!(preempted.preempt(0), "an active stream must park");
+            assert_eq!(preempted.status(0), StreamStatus::Queued);
             assert_eq!(pool.pages_in_use(), 0, "parking returns every page");
             parks += 1;
         }
-        let ours = preempted.decode_step(&mut norm).expect("resume and step");
-        let expected = twin.decode_step(&mut twin_norm).expect("twin step");
+        let ours = preempted.step_all().expect("resume and step")[0].expect("a token per tick");
+        let expected = twin.step_all().expect("twin step")[0].expect("a twin token per tick");
         assert_eq!(ours, expected, "round {round}: parked ≠ never-parked");
         let mut oracle_norm = HaanNormalizer::new(haan_config()).with_plan(plan);
         let oracle = model
             .logits(&window, &mut oracle_norm)
             .expect("fresh-context oracle over the resident window");
-        let last = oracle.row(window.len() - 1);
-        let oracle_token = last
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i as u32)
-            .expect("non-empty vocabulary");
+        let oracle_token = greedy_argmax(oracle.row(window.len() - 1));
         assert_eq!(ours, oracle_token, "round {round}: ≠ fresh-context oracle");
         pending = Some(ours);
     }
     assert!(parks >= 8, "the cadence must have parked through the wrap");
-    assert!(!preempted.is_parked());
-    assert_eq!(preempted.tokens(), twin.tokens());
+    assert_eq!(preempted.status(0), StreamStatus::Active);
+    assert_eq!(preempted.stats().resumes, parks);
+    assert_eq!(preempted.tokens(0), twin.tokens(0));
 }
 
 #[test]
