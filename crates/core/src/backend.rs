@@ -19,6 +19,10 @@
 //!   dependency graph, so it plugs in as a trait object attached with
 //!   [`HaanNormalizer::with_external_backend`](crate::HaanNormalizer::with_external_backend).
 //!
+//! Both software backends run each row through one private row body — the skipped
+//! row's prefix mean and predicted ISD, or the computed row's prefix statistics and
+//! tracked ISD — and differ only in the statistics kernel it calls.
+//!
 //! A normalizer runs exactly one backend: the attached external one if there is one,
 //! otherwise the software backend named by
 //! [`BackendSelection`](crate::BackendSelection) in [`HaanConfig`](crate::HaanConfig).
@@ -274,6 +278,62 @@ fn prefix_stats(
     }
 }
 
+/// The HAAN statistics policy of one row, shared by every software sweep.
+///
+/// A row with a predicted ISD (a skipped site) applies `predicted_isd[r]` and
+/// estimates only the LayerNorm mean from the quantized prefix. Any other row
+/// estimates its statistics from the quantized prefix, tracks its ISD, reports
+/// it through `isds_out` and applies it. `stats_fn` is the statistics kernel of
+/// the calling backend.
+fn normalize_row(
+    request: &BatchRequest<'_>,
+    r: usize,
+    z: &[f32],
+    out_row: &mut [f32],
+    isds_out: Option<&mut [f32]>,
+    scratch: &mut Vec<f32>,
+    stats_fn: fn(&[f32]) -> Option<VectorStats>,
+) {
+    let (mean, isd) = if let Some(predicted) = request.predicted_isd {
+        // The mean (LayerNorm only) is still estimated from the subsampled
+        // prefix; this is cheap because only the prefix entries are read.
+        let mean = match request.mode {
+            RowNormMode::LayerNorm => {
+                prefix_stats(request, z, scratch, stats_fn).map_or(0.0, |stats| stats.mean)
+            }
+            RowNormMode::RmsNorm => 0.0,
+        };
+        (mean, predicted[r])
+    } else {
+        let Some(stats) = prefix_stats(request, z, scratch, stats_fn) else {
+            // Unreachable with cols > 0: the identity fallback.
+            out_row.copy_from_slice(z);
+            return;
+        };
+        let isd = tracked_isd(
+            request.mode,
+            stats.mean,
+            stats.variance,
+            request.eps,
+            request.newton_iterations,
+        );
+        if let Some(isds) = isds_out {
+            isds[r] = isd;
+        }
+        (stats.mean, isd)
+    };
+    apply_norm_into(
+        z,
+        request.gamma,
+        request.beta,
+        request.mode,
+        mean,
+        isd,
+        out_row,
+    )
+    .expect("batched buffers were validated by the caller");
+}
+
 /// The shared software row sweep: both software backends are this loop with a
 /// different statistics kernel.
 fn sweep_rows(
@@ -290,66 +350,30 @@ fn sweep_rows(
         .zip(out.chunks_exact_mut(cols))
         .enumerate()
     {
-        if let Some(predicted) = request.predicted_isd {
-            let isd = predicted[r];
-            // The mean (LayerNorm only) is still estimated from the subsampled
-            // prefix; this is cheap because only the prefix entries are read.
-            let mean = match request.mode {
-                RowNormMode::LayerNorm => {
-                    prefix_stats(request, z, scratch, stats_fn).map_or(0.0, |stats| stats.mean)
-                }
-                RowNormMode::RmsNorm => 0.0,
-            };
-            apply_norm_into(
-                z,
-                request.gamma,
-                request.beta,
-                request.mode,
-                mean,
-                isd,
-                out_row,
-            )
-            .expect("batched buffers were validated by the caller");
-        } else {
-            match prefix_stats(request, z, scratch, stats_fn) {
-                Some(stats) => {
-                    let isd = tracked_isd(
-                        request.mode,
-                        stats.mean,
-                        stats.variance,
-                        request.eps,
-                        request.newton_iterations,
-                    );
-                    if let Some(isds) = isds_out.as_deref_mut() {
-                        isds[r] = isd;
-                    }
-                    apply_norm_into(
-                        z,
-                        request.gamma,
-                        request.beta,
-                        request.mode,
-                        stats.mean,
-                        isd,
-                        out_row,
-                    )
-                    .expect("batched buffers were validated by the caller");
-                }
-                // Unreachable with cols > 0; mirror the scalar path's identity
-                // fallback anyway.
-                None => out_row.copy_from_slice(z),
-            }
-        }
+        normalize_row(
+            request,
+            r,
+            z,
+            out_row,
+            isds_out.as_deref_mut(),
+            scratch,
+            stats_fn,
+        );
     }
 }
 
+/// The chunked statistics kernel of [`FusedBackend`].
+fn chunked_stats(z: &[f32]) -> Option<VectorStats> {
+    VectorStats::compute_chunked(z).ok()
+}
+
 /// The fused residual+norm row sweep of [`FusedBackend`]: statistics accumulate
-/// while the residual add streams through, with the same per-row policy branching
-/// as [`sweep_rows`].
+/// while the residual add streams through.
 ///
-/// Rows whose statistics need a quantized or subsampled prefix fall back to
-/// sum-then-stats for that row (the quantization round trip must see the summed
-/// values), which is exactly the composed order — so every branch stays bit-identical
-/// to add-then-`normalize_batch`.
+/// Rows whose statistics need a quantized or subsampled prefix, or that apply a
+/// predicted ISD, fall back to sum-then-[`normalize_row`] for that row (the
+/// quantization round trip must see the summed values), which is exactly the
+/// composed order — so every branch stays bit-identical to add-then-`normalize_batch`.
 fn sweep_residual_rows(
     request: &ResidualNormRequest<'_>,
     sum_out: &mut [f32],
@@ -387,46 +411,19 @@ fn sweep_residual_rows(
                 sum_row, norm.gamma, norm.beta, norm.mode, stats.mean, isd, out_row,
             )
             .expect("batched buffers were validated by the caller");
-            continue;
-        }
-        for ((s, &a), &b) in sum_row.iter_mut().zip(z).zip(res) {
-            *s = a + b;
-        }
-        if let Some(predicted) = norm.predicted_isd {
-            let isd = predicted[r];
-            let mean = match norm.mode {
-                RowNormMode::LayerNorm => prefix_stats(norm, sum_row, scratch, |z| {
-                    VectorStats::compute_chunked(z).ok()
-                })
-                .map_or(0.0, |stats| stats.mean),
-                RowNormMode::RmsNorm => 0.0,
-            };
-            apply_norm_into(
-                sum_row, norm.gamma, norm.beta, norm.mode, mean, isd, out_row,
-            )
-            .expect("batched buffers were validated by the caller");
         } else {
-            match prefix_stats(norm, sum_row, scratch, |z| {
-                VectorStats::compute_chunked(z).ok()
-            }) {
-                Some(stats) => {
-                    let isd = tracked_isd(
-                        norm.mode,
-                        stats.mean,
-                        stats.variance,
-                        norm.eps,
-                        norm.newton_iterations,
-                    );
-                    if let Some(isds) = isds_out.as_deref_mut() {
-                        isds[r] = isd;
-                    }
-                    apply_norm_into(
-                        sum_row, norm.gamma, norm.beta, norm.mode, stats.mean, isd, out_row,
-                    )
-                    .expect("batched buffers were validated by the caller");
-                }
-                None => out_row.copy_from_slice(sum_row),
+            for ((s, &a), &b) in sum_row.iter_mut().zip(z).zip(res) {
+                *s = a + b;
             }
+            normalize_row(
+                norm,
+                r,
+                sum_row,
+                out_row,
+                isds_out.as_deref_mut(),
+                scratch,
+                chunked_stats,
+            );
         }
     }
 }
@@ -492,9 +489,7 @@ impl NormBackend for FusedBackend {
             .expect("batched buffers were validated by the caller");
             return;
         }
-        sweep_rows(request, out, isds_out, scratch, |z| {
-            VectorStats::compute_chunked(z).ok()
-        });
+        sweep_rows(request, out, isds_out, scratch, chunked_stats);
     }
 
     fn fuse_residual_norm(

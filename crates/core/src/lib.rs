@@ -9,8 +9,6 @@
 //!   whose ISD computation can be skipped and the log-linear decay coefficient.
 //! * [`predictor`] — the log-linear ISD predictor of Eq. 3
 //!   (`log ISD_k = log ISD_i + e·(k − i)`), including the `cal_decay` slope fit.
-//! * [`subsample`] — subsampled ISD / mean estimation from the first `Nsub` elements of
-//!   the input (Eq. 4).
 //! * [`quantization`] — operand quantization policy (INT8 / FP16 / FP32).
 //! * [`config`] — [`HaanConfig`] with the per-model presets the paper evaluates
 //!   (LLaMA-7B: `Nsub = 256`, skip (50, 60), INT8; OPT-2.7B: `Nsub = 1280`,
@@ -18,12 +16,13 @@
 //! * [`normalizer`] — [`HaanNormalizer`], a drop-in
 //!   [`Normalizer`](haan_llm::norm::Normalizer) that applies skipping, subsampling,
 //!   quantization and the fast inverse square root, so any `haan-llm` model can be
-//!   evaluated with HAAN statistics. Besides the per-token scalar path it implements
-//!   the **batched engine**
-//!   ([`normalize_matrix_into`](haan_llm::norm::Normalizer::normalize_matrix_into)):
+//!   evaluated with HAAN statistics. Its one statistics policy is the **batched
+//!   site** ([`normalize_matrix_into`](haan_llm::norm::Normalizer::normalize_matrix_into)):
 //!   one call per normalization site processes a whole `seq × E` matrix with the
 //!   per-site decisions hoisted out of the row loop, a reused scratch buffer, fused
-//!   chunked kernels, and per-row skip anchors.
+//!   chunked kernels, and per-row skip anchors. The statistics path reads only the
+//!   quantized first `Nsub` elements of each row (Eq. 4); a per-token call is a
+//!   one-row batched site.
 //! * [`backend`] — the execution backends of the batched engine and the
 //!   [`NormBackend`] trait they implement: the two-pass scalar oracle and the fused
 //!   chunked kernel, picked by [`BackendSelection`] in [`HaanConfig`] (fused by
@@ -71,7 +70,6 @@ pub mod pearson;
 pub mod predictor;
 pub mod quantization;
 pub mod skipping;
-pub mod subsample;
 
 pub use backend::NormBackend;
 pub use calibration::{CalibrationOutcome, Calibrator};
@@ -80,4 +78,3 @@ pub use error::HaanError;
 pub use normalizer::{AnchorState, HaanNormalizer, NormalizerTelemetry};
 pub use predictor::{cal_decay, IsdPredictor};
 pub use skipping::{IsdSkipAlgorithm, SkipPlan};
-pub use subsample::SubsampleEstimator;

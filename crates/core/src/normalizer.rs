@@ -11,36 +11,29 @@
 //!   transform to the full-precision input, exactly as the hardware's normalization
 //!   units consume the statistics produced by the input statistics calculator.
 //!
-//! # Scalar vs batched path
+//! # One statistics policy
 //!
-//! [`Normalizer::normalize`] is the original per-token scalar path, kept as the
-//! reference oracle. [`Normalizer::normalize_matrix_into`] is the batched engine: one
-//! call per normalization site processes every row of the sequence with the per-site
-//! decisions (skip lookup, subsample length, quantization policy) hoisted out of the
-//! row loop into a [`crate::backend::BatchRequest`], then dispatched to exactly one
-//! execution backend: the one attached with [`HaanNormalizer::with_external_backend`]
-//! (such as `haan_accel`'s cycle-level accelerator simulator) if there is one,
-//! otherwise the software backend selected by [`crate::config::BackendSelection`] —
-//! the fused chunked kernel (the default) or the two-pass scalar oracle. The batched
-//! path also tracks the skip-anchor
-//! ISD *per row* (per token), where the scalar path can only remember the last row it
-//! saw — so batched skipping predicts each token from its own anchor observation,
-//! which is both closer to the paper and measurably more accurate on multi-token
-//! sequences.
+//! Every entry point runs the same batched site. [`Normalizer::normalize_matrix_into`]
+//! processes every row of the sequence with the per-site decisions (skip lookup,
+//! subsample length, quantization policy) hoisted out of the row loop into a
+//! [`crate::backend::BatchRequest`], then dispatched to exactly one execution
+//! backend: the one attached with [`HaanNormalizer::with_external_backend`] (such as
+//! `haan_accel`'s cycle-level accelerator simulator) if there is one, otherwise the
+//! software backend selected by [`crate::config::BackendSelection`] — the fused
+//! chunked kernel (the default) or the two-pass scalar oracle.
+//! [`Normalizer::normalize`] is a one-row call of that site, and
+//! [`Normalizer::normalize_residual_into`] is the same site behind a residual add, so
+//! all three share the backend pick, the telemetry and the anchor bookkeeping.
 //!
-//! The backend applies to the **batched path only**: the per-token scalar path
-//! always runs the in-process software reference regardless of the backend (it is
-//! the oracle the backends are tested against), which is why
-//! [`Normalizer::description`] labels it as the *batched* backend.
+//! The skip anchors are tracked *per row* (per token): a skipped site predicts each
+//! token from its own anchor observation when its row count matches the anchor
+//! site's, and from the anchor site's last row otherwise (see [`AnchorState`]).
 
-use crate::backend::{
-    self, BatchRequest, FusedBackend, NormBackend, ResidualNormRequest, ScalarBackend,
-};
+use crate::backend::{BatchRequest, FusedBackend, NormBackend, ResidualNormRequest, ScalarBackend};
 use crate::config::{BackendSelection, HaanConfig};
 use crate::quantization::QuantizationPolicy;
 use crate::skipping::SkipPlan;
-use crate::subsample::SubsampleEstimator;
-use haan_llm::norm::{normalize_with_stats, NormSite, Normalizer};
+use haan_llm::norm::{NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
 use haan_numerics::stats::DEFAULT_EPS;
 use std::sync::Arc;
@@ -89,18 +82,17 @@ impl NormalizerTelemetry {
 /// it internally during a forward pass; [`HaanNormalizer::anchor_state`] exposes it
 /// so parity suites can compare two execution paths anchor for anchor.
 ///
-/// The state has two tiers, mirroring the scalar and batched paths:
+/// The state has two tiers:
 ///
-/// * a per-row `log(ISD)` vector (one entry per token of the last anchor-site batch),
+/// * a per-row `log(ISD)` vector (one entry per token of the last anchor-site call),
 ///   consumed at skipped sites when the row count still matches;
-/// * a scalar last-row-wins fallback, used when it does not.
+/// * the last row's `log(ISD)`, the fallback when it does not.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnchorState {
-    /// `log(ISD)` observed at the anchor layer of the current sequence, if any
-    /// (scalar path: one value, last row wins).
+    /// `log(ISD)` of the last row of the last anchor-site call, if any.
     anchor_log_isd: Option<f64>,
-    /// Per-row `log(ISD)` anchors of the current sequence (batched path; empty until
-    /// an anchor site has been processed).
+    /// Per-row `log(ISD)` anchors of the current sequence (empty until an anchor
+    /// site has been processed).
     row_anchors: Vec<f64>,
 }
 
@@ -111,7 +103,8 @@ impl AnchorState {
         Self::default()
     }
 
-    /// The scalar (last-row-wins) anchor `log(ISD)`, if an anchor site has been seen.
+    /// The last-row anchor `log(ISD)` (the fallback tier), if an anchor site has
+    /// been seen.
     #[must_use]
     pub fn scalar_log_isd(&self) -> Option<f64> {
         self.anchor_log_isd
@@ -129,9 +122,9 @@ impl AnchorState {
         self.anchor_log_isd.is_none() && self.row_anchors.is_empty()
     }
 
-    /// The anchor-resolution rule of the batched skipped-site path: the per-row
-    /// anchors when the row count matches, otherwise the scalar fallback (or
-    /// `calibration_fallback` when nothing has been observed).
+    /// The anchor-resolution rule of a skipped site: the per-row anchors when the
+    /// row count matches, otherwise the last-row fallback (or `calibration_fallback`
+    /// when nothing has been observed).
     fn row_log_iter(
         &self,
         rows: usize,
@@ -313,7 +306,7 @@ impl HaanNormalizer {
         self.telemetry
     }
 
-    /// Snapshots the current skip-anchor state (per-row anchors plus the scalar
+    /// Snapshots the current skip-anchor state (per-row anchors plus the last-row
     /// fallback).
     #[must_use]
     pub fn anchor_state(&self) -> AnchorState {
@@ -344,19 +337,6 @@ impl HaanNormalizer {
     /// Resets the telemetry counters.
     pub fn reset_telemetry(&mut self) {
         self.telemetry = NormalizerTelemetry::default();
-    }
-
-    /// Computes the statistic HAAN tracks for a normalization kind: `1/σ` for LayerNorm,
-    /// `1/rms` for RMSNorm (both are "the ISD" in the paper's terminology, since each is
-    /// the factor the normalized output is proportional to).
-    fn tracked_isd(&self, kind: NormKind, mean: f32, variance: f32) -> f32 {
-        backend::tracked_isd(
-            kind.row_mode(),
-            mean,
-            variance,
-            DEFAULT_EPS,
-            self.config.invsqrt_newton_iterations,
-        )
     }
 
     /// The one backend every batched site dispatches to: the attached external
@@ -435,7 +415,7 @@ impl HaanNormalizer {
 
         // Skipped sites: the predictor is policy, not execution, so it runs here and
         // backends see plain per-row ISDs (consumed from the per-row anchors when the
-        // anchor site has been seen with this row count, the scalar fallback anchor
+        // anchor site has been seen with this row count, the last-row fallback
         // otherwise). The member buffers keep the hot path allocation-free.
         let mut predicted = std::mem::take(&mut self.predicted_scratch);
         predicted.clear();
@@ -510,8 +490,7 @@ impl HaanNormalizer {
         self.note_site_decision(site.layer_index, decisions.skipped, rows as u64);
 
         if decisions.is_anchor {
-            // Keep the scalar-path anchor consistent with its last-row-wins
-            // semantics, then adopt the per-row observations for batched skipping.
+            // Both tiers: the last row as the fallback, and the per-row observations.
             self.anchors.anchor_log_isd = isds.last().map(|&isd| f64::from(isd).ln());
             self.anchors.row_anchors.clear();
             self.anchors
@@ -532,76 +511,16 @@ struct SiteDecisions {
 }
 
 impl Normalizer for HaanNormalizer {
+    /// One row through the batched site: the same backend, telemetry and anchor
+    /// bookkeeping as a one-row [`Normalizer::normalize_matrix_into`] call.
     fn normalize(&mut self, site: NormSite, z: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f32> {
         if z.is_empty() {
             return Vec::new();
         }
-        self.telemetry.calls += 1;
-        self.telemetry.elements_total += z.len() as u64;
-
-        let skipped = self.is_skipped_site(site.layer_index);
-        self.note_site_decision(site.layer_index, skipped, 1);
-
-        // The statistics path: quantized operands, subsampled prefix.
-        let n_sub = self.config.n_sub.unwrap_or(z.len());
-        let estimator = SubsampleEstimator::new(n_sub.max(1));
-
-        let (mean, isd) = if skipped {
-            self.telemetry.skipped_isd += 1;
-            let plan = self.plan.as_ref().expect("skipped implies a plan");
-            let anchor_log = self
-                .anchors
-                .anchor_log_isd
-                .unwrap_or(plan.calibration_anchor_log_isd);
-            let predicted = plan
-                .predictor()
-                .predict_log_isd(anchor_log, site.layer_index)
-                .unwrap_or(anchor_log)
-                .exp() as f32;
-            // The mean (LayerNorm only) is still estimated from the subsampled prefix;
-            // this is cheap because only the prefix memory entries are read.
-            let mean = match site.kind {
-                NormKind::LayerNorm => {
-                    let quantized = self.quantization.apply(&z[..n_sub.min(z.len())]);
-                    self.telemetry.elements_read += quantized.len() as u64;
-                    if quantized.len() < z.len() {
-                        self.telemetry.subsampled += 1;
-                    }
-                    haan_numerics::stats::VectorStats::compute_one_pass(&quantized)
-                        .map(|s| s.mean)
-                        .unwrap_or(0.0)
-                }
-                NormKind::RmsNorm => 0.0,
-            };
-            (mean, predicted)
-        } else {
-            let prefix_len = n_sub.min(z.len());
-            let quantized = self.quantization.apply(&z[..prefix_len]);
-            self.telemetry.elements_read += quantized.len() as u64;
-            if prefix_len < z.len() {
-                self.telemetry.subsampled += 1;
-            }
-            let stats = match estimator.estimate(&quantized) {
-                Ok(stats) => stats,
-                Err(_) => return z.to_vec(),
-            };
-            let isd = self.tracked_isd(site.kind, stats.mean, stats.variance);
-            // Record the anchor observation for the predictor.
-            if self.is_anchor_site(site.layer_index) {
-                self.anchors.anchor_log_isd = Some(f64::from(isd).ln());
-            }
-            (stats.mean, isd)
-        };
-
-        normalize_with_stats(
-            z,
-            gamma,
-            beta,
-            site.kind,
-            DEFAULT_EPS,
-            Some(mean),
-            Some(isd),
-        )
+        let input = Matrix::from_vec(1, z.len(), z.to_vec()).expect("one row of z.len() columns");
+        self.normalize_matrix(site, &input, gamma, beta)
+            .row(0)
+            .to_vec()
     }
 
     fn normalize_matrix_into(
@@ -680,7 +599,7 @@ impl Normalizer for HaanNormalizer {
             None => "full input".to_string(),
         };
         format!(
-            "HAAN normalizer [{}; {}; {}; {}; {} batched backend]",
+            "HAAN normalizer [{}; {}; {}; {}; {} backend]",
             self.config.label,
             skip,
             sub,
@@ -789,12 +708,12 @@ mod tests {
         haan.begin_sequence();
         let gamma = vec![1.0f32; 128];
         let beta = vec![0.0f32; 128];
-        // Scalar path: one row per call per layer.
+        // Per-token calls: one row per call per layer.
         for layer in 0..8 {
             let z = gaussian(128, 10 + layer as u64, 1.0);
             let _ = haan.normalize(site(layer, NormKind::LayerNorm), &z, &gamma, &beta);
         }
-        // Batched path: 4 rows at an exact site and at a skipped site.
+        // Batched calls: 4 rows at an exact site and at a skipped site.
         let data: Vec<f32> = (0..4).flat_map(|r| gaussian(128, 90 + r, 1.0)).collect();
         let input = haan_llm::Matrix::from_vec(4, 128, data).unwrap();
         let mut out = haan_llm::Matrix::zeros(4, 128);
@@ -813,10 +732,10 @@ mod tests {
             &mut out,
         );
         let snap = obs.export();
-        // Site 2 is the anchor (exact): 1 scalar row + 4 batched rows.
+        // Site 2 is the anchor (exact): 1 per-token row + 4 batched rows.
         assert_eq!(snap.counter("haan.exact.site_2"), Some(5));
         assert_eq!(snap.gauge("haan.skip_rate.site_2"), Some(0.0));
-        // Site 3 is skipped: 1 scalar row + 4 batched rows, all predicted.
+        // Site 3 is skipped: 1 per-token row + 4 batched rows, all predicted.
         assert_eq!(snap.counter("haan.skip.site_3"), Some(5));
         assert_eq!(snap.gauge("haan.skip_rate.site_3"), Some(1.0));
         // Sites outside the plan never skip.
@@ -979,7 +898,7 @@ mod tests {
         assert!(haan.description().contains("HAAN"));
     }
 
-    fn gaussian_matrix(rows: usize, cols: usize, seed: u64, std: f32) -> haan_llm::Matrix {
+    fn gaussian_matrix(rows: usize, cols: usize, seed: u64, std: f32) -> Matrix {
         let data: Vec<f32> = (0..rows)
             .flat_map(|r| gaussian(cols, seed + r as u64 * 101, std))
             .collect();
@@ -988,28 +907,206 @@ mod tests {
 
     #[test]
     fn batched_path_matches_scalar_path() {
-        // Without a skip plan the batched engine must agree with the scalar oracle on
-        // every row (chunked vs one-pass statistics differ only in summation order).
-        for format in [Format::Fp32, Format::Fp16, Format::Int8] {
-            let config = HaanConfig::builder().subsample(48).format(format).build();
-            let mut scalar = HaanNormalizer::new(config.clone());
-            let mut batched = HaanNormalizer::new(config);
-            let input = gaussian_matrix(5, 96, 31, 1.7);
-            let gamma = vec![1.2f32; 96];
-            let beta = vec![0.1f32; 96];
-            let out = batched.normalize_matrix(site(0, NormKind::LayerNorm), &input, &gamma, &beta);
-            for row in 0..input.rows() {
-                let expected =
-                    scalar.normalize(site(0, NormKind::LayerNorm), input.row(row), &gamma, &beta);
-                for (col, (a, b)) in out.row(row).iter().zip(&expected).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-5 * b.abs().max(1.0),
-                        "{format}: row {row} col {col}: {a} vs {b}"
-                    );
+        // One token at a time through every layer is one N-row call per layer, bit
+        // for bit: the per-token path is a one-row batched site, and each token's
+        // anchor-site call re-anchors the skipped layers that follow it.
+        let plan = SkipPlan {
+            start: 1,
+            end: 4,
+            decay: -0.1,
+            correlation: -1.0,
+            calibration_anchor_log_isd: 0.0,
+        };
+        let kind = |layer: usize| {
+            if layer.is_multiple_of(2) {
+                NormKind::LayerNorm
+            } else {
+                NormKind::RmsNorm
+            }
+        };
+        let inputs: Vec<Matrix> = (0..6)
+            .map(|layer| gaussian_matrix(5, 96, 31 + layer as u64, 1.0 + 0.3 * layer as f32))
+            .collect();
+        let gamma = vec![1.2f32; 96];
+        let beta = vec![0.1f32; 96];
+        for backend in [BackendSelection::Fused, BackendSelection::Scalar] {
+            for format in [Format::Fp32, Format::Fp16, Format::Int8] {
+                let config = HaanConfig::builder()
+                    .subsample(48)
+                    .format(format)
+                    .backend(backend)
+                    .build();
+                let mut per_token = HaanNormalizer::new(config.clone()).with_plan(plan);
+                let mut batched = HaanNormalizer::new(config).with_plan(plan);
+                batched.begin_sequence();
+                let outs: Vec<Matrix> = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(layer, input)| {
+                        batched.normalize_matrix(site(layer, kind(layer)), input, &gamma, &beta)
+                    })
+                    .collect();
+                per_token.begin_sequence();
+                for row in 0..5 {
+                    for (layer, input) in inputs.iter().enumerate() {
+                        let out = per_token.normalize(
+                            site(layer, kind(layer)),
+                            input.row(row),
+                            &gamma,
+                            &beta,
+                        );
+                        assert_eq!(
+                            out.as_slice(),
+                            outs[layer].row(row),
+                            "{backend:?} {format}: layer {layer} row {row}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    per_token.telemetry(),
+                    batched.telemetry(),
+                    "{backend:?} {format}"
+                );
+                assert_eq!(per_token.telemetry().skipped_isd, 3 * 5);
+            }
+        }
+    }
+
+    #[test]
+    fn per_token_anchor_call_replaces_the_per_row_anchors() {
+        // A per-token call at the anchor site is the latest anchor observation: a
+        // later batched skipped site of another row count must predict from it, not
+        // from the per-row anchors of an earlier batched call.
+        let plan = SkipPlan {
+            start: 0,
+            end: 2,
+            decay: 0.0, // predicted ISD = anchor ISD
+            correlation: -1.0,
+            calibration_anchor_log_isd: 0.0,
+        };
+        let mut haan = HaanNormalizer::new(HaanConfig::builder().build()).with_plan(plan);
+        haan.begin_sequence();
+        // Two rows with identical statistics (one is the other reversed).
+        let base = gaussian(64, 5, 1.0);
+        let mut data = base.clone();
+        data.extend(base.iter().rev());
+        let input = Matrix::from_vec(2, 64, data).unwrap();
+        let gamma = vec![1.0f32; 64];
+        let beta = vec![0.0f32; 64];
+        let anchored = haan.normalize_matrix(site(0, NormKind::LayerNorm), &input, &gamma, &beta);
+        let scaled: Vec<f32> = base.iter().map(|v| v * 8.0).collect();
+        let _ = haan.normalize(site(0, NormKind::LayerNorm), &scaled, &gamma, &beta);
+        let skipped = haan.normalize_matrix(site(1, NormKind::LayerNorm), &input, &gamma, &beta);
+        for row in 0..2 {
+            for (a, s) in anchored.row(row).iter().zip(skipped.row(row)) {
+                if a.abs() > 0.1 {
+                    assert!((s / a - 0.125).abs() < 1e-3, "row {row}: {s} vs {a}");
                 }
             }
-            // Telemetry accounting is identical: one call per row.
-            assert_eq!(batched.telemetry(), scalar.telemetry());
+        }
+    }
+
+    /// The ISD a normalizer with `config` tracks for `z` at an anchor site.
+    fn anchor_isd(config: HaanConfig, z: &[f32]) -> f64 {
+        let plan = SkipPlan {
+            start: 0,
+            end: 1,
+            decay: 0.0,
+            correlation: -1.0,
+            calibration_anchor_log_isd: 0.0,
+        };
+        let mut haan = HaanNormalizer::new(config).with_plan(plan);
+        let (gamma, beta) = (vec![1.0f32; z.len()], vec![0.0f32; z.len()]);
+        let _ = haan.normalize(site(0, NormKind::LayerNorm), z, &gamma, &beta);
+        haan.anchor_state()
+            .scalar_log_isd()
+            .expect("layer 0 is the anchor site")
+            .exp()
+    }
+
+    /// Relative error of the tracked anchor ISD against the exact full-row ISD.
+    fn isd_relative_error(config: HaanConfig, z: &[f32]) -> f64 {
+        let exact = f64::from(haan_numerics::stats::VectorStats::compute(z).isd(DEFAULT_EPS));
+        (anchor_isd(config, z) - exact).abs() / exact
+    }
+
+    /// Exact FP32 statistics of the first `n_sub` elements: subsampling only.
+    fn subsample_only(n_sub: usize) -> HaanConfig {
+        HaanConfig::builder()
+            .subsample(n_sub)
+            .format(Format::Fp32)
+            .invsqrt_iterations(None)
+            .build()
+    }
+
+    #[test]
+    fn statistics_read_only_the_prefix() {
+        // Elements past Nsub never reach the statistics path, in any format.
+        let z = gaussian(128, 4, 1.0);
+        let mut tail_changed = z.clone();
+        for v in tail_changed.iter_mut().skip(64) {
+            *v = 1000.0;
+        }
+        for format in [Format::Fp32, Format::Fp16, Format::Int8] {
+            let config = HaanConfig::builder().subsample(64).format(format).build();
+            assert_eq!(
+                anchor_isd(config.clone(), &z).to_bits(),
+                anchor_isd(config, &tail_changed).to_bits(),
+                "{format}"
+            );
+        }
+    }
+
+    #[test]
+    fn longer_subsamples_are_more_accurate_on_average() {
+        let (mut err_small, mut err_large) = (0.0, 0.0);
+        for seed in 0..20 {
+            let z = gaussian(4096, seed, 1.0);
+            err_small += isd_relative_error(subsample_only(64), &z);
+            err_large += isd_relative_error(subsample_only(1024), &z);
+        }
+        assert!(
+            err_large < err_small,
+            "large {err_large} vs small {err_small}"
+        );
+    }
+
+    #[test]
+    fn paper_subsample_lengths_keep_error_small() {
+        // The LLaMA-7B preset (Nsub = 256 of 4096, INT8 operands, one Newton step)
+        // keeps the ISD error in the few-percent range for Gaussian-like activations.
+        let mut worst: f64 = 0.0;
+        for seed in 0..10 {
+            let z = gaussian(4096, 100 + seed, 1.0);
+            worst = worst.max(isd_relative_error(HaanConfig::llama_7b_paper(), &z));
+        }
+        assert!(worst < 0.2, "worst-case relative error {worst}");
+    }
+
+    #[test]
+    fn subsample_length_clamps_to_the_row() {
+        // An Nsub longer than the row reads the whole row, exactly like no Nsub.
+        let z = gaussian(256, 8, 1.5);
+        assert_eq!(
+            anchor_isd(subsample_only(10_000), &z).to_bits(),
+            anchor_isd(HaanConfig::unoptimized(), &z).to_bits()
+        );
+        let mut haan = HaanNormalizer::new(subsample_only(10_000));
+        let _ = haan.normalize(site(0, NormKind::LayerNorm), &z, &[1.0; 256], &[0.0; 256]);
+        assert_eq!(haan.telemetry().subsampled, 0);
+        assert_eq!(haan.telemetry().read_fraction(), 1.0);
+        // A zero Nsub is a configuration error.
+        assert!(subsample_only(0).validate(1).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_anchor_isd_is_finite_and_positive(
+            z in proptest::collection::vec(-100.0f32..100.0, 4..512),
+            n_sub in 1usize..600,
+        ) {
+            let isd = anchor_isd(HaanConfig::builder().subsample(n_sub).build(), &z);
+            proptest::prop_assert!(isd.is_finite() && isd > 0.0);
         }
     }
 
@@ -1048,9 +1145,8 @@ mod tests {
 
     #[test]
     fn batched_model_forward_matches_expectations() {
-        // The full model driven through the batched API produces the same argmax as
-        // the scalar oracle driven row by row (per-row anchors only make skipped
-        // layers more faithful, and this config has no plan).
+        // The full model driven through the batched API counts every row of every
+        // site and reads only the subsampled prefix.
         let model = TransformerModel::new(&ModelConfig::tiny_test(), 3).unwrap();
         let tokens = [4u32, 8, 15, 16, 23, 42];
         let config = HaanConfig::builder()

@@ -7,8 +7,8 @@
 //!
 //! * [`tensor`] — a minimal row-major matrix type with the handful of operations a
 //!   decoder-only transformer needs (matmul, softmax, GeLU).
-//! * [`norm`] — the [`Normalizer`] trait plus reference LayerNorm and
-//!   RMSNorm implementations. The HAAN normalizer in the `haan` crate plugs into the
+//! * [`norm`] — the [`Normalizer`] trait plus [`norm::ReferenceNormalizer`], the
+//!   exact LayerNorm/RMSNorm that applies each site's own kind. The HAAN normalizer in the `haan` crate plugs into the
 //!   same trait, so a model can be evaluated with either; [`norm::Composed`]
 //!   wraps any normalizer to run its fused sites in the composed order.
 //! * [`model`] / [`block`] / [`attention`] / [`mlp`] — a from-scratch Pre-LN
@@ -67,7 +67,7 @@ pub use attention::AttnScratch;
 pub use config::{ModelConfig, ModelFamily, NormKind};
 pub use error::LlmError;
 pub use model::{DecodeContext, KvPrefix, TransformerModel};
-pub use norm::{LayerNorm, Normalizer, RmsNorm};
+pub use norm::Normalizer;
 pub use paging::{AllocFaultHook, EvictionPolicy, KvBlockPool, PagedKvCache};
 pub use prefix::{prefix_fingerprint, PrefixStore, PrefixStoreStats};
 pub use streaming::StreamingModel;

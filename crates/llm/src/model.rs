@@ -971,7 +971,7 @@ fn run_blocks<N: Normalizer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::norm::{LayerNorm, ReferenceNormalizer};
+    use crate::norm::{normalize_with_stats, Composed, NormSite, Normalizer, ReferenceNormalizer};
 
     fn tiny_model() -> TransformerModel {
         TransformerModel::new(&ModelConfig::tiny_test(), 42).unwrap()
@@ -1026,9 +1026,30 @@ mod tests {
         let exact = model
             .logits(&tokens, &mut ReferenceNormalizer::new())
             .unwrap();
-        // LayerNorm-only normalizer on an (effectively LayerNorm) GPT-2 model matches.
-        let with_ln = model.logits(&tokens, &mut LayerNorm::new()).unwrap();
-        assert_eq!(exact, with_ln);
+        // The same exact statistics, however the reference normalizer is built or
+        // wrapped, give the same logits.
+        for mut same in [
+            Composed::<ReferenceNormalizer>::default(),
+            Composed(ReferenceNormalizer::new()),
+        ] {
+            assert_eq!(model.logits(&tokens, &mut same).unwrap(), exact);
+        }
+        // A normalizer with a wider epsilon gives similar, not identical, logits.
+        struct WideEps;
+        impl Normalizer for WideEps {
+            fn normalize(&mut self, site: NormSite, z: &[f32], g: &[f32], b: &[f32]) -> Vec<f32> {
+                normalize_with_stats(z, g, b, site.kind, 1e-2)
+            }
+        }
+        let wide = model.logits(&tokens, &mut WideEps).unwrap();
+        assert_ne!(wide, exact);
+        let max_diff = wide
+            .as_slice()
+            .iter()
+            .zip(exact.as_slice())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(max_diff < 0.5, "max |Δlogit| {max_diff}");
     }
 
     #[test]

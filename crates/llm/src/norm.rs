@@ -2,20 +2,19 @@
 //!
 //! The model invokes the normalizer through two entry points:
 //!
-//! * [`Normalizer::normalize`] — one token vector at a time, the original scalar path
-//!   (kept as the reference oracle);
+//! * [`Normalizer::normalize`] — one token vector at a time;
 //! * [`Normalizer::normalize_matrix_into`] — the batched hot path: a whole `seq × E`
 //!   hidden-state matrix per normalization site, writing into a caller-provided
-//!   matrix. The default implementation loops the scalar path (so custom normalizers
-//!   keep working unchanged); the built-in normalizers override it with the fused,
-//!   allocation-free kernels of [`haan_numerics::stats`], and the HAAN normalizer
-//!   (in the `haan` core crate) dispatches it to one execution backend — the fused
-//!   kernel, the scalar oracle, or an attached one such as the cycle-level
-//!   accelerator simulator.
+//!   matrix. The default implementation loops [`Normalizer::normalize`] (so custom
+//!   normalizers keep working unchanged); [`ReferenceNormalizer`] overrides it with
+//!   the fused, allocation-free kernels of [`haan_numerics::stats`], and the HAAN
+//!   normalizer (in the `haan` core crate) dispatches it to one execution backend —
+//!   the fused kernel, the scalar oracle, or an attached one such as the cycle-level
+//!   accelerator simulator — and runs its per-token calls as one-row batched sites.
 //!
-//! Each invocation carries *which* normalization layer (global index) it is computing,
-//! so an implementation can keep cross-layer state — exactly what HAAN's ISD-skipping
-//! predictor needs.
+//! Each invocation carries *which* normalization layer (global index) it is computing
+//! and the layer's [`NormKind`], so an implementation can keep cross-layer state —
+//! exactly what HAAN's ISD-skipping predictor needs.
 
 use crate::config::NormKind;
 use crate::error::LlmError;
@@ -39,10 +38,10 @@ pub struct NormSite {
 /// # Example
 ///
 /// ```
-/// use haan_llm::norm::{LayerNorm, Normalizer, NormSite};
+/// use haan_llm::norm::{Normalizer, NormSite, ReferenceNormalizer};
 /// use haan_llm::NormKind;
 ///
-/// let mut ln = LayerNorm::new();
+/// let mut ln = ReferenceNormalizer::new();
 /// let gamma = vec![1.0f32; 4];
 /// let beta = vec![0.0f32; 4];
 /// let site = NormSite { layer_index: 0, kind: NormKind::LayerNorm };
@@ -90,8 +89,8 @@ pub trait Normalizer {
     ///
     /// Implementations panic when `out` has a different shape from `input`, or when
     /// `gamma` / `beta` do not have `input.cols()` elements (programmer error, same
-    /// contract as the `debug_assert`s of the scalar path but enforced always since
-    /// batched callers construct `out` themselves).
+    /// contract as the `debug_assert`s of [`Normalizer::normalize`] but enforced always
+    /// since batched callers construct `out` themselves).
     fn normalize_matrix_into(
         &mut self,
         site: NormSite,
@@ -329,155 +328,23 @@ impl NormKind {
     }
 }
 
-/// Shared fused batch kernel for the exact (reference) normalizers.
-fn exact_batch_into(
-    kind: NormKind,
-    eps: f32,
-    input: &Matrix,
-    gamma: &[f32],
-    beta: &[f32],
-    out: &mut Matrix,
-) {
-    assert_eq!(
-        input.shape(),
-        out.shape(),
-        "normalize_matrix_into shape mismatch"
-    );
-    let cols = input.cols();
-    assert_eq!(
-        gamma.len(),
-        cols,
-        "normalize_matrix_into gamma length mismatch"
-    );
-    assert_eq!(
-        beta.len(),
-        cols,
-        "normalize_matrix_into beta length mismatch"
-    );
-    normalize_rows_into(
-        input.as_slice(),
-        cols,
-        gamma,
-        beta,
-        kind.row_mode(),
-        eps,
-        out.as_mut_slice(),
-    )
-    .expect("buffer shapes were validated above");
-}
-
-/// Reference (exact, FP32) LayerNorm: `s = γ · (z − μ)/σ + β`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LayerNorm {
-    eps: f32,
-}
-
-impl LayerNorm {
-    /// Creates a LayerNorm with the default epsilon (1e-5).
-    #[must_use]
-    pub fn new() -> Self {
-        Self { eps: DEFAULT_EPS }
-    }
-
-    /// Creates a LayerNorm with an explicit epsilon.
-    #[must_use]
-    pub fn with_eps(eps: f32) -> Self {
-        Self { eps }
-    }
-
-    /// The epsilon added to the variance.
-    #[must_use]
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-}
-
-impl Normalizer for LayerNorm {
-    fn normalize(&mut self, _site: NormSite, z: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f32> {
-        normalize_with_stats(z, gamma, beta, NormKind::LayerNorm, self.eps, None, None)
-    }
-
-    fn normalize_matrix_into(
-        &mut self,
-        _site: NormSite,
-        input: &Matrix,
-        gamma: &[f32],
-        beta: &[f32],
-        out: &mut Matrix,
-    ) {
-        exact_batch_into(NormKind::LayerNorm, self.eps, input, gamma, beta, out);
-    }
-
-    fn description(&self) -> String {
-        "reference LayerNorm (FP32)".to_string()
-    }
-}
-
-/// Reference (exact, FP32) RMSNorm: `s = γ · z / rms(z) + β`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RmsNorm {
-    eps: f32,
-}
-
-impl RmsNorm {
-    /// Creates an RMSNorm with the default epsilon (1e-5).
-    #[must_use]
-    pub fn new() -> Self {
-        Self { eps: DEFAULT_EPS }
-    }
-
-    /// Creates an RMSNorm with an explicit epsilon.
-    #[must_use]
-    pub fn with_eps(eps: f32) -> Self {
-        Self { eps }
-    }
-
-    /// The epsilon added to the mean square.
-    #[must_use]
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-}
-
-impl Normalizer for RmsNorm {
-    fn normalize(&mut self, _site: NormSite, z: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f32> {
-        normalize_with_stats(z, gamma, beta, NormKind::RmsNorm, self.eps, None, None)
-    }
-
-    fn normalize_matrix_into(
-        &mut self,
-        _site: NormSite,
-        input: &Matrix,
-        gamma: &[f32],
-        beta: &[f32],
-        out: &mut Matrix,
-    ) {
-        exact_batch_into(NormKind::RmsNorm, self.eps, input, gamma, beta, out);
-    }
-
-    fn description(&self) -> String {
-        "reference RMSNorm (FP32)".to_string()
-    }
-}
-
-/// A reference normalizer that dispatches on the site's [`NormKind`], used as the
-/// "Original" configuration in the accuracy tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReferenceNormalizer {
-    eps: f32,
-}
+/// The exact FP32 normalizer, used as the "Original" configuration in the accuracy
+/// tables: every site applies its own [`NormKind`] with exact statistics and
+/// [`DEFAULT_EPS`] — LayerNorm `s = γ · (z − μ)/σ + β`, RMSNorm `s = γ · z / rms(z) + β`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReferenceNormalizer;
 
 impl ReferenceNormalizer {
-    /// Creates a reference normalizer with the default epsilon.
+    /// Creates the reference normalizer.
     #[must_use]
     pub fn new() -> Self {
-        Self { eps: DEFAULT_EPS }
+        Self
     }
 }
 
 impl Normalizer for ReferenceNormalizer {
     fn normalize(&mut self, site: NormSite, z: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f32> {
-        normalize_with_stats(z, gamma, beta, site.kind, self.eps, None, None)
+        normalize_with_stats(z, gamma, beta, site.kind, DEFAULT_EPS)
     }
 
     fn normalize_matrix_into(
@@ -488,7 +355,32 @@ impl Normalizer for ReferenceNormalizer {
         beta: &[f32],
         out: &mut Matrix,
     ) {
-        exact_batch_into(site.kind, self.eps, input, gamma, beta, out);
+        assert_eq!(
+            input.shape(),
+            out.shape(),
+            "normalize_matrix_into shape mismatch"
+        );
+        let cols = input.cols();
+        assert_eq!(
+            gamma.len(),
+            cols,
+            "normalize_matrix_into gamma length mismatch"
+        );
+        assert_eq!(
+            beta.len(),
+            cols,
+            "normalize_matrix_into beta length mismatch"
+        );
+        normalize_rows_into(
+            input.as_slice(),
+            cols,
+            gamma,
+            beta,
+            site.kind.row_mode(),
+            DEFAULT_EPS,
+            out.as_mut_slice(),
+        )
+        .expect("buffer shapes were validated above");
     }
 
     fn description(&self) -> String {
@@ -496,12 +388,9 @@ impl Normalizer for ReferenceNormalizer {
     }
 }
 
-/// Core normalization kernel shared by the reference and HAAN implementations.
-///
-/// `mean_override` / `isd_override` replace the exact statistics when provided; HAAN
-/// uses them to inject subsampled means and predicted or subsampled ISDs. For
-/// [`NormKind::RmsNorm`] the mean is not used (the input is not re-centred) and the
-/// ISD override is interpreted as `1/rms`.
+/// Exact normalization of one vector: the two-pass f64 statistics of
+/// [`VectorStats::compute`] and the affine transform `γ · (x − μ) · isd + β`.
+/// For [`NormKind::RmsNorm`] the input is not re-centred and the ISD is `1/rms`.
 #[must_use]
 pub fn normalize_with_stats(
     z: &[f32],
@@ -509,8 +398,6 @@ pub fn normalize_with_stats(
     beta: &[f32],
     kind: NormKind,
     eps: f32,
-    mean_override: Option<f32>,
-    isd_override: Option<f32>,
 ) -> Vec<f32> {
     if z.is_empty() {
         return Vec::new();
@@ -520,15 +407,14 @@ pub fn normalize_with_stats(
     let stats = VectorStats::compute(z);
     match kind {
         NormKind::LayerNorm => {
-            let mean = mean_override.unwrap_or(stats.mean);
-            let isd = isd_override.unwrap_or_else(|| stats.isd(eps));
+            let (mean, isd) = (stats.mean, stats.isd(eps));
             z.iter()
                 .zip(gamma.iter().zip(beta))
                 .map(|(&x, (&g, &b))| g * (x - mean) * isd + b)
                 .collect()
         }
         NormKind::RmsNorm => {
-            let inv_rms = isd_override.unwrap_or_else(|| 1.0 / stats.rms(eps));
+            let inv_rms = 1.0 / stats.rms(eps);
             z.iter()
                 .zip(gamma.iter().zip(beta))
                 .map(|(&x, (&g, &b))| g * x * inv_rms + b)
@@ -554,7 +440,7 @@ mod tests {
         let z: Vec<f32> = (0..64).map(|i| (i as f32) * 0.3 - 5.0).collect();
         let gamma = vec![1.0f32; 64];
         let beta = vec![0.0f32; 64];
-        let mut ln = LayerNorm::new();
+        let mut ln = ReferenceNormalizer::new();
         let out = ln.normalize(site(NormKind::LayerNorm), &z, &gamma, &beta);
         let stats = VectorStats::compute(&out);
         assert!(stats.mean.abs() < 1e-5);
@@ -566,7 +452,7 @@ mod tests {
         let z = vec![1.0f32, 3.0];
         let gamma = vec![2.0f32, 2.0];
         let beta = vec![10.0f32, 10.0];
-        let mut ln = LayerNorm::new();
+        let mut ln = ReferenceNormalizer::new();
         let out = ln.normalize(site(NormKind::LayerNorm), &z, &gamma, &beta);
         // Normalized values are ±1, so output is 10 ± 2.
         assert!((out[0] - 8.0).abs() < 1e-3);
@@ -578,7 +464,7 @@ mod tests {
         let z = vec![2.0f32, 2.0, 2.0, 2.0];
         let gamma = vec![1.0f32; 4];
         let beta = vec![0.0f32; 4];
-        let mut rn = RmsNorm::new();
+        let mut rn = ReferenceNormalizer::new();
         let out = rn.normalize(site(NormKind::RmsNorm), &z, &gamma, &beta);
         // RMS of a constant vector is the constant, so output is ~1 everywhere (not 0).
         for v in out {
@@ -595,50 +481,57 @@ mod tests {
         let ln_out = reference.normalize(site(NormKind::LayerNorm), &z, &gamma, &beta);
         let rms_out = reference.normalize(site(NormKind::RmsNorm), &z, &gamma, &beta);
         assert_ne!(ln_out, rms_out);
-        let mut ln = LayerNorm::new();
-        assert_eq!(
-            ln.normalize(site(NormKind::LayerNorm), &z, &gamma, &beta),
-            ln_out
-        );
+        // Each site gets exactly its own kind's exact normalization.
+        for (kind, out) in [(NormKind::LayerNorm, ln_out), (NormKind::RmsNorm, rms_out)] {
+            assert_eq!(
+                normalize_with_stats(&z, &gamma, &beta, kind, DEFAULT_EPS),
+                out
+            );
+        }
         assert!(reference.description().contains("reference"));
     }
 
     #[test]
-    fn overrides_replace_exact_statistics() {
+    fn normalize_with_stats_matches_known_values() {
+        // Mean 2.5, variance 1.25: with eps 0 the outputs are (x − 2.5) / √1.25.
         let z = vec![1.0f32, 2.0, 3.0, 4.0];
         let gamma = vec![1.0f32; 4];
         let beta = vec![0.0f32; 4];
-        let exact = normalize_with_stats(&z, &gamma, &beta, NormKind::LayerNorm, 0.0, None, None);
-        let forced = normalize_with_stats(
-            &z,
-            &gamma,
-            &beta,
-            NormKind::LayerNorm,
-            0.0,
-            Some(0.0),
-            Some(1.0),
-        );
-        assert_ne!(exact, forced);
-        // With mean 0 and ISD 1 the "normalized" output is just the input.
-        assert_eq!(forced, z);
-        assert!(
-            normalize_with_stats(&[], &[], &[], NormKind::LayerNorm, 0.0, None, None).is_empty()
-        );
+        let out = normalize_with_stats(&z, &gamma, &beta, NormKind::LayerNorm, 0.0);
+        for (o, x) in out.iter().zip(&z) {
+            assert!((o - (x - 2.5) / 1.25f32.sqrt()).abs() < 1e-6, "{o}");
+        }
+        assert!(normalize_with_stats(&[], &[], &[], NormKind::LayerNorm, 0.0).is_empty());
     }
 
     #[test]
-    fn eps_accessors() {
-        assert_eq!(LayerNorm::with_eps(1e-3).eps(), 1e-3);
-        assert_eq!(RmsNorm::with_eps(1e-3).eps(), 1e-3);
-        assert_eq!(LayerNorm::new().eps(), DEFAULT_EPS);
-        assert_eq!(
-            RmsNorm::default().eps(),
-            0.0_f32.max(RmsNorm::default().eps())
-        );
-        let mut ln = LayerNorm::new();
-        ln.begin_sequence(); // default impl is a no-op
-        assert!(ln.description().contains("LayerNorm"));
-        assert!(RmsNorm::new().description().contains("RMSNorm"));
+    fn default_matches_new_on_a_constant_row() {
+        // A constant row has zero variance: only a positive eps keeps its LayerNorm
+        // finite.
+        let z = vec![3.0f32; 8];
+        let gamma = vec![1.0f32; 8];
+        let beta = vec![0.5f32; 8];
+        let mut from_default: ReferenceNormalizer = Default::default();
+        let mut composed = Composed::<ReferenceNormalizer>::default();
+        for kind in [NormKind::LayerNorm, NormKind::RmsNorm] {
+            let expected = ReferenceNormalizer::new().normalize(site(kind), &z, &gamma, &beta);
+            assert!(
+                expected.iter().all(|v| v.is_finite()),
+                "{kind}: {expected:?}"
+            );
+            assert_eq!(
+                from_default.normalize(site(kind), &z, &gamma, &beta),
+                expected,
+                "{kind}"
+            );
+            assert_eq!(
+                composed.normalize(site(kind), &z, &gamma, &beta),
+                expected,
+                "{kind}"
+            );
+        }
+        from_default.begin_sequence(); // default impl is a no-op
+        assert_eq!(from_default, ReferenceNormalizer::new());
     }
 
     #[test]
@@ -695,7 +588,7 @@ mod tests {
         let mut out = Matrix::zeros(2, 3);
         let gamma = vec![1.0f32; 4];
         let beta = vec![0.0f32; 4];
-        LayerNorm::new().normalize_matrix_into(
+        ReferenceNormalizer::new().normalize_matrix_into(
             site(NormKind::LayerNorm),
             &input,
             &gamma,
@@ -721,8 +614,8 @@ mod tests {
             let gamma = vec![1.0f32; xs.len()];
             let beta = vec![0.0f32; xs.len()];
             let scaled: Vec<f32> = xs.iter().map(|v| v * scale).collect();
-            let a = normalize_with_stats(&xs, &gamma, &beta, NormKind::LayerNorm, 0.0, None, None);
-            let b = normalize_with_stats(&scaled, &gamma, &beta, NormKind::LayerNorm, 0.0, None, None);
+            let a = normalize_with_stats(&xs, &gamma, &beta, NormKind::LayerNorm, 0.0);
+            let b = normalize_with_stats(&scaled, &gamma, &beta, NormKind::LayerNorm, 0.0);
             for (x, y) in a.iter().zip(&b) {
                 prop_assert!((x - y).abs() < 1e-2);
             }
@@ -733,7 +626,7 @@ mod tests {
             prop_assume!(xs.iter().any(|v| v.abs() > 1e-2));
             let gamma = vec![1.0f32; xs.len()];
             let beta = vec![0.0f32; xs.len()];
-            let out = normalize_with_stats(&xs, &gamma, &beta, NormKind::RmsNorm, 0.0, None, None);
+            let out = normalize_with_stats(&xs, &gamma, &beta, NormKind::RmsNorm, 0.0);
             let ms: f32 = out.iter().map(|v| v * v).sum::<f32>() / out.len() as f32;
             prop_assert!((ms.sqrt() - 1.0).abs() < 1e-2);
         }

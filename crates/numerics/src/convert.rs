@@ -6,7 +6,6 @@
 //! small stateless units with a configurable target format and a per-conversion
 //! latency/energy cost used by the accelerator's timing and power models.
 
-use crate::error::NumericError;
 use crate::fixed::{Fixed, QFormat};
 use crate::format::Format;
 use crate::fp16::Fp16;
@@ -169,25 +168,6 @@ impl FxToFp {
     }
 }
 
-/// Validates that a requested subsample length is usable for an input of length `n`,
-/// returning the clamped effective length.
-///
-/// The paper truncates the input to its first `Nsub` elements; a subsample longer than
-/// the input simply uses the whole input.
-///
-/// # Errors
-///
-/// Returns [`NumericError::InvalidSubsample`] when `requested` is zero.
-pub fn effective_subsample(requested: usize, n: usize) -> Result<usize, NumericError> {
-    if requested == 0 {
-        return Err(NumericError::InvalidSubsample {
-            requested,
-            available: n,
-        });
-    }
-    Ok(requested.min(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,13 +240,6 @@ mod tests {
         }
         let back = FxToFp::new(Format::Fp32).convert_slice(&fx);
         assert_eq!(back.len(), xs.len());
-    }
-
-    #[test]
-    fn effective_subsample_clamps_and_validates() {
-        assert_eq!(effective_subsample(256, 4096).unwrap(), 256);
-        assert_eq!(effective_subsample(8192, 4096).unwrap(), 4096);
-        assert!(effective_subsample(0, 4096).is_err());
     }
 
     proptest! {

@@ -21,13 +21,6 @@ pub enum NumericError {
     },
     /// A statistics routine was asked to operate on an empty slice.
     EmptyInput,
-    /// A subsample length was zero or exceeded the input length.
-    InvalidSubsample {
-        /// Requested subsample length.
-        requested: usize,
-        /// Available input length.
-        available: usize,
-    },
     /// The inverse square root of a non-positive value was requested.
     NonPositive(f64),
     /// A batched kernel was handed buffers of inconsistent lengths.
@@ -56,13 +49,6 @@ impl fmt::Display for NumericError {
                 write!(f, "fixed-point format mismatch: {lhs} vs {rhs}")
             }
             NumericError::EmptyInput => write!(f, "input slice is empty"),
-            NumericError::InvalidSubsample {
-                requested,
-                available,
-            } => write!(
-                f,
-                "invalid subsample length {requested} for input of length {available}"
-            ),
             NumericError::NonPositive(v) => {
                 write!(f, "inverse square root requires a positive input, got {v}")
             }

@@ -13,7 +13,7 @@
 //! * [`invsqrt`] — the fast inverse square root (magic constant `0x5F3759DF` plus
 //!   Newton refinement) implemented by the Square Root Inverter (Fig. 5), together
 //!   with the Mitchell logarithm approximation and its σ ≈ 0.450465 correction.
-//! * [`stats`] — reference, one-pass, streaming (Welford) and subsampled statistics
+//! * [`stats`] — reference, one-pass and streaming (Welford) statistics
 //!   (mean, variance, inverse standard deviation) used throughout the algorithm,
 //!   plus the fused batched kernels behind the hot normalization path:
 //!   [`stats::VectorStats::compute_chunked`] (lane-parallel one-pass statistics) and

@@ -9,8 +9,6 @@
 //! * [`VectorStats::compute_chunked`] — a shift-centred one-pass formulation over
 //!   [`CHUNK_LANES`] independent accumulator lanes, the SIMD-amenable kernel the
 //!   batched normalization engine is built on,
-//! * [`VectorStats::compute_subsampled`] — statistics from only the first `Nsub`
-//!   elements (Eq. 4),
 //! * [`normalize_row_into`] / [`normalize_rows_into`] — the fused hot path: statistics
 //!   and the affine transform `(x − μ)·isd·γ + β` in one traversal per row, writing
 //!   into a caller-provided buffer (no allocation),
@@ -178,21 +176,6 @@ impl VectorStats {
             variance: variance as f32,
             count: values.len(),
         })
-    }
-
-    /// Computes statistics from only the first `n_sub` elements (the paper's
-    /// subsampling: "we simply truncate the first Nsub elements within the input").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::InvalidSubsample`] when `n_sub` is zero and
-    /// [`NumericError::EmptyInput`] for an empty slice.
-    pub fn compute_subsampled(values: &[f32], n_sub: usize) -> Result<Self, NumericError> {
-        if values.is_empty() {
-            return Err(NumericError::EmptyInput);
-        }
-        let effective = crate::convert::effective_subsample(n_sub, values.len())?;
-        Self::compute_one_pass(&values[..effective])
     }
 
     /// Standard deviation with the given epsilon.
@@ -556,7 +539,6 @@ mod tests {
     fn empty_input_is_an_error() {
         assert!(VectorStats::try_compute(&[]).is_err());
         assert!(VectorStats::compute_one_pass(&[]).is_err());
-        assert!(VectorStats::compute_subsampled(&[], 8).is_err());
         assert!(isd(&[]).is_err());
         assert!(rms(&[]).is_err());
     }
@@ -576,22 +558,6 @@ mod tests {
         let b = VectorStats::compute_one_pass(&xs).unwrap();
         assert!((a.mean - b.mean).abs() < 1e-4);
         assert!((a.variance - b.variance).abs() < 1e-3);
-    }
-
-    #[test]
-    fn subsampled_uses_prefix_only() {
-        let mut xs = vec![1.0f32; 64];
-        for v in xs.iter_mut().skip(32) {
-            *v = 100.0; // the tail should be ignored with n_sub = 32
-        }
-        let s = VectorStats::compute_subsampled(&xs, 32).unwrap();
-        assert!((s.mean - 1.0).abs() < 1e-6);
-        assert!(s.variance.abs() < 1e-6);
-        assert_eq!(s.count, 32);
-        // n_sub larger than the input clamps to the whole input.
-        let s_all = VectorStats::compute_subsampled(&xs, 1024).unwrap();
-        assert_eq!(s_all.count, 64);
-        assert!(VectorStats::compute_subsampled(&xs, 0).is_err());
     }
 
     #[test]
@@ -949,13 +915,6 @@ mod tests {
                     prop_assert!((f - r).abs() <= 1e-5 * r.abs().max(1.0), "{f} vs {r}");
                 }
             }
-        }
-
-        #[test]
-        fn prop_subsample_of_full_length_is_exact(xs in proptest::collection::vec(-10.0f32..10.0, 1..128)) {
-            let full = VectorStats::compute_one_pass(&xs).unwrap();
-            let sub = VectorStats::compute_subsampled(&xs, xs.len()).unwrap();
-            prop_assert_eq!(full, sub);
         }
 
         #[test]
