@@ -1,27 +1,14 @@
-//! The top-level HAAN accelerator: functional datapath plus timing, power and energy.
+//! The analytic HAAN accelerator model: stage timing, power, energy and FPGA cost of
+//! whole normalization workloads. The functional datapath runs as the
+//! [`AccelSimBackend`](crate::AccelSimBackend) under `haan::HaanNormalizer`'s policy.
 
 use crate::config::AccelConfig;
 use crate::error::AccelError;
-use crate::isc::InputStatisticsCalculator;
-use crate::norm_unit::NormalizationUnit;
-use crate::pipeline::{pipeline_latency, PipelineReport, StageTiming};
+use crate::pipeline::{pipeline_latency, site_stage_timing, StageTiming};
 use crate::power::PowerModel;
-use crate::predictor_unit::IsdPredictorUnit;
 use crate::resources::{DeviceCapacity, ResourceEstimate};
-use crate::sqrt_inv::SquareRootInverter;
 use haan::{HaanConfig, SkipPlan};
 use haan_llm::NormKind;
-
-/// Result of running one normalization layer over a batch of token vectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerRun {
-    /// Normalized outputs, one per input token vector.
-    pub outputs: Vec<Vec<f32>>,
-    /// Pipelined timing of the layer.
-    pub report: PipelineReport,
-    /// Whether this layer's ISD was predicted (skipped) rather than computed.
-    pub skipped: bool,
-}
 
 /// Timing / energy summary of a whole normalization workload (all layers of a model at
 /// a given sequence length).
@@ -45,13 +32,13 @@ pub struct WorkloadReport {
     pub stage_balance: f64,
 }
 
-/// The HAAN accelerator instance.
+/// The analytic model of one accelerator configuration running one HAAN algorithm
+/// configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HaanAccelerator {
     config: AccelConfig,
     algorithm: HaanConfig,
     plan: Option<SkipPlan>,
-    anchor_isd: Vec<Option<f32>>,
 }
 
 impl HaanAccelerator {
@@ -71,7 +58,6 @@ impl HaanAccelerator {
             config,
             algorithm,
             plan,
-            anchor_isd: Vec::new(),
         }
     }
 
@@ -98,11 +84,6 @@ impl HaanAccelerator {
     #[must_use]
     pub fn plan(&self) -> Option<&SkipPlan> {
         self.plan.as_ref()
-    }
-
-    /// Clears the per-token anchor observations (call between independent sequences).
-    pub fn reset(&mut self) {
-        self.anchor_isd.clear();
     }
 
     /// Resource estimate of this configuration.
@@ -137,109 +118,13 @@ impl HaanAccelerator {
         skipped: bool,
         kind: NormKind,
     ) -> StageTiming {
-        let isc = InputStatisticsCalculator::new(&self.config);
-        let sri = SquareRootInverter::new(&self.config);
-        let nu = NormalizationUnit::new(&self.config);
-        let n_used = self.statistics_elements(embedding_dim);
-        let isc_cycles = if skipped && kind == NormKind::RmsNorm {
-            // RMSNorm needs no mean, so a skipped layer bypasses the statistics path.
-            1
-        } else {
-            isc.stage_cycles(n_used)
-        };
-        let sqrt_inv = if skipped {
-            IsdPredictorUnit::LATENCY_CYCLES
-        } else {
-            sri.cycles()
-        };
-        StageTiming {
-            isc: isc_cycles,
-            sqrt_inv,
-            norm: nu.stage_cycles(embedding_dim),
-        }
-    }
-
-    /// Runs one normalization layer over a batch of token vectors (functional + timing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::InvalidWorkload`] for empty batches or mismatched parameter
-    /// lengths, and propagates unit-level errors.
-    pub fn normalize_layer(
-        &mut self,
-        tokens: &[Vec<f32>],
-        gamma: &[f32],
-        beta: &[f32],
-        kind: NormKind,
-        layer_index: usize,
-    ) -> Result<LayerRun, AccelError> {
-        self.config.validate()?;
-        let Some(first) = tokens.first() else {
-            return Err(AccelError::InvalidWorkload("empty token batch".to_string()));
-        };
-        let embedding_dim = first.len();
-        if self.anchor_isd.len() < tokens.len() {
-            self.anchor_isd.resize(tokens.len(), None);
-        }
-
-        let isc = InputStatisticsCalculator::new(&self.config);
-        let sri = SquareRootInverter::new(&self.config);
-        let nu = NormalizationUnit::new(&self.config);
-        let predictor = self.plan.map(IsdPredictorUnit::new);
-        let skipped = predictor
-            .as_ref()
-            .is_some_and(|p| p.handles_layer(layer_index));
-        let is_anchor = self
-            .plan
-            .as_ref()
-            .is_some_and(|plan| plan.is_anchor(layer_index));
-        let n_used = self.statistics_elements(embedding_dim);
-
-        let mut outputs = Vec::with_capacity(tokens.len());
-        for (token_index, z) in tokens.iter().enumerate() {
-            if z.len() != embedding_dim {
-                return Err(AccelError::InvalidWorkload(
-                    "token vectors have inconsistent widths".to_string(),
-                ));
-            }
-            let quantized = self.algorithm.format.round_trip(&z[..n_used.min(z.len())]);
-            let (mean, isd) = if skipped {
-                let predictor = predictor.as_ref().expect("skipped implies a predictor");
-                let anchor = self.anchor_isd[token_index].unwrap_or_else(|| {
-                    self.plan
-                        .as_ref()
-                        .map(|p| p.calibration_anchor_log_isd.exp() as f32)
-                        .unwrap_or(1.0)
-                });
-                let prediction = predictor.predict(anchor, layer_index);
-                let mean = match kind {
-                    NormKind::LayerNorm => isc.compute(&quantized, n_used, true)?.mean,
-                    NormKind::RmsNorm => 0.0,
-                };
-                (mean, prediction.isd)
-            } else {
-                let stats = isc.compute(&quantized, n_used, false)?;
-                let second_moment = match kind {
-                    NormKind::LayerNorm => stats.variance,
-                    NormKind::RmsNorm => stats.variance + stats.mean * stats.mean,
-                };
-                let inverted = sri.compute(second_moment)?;
-                if is_anchor {
-                    self.anchor_isd[token_index] = Some(inverted.isd);
-                }
-                (stats.mean, inverted.isd)
-            };
-            let normalized = nu.normalize(z, mean, isd, gamma, beta, kind)?;
-            outputs.push(normalized.output);
-        }
-
-        let stages = self.layer_stage_timing(embedding_dim, skipped, kind);
-        let report = pipeline_latency(stages, tokens.len() as u64, self.config.pipelines as u64);
-        Ok(LayerRun {
-            outputs,
-            report,
+        site_stage_timing(
+            &self.config,
+            self.statistics_elements(embedding_dim),
+            embedding_dim,
             skipped,
-        })
+            kind,
+        )
     }
 
     /// Timing / power / energy estimate for the full normalization workload of a model:
@@ -304,67 +189,113 @@ impl HaanAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haan_numerics::stats::VectorStats;
+    use crate::AccelSimBackend;
+    use haan::HaanNormalizer;
+    use haan_llm::norm::{NormSite, Normalizer};
+    use haan_llm::Matrix;
+    use std::sync::Arc;
 
-    fn tokens(count: usize, dim: usize, scale: f32) -> Vec<Vec<f32>> {
-        (0..count)
-            .map(|t| {
-                (0..dim)
-                    .map(|i| ((i * 31 + t * 7) % 23) as f32 / 5.0 * scale - 2.0)
-                    .collect()
-            })
-            .collect()
+    fn tokens(rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows)
+            .flat_map(|t| (0..cols).map(move |i| ((i * 31 + t * 7) % 23) as f32 / 5.0 - 2.0))
+            .collect();
+        Matrix::from_vec(rows, cols, data).expect("consistent shape")
     }
 
-    #[test]
-    fn functional_output_matches_reference_layernorm() {
-        let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), HaanConfig::unoptimized());
-        let batch = tokens(3, 256, 1.0);
-        let gamma = vec![1.0f32; 256];
-        let beta = vec![0.0f32; 256];
-        let run = accel
-            .normalize_layer(&batch, &gamma, &beta, NormKind::LayerNorm, 0)
-            .unwrap();
-        assert_eq!(run.outputs.len(), 3);
-        assert!(!run.skipped);
-        for output in &run.outputs {
-            let stats = VectorStats::compute(output);
-            assert!(stats.mean.abs() < 1e-2);
-            assert!((stats.variance - 1.0).abs() < 5e-2);
-        }
-        assert!(run.report.total_cycles > 0);
-    }
-
-    #[test]
-    fn skipped_layers_use_the_predictor() {
-        let plan = SkipPlan {
+    /// Layer 0 anchors, layers 1..=3 are skipped; zero decay predicts each row's
+    /// anchor ISD unchanged.
+    fn zero_decay_plan() -> SkipPlan {
+        SkipPlan {
             start: 0,
             end: 3,
             decay: 0.0,
             correlation: -1.0,
             calibration_anchor_log_isd: 0.0,
-        };
+        }
+    }
+
+    fn site(layer_index: usize, kind: NormKind) -> NormSite {
+        NormSite { layer_index, kind }
+    }
+
+    #[test]
+    fn skipped_layers_use_the_predictor() {
+        // The functional accelerator is the simulator attached under the
+        // normalizer's skip policy: the anchor computes, the skipped layer gets
+        // predicted per-row ISDs.
+        let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
         let config = HaanConfig::builder().subsample(64).build();
-        let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), config).with_plan(plan);
-        let batch = tokens(2, 256, 1.0);
+        let mut normalizer = HaanNormalizer::new(config)
+            .with_plan(zero_decay_plan())
+            .with_external_backend(backend.clone());
+        let rows = 2;
+        let batch = tokens(rows, 256);
         let gamma = vec![1.0f32; 256];
         let beta = vec![0.0f32; 256];
-        // Layer 0 is the anchor: computed, records anchor ISDs.
-        let anchor_run = accel
-            .normalize_layer(&batch, &gamma, &beta, NormKind::LayerNorm, 0)
-            .unwrap();
-        assert!(!anchor_run.skipped);
-        // Layer 1 is skipped: predicted ISD (decay 0 ⇒ same as the anchor's ISD).
-        let skipped_run = accel
-            .normalize_layer(&batch, &gamma, &beta, NormKind::LayerNorm, 1)
-            .unwrap();
-        assert!(skipped_run.skipped);
-        // Since the inputs are identical across layers and the decay is zero, the skipped
-        // output matches the anchor output closely.
-        for (a, b) in anchor_run.outputs[0].iter().zip(&skipped_run.outputs[0]) {
+        let before = backend.batches();
+        let anchored =
+            normalizer.normalize_matrix(site(0, NormKind::LayerNorm), &batch, &gamma, &beta);
+        let skipped =
+            normalizer.normalize_matrix(site(1, NormKind::LayerNorm), &batch, &gamma, &beta);
+        assert_eq!(backend.batches(), before + 2);
+        assert_eq!(normalizer.telemetry().skipped_isd, rows as u64);
+        // Identical inputs and zero decay: the skipped output matches the anchor's.
+        for (a, b) in anchored.as_slice().iter().zip(skipped.as_slice()) {
             assert!((a - b).abs() < 2e-2, "{a} vs {b}");
         }
-        accel.reset();
+    }
+
+    #[test]
+    fn model_and_simulator_charge_the_same_cycles() {
+        // `workload` prices every layer with `layer_stage_timing`; the simulator must
+        // charge exactly that for one site call.
+        let (rows, cols) = (5, 1600);
+        let batch = tokens(rows, cols);
+        let gamma = vec![1.0f32; cols];
+        let beta = vec![0.0f32; cols];
+        for hardware in [
+            AccelConfig::haan_v1(),
+            AccelConfig::haan_v2(),
+            AccelConfig::haan_v3(),
+        ] {
+            for n_sub in [None, Some(cols / 2)] {
+                let algorithm = HaanConfig {
+                    n_sub,
+                    ..HaanConfig::default()
+                };
+                let accel =
+                    HaanAccelerator::new(hardware, algorithm.clone()).with_plan(zero_decay_plan());
+                let backend = Arc::new(AccelSimBackend::new(hardware));
+                let mut normalizer = HaanNormalizer::new(algorithm)
+                    .with_plan(zero_decay_plan())
+                    .with_external_backend(backend.clone());
+                for kind in [NormKind::LayerNorm, NormKind::RmsNorm] {
+                    normalizer.begin_sequence();
+                    for (layer, skipped) in [(0, false), (1, true)] {
+                        assert_eq!(normalizer.is_skipped_site(layer), skipped);
+                        let before = backend.total_cycles();
+                        let mut out = Matrix::zeros(rows, cols);
+                        normalizer.normalize_matrix_into(
+                            site(layer, kind),
+                            &batch,
+                            &gamma,
+                            &beta,
+                            &mut out,
+                        );
+                        let model = pipeline_latency(
+                            accel.layer_stage_timing(cols, skipped, kind),
+                            rows as u64,
+                            hardware.pipelines as u64,
+                        );
+                        assert_eq!(
+                            backend.total_cycles() - before,
+                            model.total_cycles,
+                            "{hardware:?} n_sub {n_sub:?} {kind} skipped {skipped}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -423,20 +354,6 @@ mod tests {
             t2.balance(),
             t1.balance()
         );
-    }
-
-    #[test]
-    fn invalid_workloads_are_rejected() {
-        let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), HaanConfig::default());
-        let gamma = vec![1.0f32; 8];
-        let beta = vec![0.0f32; 8];
-        assert!(accel
-            .normalize_layer(&[], &gamma, &beta, NormKind::LayerNorm, 0)
-            .is_err());
-        let ragged = vec![vec![1.0f32; 8], vec![1.0f32; 4]];
-        assert!(accel
-            .normalize_layer(&ragged, &gamma, &beta, NormKind::LayerNorm, 0)
-            .is_err());
     }
 
     #[test]

@@ -5,15 +5,21 @@
 //! instead and is attached to a normalizer as a trait object with
 //! [`HaanNormalizer::with_external_backend`](haan::HaanNormalizer::with_external_backend);
 //! the attached backend takes precedence over the configured software backend, so
-//! every batched `Normalizer` call then runs through the cycle-level datapath model:
+//! every batched `Normalizer` call then runs through the cycle-level datapath model.
+//! This is the crate's only functional accelerator: the normalizer's skip, anchor,
+//! subsample and quantization policy decides what each site computes, and the
+//! simulator executes it:
 //!
 //! * statistics come from the fixed-point [`InputStatisticsCalculator`] (Fig. 4)
 //!   over the quantized subsampled prefix;
-//! * the ISD comes from the [`SquareRootInverter`] (Fig. 5), or arrives predicted
-//!   for skipped layers exactly as the scalar ISD predictor unit would produce it;
+//! * the ISD comes from the [`SquareRootInverter`] (Fig. 5), or, at a skipped site,
+//!   arrives in the request, predicted per row by the normalizer from the anchor
+//!   site's ISDs (the timing charges the predictor unit's latency instead);
 //! * the affine transform runs through the [`NormalizationUnit`] (Fig. 6), including
 //!   its external-format output rounding;
-//! * each batch is timed with the inter-sample [`pipeline`](crate::pipeline) model,
+//! * each batch is timed with [`site_stage_timing`] and the inter-sample
+//!   [`pipeline_latency`] model, the same composition the analytic
+//!   [`HaanAccelerator`](crate::HaanAccelerator) prices workloads with,
 //!   accumulating total cycles across the run.
 //!
 //! The outputs therefore match the software backends only within the tolerance of
@@ -25,8 +31,7 @@
 use crate::config::AccelConfig;
 use crate::isc::InputStatisticsCalculator;
 use crate::norm_unit::NormalizationUnit;
-use crate::pipeline::{pipeline_latency, StageTiming};
-use crate::predictor_unit::IsdPredictorUnit;
+use crate::pipeline::{pipeline_latency, site_stage_timing};
 use crate::sqrt_inv::SquareRootInverter;
 use haan::backend::{BatchRequest, NormBackend, ResidualNormRequest};
 use haan_llm::NormKind;
@@ -154,23 +159,13 @@ impl NormBackend for AccelSimBackend {
             out_row.copy_from_slice(&normalized.output);
         }
 
-        // Pipelined timing of the batch: same stage composition as
-        // `HaanAccelerator::layer_stage_timing`, driven by this request's decisions.
-        let skipped = request.predicted_isd.is_some();
-        let stages = StageTiming {
-            isc: if skipped && kind == NormKind::RmsNorm {
-                // RMSNorm needs no mean, so a skipped layer bypasses the statistics path.
-                1
-            } else {
-                isc.stage_cycles(request.prefix_len)
-            },
-            sqrt_inv: if skipped {
-                IsdPredictorUnit::LATENCY_CYCLES
-            } else {
-                sri.cycles()
-            },
-            norm: nu.stage_cycles(cols),
-        };
+        let stages = site_stage_timing(
+            &self.config,
+            request.prefix_len,
+            cols,
+            request.predicted_isd.is_some(),
+            kind,
+        );
         let report = pipeline_latency(stages, request.rows() as u64, self.config.pipelines as u64);
         self.total_cycles
             .fetch_add(report.total_cycles, Ordering::Relaxed);

@@ -7,6 +7,10 @@
 //! produces `Var(z) = E[z²] − E[z]²` (Eq. 5). Because `N` (or the subsample length) is
 //! known in advance, the `1/N` factor is a precomputed constant — and a pure shift when
 //! `N` is a power of two.
+//!
+//! The input tensor sits in memory flattened row-major, in entries `pd` elements
+//! wide (Fig. 7); the unit reads one entry per cycle, and in subsampling mode only
+//! the initial entries of each vector.
 
 use crate::adder_tree::AdderTree;
 use crate::config::AccelConfig;
@@ -201,6 +205,41 @@ mod tests {
         assert_eq!(isc.stage_cycles(512), 4);
         assert_eq!(isc.stage_cycles(1), 1);
         assert_eq!(isc.pd(), 128);
+    }
+
+    #[test]
+    fn paper_example_two_by_four_with_bandwidth_two() {
+        // Fig. 7: a 2×4 tensor in entries of width 2 occupies 4 entries, two per vector.
+        let fig7 = unit(2);
+        let rows: [[f32; 4]; 2] = [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]];
+        let entries: u64 = rows.iter().map(|row| fig7.stage_cycles(row.len())).sum();
+        assert_eq!(entries, 4);
+        let second = fig7.compute(&rows[1], 4, false).unwrap();
+        assert_eq!(second.passes, 2);
+        assert!((second.mean - 5.5).abs() < 1e-2);
+        // Subsampling reads only the initial entry of each vector.
+        assert_eq!(fig7.stage_cycles(2), 1);
+    }
+
+    #[test]
+    fn subsampling_reads_only_initial_entries() {
+        let isc = unit(64);
+        assert_eq!(isc.stage_cycles(64), 1);
+        assert_eq!(isc.stage_cycles(65), 2);
+        assert_eq!(isc.stage_cycles(256), 4);
+        // A prefix longer than the vector reads the whole vector and no more.
+        let z: Vec<f32> = (0..256).map(|i| i as f32 / 256.0).collect();
+        assert_eq!(isc.compute(&z, 10_000, false).unwrap().passes, 4);
+        // Three 256-wide vectors: a 128-element prefix reads 6 entries, the full rows 12.
+        let partial: u64 = (0..3)
+            .map(|_| isc.compute(&z, 128, false).unwrap().passes)
+            .sum();
+        let full: u64 = (0..3)
+            .map(|_| isc.compute(&z, 256, false).unwrap().passes)
+            .sum();
+        assert_eq!(partial, 6);
+        assert_eq!(full, 12);
+        assert_eq!(isc.compute(&z, 128, false).unwrap().elements, 128);
     }
 
     #[test]

@@ -6,34 +6,48 @@
 //!    `Σz²/N` and `(Σz/N)²` datapaths built from multipliers and adder trees, producing
 //!    the mean and variance in fixed point;
 //! 2. the **Square Root Inverter** ([`sqrt_inv`], Fig. 5) — FX2FP conversion, the
-//!    `0x5F3759DF` fast-inverse-square-root seed and one Newton refinement, plus the
-//!    scalar **ISD predictor unit** ([`predictor_unit`]) used for skipped layers;
+//!    `0x5F3759DF` fast-inverse-square-root seed and one Newton refinement; skipped
+//!    layers bypass it and take the scalar ISD predictor's fixed latency
+//!    ([`predictor_unit`]) instead;
 //! 3. the **Normalization Units** ([`norm_unit`], Fig. 6) — `(z − μ)·ISD·α + β` with
 //!    configurable output format.
 //!
-//! [`memory`] implements the flattened chunked layout of Fig. 7, [`pipeline`] composes
-//! the stages across token vectors (inter-sample pipelining), [`resources`] and
-//! [`power`] model FPGA cost (Alveo U280 budget, Table III), and [`accelerator`] ties
-//! everything into [`HaanAccelerator`], the functional + timing top level. [`backend`]
-//! additionally exposes the datapath as an execution backend ([`AccelSimBackend`]) of
-//! the core crate's batched normalization engine: attached with
-//! `haan::HaanNormalizer::with_external_backend`, it runs every batched
-//! normalization call through the simulator.
+//! [`pipeline`] composes the stages across token vectors (inter-sample pipelining)
+//! with one stage-timing rule, [`pipeline::site_stage_timing`]. The crate models the
+//! accelerator in two roles that share it:
+//!
+//! * [`AccelSimBackend`] ([`backend`]) is the functional simulator: an execution
+//!   backend of the core crate's batched normalization engine. Attached with
+//!   `haan::HaanNormalizer::with_external_backend`, it runs every batched site
+//!   through the datapath units under the normalizer's skip, anchor, subsample and
+//!   quantization policy, and accumulates the pipelined cycles.
+//! * [`HaanAccelerator`] ([`accelerator`]) is the analytic model: stage timing,
+//!   latency, power and energy of whole workloads, plus the FPGA cost of
+//!   [`resources`] and [`power`] (Alveo U280 budget, Table III).
 //!
 //! # Example
 //!
 //! ```
-//! use haan_accel::{AccelConfig, HaanAccelerator};
-//! use haan::HaanConfig;
+//! use haan::{HaanConfig, HaanNormalizer};
+//! use haan_accel::{AccelConfig, AccelSimBackend, HaanAccelerator};
+//! use haan_llm::norm::{NormSite, Normalizer};
+//! use haan_llm::{Matrix, NormKind};
+//! use std::sync::Arc;
 //!
-//! let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), HaanConfig::default());
-//! let tokens: Vec<Vec<f32>> = (0..4).map(|t| (0..256).map(|i| ((i + t) % 7) as f32).collect()).collect();
-//! let gamma = vec![1.0f32; 256];
-//! let beta = vec![0.0f32; 256];
-//! let run = accel.normalize_layer(&tokens, &gamma, &beta, haan_llm::NormKind::LayerNorm, 0)?;
-//! assert_eq!(run.outputs.len(), 4);
-//! assert!(run.report.total_cycles > 0);
-//! # Ok::<(), haan_accel::AccelError>(())
+//! // Functional simulation: one site of 4 token vectors through the datapath.
+//! let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+//! let mut normalizer =
+//!     HaanNormalizer::new(HaanConfig::default()).with_external_backend(backend.clone());
+//! let tokens = Matrix::from_vec(4, 256, (0..4 * 256).map(|i| (i % 7) as f32).collect())?;
+//! let site = NormSite { layer_index: 0, kind: NormKind::LayerNorm };
+//! let out = normalizer.normalize_matrix(site, &tokens, &vec![1.0; 256], &vec![0.0; 256]);
+//! assert_eq!(out.rows(), 4);
+//!
+//! // The analytic model prices the same layer with the same cycles.
+//! let accel = HaanAccelerator::new(AccelConfig::haan_v1(), HaanConfig::default());
+//! let report = accel.workload(256, 1, 4, NormKind::LayerNorm);
+//! assert_eq!(report.total_cycles, backend.total_cycles());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,7 +59,6 @@ pub mod backend;
 pub mod config;
 pub mod error;
 pub mod isc;
-pub mod memory;
 pub mod norm_unit;
 pub mod pipeline;
 pub mod power;
@@ -53,7 +66,7 @@ pub mod predictor_unit;
 pub mod resources;
 pub mod sqrt_inv;
 
-pub use accelerator::{HaanAccelerator, LayerRun, WorkloadReport};
+pub use accelerator::{HaanAccelerator, WorkloadReport};
 pub use backend::AccelSimBackend;
 pub use config::AccelConfig;
 pub use error::AccelError;

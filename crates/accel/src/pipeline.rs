@@ -7,6 +7,13 @@
 //! balance the stages ("the time of the different stages of the pipeline is evenly
 //! distributed").
 
+use crate::config::AccelConfig;
+use crate::isc::InputStatisticsCalculator;
+use crate::norm_unit::NormalizationUnit;
+use crate::predictor_unit::IsdPredictorUnit;
+use crate::sqrt_inv::SquareRootInverter;
+use haan_llm::NormKind;
+
 /// Per-vector cycle counts of the three pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
@@ -41,6 +48,40 @@ impl StageTiming {
         }
         let mean = (self.isc + self.sqrt_inv + self.norm) as f64 / 3.0;
         mean / bottleneck as f64
+    }
+}
+
+/// Per-vector stage timing of one normalization site of width `cols` whose
+/// statistics read the first `prefix_len` elements of each vector.
+///
+/// This is the one stage-composition rule: the analytic model
+/// ([`HaanAccelerator::layer_stage_timing`](crate::HaanAccelerator::layer_stage_timing))
+/// and the simulator ([`AccelSimBackend`](crate::AccelSimBackend)) both call it. A
+/// `skipped` site takes its ISD from the predictor unit instead of the square root
+/// inverter; a skipped RMSNorm site needs no mean, so it also bypasses the statistics
+/// path.
+#[must_use]
+pub fn site_stage_timing(
+    config: &AccelConfig,
+    prefix_len: usize,
+    cols: usize,
+    skipped: bool,
+    kind: NormKind,
+) -> StageTiming {
+    let isc = if skipped && kind == NormKind::RmsNorm {
+        1
+    } else {
+        InputStatisticsCalculator::new(config).stage_cycles(prefix_len)
+    };
+    let sqrt_inv = if skipped {
+        IsdPredictorUnit::LATENCY_CYCLES
+    } else {
+        SquareRootInverter::new(config).cycles()
+    };
+    StageTiming {
+        isc,
+        sqrt_inv,
+        norm: NormalizationUnit::new(config).stage_cycles(cols),
     }
 }
 

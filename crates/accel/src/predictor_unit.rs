@@ -3,109 +3,17 @@
 //! For layers inside the calibrated skip range, the square-root inverter is bypassed
 //! and a small scalar unit computes the predicted ISD in the logarithm domain from the
 //! anchor layer's ISD and the decay coefficient `e` (the paper implements it with a
-//! floating-point IP core; its hardware cost is negligible).
-
-use haan::SkipPlan;
-
-/// Functional + timing result of one ISD prediction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictionResult {
-    /// The predicted ISD.
-    pub isd: f32,
-    /// Latency in cycles.
-    pub cycles: u64,
-}
+//! floating-point IP core; its hardware cost is negligible). The prediction itself is
+//! the skip policy's ([`haan::IsdPredictor`], run by `haan::HaanNormalizer`, which
+//! hands skipped sites their per-row ISDs); the simulator models only the unit's
+//! latency.
 
 /// The ISD predictor unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IsdPredictorUnit {
-    plan: SkipPlan,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IsdPredictorUnit;
 
 impl IsdPredictorUnit {
     /// Latency of one prediction: a multiply-add in the log domain plus the
     /// exponentiation lookup (4 cycles total for the scalar FP pipeline).
     pub const LATENCY_CYCLES: u64 = 4;
-
-    /// Creates the unit for a calibrated skip plan.
-    #[must_use]
-    pub fn new(plan: SkipPlan) -> Self {
-        Self { plan }
-    }
-
-    /// The plan driving this unit.
-    #[must_use]
-    pub fn plan(&self) -> &SkipPlan {
-        &self.plan
-    }
-
-    /// Whether the given layer's ISD is produced by this unit (instead of the square
-    /// root inverter).
-    #[must_use]
-    pub fn handles_layer(&self, layer: usize) -> bool {
-        self.plan.is_skipped(layer)
-    }
-
-    /// Predicts the ISD of `layer` given the anchor layer's observed ISD.
-    #[must_use]
-    pub fn predict(&self, anchor_isd: f32, layer: usize) -> PredictionResult {
-        let isd = self
-            .plan
-            .predictor()
-            .predict_isd(f64::from(anchor_isd.max(f32::MIN_POSITIVE)), layer)
-            .unwrap_or(f64::from(anchor_isd)) as f32;
-        PredictionResult {
-            isd,
-            cycles: Self::LATENCY_CYCLES,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn plan() -> SkipPlan {
-        SkipPlan {
-            start: 50,
-            end: 60,
-            decay: -0.05,
-            correlation: -1.0,
-            calibration_anchor_log_isd: -1.0,
-        }
-    }
-
-    #[test]
-    fn handles_only_layers_inside_the_range() {
-        let unit = IsdPredictorUnit::new(plan());
-        assert!(!unit.handles_layer(50)); // the anchor still computes its ISD
-        assert!(unit.handles_layer(51));
-        assert!(unit.handles_layer(60));
-        assert!(!unit.handles_layer(61));
-        assert_eq!(unit.plan().start, 50);
-    }
-
-    #[test]
-    fn prediction_follows_the_log_linear_model() {
-        let unit = IsdPredictorUnit::new(plan());
-        let anchor = 0.4f32;
-        let result = unit.predict(anchor, 55);
-        let expected = (f64::from(anchor).ln() - 0.05 * 5.0).exp() as f32;
-        assert!((result.isd - expected).abs() < 1e-5);
-        assert_eq!(result.cycles, IsdPredictorUnit::LATENCY_CYCLES);
-    }
-
-    #[test]
-    fn layers_before_the_anchor_fall_back_to_the_anchor_value() {
-        let unit = IsdPredictorUnit::new(plan());
-        let result = unit.predict(0.4, 10);
-        assert!((result.isd - 0.4).abs() < 1e-6);
-    }
-
-    #[test]
-    fn non_positive_anchor_is_clamped() {
-        let unit = IsdPredictorUnit::new(plan());
-        let result = unit.predict(0.0, 55);
-        assert!(result.isd.is_finite());
-    }
 }

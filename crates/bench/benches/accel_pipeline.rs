@@ -1,35 +1,39 @@
-//! Cycle-accurate accelerator simulation throughput: the functional datapath of one
-//! normalization layer, and the analytic workload model used by the figure binaries.
+//! Cycle-accurate accelerator simulation throughput: one normalization site through
+//! the attached simulator backend, and the analytic workload model used by the figure
+//! binaries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use haan::HaanConfig;
-use haan_accel::{AccelConfig, HaanAccelerator};
-use haan_llm::NormKind;
+use haan::{HaanConfig, HaanNormalizer};
+use haan_accel::{AccelConfig, AccelSimBackend, HaanAccelerator};
+use haan_llm::norm::{NormSite, Normalizer};
+use haan_llm::{Matrix, NormKind};
 use haan_numerics::Format;
+use std::sync::Arc;
 
 fn bench_accel(c: &mut Criterion) {
     let mut group = c.benchmark_group("accelerator");
 
-    // Functional simulation of one layer over a small token batch.
-    group.bench_function("normalize_layer_functional_16x1600", |b| {
+    // Functional simulation of one site over a small token batch.
+    group.bench_function("accel_sim_site_functional_16x1600", |b| {
         let algorithm = HaanConfig::builder()
             .subsample(800)
             .format(Format::Fp16)
             .build();
-        let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), algorithm);
-        let tokens: Vec<Vec<f32>> = (0..16)
-            .map(|t| {
-                (0..1600)
-                    .map(|i| ((i + t * 13) % 41) as f32 / 10.0 - 2.0)
-                    .collect()
-            })
+        let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+        let mut normalizer = HaanNormalizer::new(algorithm).with_external_backend(backend);
+        let data = (0..16)
+            .flat_map(|t| (0..1600).map(move |i| ((i + t * 13) % 41) as f32 / 10.0 - 2.0))
             .collect();
+        let tokens = Matrix::from_vec(16, 1600, data).expect("consistent shape");
         let gamma = vec![1.0f32; 1600];
         let beta = vec![0.0f32; 1600];
+        let site = NormSite {
+            layer_index: 0,
+            kind: NormKind::LayerNorm,
+        };
+        let mut out = Matrix::zeros(16, 1600);
         b.iter(|| {
-            accel
-                .normalize_layer(black_box(&tokens), &gamma, &beta, NormKind::LayerNorm, 0)
-                .unwrap()
+            normalizer.normalize_matrix_into(site, black_box(&tokens), &gamma, &beta, &mut out);
         })
     });
 

@@ -1,17 +1,18 @@
-//! Accelerator simulation: run the cycle-level HAAN accelerator on a normalization
-//! layer, inspect its resource / power / latency estimates, and compare against the
-//! DFX, SOLE, MHAA and GPU baselines on the GPT2-1.5B workload.
+//! Accelerator simulation: inspect the HAAN accelerator's resource / power / latency
+//! estimates, compare against the DFX, SOLE, MHAA and GPU baselines on the GPT2-1.5B
+//! workload, and run an anchor and a skipped normalization layer through the
+//! cycle-level simulator.
 //!
-//! The simulator is also an execution *backend* of the batched normalization
-//! engine: attaching an `AccelSimBackend` to a `HaanNormalizer` with
-//! `with_external_backend` routes every `normalize_matrix_into` call through the
-//! fixed-point datapath and the pipeline cycle model instead of the configured
-//! software backend — the final section below does exactly that (see
-//! `ARCHITECTURE.md` for the dispatch diagram).
+//! The simulator is an execution *backend* of the batched normalization engine:
+//! attaching an `AccelSimBackend` to a `HaanNormalizer` with `with_external_backend`
+//! routes every `normalize_matrix_into` call through the fixed-point datapath and the
+//! pipeline cycle model, under the normalizer's skip plan, subsampling and
+//! quantization (see `ARCHITECTURE.md` for the dispatch diagram).
 //!
 //! Run with: `cargo run --release --example accelerator_sim`
 
 use haan::{HaanConfig, HaanNormalizer, SkipPlan};
+use haan_accel::pipeline::pipeline_latency;
 use haan_accel::{AccelConfig, AccelSimBackend, HaanAccelerator};
 use haan_baselines::{
     compare_engines, DfxEngine, GpuNormEngine, MhaaEngine, NormEngine, NormWorkload, SoleEngine,
@@ -36,31 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         correlation: -0.999,
         calibration_anchor_log_isd: -1.5,
     };
-    let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), algorithm).with_plan(plan);
+    let accel = HaanAccelerator::new(AccelConfig::haan_v1(), algorithm.clone()).with_plan(plan);
     accel.check_fits_u280()?;
 
     let resources = accel.resources();
     println!(
         "HAAN-v1 on the Alveo U280: {} LUT, {} FF, {} DSP",
         resources.lut, resources.ff, resources.dsp
-    );
-
-    // Functional run of one normalization layer over a small batch of token vectors.
-    let tokens: Vec<Vec<f32>> = (0..8)
-        .map(|t| {
-            (0..1600)
-                .map(|i| ((i * 7 + t * 13) % 29) as f32 / 7.0 - 2.0)
-                .collect()
-        })
-        .collect();
-    let gamma = vec![1.0f32; 1600];
-    let beta = vec![0.0f32; 1600];
-    let run = accel.normalize_layer(&tokens, &gamma, &beta, NormKind::LayerNorm, 0)?;
-    println!(
-        "one layer, {} tokens: {} cycles ({} cycles/vector steady state)",
-        tokens.len(),
-        run.report.total_cycles,
-        run.report.initiation_interval
     );
 
     // Whole-model normalization workload at sequence length 512.
@@ -89,32 +72,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The simulator as an execution backend: attach it to a normalizer, then drive
-    // it through the exact same `normalize_matrix_into` call path the software
-    // backends use. Keeping the `Arc` lets us read its cycle counter afterwards.
+    // The simulator as an execution backend: attach it to a normalizer with the same
+    // algorithm and plan, then run the anchor layer 85 and the skipped layer 86 over a
+    // small batch of token vectors. Keeping the `Arc` lets us read its cycle counter.
     let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
-    let backend_config = HaanConfig::builder()
-        .label("HAAN (accel-sim backend)")
-        .subsample(800)
-        .format(Format::Fp16)
-        .build();
-    let mut normalizer = HaanNormalizer::new(backend_config).with_external_backend(backend.clone());
-    let batch = haan_llm::Matrix::from_vec(
-        tokens.len(),
-        1600,
-        tokens.iter().flatten().copied().collect(),
-    )?;
-    let site = NormSite {
-        layer_index: 0,
-        kind: NormKind::LayerNorm,
-    };
-    let normalized = normalizer.normalize_matrix(site, &batch, &gamma, &beta);
+    let mut normalizer = HaanNormalizer::new(algorithm)
+        .with_plan(plan)
+        .with_external_backend(backend.clone());
+    let rows = 8;
+    let data = (0..rows)
+        .flat_map(|t| (0..1600).map(move |i| ((i * 7 + t * 13) % 29) as f32 / 7.0 - 2.0))
+        .collect();
+    let batch = haan_llm::Matrix::from_vec(rows, 1600, data)?;
+    let gamma = vec![1.0f32; 1600];
+    let beta = vec![0.0f32; 1600];
     println!(
-        "\naccel-sim backend via normalize_matrix_into: {} ({} rows normalized, {:.0}% of elements read, {} cycles)",
-        normalizer.description(),
-        normalized.rows(),
-        normalizer.telemetry().read_fraction() * 100.0,
-        backend.total_cycles()
+        "\n{} over {rows} tokens (model: pipelined layer_stage_timing):",
+        normalizer.description()
+    );
+    for layer_index in [85, 86] {
+        let skipped = normalizer.is_skipped_site(layer_index);
+        let before = backend.total_cycles();
+        let site = NormSite {
+            layer_index,
+            kind: NormKind::LayerNorm,
+        };
+        normalizer.normalize_matrix(site, &batch, &gamma, &beta);
+        let model = pipeline_latency(
+            accel.layer_stage_timing(1600, skipped, NormKind::LayerNorm),
+            rows as u64,
+            accel.config().pipelines as u64,
+        );
+        println!(
+            "  layer {layer_index} ({}): {} cycles simulated, {} cycles model",
+            if skipped { "skipped" } else { "anchor" },
+            backend.total_cycles() - before,
+            model.total_cycles
+        );
+    }
+    println!(
+        "  {} of {} rows took a predicted ISD, {:.0}% of elements read",
+        normalizer.telemetry().skipped_isd,
+        normalizer.telemetry().calls,
+        normalizer.telemetry().read_fraction() * 100.0
     );
     Ok(())
 }

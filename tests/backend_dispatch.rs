@@ -139,38 +139,46 @@ fn software_backends_agree_on_constant_and_subnormal_rows() {
 #[test]
 fn accel_sim_backend_tracks_the_oracle_within_hardware_tolerance() {
     // Attach the simulator directly so the test can also read its cycle counters.
+    // `(rows, cols, Nsub)`; the subsampled input is the paper-style prefix read.
+    let inputs = [
+        (1, 1, None),
+        (3, 7, None),
+        (4, 127, None),
+        (2, 256, None),
+        (1, 256, Some(64)),
+    ];
     let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
     for kind in [NormKind::LayerNorm, NormKind::RmsNorm] {
-        for (rows, cols) in [(1, 1), (3, 7), (4, 127), (2, 256)] {
+        for (rows, cols, n_sub) in inputs {
             let input = varied_matrix(rows, cols, 1.0);
             let gamma: Vec<f32> = (0..cols).map(|i| 1.0 + (i % 4) as f32 * 0.05).collect();
             let beta: Vec<f32> = (0..cols).map(|i| (i % 2) as f32 * 0.1).collect();
-            let oracle = run_backend(
-                BackendSelection::Scalar,
-                Format::Fp16,
-                &input,
-                &gamma,
-                &beta,
-                kind,
-            );
-            let mut accel =
-                HaanNormalizer::new(config_with_backend(BackendSelection::Fused, Format::Fp16))
-                    .with_external_backend(backend.clone());
+            let config_for = |backend| HaanConfig {
+                n_sub,
+                ..config_with_backend(backend, Format::Fp16)
+            };
+            let oracle = HaanNormalizer::new(config_for(BackendSelection::Scalar))
+                .normalize_matrix(site(0, kind), &input, &gamma, &beta);
+            let mut accel = HaanNormalizer::new(config_for(BackendSelection::Fused))
+                .with_external_backend(backend.clone());
             let simulated = accel.normalize_matrix(site(0, kind), &input, &gamma, &beta);
             assert_close(
                 &simulated,
                 &oracle,
                 5e-2,
-                &format!("accel-sim vs oracle [{kind} {rows}x{cols}]"),
+                &format!("accel-sim vs oracle [{kind} {rows}x{cols} Nsub {n_sub:?}]"),
             );
             // Telemetry accounting is backend-independent.
             assert_eq!(accel.telemetry().calls, rows as u64);
-            assert_eq!(accel.telemetry().elements_read, (rows * cols) as u64);
+            assert_eq!(
+                accel.telemetry().elements_read,
+                (rows * n_sub.unwrap_or(cols)) as u64
+            );
         }
     }
     // Every site also went through the pipeline timing model.
     assert!(backend.total_cycles() > 0);
-    assert_eq!(backend.batches(), 2 * 4);
+    assert_eq!(backend.batches(), 2 * inputs.len() as u64);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use haan::evaluate::{degradation, AccuracyEvaluator};
 use haan::{Calibrator, HaanConfig, HaanNormalizer, SkipPlan};
-use haan_accel::{AccelConfig, HaanAccelerator};
+use haan_accel::{AccelConfig, AccelSimBackend, HaanAccelerator};
 use haan_baselines::{
     DfxEngine, EndToEndModel, GpuNormEngine, MhaaEngine, NormEngine, NormWorkload, SoleEngine,
 };
@@ -13,6 +13,7 @@ use haan_llm::synthetic::IsdProfileModel;
 use haan_llm::tasks::TaskSpec;
 use haan_llm::{ModelConfig, NormKind, TransformerModel};
 use haan_numerics::Format;
+use std::sync::Arc;
 
 fn tiny_model() -> TransformerModel {
     TransformerModel::new(&ModelConfig::tiny_test(), 7).expect("valid test model")
@@ -154,7 +155,8 @@ fn accelerator_and_software_normalizer_agree_functionally() {
         .subsample(64)
         .format(Format::Fp16)
         .build();
-    let mut accel = HaanAccelerator::new(AccelConfig::haan_v1(), algorithm.clone());
+    let mut accel = HaanNormalizer::new(algorithm.clone())
+        .with_external_backend(Arc::new(AccelSimBackend::new(AccelConfig::haan_v1())));
     let mut software = HaanNormalizer::new(algorithm);
 
     let z: Vec<f32> = (0..256)
@@ -162,26 +164,14 @@ fn accelerator_and_software_normalizer_agree_functionally() {
         .collect();
     let gamma = vec![1.0f32; 256];
     let beta = vec![0.0f32; 256];
+    let site = haan_llm::norm::NormSite {
+        layer_index: 0,
+        kind: NormKind::LayerNorm,
+    };
 
-    let hardware_out = accel
-        .normalize_layer(
-            std::slice::from_ref(&z),
-            &gamma,
-            &beta,
-            NormKind::LayerNorm,
-            0,
-        )
-        .expect("hardware run");
-    let software_out = software.normalize(
-        haan_llm::norm::NormSite {
-            layer_index: 0,
-            kind: NormKind::LayerNorm,
-        },
-        &z,
-        &gamma,
-        &beta,
-    );
-    let max_diff = hardware_out.outputs[0]
+    let hardware_out = accel.normalize(site, &z, &gamma, &beta);
+    let software_out = software.normalize(site, &z, &gamma, &beta);
+    let max_diff = hardware_out
         .iter()
         .zip(&software_out)
         .map(|(a, b)| (a - b).abs())
