@@ -30,6 +30,10 @@ const COLS: usize = 4096;
 /// (rows, k, n) of the decode-shaped matmul: decode_gpt2's 8 streams through
 /// its widest projection (E = 768 into the 3072-wide MLP).
 const DECODE_MATMUL_SHAPE: (usize, usize, usize) = (8, 768, 3072);
+/// Distinct weights the cold decode-shaped matmul cycles through, at least this
+/// many bytes in all, so that each call streams its weight from memory as a
+/// decode tick does rather than from cache.
+const COLD_WEIGHT_BYTES: usize = 64 << 20;
 
 fn input_matrix() -> Matrix {
     let data: Vec<f32> = (0..ROWS * COLS)
@@ -1300,6 +1304,21 @@ fn main() {
     let decode_row_major_gflops = decode_gflops(&w_row_major);
     let decode_packed_gflops = decode_gflops(&w_packed);
     let packed_speedup = decode_packed_gflops / decode_row_major_gflops;
+    // The packed product again, cycling cold weights; `decode_parts` is how
+    // many cores `matmul_into` split it over.
+    let cold_weights: Vec<Matrix> = (0..COLD_WEIGHT_BYTES.div_ceil(4 * inner * cols))
+        .map(|w| Matrix::packed_from_fn(inner, cols, |r, c| w_row_major.get(r, c) + w as f32))
+        .collect();
+    let mut next_weight = 0;
+    let cold = measure_default(|| {
+        x.matmul_into(&cold_weights[next_weight], &mut decode_out)
+            .expect("decode shapes");
+        next_weight = (next_weight + 1) % cold_weights.len();
+        std::hint::black_box(decode_out.get(0, 0));
+    });
+    let decode_cold_packed_gflops = decode_flops / cold.nanos_per_iter;
+    let decode_parts = x.matmul_parts(&w_packed);
+    let avx2 = cfg!(target_feature = "avx2");
     let mut mm_table = MarkdownTable::new(vec!["kernel", "GFLOP/s"]);
     mm_table.push_row(vec![
         "matmul_blocked".to_string(),
@@ -1317,6 +1336,13 @@ fn main() {
         format!("matmul_packed, {rows}x{inner}·{inner}x{cols}"),
         format!("{decode_packed_gflops:.2} ({packed_speedup:.2}x)"),
     ]);
+    mm_table.push_row(vec![
+        format!(
+            "matmul_packed, {rows}x{inner}·{inner}x{cols}, {} cold weights, {decode_parts} parts, avx2 {avx2}",
+            cold_weights.len()
+        ),
+        format!("{decode_cold_packed_gflops:.2}"),
+    ]);
     println!("{}", mm_table.render());
 
     let path_json = |p: &PathResult| {
@@ -1331,7 +1357,7 @@ fn main() {
     };
     // Hardware threads of this host: recorded in the JSON and read by the routing
     // floor below.
-    let workers = std::thread::available_parallelism().map_or(2, usize::from);
+    let host_threads = std::thread::available_parallelism().map_or(2, usize::from);
     let report = JsonValue::object([
         ("benchmark", JsonValue::from("normalization_batched_engine")),
         (
@@ -1641,11 +1667,18 @@ fn main() {
                         ("row_major_gflops", JsonValue::from(decode_row_major_gflops)),
                         ("packed_gflops", JsonValue::from(decode_packed_gflops)),
                         ("packed_speedup", JsonValue::from(packed_speedup)),
+                        (
+                            "cold_packed_gflops",
+                            JsonValue::from(decode_cold_packed_gflops),
+                        ),
+                        ("cold_weights", JsonValue::from(cold_weights.len())),
+                        ("parts", JsonValue::from(decode_parts)),
+                        ("avx2", JsonValue::from(avx2)),
                     ]),
                 ),
             ]),
         ),
-        ("parallel_workers", JsonValue::from(workers)),
+        ("host_threads", JsonValue::from(host_threads)),
     ]);
     let rendered = to_json(&report);
     std::fs::write(&out_path, format!("{rendered}\n")).expect("write BENCH_norm.json");
@@ -1734,11 +1767,11 @@ fn main() {
     // With one hardware thread the concurrent-group comparison measures pure
     // scheduler overhead, not sharding — hold it to a sanity floor there and
     // to the full 10% bar wherever real parallelism exists.
-    let routing_floor = if workers > 1 { 0.9 } else { 0.5 };
+    let routing_floor = if host_threads > 1 { 0.9 } else { 0.5 };
     assert!(
         routing.multi_group_tokens_per_s >= routing_floor * routing.single_group_tokens_per_s,
         "sharding over {ROUTING_GROUPS} groups dropped aggregate throughput \
-         below {routing_floor:.1}x of one group ({:.0} vs {:.0} tok/s, {workers} workers)",
+         below {routing_floor:.1}x of one group ({:.0} vs {:.0} tok/s, {host_threads} host threads)",
         routing.multi_group_tokens_per_s,
         routing.single_group_tokens_per_s
     );

@@ -5,10 +5,19 @@
 //! simulation reproducible and easy to audit.
 
 use crate::error::LlmError;
+use std::sync::OnceLock;
 
 /// Width, in columns, of one panel of the packed layout (see
 /// [`Matrix::packed_from_fn`]).
 const PANEL: usize = 16;
+
+/// Smallest packed weight, in elements (`k · n`), whose products
+/// [`Matrix::matmul_into`] splits across cores. On a 2-core AVX2 host with
+/// cold weights a 256 × 512 weight breaks even at 8 rows (a thread spawn costs
+/// about what the second core saves) and 512 × 512 gains 1.1–1.3×, so the gate
+/// sits there. GPT-2-small projections (768 × 768 and up) split; the E=64
+/// serving model's weights (at most 64 × 256) never do.
+const SPLIT_MIN_WEIGHT: usize = 512 * 512;
 
 /// Rows of the left operand one register tile of the packed kernel covers: a
 /// `ROW_TILE × PANEL` block of accumulators stays in registers across the
@@ -316,6 +325,14 @@ impl Matrix {
     /// adds its products in ascending-`k` order, so both kernels are
     /// bit-identical to the naive triple loop at any row count.
     ///
+    /// A packed `rhs` of at least 512 × 512 elements is also split across the
+    /// host's cores ([`Matrix::matmul_parts`] says into how many parts): its
+    /// column panels are cut into contiguous ranges, the calling thread
+    /// computes the first and scoped threads the others, so each core streams
+    /// only its own share of the weight. Every output column still runs the
+    /// same kernel in the same order, so the result does not depend on the
+    /// split.
+    ///
     /// # Errors
     ///
     /// Returns [`LlmError::ShapeMismatch`] when `self.cols() != rhs.rows()` or when
@@ -342,7 +359,8 @@ impl Matrix {
         let lhs = self.row_major();
         let out = out.row_major_mut();
         if rhs.packed {
-            matmul_panels(lhs, self.cols, &rhs.data, rhs.cols, out);
+            let parts = self.matmul_parts(rhs);
+            matmul_panel_ranges(lhs, self.cols, &rhs.data, rhs.cols, out, parts);
             return Ok(());
         }
         out.fill(0.0);
@@ -365,6 +383,19 @@ impl Matrix {
             }
         }
         Ok(())
+    }
+
+    /// How many column-panel ranges, one per core, [`Matrix::matmul_into`]
+    /// splits `self × rhs` into: `min(host threads, panels of rhs)` for a
+    /// packed `rhs` of at least 512 × 512 elements and a non-empty `self`, 1
+    /// otherwise. Only the weight's size and the host select the split.
+    #[must_use]
+    pub fn matmul_parts(&self, rhs: &Matrix) -> usize {
+        if rhs.packed {
+            split_parts(self.rows, rhs.rows, rhs.cols, host_threads)
+        } else {
+            1
+        }
     }
 
     /// Matrix multiplication with the transpose of `rhs` (`self × rhsᵀ`), used for
@@ -692,11 +723,77 @@ impl Matrix {
     }
 }
 
-/// The packed-rhs kernel of [`Matrix::matmul_into`]: `lhs` is row-major
-/// `m × k`, `panels` the packed `k × n` right-hand side, `out` row-major
-/// `m × n`. Full-width panels run [`ROW_TILE`]-row register tiles (two- and
-/// one-row tiles for the leftover rows); a narrower last panel runs row by row.
-fn matmul_panels(lhs: &[f32], k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+/// The host's hardware threads, read once: `available_parallelism` reads
+/// cgroup files, too slow to query on every product.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// The split gate of [`Matrix::matmul_parts`] for an `m`-row product with a
+/// packed `k × n` weight. `threads` is asked only once the weight has passed
+/// the size gate.
+fn split_parts(m: usize, k: usize, n: usize, threads: impl FnOnce() -> usize) -> usize {
+    if m == 0 || k * n < SPLIT_MIN_WEIGHT {
+        return 1;
+    }
+    threads().min(n.div_ceil(PANEL))
+}
+
+/// The packed-rhs kernel of [`Matrix::matmul_into`] with its column panels
+/// cut into `parts` contiguous ranges of near-equal panel count. The calling
+/// thread runs [`matmul_panels`] over the first range straight into `out`;
+/// each other range runs on a scoped thread into its own `m × width` scratch,
+/// copied into `out` once all have joined. Each output column is computed by
+/// the kernel it would get unsplit, so the result is bit-identical at any
+/// `parts`.
+fn matmul_panel_ranges(
+    lhs: &[f32],
+    k: usize,
+    panels: &[f32],
+    n: usize,
+    out: &mut [f32],
+    parts: usize,
+) {
+    let count = n.div_ceil(PANEL);
+    let parts = parts.clamp(1, count.max(1));
+    if parts == 1 {
+        matmul_panels(lhs, k, panels, n, out);
+        return;
+    }
+    let m = out.len() / n;
+    // First column of range `i`; every range but the last is whole panels, so
+    // columns `c..` start `c * k` floats into `panels`.
+    let col = |i: usize| (i * count / parts * PANEL).min(n);
+    let others = (1..parts).map(|i| col(i)..col(i + 1));
+    let mut scratch = vec![0.0f32; m * (n - col(1))];
+    std::thread::scope(|scope| {
+        let mut rest = scratch.as_mut_slice();
+        for cols in others.clone() {
+            let (buf, tail) = rest.split_at_mut(m * cols.len());
+            rest = tail;
+            let range = &panels[cols.start * k..cols.end * k];
+            scope.spawn(move || matmul_panels(lhs, k, range, cols.len(), buf));
+        }
+        matmul_panels(lhs, k, &panels[..col(1) * k], n, out);
+    });
+    let mut rest = scratch.as_slice();
+    for cols in others {
+        let (buf, tail) = rest.split_at(m * cols.len());
+        rest = tail;
+        for (out_row, buf_row) in out.chunks_exact_mut(n).zip(buf.chunks_exact(cols.len())) {
+            out_row[cols.clone()].copy_from_slice(buf_row);
+        }
+    }
+}
+
+/// The packed-rhs kernel: `lhs` is row-major `m × k`, `panels` a run of
+/// whole column panels of a packed right-hand side (all of it, or one range
+/// of [`matmul_panel_ranges`]), and `out` row-major with rows `stride` wide,
+/// the panels' columns starting at column 0 of each row. Full-width panels
+/// run [`ROW_TILE`]-row register tiles (two- and one-row tiles for the
+/// leftover rows); a narrower last panel runs row by row.
+fn matmul_panels(lhs: &[f32], k: usize, panels: &[f32], stride: usize, out: &mut [f32]) {
     if k == 0 {
         out.fill(0.0);
         return;
@@ -708,14 +805,14 @@ fn matmul_panels(lhs: &[f32], k: usize, panels: &[f32], n: usize, out: &mut [f32
             let mut row = 0;
             while row < m {
                 row += match m - row {
-                    ROW_TILE.. => panel_tile::<ROW_TILE>(lhs, k, row, panel, out, n, col),
-                    2.. => panel_tile::<2>(lhs, k, row, panel, out, n, col),
-                    _ => panel_tile::<1>(lhs, k, row, panel, out, n, col),
+                    ROW_TILE.. => panel_tile::<ROW_TILE>(lhs, k, row, panel, out, stride, col),
+                    2.. => panel_tile::<2>(lhs, k, row, panel, out, stride, col),
+                    _ => panel_tile::<1>(lhs, k, row, panel, out, stride, col),
                 };
             }
         } else {
             let width = panel.len() / k;
-            for (a_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (a_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(stride)) {
                 let out_tile = &mut out_row[col..col + width];
                 out_tile.fill(0.0);
                 for (&a, b) in a_row.iter().zip(panel.chunks_exact(width)) {
@@ -729,16 +826,16 @@ fn matmul_panels(lhs: &[f32], k: usize, panels: &[f32], n: usize, out: &mut [f32
 }
 
 /// One `R × PANEL` register tile: rows `row..row + R` of `lhs` times one
-/// full-width `panel`, written to columns `col..col + PANEL` of `out`. The
-/// accumulators start at `0.0` and take the products in ascending-`k` order.
-/// Returns `R`, the rows it covered.
+/// full-width `panel`, written to columns `col..col + PANEL` of `out`, whose
+/// rows are `stride` wide. The accumulators start at `0.0` and take the
+/// products in ascending-`k` order. Returns `R`, the rows it covered.
 fn panel_tile<const R: usize>(
     lhs: &[f32],
     k: usize,
     row: usize,
     panel: &[f32],
     out: &mut [f32],
-    n: usize,
+    stride: usize,
     col: usize,
 ) -> usize {
     let a: [&[f32]; R] = std::array::from_fn(|r| &lhs[(row + r) * k..(row + r + 1) * k]);
@@ -753,7 +850,7 @@ fn panel_tile<const R: usize>(
         }
     }
     for (r, tile) in acc.iter().enumerate() {
-        let at = (row + r) * n + col;
+        let at = (row + r) * stride + col;
         out[at..at + PANEL].copy_from_slice(tile);
     }
     R
@@ -991,6 +1088,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn panel_range_split_is_bit_identical_to_the_unsplit_kernel() {
+        // One panel, a narrow last panel, an odd panel count, and a narrow
+        // last panel behind several full ones; parts above the panel count
+        // clamp to it.
+        for (inner, cols) in [(17, 16), (17, 40), (9, 48), (1, 100), (33, 7)] {
+            for rows in 1..=9 {
+                let seed = (rows * inner + cols) as u64;
+                let mut lhs = edge_values(rows * inner, seed);
+                let mut rhs = edge_values(inner * cols, !seed);
+                // A NaN and both infinities, so NaN propagation and inf · 0
+                // ride the split too.
+                lhs[rows * inner - 1] = f32::NAN;
+                rhs[0] = f32::INFINITY;
+                rhs[inner * cols / 2] = f32::NEG_INFINITY;
+                let packed = Matrix::packed_from_fn(inner, cols, |r, c| rhs[r * cols + c]);
+                let mut whole = vec![0.0f32; rows * cols];
+                matmul_panels(&lhs, inner, &packed.data, cols, &mut whole);
+                for parts in 1..=3 {
+                    let mut split = vec![1.0f32; rows * cols];
+                    matmul_panel_ranges(&lhs, inner, &packed.data, cols, &mut split, parts);
+                    let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        to_bits(&split),
+                        to_bits(&whole),
+                        "{rows}x{inner} · {inner}x{cols} in {parts} parts"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_gate_takes_gpt2_weights_and_never_the_e64_serving_weights() {
+        use crate::{ModelConfig, ModelFamily, TransformerModel};
+        // GPT-2-small projections split over every thread up to their panel
+        // count, at decode and prefill row counts alike.
+        for (k, n) in [(768, 768), (768, 3072), (3072, 768)] {
+            for rows in [1, 8, 64] {
+                assert_eq!(split_parts(rows, k, n, || 1), 1, "{k}x{n}, one thread");
+                for threads in 2..=8 {
+                    assert_eq!(
+                        split_parts(rows, k, n, || threads),
+                        threads,
+                        "{k}x{n}, {rows} rows, {threads} threads"
+                    );
+                }
+                assert_eq!(split_parts(rows, k, n, || 1000), n / PANEL);
+            }
+        }
+        // The gate sits where the split measured a gain: 512 × 512 splits,
+        // 256 × 512 (break-even) does not.
+        assert_eq!(split_parts(8, 512, 512, || 2), 2);
+        assert_eq!(split_parts(8, 256, 512, || 2), 1);
+        // The serve_mixed model (E=64): no weight splits at any row count,
+        // and the gate never asks for the host's threads.
+        let config = ModelConfig {
+            name: "decode-bench".to_string(),
+            family: ModelFamily::Gpt2,
+            num_blocks: 2,
+            embedding_dim: 64,
+            num_heads: 4,
+            mlp_dim: 128,
+            vocab_size: 128,
+            max_seq_len: 256,
+            final_norm: true,
+            paper_embedding_dim: 64,
+        };
+        let model = TransformerModel::new(&config, 42).unwrap();
+        for weight in model.projection_weights() {
+            assert!(weight.rows() * weight.cols() <= 64 * 256);
+            for rows in 0..=config.max_seq_len {
+                let parts = split_parts(rows, weight.rows(), weight.cols(), || {
+                    panic!(
+                        "a {}x{} weight read the thread count",
+                        weight.rows(),
+                        weight.cols()
+                    )
+                });
+                assert_eq!(parts, 1);
+                assert_eq!(Matrix::zeros(rows, weight.rows()).matmul_parts(weight), 1);
+            }
+        }
+        // On this host a GPT-2 weight takes every thread; a row-major one and
+        // an empty left operand never split.
+        let weight = Matrix::packed_from_fn(768, 768, |_, _| 0.0);
+        assert_eq!(
+            Matrix::zeros(8, 768).matmul_parts(&weight),
+            host_threads().min(768 / PANEL)
+        );
+        assert_eq!(Matrix::zeros(0, 768).matmul_parts(&weight), 1);
+        assert_eq!(
+            Matrix::zeros(8, 768).matmul_parts(&Matrix::zeros(768, 768)),
+            1
+        );
     }
 
     #[test]
