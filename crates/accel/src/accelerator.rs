@@ -223,7 +223,7 @@ mod tests {
         // The functional accelerator is the simulator attached under the
         // normalizer's skip policy: the anchor computes, the skipped layer gets
         // predicted per-row ISDs.
-        let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+        let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
         let config = HaanConfig::builder().subsample(64).build();
         let mut normalizer = HaanNormalizer::new(config)
             .with_plan(zero_decay_plan())
@@ -265,7 +265,7 @@ mod tests {
                 };
                 let accel =
                     HaanAccelerator::new(hardware, algorithm.clone()).with_plan(zero_decay_plan());
-                let backend = Arc::new(AccelSimBackend::new(hardware));
+                let backend = Arc::new(AccelSimBackend::new(hardware).expect("valid config"));
                 let mut normalizer = HaanNormalizer::new(algorithm)
                     .with_plan(zero_decay_plan())
                     .with_external_backend(backend.clone());

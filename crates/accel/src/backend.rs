@@ -29,6 +29,7 @@
 //! ≤ 1e-5 the software backends hold (see `tests/backend_dispatch.rs`).
 
 use crate::config::AccelConfig;
+use crate::error::AccelError;
 use crate::isc::InputStatisticsCalculator;
 use crate::norm_unit::NormalizationUnit;
 use crate::pipeline::{pipeline_latency, site_stage_timing};
@@ -67,13 +68,19 @@ impl AccelSimBackend {
     pub const RESIDUAL_ADDER_FILL_CYCLES: u64 = 4;
 
     /// A backend simulating the given hardware configuration.
-    #[must_use]
-    pub fn new(config: AccelConfig) -> Self {
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] when [`AccelConfig::validate`] rejects
+    /// `config` (zero parallelism, zero pipelines or a non-positive clock), which
+    /// would otherwise panic on the first batch.
+    pub fn new(config: AccelConfig) -> Result<Self, AccelError> {
+        config.validate()?;
+        Ok(Self {
             config,
             total_cycles: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-        }
+        })
     }
 
     /// The simulated hardware configuration.
@@ -231,7 +238,7 @@ mod tests {
 
     #[test]
     fn simulated_rows_normalize_and_accumulate_cycles() {
-        let backend = AccelSimBackend::new(AccelConfig::haan_v1());
+        let backend = AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config");
         assert_eq!(backend.name(), "accel-sim");
         assert_eq!(backend.config().pd, 128);
         let cols = 256;
@@ -259,8 +266,26 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_configurations_are_rejected_at_construction() {
+        let degenerate: [fn(&mut AccelConfig); 4] = [
+            |c| c.pd = 0,
+            |c| c.pn = 0,
+            |c| c.pipelines = 0,
+            |c| c.clock_mhz = 0.0,
+        ];
+        for degrade in degenerate {
+            let mut config = AccelConfig::haan_v1();
+            degrade(&mut config);
+            assert!(matches!(
+                AccelSimBackend::new(config),
+                Err(AccelError::InvalidConfig(_))
+            ));
+        }
+    }
+
+    #[test]
     fn predicted_isds_bypass_the_square_root_inverter() {
-        let backend = AccelSimBackend::new(AccelConfig::haan_v1());
+        let backend = AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config");
         let cols = 64;
         let data: Vec<f32> = (0..cols).map(|i| (i as f32).sin()).collect();
         let gamma = vec![1.0f32; cols];

@@ -35,7 +35,7 @@
 //! use std::sync::Arc;
 //!
 //! // Functional simulation: one site of 4 token vectors through the datapath.
-//! let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+//! let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1())?);
 //! let mut normalizer =
 //!     HaanNormalizer::new(HaanConfig::default()).with_external_backend(backend.clone());
 //! let tokens = Matrix::from_vec(4, 256, (0..4 * 256).map(|i| (i % 7) as f32).collect())?;

@@ -1,29 +1,45 @@
-//! `bench_report` — the machine-readable perf trajectory of the batched
-//! normalization engine.
+//! `bench_report` — the workspace's micro-benchmark harness and the
+//! machine-readable perf trajectory of the batched normalization engine.
 //!
 //! Measures ns/element of the normalization paths (scalar oracle vs fused batched vs
 //! the HAAN engine on exact statistics) on paper-width (4096-element) rows, plus
 //! per-backend ns/element of the execution backends (`BackendSelection::{Scalar,
 //! Fused}` and the attached accelerator simulator) through the same
-//! `normalize_matrix_into` entry point, plus the fused
-//! residual+norm site against its composed decomposition, plus KV-cached,
-//! multi-stream, overload, continuous-batching, observability and routing numbers
-//! of the `haan_serve` decode groups, plus matmul GFLOP/s of the cache-blocked
-//! kernels and of the register-tiled kernel over panel-packed weights, and writes
-//! the numbers to `BENCH_norm.json` (first CLI argument overrides the output path).
-//! Future PRs diff this file to keep the perf trajectory honest.
+//! `normalize_matrix_into` entry point, plus the fused residual+norm site against
+//! its composed decomposition, plus the HAAN paths against the exact kernel at the
+//! LLaMA-7B and GPT-2 site shapes, the fast inverse square root and the offline
+//! calibration scan, plus KV-cached, multi-stream, overload, continuous-batching,
+//! observability and routing numbers of the `haan_serve` decode groups, plus matmul
+//! GFLOP/s of the cache-blocked kernels and of the register-tiled kernel over
+//! panel-packed weights.
+//!
+//! Every number is stated once, as a JSON key: the report is written to
+//! `BENCH_norm.json` (the one CLI argument overrides the output path) and printed
+//! to stdout, and the standing asserts at the end read their figures back from it
+//! by key path. Future PRs diff this file to keep the perf trajectory honest.
 
 use haan::backend::NormBackend;
-use haan::{BackendSelection, HaanConfig, HaanNormalizer};
+use haan::{BackendSelection, HaanConfig, HaanNormalizer, IsdSkipAlgorithm};
 use haan_accel::{AccelConfig, AccelSimBackend};
 use haan_bench::timing::{measure_default, Measurement};
-use haan_bench::{print_experiment_header, to_json, MarkdownTable};
 use haan_llm::norm::{Composed, NormSite, Normalizer, ReferenceNormalizer};
+use haan_llm::synthetic::IsdProfileModel;
 use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel};
+use haan_numerics::invsqrt::{fast_inv_sqrt, relative_error};
 use haan_obs::json::JsonValue;
 use haan_router::{PlacementPolicy, Router, RouterConfig};
 use haan_serve::{DecodeGroup, GroupStats, KvPoolPolicy, ServeConfig, ServeEngine};
+use std::hint::black_box;
+use std::io::Write as _;
 use std::sync::Arc;
+
+/// A JSON object from `key => value` pairs, each value taken through
+/// `JsonValue::from`.
+macro_rules! obj {
+    ($($key:expr => $value:expr),* $(,)?) => {
+        JsonValue::object([$(($key, JsonValue::from($value))),*])
+    };
+}
 
 const ROWS: usize = 16;
 const COLS: usize = 4096;
@@ -35,11 +51,115 @@ const DECODE_MATMUL_SHAPE: (usize, usize, usize) = (8, 768, 3072);
 /// decode tick does rather than from cache.
 const COLD_WEIGHT_BYTES: usize = 64 << 20;
 
-fn input_matrix() -> Matrix {
-    let data: Vec<f32> = (0..ROWS * COLS)
+/// A deterministic `rows × cols` input with values in [-2, 2).
+fn pattern_matrix(rows: usize, cols: usize) -> Matrix {
+    let data: Vec<f32> = (0..rows * cols)
         .map(|i| ((i as u64 * 2654435761) % 1000) as f32 / 250.0 - 2.0)
         .collect();
-    Matrix::from_vec(ROWS, COLS, data).expect("consistent shape")
+    Matrix::from_vec(rows, cols, data).expect("consistent shape")
+}
+
+fn norm_site(layer_index: usize, kind: NormKind) -> NormSite {
+    NormSite { layer_index, kind }
+}
+
+/// Times one batched site call of `norm` over `input`, into a reused output.
+fn time_site(norm: &mut dyn Normalizer, site: NormSite, input: &Matrix) -> Measurement {
+    let (gamma, beta) = (vec![1.0f32; input.cols()], vec![0.0f32; input.cols()]);
+    let mut out = Matrix::zeros(input.rows(), input.cols());
+    measure_default(|| {
+        norm.normalize_matrix_into(site, input, &gamma, &beta, &mut out);
+        black_box(out.get(0, 0));
+    })
+}
+
+/// ns/element over `elements` and the iterations of each named measurement,
+/// plus `ratio_key`: `ratio(base, path)` of the ns per call of the first (base)
+/// path and this one.
+fn paths_json(
+    elements: usize,
+    ratio_key: &str,
+    ratio: fn(f64, f64) -> f64,
+    paths: &[(&str, Measurement)],
+) -> JsonValue {
+    let base = paths[0].1.nanos_per_iter;
+    JsonValue::object(paths.iter().map(|(name, m)| {
+        (
+            *name,
+            obj! {
+                "ns_per_element" => m.nanos_per_iter / elements as f64,
+                ratio_key => ratio(base, m.nanos_per_iter),
+                "iterations" => m.iterations,
+            },
+        )
+    }))
+}
+
+/// Speedup of a path over the base path.
+fn speedup(base: f64, path: f64) -> f64 {
+    base / path
+}
+
+/// The scalar oracle (one allocating per-row call per token, what the forward
+/// pass did before the batched engine), the fused batched path (chunked one-pass
+/// statistics plus the affine apply into one reused output), and the HAAN engine
+/// on exact statistics (its own overhead on top of the plain fused kernel).
+fn normalization_block(input: &Matrix) -> JsonValue {
+    let site = norm_site(0, NormKind::LayerNorm);
+    let (gamma, beta) = (vec![1.0f32; COLS], vec![0.0f32; COLS]);
+    let mut reference = ReferenceNormalizer::new();
+    let scalar = measure_default(|| {
+        for row in 0..ROWS {
+            black_box(reference.normalize(site, input.row(row), &gamma, &beta));
+        }
+    });
+    let fused = time_site(&mut ReferenceNormalizer::new(), site, input);
+    let haan = time_site(
+        &mut HaanNormalizer::new(HaanConfig::unoptimized()),
+        site,
+        input,
+    );
+    paths_json(
+        ROWS * COLS,
+        "speedup_vs_scalar",
+        speedup,
+        &[
+            ("scalar_reference", scalar),
+            ("fused_batched", fused),
+            ("haan_exact_sequential", haan),
+        ],
+    )
+}
+
+/// The same `normalize_matrix_into` call routed through each execution backend
+/// on an exact-statistics config, so differences are pure execution cost. The
+/// accelerator simulator (attached, so it runs instead of the configured
+/// backend) is a functional/timing model, not a fast path: its number is
+/// reported for completeness, not compared.
+fn backends_block(input: &Matrix) -> JsonValue {
+    let accel_sim: Arc<dyn NormBackend> =
+        Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
+    let paths: Vec<(&str, Measurement)> = [
+        ("scalar", BackendSelection::Scalar, None),
+        ("fused", BackendSelection::Fused, None),
+        ("accel_sim", BackendSelection::Fused, Some(accel_sim)),
+    ]
+    .into_iter()
+    .map(|(name, backend, external)| {
+        let mut norm = HaanNormalizer::new(HaanConfig {
+            backend,
+            ..HaanConfig::unoptimized()
+        });
+        if let Some(external) = external {
+            norm = norm.with_external_backend(external);
+        }
+        (
+            name,
+            time_site(&mut norm, norm_site(0, NormKind::LayerNorm), input),
+        )
+    })
+    .collect();
+    paths_json(ROWS * COLS, "speedup_vs_scalar_backend", speedup, &paths)
 }
 
 /// Fusion-site workload: enough paper-width (4096-element) rows that the
@@ -47,33 +167,14 @@ fn input_matrix() -> Matrix {
 /// the memory pass it removes rather than L1-resident arithmetic.
 const FUSION_ROWS: usize = 1024;
 
-/// The residual+norm fusion site measured three ways: the fused request shape,
-/// the scalar composition (separate add → norm — the parity oracle and the
-/// pre-fusion operation order), and the composed decomposition on the same
-/// fused backend (the normalizer wrapped in [`Composed`]), which isolates the
-/// pure fusion gain from the backend's kernel quality.
-struct FusionSite {
-    name: &'static str,
-    fused_ns_per_element: f64,
-    composed_ns_per_element: f64,
-    same_backend_composed_ns_per_element: f64,
-}
-
-impl FusionSite {
-    fn speedup_vs_composed(&self) -> f64 {
-        self.composed_ns_per_element / self.fused_ns_per_element
-    }
-
-    fn speedup_vs_same_backend(&self) -> f64 {
-        self.same_backend_composed_ns_per_element / self.fused_ns_per_element
-    }
-}
-
-/// Measures the residual+norm fusion site through `normalize_residual_into` on
-/// an exact-statistics config — the fused residual single pass only engages
-/// when quantization is the identity, so the exact config is where fusion shows
-/// its full effect.
-fn run_fusion_benchmark() -> FusionSite {
+/// The residual+norm fusion site measured three ways through
+/// `normalize_residual_into` on an exact-statistics config (the fused residual
+/// single pass only engages when quantization is the identity): the fused
+/// request shape, the scalar composition (separate add → norm — the parity
+/// oracle and the pre-fusion operation order), and the composed decomposition
+/// on the same fused backend (the normalizer wrapped in [`Composed`]), which
+/// isolates the pure fusion gain from the backend's kernel quality.
+fn fusion_block() -> JsonValue {
     let fusion_matrix = |rows: usize, cols: usize, salt: u64, scale: f32| {
         let data: Vec<f32> = (0..rows * cols)
             .map(|i| {
@@ -87,10 +188,7 @@ fn run_fusion_benchmark() -> FusionSite {
     let residual = fusion_matrix(FUSION_ROWS, COLS, 1913, 1.5);
     let gamma: Vec<f32> = (0..COLS).map(|i| 1.0 + (i % 5) as f32 * 0.1).collect();
     let beta: Vec<f32> = (0..COLS).map(|i| (i % 3) as f32 * 0.2 - 0.2).collect();
-    let site = NormSite {
-        layer_index: 0,
-        kind: NormKind::LayerNorm,
-    };
+    let site = norm_site(0, NormKind::LayerNorm);
 
     let haan = |backend: BackendSelection| {
         HaanNormalizer::new(HaanConfig {
@@ -111,17 +209,132 @@ fn run_fusion_benchmark() -> FusionSite {
                 &mut summed,
                 &mut normed,
             );
-            std::hint::black_box(normed.get(0, 0));
+            black_box(normed.get(0, 0));
         });
         residual_m.nanos_per_iter / (FUSION_ROWS * COLS) as f64
     };
 
-    FusionSite {
-        name: "residual_norm",
-        fused_ns_per_element: measure(&mut haan(BackendSelection::Fused)),
-        composed_ns_per_element: measure(&mut Composed(haan(BackendSelection::Scalar))),
-        same_backend_composed_ns_per_element: measure(&mut Composed(haan(BackendSelection::Fused))),
+    let fused = measure(&mut haan(BackendSelection::Fused));
+    let composed = measure(&mut Composed(haan(BackendSelection::Scalar)));
+    let same_backend_composed = measure(&mut Composed(haan(BackendSelection::Fused)));
+    obj! {
+        "rows" => FUSION_ROWS,
+        "cols" => COLS,
+        "residual_norm" => obj! {
+            "fused_ns_per_element" => fused,
+            "composed_ns_per_element" => composed,
+            "speedup_vs_composed" => composed / fused,
+            "same_backend_composed_ns_per_element" => same_backend_composed,
+            "speedup_vs_same_backend" => same_backend_composed / fused,
+        },
     }
+}
+
+/// The HAAN paths against the exact kernel at the two shapes the HAAN-path
+/// gates are stated on: a 64×4096 RMSNorm site under the LLaMA-7B preset,
+/// computed and skipped, and an 8×768 LayerNorm site under the default config.
+/// `ratio_vs_exact` is each path's cost as a multiple of the exact kernel's.
+fn haan_paths_block() -> JsonValue {
+    let cost_ratio: fn(f64, f64) -> f64 = |exact, path| path / exact;
+
+    let rms_input = pattern_matrix(64, 4096);
+    let rms = |layer_index| norm_site(layer_index, NormKind::RmsNorm);
+    let exact = time_site(&mut ReferenceNormalizer::new(), rms(0), &rms_input);
+    let mut llama = HaanNormalizer::new(HaanConfig::llama_7b_paper());
+    let computed = time_site(&mut llama, rms(0), &rms_input);
+    // The first site of the preset's skip range is the anchor; one anchor call
+    // leaves per-row ISDs that every later call at a skipped site predicts from.
+    let (anchor, end) = llama.config().skip_range.expect("the preset skips");
+    llama.begin_sequence();
+    llama.normalize_matrix(rms(anchor), &rms_input, &[1.0; 4096], &[0.0; 4096]);
+    let skipped = time_site(&mut llama, rms((anchor + end) / 2), &rms_input);
+
+    let ln_input = pattern_matrix(8, 768);
+    let ln = norm_site(0, NormKind::LayerNorm);
+    let ln_exact = time_site(&mut ReferenceNormalizer::new(), ln, &ln_input);
+    let ln_default = time_site(
+        &mut HaanNormalizer::new(HaanConfig::default()),
+        ln,
+        &ln_input,
+    );
+
+    obj! {
+        "rmsnorm_64x4096" => paths_json(64 * 4096, "ratio_vs_exact", cost_ratio, &[
+            ("exact", exact),
+            ("llama_7b_computed", computed),
+            ("llama_7b_skipped", skipped),
+        ]),
+        "layernorm_8x768" => paths_json(8 * 768, "ratio_vs_exact", cost_ratio, &[
+            ("exact", ln_exact),
+            ("default", ln_default),
+        ]),
+    }
+}
+
+/// Inputs of the inverse-square-root block, one row of paper width.
+const INVSQRT_INPUTS: usize = 4096;
+
+/// The Square Root Inverter's arithmetic: ns/element of the fast inverse square
+/// root at 0, 1 and 2 Newton iterations against exact `1/sqrt`, and the worst
+/// relative error at each iteration count (the trade-off the paper's "a single
+/// iteration is adequate" rests on).
+fn invsqrt_block() -> JsonValue {
+    fn time_over(inputs: &[f32], f: impl Fn(f32) -> f32) -> Measurement {
+        measure_default(|| inputs.iter().fold(0.0f32, |acc, &x| acc + f(black_box(x))))
+    }
+    let inputs: Vec<f32> = (1..=INVSQRT_INPUTS)
+        .map(|i| i as f32 * 0.37 + 0.001)
+        .collect();
+    let ns = |m: &Measurement| m.nanos_per_iter / INVSQRT_INPUTS as f64;
+    let mut block = vec![("inputs".to_string(), JsonValue::from(INVSQRT_INPUTS))];
+    for newton in 0..=2u32 {
+        let m = time_over(&inputs, |x| fast_inv_sqrt(x, newton));
+        let worst = inputs
+            .iter()
+            .map(|&x| relative_error(x, newton).expect("positive input"))
+            .fold(0.0f64, f64::max);
+        let entry = obj! {
+            "ns_per_element" => ns(&m),
+            "worst_relative_error" => worst,
+            "iterations" => m.iterations,
+        };
+        block.push((format!("newton_{newton}"), entry));
+    }
+    let m = time_over(&inputs, |x| 1.0 / x.sqrt());
+    let exact = obj! { "ns_per_element" => ns(&m), "iterations" => m.iterations };
+    block.push(("exact".to_string(), exact));
+    JsonValue::object(block)
+}
+
+/// Calibration profiles per model, as in the paper's offline step.
+const CALIBRATION_PROFILES: usize = 100;
+
+/// The offline calibration step: µs per Algorithm 1 Pearson range scan
+/// (`IsdSkipAlgorithm::find_skip_range`) over each model's profile set.
+fn calibration_block() -> JsonValue {
+    let algorithm = IsdSkipAlgorithm::new(10).with_excluded_tail(2);
+    let models = [
+        ("llama_7b", IsdProfileModel::llama_7b()),
+        ("gpt2_1_5b", IsdProfileModel::gpt2_1_5b()),
+    ];
+    JsonValue::object(
+        [("profiles", JsonValue::from(CALIBRATION_PROFILES))]
+            .into_iter()
+            .chain(models.into_iter().map(|(name, model)| {
+                let profiles = model.sample_profiles(CALIBRATION_PROFILES, 7);
+                let m = measure_default(|| {
+                    algorithm
+                        .find_skip_range(black_box(&profiles))
+                        .expect("calibration finds a range")
+                });
+                let entry = obj! {
+                    "layers" => profiles[0].len(),
+                    "find_skip_range_us" => m.nanos_per_iter / 1e3,
+                    "iterations" => m.iterations,
+                };
+                (name, entry)
+            })),
+    )
 }
 
 /// Sequence lengths of the decode benchmark (the sequence length *reached* after
@@ -150,24 +363,11 @@ fn decode_bench_model() -> TransformerModel {
     TransformerModel::new(&config, 42).expect("valid decode benchmark model")
 }
 
-struct DecodePoint {
-    seq: usize,
-    prefill_tokens_per_s: f64,
-    cached_tokens_per_s: f64,
-    full_recompute_tokens_per_s: f64,
-}
-
-impl DecodePoint {
-    fn cached_speedup(&self) -> f64 {
-        self.cached_tokens_per_s / self.full_recompute_tokens_per_s
-    }
-}
-
 /// Measures prefill throughput plus cached vs full-recompute greedy decode
 /// tokens/s at sequence length `seq`. Both decode paths run the same
 /// `StreamingModel` loop through the same normalizer type; the only variable is
 /// whether the prefix is recomputed (`new_full_recompute`) or cached (`new`).
-fn run_decode_benchmark(model: &TransformerModel, seq: usize) -> DecodePoint {
+fn run_decode_benchmark(model: &TransformerModel, seq: usize) -> JsonValue {
     let vocab = model.config().vocab_size as u32;
     let prompt: Vec<u32> = (0..(seq - DECODE_TIMED_STEPS - 1) as u32)
         .map(|i| i % vocab)
@@ -181,7 +381,7 @@ fn run_decode_benchmark(model: &TransformerModel, seq: usize) -> DecodePoint {
         let mut ctx = model.start_decode();
         let mut norm = ReferenceNormalizer::new();
         let started = std::time::Instant::now();
-        std::hint::black_box(ctx.prefill(&prompt, &mut norm).expect("prefill"));
+        black_box(ctx.prefill(&prompt, &mut norm).expect("prefill"));
         prefill_elapsed += started.elapsed().as_secs_f64();
 
         // Constant-factor guard (ROADMAP): the context's reusable attention
@@ -207,7 +407,7 @@ fn run_decode_benchmark(model: &TransformerModel, seq: usize) -> DecodePoint {
         stream.decode_step(&mut norm).expect("warm-up step");
         let started = std::time::Instant::now();
         for _ in 0..DECODE_TIMED_STEPS {
-            std::hint::black_box(stream.decode_step(&mut norm).expect("cached step"));
+            black_box(stream.decode_step(&mut norm).expect("cached step"));
         }
         cached_elapsed += started.elapsed().as_secs_f64();
 
@@ -217,17 +417,48 @@ fn run_decode_benchmark(model: &TransformerModel, seq: usize) -> DecodePoint {
         stream.decode_step(&mut norm).expect("warm-up step");
         let started = std::time::Instant::now();
         for _ in 0..DECODE_TIMED_STEPS {
-            std::hint::black_box(stream.decode_step(&mut norm).expect("full step"));
+            black_box(stream.decode_step(&mut norm).expect("full step"));
         }
         full_elapsed += started.elapsed().as_secs_f64();
     }
     let timed_tokens = (DECODE_RUNS * DECODE_TIMED_STEPS) as f64;
-    DecodePoint {
-        seq,
-        prefill_tokens_per_s: (DECODE_RUNS * prompt.len()) as f64 / prefill_elapsed,
-        cached_tokens_per_s: timed_tokens / cached_elapsed,
-        full_recompute_tokens_per_s: timed_tokens / full_elapsed,
+    let cached = timed_tokens / cached_elapsed;
+    let full_recompute = timed_tokens / full_elapsed;
+    obj! {
+        "prefill_tokens_per_s" => (DECODE_RUNS * prompt.len()) as f64 / prefill_elapsed,
+        "cached_decode_tokens_per_s" => cached,
+        "full_recompute_decode_tokens_per_s" => full_recompute,
+        "cached_speedup_vs_full_recompute" => cached / full_recompute,
     }
+}
+
+/// Prefill throughput plus cached vs full-recompute greedy decode tokens/s on a
+/// 256-position model: the payoff of the stateful DecodeContext/KV-cache API
+/// over the stateless O(seq²) loop.
+fn decode_block(model: &TransformerModel) -> JsonValue {
+    let config = model.config();
+    let header = [
+        (
+            "model".to_string(),
+            obj! {
+                "blocks" => config.num_blocks,
+                "embedding_dim" => config.embedding_dim,
+                "vocab_size" => config.vocab_size,
+            },
+        ),
+        (
+            "timed_steps_per_run".to_string(),
+            JsonValue::from(DECODE_TIMED_STEPS),
+        ),
+        ("runs".to_string(), JsonValue::from(DECODE_RUNS)),
+    ];
+    JsonValue::object(
+        header.into_iter().chain(
+            DECODE_SEQS
+                .iter()
+                .map(|&seq| (format!("seq_{seq}"), run_decode_benchmark(model, seq))),
+        ),
+    )
 }
 
 /// Concurrent stream counts of the batched multi-stream decode benchmark.
@@ -237,29 +468,22 @@ const MULTI_STREAM_TICKS: usize = 12;
 /// Prompt length of every stream in the multi-stream benchmark.
 const MULTI_STREAM_PROMPT: usize = 4;
 
-struct MultiStreamPoint {
-    streams: usize,
-    aggregate_tokens_per_s: f64,
-    /// Rows per normalization call over the timed lockstep ticks only
-    /// ([`GroupStats::mean_tick_occupancy_rows`]: one row per stream per site).
-    rows_per_batch: f64,
-    /// Pool pages actually materialized while all streams were alive, in bytes.
-    paged_pool_bytes: usize,
-    /// What the same streams would preallocate under dense per-stream caches.
-    dense_equivalent_bytes: usize,
-}
-
 /// Advances `streams` concurrent decode streams in lockstep through one
 /// `ServeEngine::decode_group`: every tick makes one batched normalizer call
 /// per site carrying one row per stream, which is the batching width
 /// the paged pool + multi-stream step exist to produce. `obs` is `None` for
 /// the perf-gate runs (the zero-cost disabled path) and a live sink for the
 /// informational enabled A/B of the observability block.
+///
+/// `rows_per_batch` counts rows per normalization call over the timed lockstep
+/// ticks only ([`GroupStats::mean_tick_occupancy_rows`]: one row per stream per
+/// site); `paged_pool_bytes` is what the pool materialized while all streams
+/// were alive, against what dense per-stream caches would preallocate.
 fn run_multi_stream_benchmark(
     model: &TransformerModel,
     streams: usize,
-    obs: Option<std::sync::Arc<dyn haan_obs::ObsSink>>,
-) -> MultiStreamPoint {
+    obs: Option<Arc<dyn haan_obs::ObsSink>>,
+) -> JsonValue {
     let config = model.config();
     let rows_per_stream_block = MULTI_STREAM_PROMPT + MULTI_STREAM_TICKS + 1;
     let engine = ServeEngine::start(ServeConfig {
@@ -301,21 +525,40 @@ fn run_multi_stream_benchmark(
         occupied_rows: stats.occupied_rows - after_prefill.occupied_rows,
         ..stats
     };
-    let pool = engine.kv_pool(config.embedding_dim);
-    let paged_pool_bytes = pool.bytes_materialized();
-    let dense_equivalent_bytes = streams
-        * config.num_blocks
-        * 2
-        * config.max_seq_len
-        * config.embedding_dim
-        * std::mem::size_of::<f32>();
-    MultiStreamPoint {
-        streams,
-        aggregate_tokens_per_s: (streams * MULTI_STREAM_TICKS) as f64 / elapsed,
-        rows_per_batch: timed.mean_tick_occupancy_rows(),
-        paged_pool_bytes,
-        dense_equivalent_bytes,
+    obj! {
+        "aggregate_tokens_per_s" => (streams * MULTI_STREAM_TICKS) as f64 / elapsed,
+        "rows_per_batch" => timed.mean_tick_occupancy_rows(),
+        "paged_pool_bytes" => engine.kv_pool(config.embedding_dim).bytes_materialized(),
+        "dense_equivalent_bytes" => streams
+            * config.num_blocks
+            * 2
+            * config.max_seq_len
+            * config.embedding_dim
+            * std::mem::size_of::<f32>(),
     }
+}
+
+/// Batched multi-stream decode: N concurrent streams in lockstep through one
+/// engine decode group — one batched normalizer call per site per tick, one
+/// row per stream — with K/V rows paged out of the engine's shared pool.
+fn multi_stream_block(model: &TransformerModel) -> JsonValue {
+    let header = [
+        ("ticks".to_string(), JsonValue::from(MULTI_STREAM_TICKS)),
+        (
+            "prompt_tokens".to_string(),
+            JsonValue::from(MULTI_STREAM_PROMPT),
+        ),
+    ];
+    JsonValue::object(
+        header
+            .into_iter()
+            .chain(MULTI_STREAM_COUNTS.iter().map(|&streams| {
+                (
+                    format!("streams_{streams}"),
+                    run_multi_stream_benchmark(model, streams, None),
+                )
+            })),
+    )
 }
 
 /// Groups of the routing fleet (4 × 16 streams vs 1 × 64 aggregate).
@@ -324,6 +567,8 @@ const ROUTING_GROUPS: usize = 4;
 const ROUTING_STREAMS: usize = 64;
 /// Timed fleet ticks (after the untimed prefill tick).
 const ROUTING_TICKS: usize = 12;
+/// Alternating rounds of the throughput comparison; each side reports its median.
+const ROUTING_ROUNDS: usize = 9;
 /// Prompt length of the throughput streams.
 const ROUTING_PROMPT: usize = 4;
 /// Shared-prefix workload of the placement comparison: cohorts × members.
@@ -333,22 +578,6 @@ const ROUTING_COHORT_MEMBERS: usize = 8;
 const ROUTING_SHARED_PREFIX: usize = 32;
 /// Streams of the chaos-drain drill.
 const ROUTING_CHAOS_STREAMS: usize = 16;
-
-struct RoutingPoint {
-    /// Aggregate tok/s of 4 groups × 16 streams ticked concurrently.
-    multi_group_tokens_per_s: f64,
-    /// Aggregate tok/s of 1 group × 64 streams (the single-tenant baseline).
-    single_group_tokens_per_s: f64,
-    /// Prefix-attach rate of affinity placement on the cohort workload.
-    affinity_hit_rate: f64,
-    /// The same workload under least-loaded placement (cohorts scatter).
-    least_loaded_hit_rate: f64,
-    /// Streams drained off the fault-injected group in the chaos drill.
-    chaos_drained_streams: usize,
-    /// Rows re-prefilled by the drained streams' resumes at healthy groups —
-    /// the whole-fleet cost of the migrations.
-    migration_reprefill_rows: u64,
-}
 
 /// The per-group engine config of the routing benchmarks, mirroring the
 /// multi-stream benchmark's pool shape.
@@ -431,7 +660,9 @@ fn run_routing_placement(model: &TransformerModel, placement: PlacementPolicy) -
 
 /// The chaos drill: one group's pool is fault-injected dry mid-decode, its
 /// streams drain to the healthy groups, and every drained stream must stay
-/// bit-identical to its solo full-recompute oracle.
+/// bit-identical to its solo full-recompute oracle. Returns the streams
+/// drained off the dry group and the rows their resumes re-prefilled at
+/// healthy groups (the whole-fleet cost of the migrations).
 fn run_routing_chaos(model: &TransformerModel) -> (usize, u64) {
     let vocab = model.config().vocab_size as u32;
     let mut router = Router::with_uniform_groups(
@@ -461,7 +692,7 @@ fn run_routing_chaos(model: &TransformerModel) -> (usize, u64) {
     router
         .engine(victim)
         .kv_pool(model.config().embedding_dim)
-        .set_alloc_fault(Some(std::sync::Arc::new(|_, _| true)));
+        .set_alloc_fault(Some(Arc::new(|_, _| true)));
     // Page slack means a few ticks pass before the victim group actually
     // needs an allocation; tick until it reports dry.
     let mut exhausted = false;
@@ -493,20 +724,42 @@ fn run_routing_chaos(model: &TransformerModel) -> (usize, u64) {
     (drained, router.fleet_stats().totals.resume_reprefill_rows)
 }
 
-/// Runs all three routing benchmarks.
-fn run_routing_benchmark(model: &TransformerModel) -> RoutingPoint {
-    let multi = run_routing_throughput(model, ROUTING_GROUPS);
-    let single = run_routing_throughput(model, 1);
-    let affinity = run_routing_placement(model, PlacementPolicy::PrefixAffinity);
-    let least = run_routing_placement(model, PlacementPolicy::LeastLoaded);
-    let (chaos_drained_streams, migration_reprefill_rows) = run_routing_chaos(model);
-    RoutingPoint {
-        multi_group_tokens_per_s: multi,
-        single_group_tokens_per_s: single,
-        affinity_hit_rate: affinity,
-        least_loaded_hit_rate: least,
-        chaos_drained_streams,
-        migration_reprefill_rows,
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The routing tier: does sharding 64 streams over 4 concurrently-ticked groups
+/// hold aggregate throughput (4 × 16 streams vs the single-tenant 1 × 64, the
+/// median of `ROUTING_ROUNDS` alternating rounds each), does prefix-affinity
+/// placement beat least-loaded on shared-prefix traffic, and does a chaos drain
+/// off a dry group stay bit-identical (asserted inside the drill).
+fn routing_block(model: &TransformerModel) -> JsonValue {
+    let mut multi = Vec::with_capacity(ROUTING_ROUNDS);
+    let mut single = Vec::with_capacity(ROUTING_ROUNDS);
+    for round in 0..ROUTING_ROUNDS {
+        // Even rounds measure the sharded fleet first, odd rounds the single
+        // group, so a drift in host load or clock falls on both sides.
+        if round % 2 == 0 {
+            multi.push(run_routing_throughput(model, ROUTING_GROUPS));
+            single.push(run_routing_throughput(model, 1));
+        } else {
+            single.push(run_routing_throughput(model, 1));
+            multi.push(run_routing_throughput(model, ROUTING_GROUPS));
+        }
+    }
+    let (drained, reprefill_rows) = run_routing_chaos(model);
+    obj! {
+        "groups" => ROUTING_GROUPS,
+        "streams" => ROUTING_STREAMS,
+        "ticks" => ROUTING_TICKS,
+        "rounds" => ROUTING_ROUNDS,
+        "multi_group_tokens_per_s" => median(multi),
+        "single_group_tokens_per_s" => median(single),
+        "affinity_hit_rate" => run_routing_placement(model, PlacementPolicy::PrefixAffinity),
+        "least_loaded_hit_rate" => run_routing_placement(model, PlacementPolicy::LeastLoaded),
+        "chaos_drained_streams" => drained,
+        "migration_reprefill_rows" => reprefill_rows,
     }
 }
 
@@ -517,41 +770,17 @@ const ROBUSTNESS_POOL_STREAMS: usize = 2;
 /// Seed of the drill's fault injector; the drill is bit-reproducible per seed.
 const ROBUSTNESS_SEED: u64 = 0xC0FFEE;
 
-struct RobustnessPoint {
-    offered: u64,
-    admitted: u64,
-    queued: u64,
-    shed: u64,
-    preemptions: u64,
-    resumes: u64,
-    resume_reprefill_rows: u64,
-    completed: u64,
-    drill_ticks: u64,
-    pool_exhausted_retries: u64,
-    injected_exhaustions: u64,
-}
-
-impl RobustnessPoint {
-    fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.offered as f64
-        }
-    }
-}
-
 /// The overload drill of `tests/serving_chaos.rs`, measured: a pool sized for
 /// `ROBUSTNESS_POOL_STREAMS` full-length streams is offered `ROBUSTNESS_OVERLOAD`×
 /// as many prompts under seeded pool-exhaustion injection, and the group runs
 /// until every admitted stream completes. The numbers are the admission split
 /// and the preemption/resume traffic (with its re-prefill cost).
-fn run_robustness_benchmark() -> RobustnessPoint {
+fn robustness_block() -> JsonValue {
     use haan_serve::{AdmissionPolicy, FaultPlan, SeededFaults, StreamStatus};
     let model = TransformerModel::new(&ModelConfig::tiny_test(), 42).expect("valid drill model");
     let config = model.config();
     let max = config.max_seq_len;
-    let faults = std::sync::Arc::new(SeededFaults::new(
+    let faults = Arc::new(SeededFaults::new(
         ROBUSTNESS_SEED,
         FaultPlan {
             exhaust_probability: 0.1,
@@ -573,7 +802,7 @@ fn run_robustness_benchmark() -> RobustnessPoint {
             retry_after_us: 500,
             reserve_rows: max,
         },
-        faults: Some(faults.clone() as std::sync::Arc<dyn haan_serve::FaultInjector>),
+        faults: Some(faults.clone() as Arc<dyn haan_serve::FaultInjector>),
         ..Default::default()
     });
     let offered = ROBUSTNESS_OVERLOAD * ROBUSTNESS_POOL_STREAMS;
@@ -601,19 +830,27 @@ fn run_robustness_benchmark() -> RobustnessPoint {
         }
     }
     let stats = group.stats();
-    let injected = faults.injected();
-    RobustnessPoint {
-        offered: stats.offered,
-        admitted: stats.admitted,
-        queued: stats.queued,
-        shed: stats.shed,
-        preemptions: stats.preemptions,
-        resumes: stats.resumes,
-        resume_reprefill_rows: stats.resume_reprefill_rows,
-        completed: stats.completed,
-        drill_ticks: stats.ticks,
-        pool_exhausted_retries,
-        injected_exhaustions: injected.exhaustions,
+    let shed_rate = if stats.offered == 0 {
+        0.0
+    } else {
+        stats.shed as f64 / stats.offered as f64
+    };
+    obj! {
+        "overload_factor" => ROBUSTNESS_OVERLOAD,
+        "pool_sized_for_streams" => ROBUSTNESS_POOL_STREAMS,
+        "seed" => ROBUSTNESS_SEED,
+        "offered" => stats.offered,
+        "admitted" => stats.admitted,
+        "queued" => stats.queued,
+        "shed" => stats.shed,
+        "shed_rate" => shed_rate,
+        "preemptions" => stats.preemptions,
+        "resumes" => stats.resumes,
+        "resume_reprefill_rows" => stats.resume_reprefill_rows,
+        "completed" => stats.completed,
+        "drill_ticks" => stats.ticks,
+        "pool_exhausted_retries" => pool_exhausted_retries,
+        "injected_exhaustions" => faults.injected().exhaustions,
     }
 }
 
@@ -627,19 +864,6 @@ const CONTINUOUS_JOINS: usize = 8;
 const CONTINUOUS_JOIN_PROMPT: usize = 48;
 /// Shared-prefix length of the page-sharing comparison (whole pages).
 const CONTINUOUS_PREFIX_TOKENS: usize = 64;
-
-struct ContinuousBatchingPoint {
-    chunked_occupancy_rows: f64,
-    unchunked_occupancy_rows: f64,
-    chunked_max_tick_rows: u64,
-    unchunked_max_tick_rows: u64,
-    join_latency_p50_us: u64,
-    join_latency_p99_us: u64,
-    join_first_token_ticks: u64,
-    max_resident_token_delay_ticks: u64,
-    shared_pool_bytes: usize,
-    unshared_pool_bytes: usize,
-}
 
 /// One continuous-batching join drill: `CONTINUOUS_WIDTH` resident streams
 /// decode while `CONTINUOUS_JOINS` long prompts join one at a time. Returns
@@ -724,7 +948,7 @@ fn run_continuous_join_drill(
 /// chunking, and the live pool footprint of `CONTINUOUS_WIDTH` streams behind
 /// one interned `CONTINUOUS_PREFIX_TOKENS`-token prefix vs the same streams
 /// each materializing their own copy.
-fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatchingPoint {
+fn continuous_batching_block(model: &TransformerModel) -> JsonValue {
     let config = model.config();
     let vocab = config.vocab_size as u32;
     let (
@@ -799,17 +1023,22 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
     }
     let unshared_pool_bytes = unshared_engine.kv_pool(config.embedding_dim).bytes_in_use();
 
-    ContinuousBatchingPoint {
-        chunked_occupancy_rows,
-        unchunked_occupancy_rows,
-        chunked_max_tick_rows,
-        unchunked_max_tick_rows,
-        join_latency_p50_us: percentile(0.5),
-        join_latency_p99_us: percentile(0.99),
-        join_first_token_ticks: join_ticks / CONTINUOUS_JOINS as u64,
-        max_resident_token_delay_ticks: max_delay,
-        shared_pool_bytes,
-        unshared_pool_bytes,
+    obj! {
+        "resident_streams" => CONTINUOUS_WIDTH,
+        "prefill_chunk_rows" => CONTINUOUS_CHUNK,
+        "joins" => CONTINUOUS_JOINS,
+        "join_prompt_tokens" => CONTINUOUS_JOIN_PROMPT,
+        "prefix_tokens" => CONTINUOUS_PREFIX_TOKENS,
+        "chunked_tick_occupancy_rows" => chunked_occupancy_rows,
+        "unchunked_tick_occupancy_rows" => unchunked_occupancy_rows,
+        "chunked_max_tick_rows" => chunked_max_tick_rows,
+        "unchunked_max_tick_rows" => unchunked_max_tick_rows,
+        "join_latency_p50_us" => percentile(0.5),
+        "join_latency_p99_us" => percentile(0.99),
+        "join_first_token_ticks" => join_ticks / CONTINUOUS_JOINS as u64,
+        "resident_token_delay_ticks" => max_delay,
+        "shared_prefix_pool_bytes" => shared_pool_bytes,
+        "unshared_prefix_pool_bytes" => unshared_pool_bytes,
     }
 }
 
@@ -819,29 +1048,17 @@ fn run_continuous_batching_benchmark(model: &TransformerModel) -> ContinuousBatc
 /// and group checks).
 const OBS_CHECKS_PER_TOKEN: f64 = 64.0;
 
-struct ObservabilityPoint {
-    export_ns: f64,
-    event_append_ns: f64,
-    counter_add_ns: f64,
-    histogram_record_ns: f64,
-    disabled_check_ns: f64,
-    /// Modeled worst-case hot-path overhead of the disabled sink:
-    /// `disabled_check_ns × OBS_CHECKS_PER_TOKEN` as a percentage of the
-    /// measured ns/token of the widest (sink-free) multi-stream point.
-    disabled_overhead_pct: f64,
-    /// Informational A/B: the widest multi-stream point re-run with a live
-    /// `Obs` sink installed (metrics + flight recorder).
-    enabled_tokens_per_s: f64,
-}
-
 /// Measures the observability layer itself: registry export cost on a
 /// representative metric population, flight-recorder append cost, raw
 /// counter/histogram record cost, and — the one the decode hot path actually
 /// pays by default — the cost of checking a disabled (`None`) sink.
-fn run_observability_benchmark(
-    model: &TransformerModel,
-    disabled_tokens_per_s: f64,
-) -> ObservabilityPoint {
+///
+/// `disabled_overhead_pct` models the disabled sink's worst-case hot-path tax,
+/// `disabled_check_ns × OBS_CHECKS_PER_TOKEN` as a percentage of the ns/token
+/// of the widest (sink-free) multi-stream point, `disabled_tokens_per_s`; the
+/// informational `enabled_tokens_per_s` re-runs that point with a live `Obs`
+/// sink installed (metrics + flight recorder).
+fn observability_block(model: &TransformerModel, disabled_tokens_per_s: f64) -> JsonValue {
     use haan_obs::{EventKind, Obs, ObsEvent, ObsSink};
 
     // Populate a registry shaped like the serving drill's real export.
@@ -865,7 +1082,7 @@ fn run_observability_benchmark(
         }
     }
     let export = measure_default(|| {
-        std::hint::black_box(obs.registry().export());
+        black_box(obs.registry().export());
     });
     let event_append = measure_default(|| {
         obs.event(ObsEvent {
@@ -884,14 +1101,13 @@ fn run_observability_benchmark(
     let disabled: Option<Arc<dyn ObsSink>> = None;
     let disabled_check = measure_default(|| {
         for _ in 0..1024 {
-            if let Some(sink) = std::hint::black_box(&disabled) {
+            if let Some(sink) = black_box(&disabled) {
                 sink.counter_add("never", 1);
             }
         }
     });
     let disabled_check_ns = disabled_check.nanos_per_iter / 1024.0;
     let ns_per_token = 1e9 / disabled_tokens_per_s;
-    let disabled_overhead_pct = 100.0 * disabled_check_ns * OBS_CHECKS_PER_TOKEN / ns_per_token;
 
     // Informational enabled A/B at the widest multi-stream point.
     let sink = Obs::shared(1 << 14);
@@ -901,365 +1117,25 @@ fn run_observability_benchmark(
         Some(sink as Arc<dyn ObsSink>),
     );
 
-    ObservabilityPoint {
-        export_ns: export.nanos_per_iter,
-        event_append_ns: event_append.nanos_per_iter,
-        counter_add_ns: counter_add.nanos_per_iter,
-        histogram_record_ns: histogram_record.nanos_per_iter,
-        disabled_check_ns,
-        disabled_overhead_pct,
-        enabled_tokens_per_s: enabled.aggregate_tokens_per_s,
+    obj! {
+        "export_ns" => export.nanos_per_iter,
+        "event_append_ns" => event_append.nanos_per_iter,
+        "counter_add_ns" => counter_add.nanos_per_iter,
+        "histogram_record_ns" => histogram_record.nanos_per_iter,
+        "disabled_check_ns" => disabled_check_ns,
+        "checks_per_token" => OBS_CHECKS_PER_TOKEN,
+        "disabled_overhead_pct" => 100.0 * disabled_check_ns * OBS_CHECKS_PER_TOKEN / ns_per_token,
+        "disabled_tokens_per_s" => disabled_tokens_per_s,
+        "enabled_tokens_per_s" => number(&enabled, "aggregate_tokens_per_s"),
     }
 }
 
-struct PathResult {
-    name: &'static str,
-    measurement: Measurement,
-}
-
-impl PathResult {
-    fn ns_per_element(&self) -> f64 {
-        self.measurement.nanos_per_iter / (ROWS * COLS) as f64
-    }
-}
-
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_norm.json".to_string());
-    print_experiment_header(
-        "BENCH_norm",
-        "normalization ns/element (scalar vs fused) and matmul GFLOP/s",
-    );
-
-    let input = input_matrix();
-    let gamma = vec![1.0f32; COLS];
-    let beta = vec![0.0f32; COLS];
-    let site = NormSite {
-        layer_index: 0,
-        kind: NormKind::LayerNorm,
-    };
-
-    // Scalar oracle: one allocating per-row call per token, exactly what the forward
-    // pass did before the batched engine.
-    let scalar = PathResult {
-        name: "scalar_reference",
-        measurement: {
-            let mut norm = ReferenceNormalizer::new();
-            measure_default(|| {
-                for row in 0..ROWS {
-                    std::hint::black_box(norm.normalize(site, input.row(row), &gamma, &beta));
-                }
-            })
-        },
-    };
-
-    // Fused batched path: chunked one-pass statistics plus the affine apply, written
-    // into one reused output matrix.
-    let fused = PathResult {
-        name: "fused_batched",
-        measurement: {
-            let mut norm = ReferenceNormalizer::new();
-            let mut out = Matrix::zeros(ROWS, COLS);
-            measure_default(|| {
-                norm.normalize_matrix_into(site, &input, &gamma, &beta, &mut out);
-                std::hint::black_box(out.get(0, 0));
-            })
-        },
-    };
-
-    // The HAAN engine on an unoptimized config (exact statistics) and its default
-    // fused backend: the engine's own overhead on top of the plain fused kernel.
-    let haan_sequential = PathResult {
-        name: "haan_exact_sequential",
-        measurement: {
-            let mut norm = HaanNormalizer::new(HaanConfig::unoptimized());
-            let mut out = Matrix::zeros(ROWS, COLS);
-            measure_default(|| {
-                norm.normalize_matrix_into(site, &input, &gamma, &beta, &mut out);
-                std::hint::black_box(out.get(0, 0));
-            })
-        },
-    };
-
-    let paths = [&scalar, &fused, &haan_sequential];
-    let mut table = MarkdownTable::new(vec!["path", "ns/element", "speedup vs scalar"]);
-    for path in paths {
-        table.push_row(vec![
-            path.name.to_string(),
-            format!("{:.3}", path.ns_per_element()),
-            format!("{:.2}x", scalar.ns_per_element() / path.ns_per_element()),
-        ]);
-    }
-    println!("{}", table.render());
-
-    // Per-backend dispatch: the same `normalize_matrix_into` call routed through each
-    // execution backend of the engine on an exact-statistics config, so differences
-    // are pure execution cost. The accelerator simulator (attached, so it runs
-    // instead of the configured backend) is a functional/timing model, not a fast
-    // path — its number is reported for completeness, not compared.
-    let accel_sim: Arc<dyn NormBackend> = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
-    let backend_paths: Vec<PathResult> = [
-        ("scalar", BackendSelection::Scalar, None),
-        ("fused", BackendSelection::Fused, None),
-        ("accel_sim", BackendSelection::Fused, Some(accel_sim)),
-    ]
-    .into_iter()
-    .map(|(name, backend, external)| PathResult {
-        name,
-        measurement: {
-            let config = HaanConfig {
-                backend,
-                ..HaanConfig::unoptimized()
-            };
-            let mut norm = HaanNormalizer::new(config);
-            if let Some(external) = external {
-                norm = norm.with_external_backend(external);
-            }
-            let mut out = Matrix::zeros(ROWS, COLS);
-            measure_default(|| {
-                norm.normalize_matrix_into(site, &input, &gamma, &beta, &mut out);
-                std::hint::black_box(out.get(0, 0));
-            })
-        },
-    })
-    .collect();
-    let backend_scalar_ns = backend_paths[0].ns_per_element();
-    let mut backend_table =
-        MarkdownTable::new(vec!["backend", "ns/element", "speedup vs scalar backend"]);
-    for path in &backend_paths {
-        backend_table.push_row(vec![
-            path.name.to_string(),
-            format!("{:.3}", path.ns_per_element()),
-            format!("{:.2}x", backend_scalar_ns / path.ns_per_element()),
-        ]);
-    }
-    println!("{}", backend_table.render());
-
-    // Fusion site: the fused residual+norm request shape vs the scalar
-    // composition (the pre-fusion operation order) and vs the composed
-    // decomposition on the same backend (under `Composed`).
-    let fusion_site = run_fusion_benchmark();
-    let mut fusion_table = MarkdownTable::new(vec![
-        "fusion site",
-        "fused ns/element",
-        "composed ns/element",
-        "speedup",
-        "same-backend composed",
-        "pure-fusion gain",
-    ]);
-    fusion_table.push_row(vec![
-        fusion_site.name.to_string(),
-        format!("{:.3}", fusion_site.fused_ns_per_element),
-        format!("{:.3}", fusion_site.composed_ns_per_element),
-        format!("{:.2}x", fusion_site.speedup_vs_composed()),
-        format!("{:.3}", fusion_site.same_backend_composed_ns_per_element),
-        format!("{:.2}x", fusion_site.speedup_vs_same_backend()),
-    ]);
-    println!("{}", fusion_table.render());
-
-    // Decode path: prefill throughput plus cached vs full-recompute greedy decode
-    // tokens/s on a 256-position model — the payoff of the stateful
-    // DecodeContext/KV-cache API over the stateless O(seq²) loop.
-    let decode_model = decode_bench_model();
-    let decode_points: Vec<DecodePoint> = DECODE_SEQS
-        .iter()
-        .map(|&seq| run_decode_benchmark(&decode_model, seq))
-        .collect();
-    let mut decode_table = MarkdownTable::new(vec![
-        "seq",
-        "prefill tok/s",
-        "cached decode tok/s",
-        "full-recompute tok/s",
-        "cached speedup",
-    ]);
-    for point in &decode_points {
-        decode_table.push_row(vec![
-            point.seq.to_string(),
-            format!("{:.0}", point.prefill_tokens_per_s),
-            format!("{:.0}", point.cached_tokens_per_s),
-            format!("{:.0}", point.full_recompute_tokens_per_s),
-            format!("{:.1}x", point.cached_speedup()),
-        ]);
-    }
-    println!("{}", decode_table.render());
-
-    // Batched multi-stream decode: N concurrent streams in lockstep through one
-    // engine decode group — one batched normalizer call per site per tick, one
-    // row per stream — with K/V rows paged out of the engine's shared pool.
-    let multi_points: Vec<MultiStreamPoint> = MULTI_STREAM_COUNTS
-        .iter()
-        .map(|&streams| run_multi_stream_benchmark(&decode_model, streams, None))
-        .collect();
-    let mut multi_table = MarkdownTable::new(vec![
-        "streams",
-        "aggregate tok/s",
-        "rows/batch",
-        "paged pool bytes",
-        "dense-equivalent bytes",
-    ]);
-    for point in &multi_points {
-        multi_table.push_row(vec![
-            point.streams.to_string(),
-            format!("{:.0}", point.aggregate_tokens_per_s),
-            format!("{:.1}", point.rows_per_batch),
-            point.paged_pool_bytes.to_string(),
-            point.dense_equivalent_bytes.to_string(),
-        ]);
-    }
-    println!("{}", multi_table.render());
-
-    // Robustness under overload: the 4× oversubscription drill with seeded
-    // fault injection — admission split and preemption/resume traffic.
-    let robustness = run_robustness_benchmark();
-    let mut robustness_table = MarkdownTable::new(vec!["robustness metric", "value"]);
-    robustness_table.push_row(vec![
-        "offered / admitted / queued / shed".to_string(),
-        format!(
-            "{} / {} / {} / {}",
-            robustness.offered, robustness.admitted, robustness.queued, robustness.shed
-        ),
-    ]);
-    robustness_table.push_row(vec![
-        "shed rate".to_string(),
-        format!("{:.2}", robustness.shed_rate()),
-    ]);
-    robustness_table.push_row(vec![
-        "preemptions / resumes".to_string(),
-        format!("{} / {}", robustness.preemptions, robustness.resumes),
-    ]);
-    robustness_table.push_row(vec![
-        "resume re-prefill rows".to_string(),
-        robustness.resume_reprefill_rows.to_string(),
-    ]);
-    robustness_table.push_row(vec![
-        "injected exhaustions / typed retries".to_string(),
-        format!(
-            "{} / {}",
-            robustness.injected_exhaustions, robustness.pool_exhausted_retries
-        ),
-    ]);
-    println!("{}", robustness_table.render());
-
-    // Continuous batching: chunked-prefill occupancy vs whole-backlog activation,
-    // join latency while residents keep ticking, and the live pool footprint
-    // of prefix sharing vs per-stream prefix copies.
-    let continuous = run_continuous_batching_benchmark(&decode_model);
-    let mut continuous_table = MarkdownTable::new(vec!["continuous batching metric", "value"]);
-    continuous_table.push_row(vec![
-        "mean tick occupancy rows (chunked / unchunked)".to_string(),
-        format!(
-            "{:.1} / {:.1}",
-            continuous.chunked_occupancy_rows, continuous.unchunked_occupancy_rows
-        ),
-    ]);
-    continuous_table.push_row(vec![
-        "max rows in one tick (chunked / unchunked)".to_string(),
-        format!(
-            "{} / {}",
-            continuous.chunked_max_tick_rows, continuous.unchunked_max_tick_rows
-        ),
-    ]);
-    continuous_table.push_row(vec![
-        "join latency p50 / p99 (µs)".to_string(),
-        format!(
-            "{} / {}",
-            continuous.join_latency_p50_us, continuous.join_latency_p99_us
-        ),
-    ]);
-    continuous_table.push_row(vec![
-        "mean ticks to a joiner's first token".to_string(),
-        continuous.join_first_token_ticks.to_string(),
-    ]);
-    continuous_table.push_row(vec![
-        "resident tokens delayed during joins".to_string(),
-        continuous.max_resident_token_delay_ticks.to_string(),
-    ]);
-    continuous_table.push_row(vec![
-        "pool bytes, shared / unshared prefix".to_string(),
-        format!(
-            "{} / {}",
-            continuous.shared_pool_bytes, continuous.unshared_pool_bytes
-        ),
-    ]);
-    println!("{}", continuous_table.render());
-
-    // Observability: what the instrumentation layer itself costs — export and
-    // append micro-costs, and the modeled hot-path tax of the disabled sink
-    // against the widest (sink-free) multi-stream point measured above.
-    let widest_disabled = multi_points
-        .last()
-        .expect("at least one multi-stream point")
-        .aggregate_tokens_per_s;
-    let observability = run_observability_benchmark(&decode_model, widest_disabled);
-    let mut obs_table = MarkdownTable::new(vec!["observability metric", "value"]);
-    obs_table.push_row(vec![
-        "registry export (ns)".to_string(),
-        format!("{:.0}", observability.export_ns),
-    ]);
-    obs_table.push_row(vec![
-        "flight-recorder append (ns)".to_string(),
-        format!("{:.1}", observability.event_append_ns),
-    ]);
-    obs_table.push_row(vec![
-        "counter add / histogram record (ns)".to_string(),
-        format!(
-            "{:.1} / {:.1}",
-            observability.counter_add_ns, observability.histogram_record_ns
-        ),
-    ]);
-    obs_table.push_row(vec![
-        "disabled-sink check (ns)".to_string(),
-        format!("{:.3}", observability.disabled_check_ns),
-    ]);
-    obs_table.push_row(vec![
-        "disabled-sink decode overhead (%)".to_string(),
-        format!("{:.4}", observability.disabled_overhead_pct),
-    ]);
-    obs_table.push_row(vec![
-        "tok/s, sink disabled / enabled".to_string(),
-        format!(
-            "{:.0} / {:.0}",
-            widest_disabled, observability.enabled_tokens_per_s
-        ),
-    ]);
-    println!("{}", obs_table.render());
-
-    // Routing tier: does sharding 64 streams over 4 concurrently-ticked
-    // groups hold aggregate throughput, does prefix-affinity placement beat
-    // least-loaded on shared-prefix traffic, and does a chaos drain off a
-    // dry group stay bit-identical (asserted inside the drill).
-    let routing = run_routing_benchmark(&decode_model);
-    let mut routing_table = MarkdownTable::new(vec!["routing metric", "value"]);
-    routing_table.push_row(vec![
-        format!(
-            "tok/s, {ROUTING_GROUPS} groups x {} streams (concurrent)",
-            ROUTING_STREAMS / ROUTING_GROUPS
-        ),
-        format!("{:.0}", routing.multi_group_tokens_per_s),
-    ]);
-    routing_table.push_row(vec![
-        format!("tok/s, 1 group x {ROUTING_STREAMS} streams"),
-        format!("{:.0}", routing.single_group_tokens_per_s),
-    ]);
-    routing_table.push_row(vec![
-        "prefix hit rate, affinity / least-loaded".to_string(),
-        format!(
-            "{:.2} / {:.2}",
-            routing.affinity_hit_rate, routing.least_loaded_hit_rate
-        ),
-    ]);
-    routing_table.push_row(vec![
-        "chaos drill: streams drained off the dry group".to_string(),
-        format!("{}", routing.chaos_drained_streams),
-    ]);
-    routing_table.push_row(vec![
-        "chaos drill: migration re-prefill rows".to_string(),
-        format!("{}", routing.migration_reprefill_rows),
-    ]);
-    println!("{}", routing_table.render());
-
-    // Matmul GFLOP/s of the cache-blocked kernels on a square problem.
+/// Matmul GFLOP/s of the cache-blocked kernels on a square problem, then the
+/// same kernel and the register-tiled one over panel-packed weights at the
+/// widest projection of a decode_gpt2 tick (8 stream rows × E=768 against the
+/// 768 × 3072 MLP input weight), hot and cycling cold weights; `parts` is how
+/// many cores `matmul_into` split the packed product over.
+fn matmul_block() -> JsonValue {
     let n = 256;
     let a = Matrix::from_vec(n, n, (0..n * n).map(|i| (i as f32).sin()).collect()).unwrap();
     let b = Matrix::from_vec(n, n, (0..n * n).map(|i| (i as f32).cos()).collect()).unwrap();
@@ -1267,17 +1143,14 @@ fn main() {
     let mut out = Matrix::zeros(n, n);
     let matmul = measure_default(|| {
         a.matmul_into(&b, &mut out).expect("square shapes");
-        std::hint::black_box(out.get(0, 0));
+        black_box(out.get(0, 0));
     });
     let matmul_t = measure_default(|| {
         a.matmul_transposed_into(&b, &mut out)
             .expect("square shapes");
-        std::hint::black_box(out.get(0, 0));
+        black_box(out.get(0, 0));
     });
-    let gflops = |m: &Measurement| flops / m.nanos_per_iter;
-    // The same kernel, and the register-tiled one over panel-packed weights,
-    // at the widest projection of a decode_gpt2 tick: 8 stream rows × E=768
-    // against the 768 × 3072 MLP input weight.
+
     let (rows, inner, cols) = DECODE_MATMUL_SHAPE;
     let x = Matrix::from_vec(
         rows,
@@ -1297,15 +1170,12 @@ fn main() {
     let mut decode_gflops = |w: &Matrix| {
         let m = measure_default(|| {
             x.matmul_into(w, &mut decode_out).expect("decode shapes");
-            std::hint::black_box(decode_out.get(0, 0));
+            black_box(decode_out.get(0, 0));
         });
         decode_flops / m.nanos_per_iter
     };
-    let decode_row_major_gflops = decode_gflops(&w_row_major);
-    let decode_packed_gflops = decode_gflops(&w_packed);
-    let packed_speedup = decode_packed_gflops / decode_row_major_gflops;
-    // The packed product again, cycling cold weights; `decode_parts` is how
-    // many cores `matmul_into` split it over.
+    let row_major_gflops = decode_gflops(&w_row_major);
+    let packed_gflops = decode_gflops(&w_packed);
     let cold_weights: Vec<Matrix> = (0..COLD_WEIGHT_BYTES.div_ceil(4 * inner * cols))
         .map(|w| Matrix::packed_from_fn(inner, cols, |r, c| w_row_major.get(r, c) + w as f32))
         .collect();
@@ -1314,482 +1184,207 @@ fn main() {
         x.matmul_into(&cold_weights[next_weight], &mut decode_out)
             .expect("decode shapes");
         next_weight = (next_weight + 1) % cold_weights.len();
-        std::hint::black_box(decode_out.get(0, 0));
+        black_box(decode_out.get(0, 0));
     });
-    let decode_cold_packed_gflops = decode_flops / cold.nanos_per_iter;
-    let decode_parts = x.matmul_parts(&w_packed);
-    let avx2 = cfg!(target_feature = "avx2");
-    let mut mm_table = MarkdownTable::new(vec!["kernel", "GFLOP/s"]);
-    mm_table.push_row(vec![
-        "matmul_blocked".to_string(),
-        format!("{:.2}", gflops(&matmul)),
-    ]);
-    mm_table.push_row(vec![
-        "matmul_transposed_blocked".to_string(),
-        format!("{:.2}", gflops(&matmul_t)),
-    ]);
-    mm_table.push_row(vec![
-        format!("matmul_blocked, {rows}x{inner}·{inner}x{cols}"),
-        format!("{decode_row_major_gflops:.2}"),
-    ]);
-    mm_table.push_row(vec![
-        format!("matmul_packed, {rows}x{inner}·{inner}x{cols}"),
-        format!("{decode_packed_gflops:.2} ({packed_speedup:.2}x)"),
-    ]);
-    mm_table.push_row(vec![
-        format!(
-            "matmul_packed, {rows}x{inner}·{inner}x{cols}, {} cold weights, {decode_parts} parts, avx2 {avx2}",
-            cold_weights.len()
-        ),
-        format!("{decode_cold_packed_gflops:.2}"),
-    ]);
-    println!("{}", mm_table.render());
+    obj! {
+        "blocked_gflops" => flops / matmul.nanos_per_iter,
+        "transposed_blocked_gflops" => flops / matmul_t.nanos_per_iter,
+        "n" => n,
+        "decode_shape" => obj! {
+            "rows" => rows,
+            "k" => inner,
+            "n" => cols,
+            "row_major_gflops" => row_major_gflops,
+            "packed_gflops" => packed_gflops,
+            "packed_speedup" => packed_gflops / row_major_gflops,
+            "cold_packed_gflops" => decode_flops / cold.nanos_per_iter,
+            "cold_weights" => cold_weights.len(),
+            "parts" => x.matmul_parts(&w_packed),
+            "avx2" => cfg!(target_feature = "avx2"),
+        },
+    }
+}
 
-    let path_json = |p: &PathResult| {
-        JsonValue::object([
-            ("ns_per_element", JsonValue::from(p.ns_per_element())),
-            (
-                "speedup_vs_scalar",
-                JsonValue::from(scalar.ns_per_element() / p.ns_per_element()),
-            ),
-            ("iterations", JsonValue::from(p.measurement.iterations)),
-        ])
-    };
+/// The number at the dotted key path `path` of `report`.
+fn number(report: &JsonValue, path: &str) -> f64 {
+    path.split('.')
+        .try_fold(report, |value, key| value.get(key))
+        .and_then(JsonValue::as_number)
+        .unwrap_or_else(|| panic!("the report has no number at {path}"))
+}
+
+fn main() {
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_norm.json".to_string());
+    // Open the output before measuring, so a bad path fails at once rather than
+    // after the whole run.
+    let mut out_file = std::fs::File::create(&out_path).unwrap_or_else(|err| {
+        eprintln!("bench_report: cannot create {out_path}: {err}");
+        std::process::exit(1);
+    });
+
+    let input = pattern_matrix(ROWS, COLS);
+    let normalization = normalization_block(&input);
+    let backends = backends_block(&input);
+    let fusion = fusion_block();
+    let haan_paths = haan_paths_block();
+    let invsqrt = invsqrt_block();
+    let calibration = calibration_block();
+    let decode_model = decode_bench_model();
+    let decode = decode_block(&decode_model);
+    let multi_stream = multi_stream_block(&decode_model);
+    let robustness = robustness_block();
+    let continuous_batching = continuous_batching_block(&decode_model);
+    let widest = *MULTI_STREAM_COUNTS.last().expect("non-empty");
+    let widest_tokens_per_s = number(
+        &multi_stream,
+        &format!("streams_{widest}.aggregate_tokens_per_s"),
+    );
+    let observability = observability_block(&decode_model, widest_tokens_per_s);
+    let routing = routing_block(&decode_model);
+    let matmul = matmul_block();
     // Hardware threads of this host: recorded in the JSON and read by the routing
     // floor below.
     let host_threads = std::thread::available_parallelism().map_or(2, usize::from);
-    let report = JsonValue::object([
-        ("benchmark", JsonValue::from("normalization_batched_engine")),
-        (
-            "workload",
-            JsonValue::object([
-                ("rows", JsonValue::from(ROWS)),
-                ("cols", JsonValue::from(COLS)),
-                ("kind", JsonValue::from("LayerNorm")),
-            ]),
-        ),
-        (
-            "normalization",
-            JsonValue::object(paths.iter().map(|p| (p.name, path_json(p)))),
-        ),
-        (
-            "backends",
-            JsonValue::object(backend_paths.iter().map(|p| {
-                (
-                    p.name,
-                    JsonValue::object([
-                        ("ns_per_element", JsonValue::from(p.ns_per_element())),
-                        (
-                            "speedup_vs_scalar_backend",
-                            JsonValue::from(backend_scalar_ns / p.ns_per_element()),
-                        ),
-                        ("iterations", JsonValue::from(p.measurement.iterations)),
-                    ]),
-                )
-            })),
-        ),
-        (
-            "fusion",
-            JsonValue::object([
-                ("rows", JsonValue::from(FUSION_ROWS)),
-                ("cols", JsonValue::from(COLS)),
-                (
-                    fusion_site.name,
-                    JsonValue::object([
-                        (
-                            "fused_ns_per_element",
-                            JsonValue::from(fusion_site.fused_ns_per_element),
-                        ),
-                        (
-                            "composed_ns_per_element",
-                            JsonValue::from(fusion_site.composed_ns_per_element),
-                        ),
-                        (
-                            "speedup_vs_composed",
-                            JsonValue::from(fusion_site.speedup_vs_composed()),
-                        ),
-                        (
-                            "same_backend_composed_ns_per_element",
-                            JsonValue::from(fusion_site.same_backend_composed_ns_per_element),
-                        ),
-                        (
-                            "speedup_vs_same_backend",
-                            JsonValue::from(fusion_site.speedup_vs_same_backend()),
-                        ),
-                    ]),
-                ),
-            ]),
-        ),
-        (
-            "decode",
-            JsonValue::object(
-                [
-                    (
-                        "model".to_string(),
-                        JsonValue::object([
-                            ("blocks", JsonValue::from(decode_model.config().num_blocks)),
-                            (
-                                "embedding_dim",
-                                JsonValue::from(decode_model.config().embedding_dim),
-                            ),
-                            (
-                                "vocab_size",
-                                JsonValue::from(decode_model.config().vocab_size),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "timed_steps_per_run".to_string(),
-                        JsonValue::from(DECODE_TIMED_STEPS),
-                    ),
-                    ("runs".to_string(), JsonValue::from(DECODE_RUNS)),
-                ]
-                .into_iter()
-                .chain(decode_points.iter().map(|point| {
-                    (
-                        format!("seq_{}", point.seq),
-                        JsonValue::object([
-                            (
-                                "prefill_tokens_per_s",
-                                JsonValue::from(point.prefill_tokens_per_s),
-                            ),
-                            (
-                                "cached_decode_tokens_per_s",
-                                JsonValue::from(point.cached_tokens_per_s),
-                            ),
-                            (
-                                "full_recompute_decode_tokens_per_s",
-                                JsonValue::from(point.full_recompute_tokens_per_s),
-                            ),
-                            (
-                                "cached_speedup_vs_full_recompute",
-                                JsonValue::from(point.cached_speedup()),
-                            ),
-                        ]),
-                    )
-                })),
-            ),
-        ),
-        (
-            "multi_stream_decode",
-            JsonValue::object(
-                [
-                    ("ticks".to_string(), JsonValue::from(MULTI_STREAM_TICKS)),
-                    (
-                        "prompt_tokens".to_string(),
-                        JsonValue::from(MULTI_STREAM_PROMPT),
-                    ),
-                ]
-                .into_iter()
-                .chain(multi_points.iter().map(|point| {
-                    (
-                        format!("streams_{}", point.streams),
-                        JsonValue::object([
-                            (
-                                "aggregate_tokens_per_s",
-                                JsonValue::from(point.aggregate_tokens_per_s),
-                            ),
-                            ("rows_per_batch", JsonValue::from(point.rows_per_batch)),
-                            ("paged_pool_bytes", JsonValue::from(point.paged_pool_bytes)),
-                            (
-                                "dense_equivalent_bytes",
-                                JsonValue::from(point.dense_equivalent_bytes),
-                            ),
-                        ]),
-                    )
-                })),
-            ),
-        ),
-        (
-            "robustness",
-            JsonValue::object([
-                ("overload_factor", JsonValue::from(ROBUSTNESS_OVERLOAD)),
-                (
-                    "pool_sized_for_streams",
-                    JsonValue::from(ROBUSTNESS_POOL_STREAMS),
-                ),
-                ("seed", JsonValue::from(ROBUSTNESS_SEED)),
-                ("offered", JsonValue::from(robustness.offered)),
-                ("admitted", JsonValue::from(robustness.admitted)),
-                ("queued", JsonValue::from(robustness.queued)),
-                ("shed", JsonValue::from(robustness.shed)),
-                ("shed_rate", JsonValue::from(robustness.shed_rate())),
-                ("preemptions", JsonValue::from(robustness.preemptions)),
-                ("resumes", JsonValue::from(robustness.resumes)),
-                (
-                    "resume_reprefill_rows",
-                    JsonValue::from(robustness.resume_reprefill_rows),
-                ),
-                ("completed", JsonValue::from(robustness.completed)),
-                ("drill_ticks", JsonValue::from(robustness.drill_ticks)),
-                (
-                    "pool_exhausted_retries",
-                    JsonValue::from(robustness.pool_exhausted_retries),
-                ),
-                (
-                    "injected_exhaustions",
-                    JsonValue::from(robustness.injected_exhaustions),
-                ),
-            ]),
-        ),
-        (
-            "continuous_batching",
-            JsonValue::object([
-                ("resident_streams", JsonValue::from(CONTINUOUS_WIDTH)),
-                ("prefill_chunk_rows", JsonValue::from(CONTINUOUS_CHUNK)),
-                ("joins", JsonValue::from(CONTINUOUS_JOINS)),
-                (
-                    "join_prompt_tokens",
-                    JsonValue::from(CONTINUOUS_JOIN_PROMPT),
-                ),
-                ("prefix_tokens", JsonValue::from(CONTINUOUS_PREFIX_TOKENS)),
-                (
-                    "chunked_tick_occupancy_rows",
-                    JsonValue::from(continuous.chunked_occupancy_rows),
-                ),
-                (
-                    "unchunked_tick_occupancy_rows",
-                    JsonValue::from(continuous.unchunked_occupancy_rows),
-                ),
-                (
-                    "chunked_max_tick_rows",
-                    JsonValue::from(continuous.chunked_max_tick_rows),
-                ),
-                (
-                    "unchunked_max_tick_rows",
-                    JsonValue::from(continuous.unchunked_max_tick_rows),
-                ),
-                (
-                    "join_latency_p50_us",
-                    JsonValue::from(continuous.join_latency_p50_us),
-                ),
-                (
-                    "join_latency_p99_us",
-                    JsonValue::from(continuous.join_latency_p99_us),
-                ),
-                (
-                    "join_first_token_ticks",
-                    JsonValue::from(continuous.join_first_token_ticks),
-                ),
-                (
-                    "resident_token_delay_ticks",
-                    JsonValue::from(continuous.max_resident_token_delay_ticks),
-                ),
-                (
-                    "shared_prefix_pool_bytes",
-                    JsonValue::from(continuous.shared_pool_bytes),
-                ),
-                (
-                    "unshared_prefix_pool_bytes",
-                    JsonValue::from(continuous.unshared_pool_bytes),
-                ),
-            ]),
-        ),
-        (
-            "observability",
-            JsonValue::object([
-                ("export_ns", JsonValue::from(observability.export_ns)),
-                (
-                    "event_append_ns",
-                    JsonValue::from(observability.event_append_ns),
-                ),
-                (
-                    "counter_add_ns",
-                    JsonValue::from(observability.counter_add_ns),
-                ),
-                (
-                    "histogram_record_ns",
-                    JsonValue::from(observability.histogram_record_ns),
-                ),
-                (
-                    "disabled_check_ns",
-                    JsonValue::from(observability.disabled_check_ns),
-                ),
-                ("checks_per_token", JsonValue::from(OBS_CHECKS_PER_TOKEN)),
-                (
-                    "disabled_overhead_pct",
-                    JsonValue::from(observability.disabled_overhead_pct),
-                ),
-                ("disabled_tokens_per_s", JsonValue::from(widest_disabled)),
-                (
-                    "enabled_tokens_per_s",
-                    JsonValue::from(observability.enabled_tokens_per_s),
-                ),
-            ]),
-        ),
-        (
-            "routing",
-            JsonValue::object([
-                ("groups", JsonValue::from(ROUTING_GROUPS)),
-                ("streams", JsonValue::from(ROUTING_STREAMS)),
-                ("ticks", JsonValue::from(ROUTING_TICKS)),
-                (
-                    "multi_group_tokens_per_s",
-                    JsonValue::from(routing.multi_group_tokens_per_s),
-                ),
-                (
-                    "single_group_tokens_per_s",
-                    JsonValue::from(routing.single_group_tokens_per_s),
-                ),
-                (
-                    "affinity_hit_rate",
-                    JsonValue::from(routing.affinity_hit_rate),
-                ),
-                (
-                    "least_loaded_hit_rate",
-                    JsonValue::from(routing.least_loaded_hit_rate),
-                ),
-                (
-                    "chaos_drained_streams",
-                    JsonValue::from(routing.chaos_drained_streams),
-                ),
-                (
-                    "migration_reprefill_rows",
-                    JsonValue::from(routing.migration_reprefill_rows),
-                ),
-            ]),
-        ),
-        (
-            "matmul",
-            JsonValue::object([
-                ("blocked_gflops", JsonValue::from(gflops(&matmul))),
-                (
-                    "transposed_blocked_gflops",
-                    JsonValue::from(gflops(&matmul_t)),
-                ),
-                ("n", JsonValue::from(n)),
-                (
-                    "decode_shape",
-                    JsonValue::object([
-                        ("rows", JsonValue::from(rows)),
-                        ("k", JsonValue::from(inner)),
-                        ("n", JsonValue::from(cols)),
-                        ("row_major_gflops", JsonValue::from(decode_row_major_gflops)),
-                        ("packed_gflops", JsonValue::from(decode_packed_gflops)),
-                        ("packed_speedup", JsonValue::from(packed_speedup)),
-                        (
-                            "cold_packed_gflops",
-                            JsonValue::from(decode_cold_packed_gflops),
-                        ),
-                        ("cold_weights", JsonValue::from(cold_weights.len())),
-                        ("parts", JsonValue::from(decode_parts)),
-                        ("avx2", JsonValue::from(avx2)),
-                    ]),
-                ),
-            ]),
-        ),
-        ("host_threads", JsonValue::from(host_threads)),
-    ]);
-    let rendered = to_json(&report);
-    std::fs::write(&out_path, format!("{rendered}\n")).expect("write BENCH_norm.json");
-    println!("wrote {out_path}");
+    let report = obj! {
+        "benchmark" => "normalization_batched_engine",
+        "workload" => obj! { "rows" => ROWS, "cols" => COLS, "kind" => "LayerNorm" },
+        "normalization" => normalization,
+        "backends" => backends,
+        "fusion" => fusion,
+        "haan_paths" => haan_paths,
+        "invsqrt" => invsqrt,
+        "calibration" => calibration,
+        "decode" => decode,
+        "multi_stream_decode" => multi_stream,
+        "robustness" => robustness,
+        "continuous_batching" => continuous_batching,
+        "observability" => observability,
+        "routing" => routing,
+        "matmul" => matmul,
+        "host_threads" => host_threads,
+    };
+    let rendered = report.render_pretty();
+    println!("{rendered}");
+    writeln!(out_file, "{rendered}").unwrap_or_else(|err| panic!("write {out_path}: {err}"));
+    eprintln!("wrote {out_path}");
 
-    let fused_speedup = scalar.ns_per_element() / fused.ns_per_element();
+    let at = |path: &str| number(&report, path);
+    let fused_speedup = at("normalization.fused_batched.speedup_vs_scalar");
     assert!(
-        fused_speedup >= 1.0,
-        "fused path regressed below the scalar oracle ({fused_speedup:.2}x)"
+        fused_speedup >= 2.0,
+        "the fused path must beat the scalar oracle by >= 2x on {COLS}-wide rows, \
+         got {fused_speedup:.2}x"
     );
+    let fusion = |key: &str| at(&format!("fusion.residual_norm.{key}"));
     assert!(
-        fusion_site.speedup_vs_composed() >= 1.2,
-        "fused {} ({:.3} ns/element) must beat the composed path \
+        fusion("speedup_vs_composed") >= 1.2,
+        "fused residual_norm ({:.3} ns/element) must beat the composed path \
          ({:.3} ns/element) by >= 1.2x on {COLS}-wide rows, got {:.2}x",
-        fusion_site.name,
-        fusion_site.fused_ns_per_element,
-        fusion_site.composed_ns_per_element,
-        fusion_site.speedup_vs_composed()
+        fusion("fused_ns_per_element"),
+        fusion("composed_ns_per_element"),
+        fusion("speedup_vs_composed")
     );
     assert!(
-        fusion_site.speedup_vs_same_backend() >= 1.0,
-        "fused {} regressed below its own composed decomposition ({:.2}x)",
-        fusion_site.name,
-        fusion_site.speedup_vs_same_backend()
+        fusion("speedup_vs_same_backend") >= 1.0,
+        "fused residual_norm regressed below its own composed decomposition ({:.2}x)",
+        fusion("speedup_vs_same_backend")
     );
-    let longest = decode_points.last().expect("at least one decode point");
+    let longest = DECODE_SEQS.last().expect("at least one decode point");
+    let cached_speedup = at(&format!(
+        "decode.seq_{longest}.cached_speedup_vs_full_recompute"
+    ));
     assert!(
-        longest.cached_speedup() >= 3.0,
-        "cached decode regressed to {:.2}x of full recompute at seq {}",
-        longest.cached_speedup(),
-        longest.seq
+        cached_speedup >= 3.0,
+        "cached decode regressed to {cached_speedup:.2}x of full recompute at seq {longest}"
     );
-    let widest = multi_points
-        .last()
-        .expect("at least one multi-stream point");
+    let multi = |key: &str| at(&format!("multi_stream_decode.streams_{widest}.{key}"));
     assert!(
-        widest.rows_per_batch > 1.0,
-        "batched multi-stream decode at {} streams put only {:.2} rows per site per tick",
-        widest.streams,
-        widest.rows_per_batch
+        multi("rows_per_batch") > 1.0,
+        "batched multi-stream decode at {widest} streams put only {:.2} rows per site per tick",
+        multi("rows_per_batch")
     );
     assert!(
-        widest.paged_pool_bytes < widest.dense_equivalent_bytes,
+        multi("paged_pool_bytes") < multi("dense_equivalent_bytes"),
         "paged K/V ({} bytes) should undercut dense per-stream caches ({} bytes)",
-        widest.paged_pool_bytes,
-        widest.dense_equivalent_bytes
+        multi("paged_pool_bytes"),
+        multi("dense_equivalent_bytes")
     );
+    let robustness = |key: &str| at(&format!("robustness.{key}"));
     assert_eq!(
-        robustness.admitted, robustness.completed,
+        robustness("admitted"),
+        robustness("completed"),
         "every admitted stream of the overload drill must complete"
     );
     assert!(
-        robustness.shed > 0 && robustness.preemptions > 0 && robustness.resumes > 0,
+        robustness("shed") > 0.0 && robustness("preemptions") > 0.0 && robustness("resumes") > 0.0,
         "a 4x overload drill with no shedding or preemption measured nothing"
     );
+    let continuous = |key: &str| at(&format!("continuous_batching.{key}"));
     // Every stream the drill ever holds feeds one row, plus at most one chunk
     // of a joining prompt; without a bound a join's whole prompt rides a tick.
-    let chunked_row_bound = (CONTINUOUS_WIDTH + CONTINUOUS_JOINS + CONTINUOUS_CHUNK) as u64;
+    let chunked_row_bound = (CONTINUOUS_WIDTH + CONTINUOUS_JOINS + CONTINUOUS_CHUNK) as f64;
     assert!(
-        continuous.chunked_max_tick_rows <= chunked_row_bound,
+        continuous("chunked_max_tick_rows") <= chunked_row_bound,
         "a chunked tick carried {} rows, over the {chunked_row_bound}-row bound of \
          resident streams plus one chunk",
-        continuous.chunked_max_tick_rows
+        continuous("chunked_max_tick_rows")
     );
     assert!(
-        continuous.unchunked_max_tick_rows >= CONTINUOUS_JOIN_PROMPT as u64,
+        continuous("unchunked_max_tick_rows") >= CONTINUOUS_JOIN_PROMPT as f64,
         "an unchunked join should feed its whole {CONTINUOUS_JOIN_PROMPT}-row prompt in \
          one tick, the widest tick carried {}",
-        continuous.unchunked_max_tick_rows
+        continuous("unchunked_max_tick_rows")
     );
     assert_eq!(
-        continuous.max_resident_token_delay_ticks, 0,
+        continuous("resident_token_delay_ticks"),
+        0.0,
         "a joining prompt delayed a resident stream's token past its tick"
     );
     assert!(
-        continuous.shared_pool_bytes < continuous.unshared_pool_bytes,
+        continuous("shared_prefix_pool_bytes") < continuous("unshared_prefix_pool_bytes"),
         "prefix sharing ({} bytes) should undercut per-stream copies ({} bytes)",
-        continuous.shared_pool_bytes,
-        continuous.unshared_pool_bytes
+        continuous("shared_prefix_pool_bytes"),
+        continuous("unshared_prefix_pool_bytes")
     );
+    let disabled_overhead_pct = at("observability.disabled_overhead_pct");
     assert!(
-        observability.disabled_overhead_pct < 1.0,
-        "a disabled obs sink should cost < 1% of a decode token, got {:.4}%",
-        observability.disabled_overhead_pct
+        disabled_overhead_pct < 1.0,
+        "a disabled obs sink should cost < 1% of a decode token, got {disabled_overhead_pct:.4}%"
     );
+    let routing = |key: &str| at(&format!("routing.{key}"));
     // With one hardware thread the concurrent-group comparison measures pure
     // scheduler overhead, not sharding — hold it to a sanity floor there and
     // to the full 10% bar wherever real parallelism exists.
     let routing_floor = if host_threads > 1 { 0.9 } else { 0.5 };
     assert!(
-        routing.multi_group_tokens_per_s >= routing_floor * routing.single_group_tokens_per_s,
-        "sharding over {ROUTING_GROUPS} groups dropped aggregate throughput \
-         below {routing_floor:.1}x of one group ({:.0} vs {:.0} tok/s, {host_threads} host threads)",
-        routing.multi_group_tokens_per_s,
-        routing.single_group_tokens_per_s
+        routing("multi_group_tokens_per_s") >= routing_floor * routing("single_group_tokens_per_s"),
+        "sharding over {ROUTING_GROUPS} groups dropped median aggregate throughput \
+         below {routing_floor:.1}x of one group ({:.0} vs {:.0} tok/s over {ROUTING_ROUNDS} \
+         rounds, {host_threads} host threads)",
+        routing("multi_group_tokens_per_s"),
+        routing("single_group_tokens_per_s")
     );
     assert!(
-        routing.affinity_hit_rate > routing.least_loaded_hit_rate,
+        routing("affinity_hit_rate") > routing("least_loaded_hit_rate"),
         "prefix-affinity placement ({:.2}) should beat least-loaded ({:.2}) \
          on a shared-prefix workload",
-        routing.affinity_hit_rate,
-        routing.least_loaded_hit_rate
+        routing("affinity_hit_rate"),
+        routing("least_loaded_hit_rate")
     );
     assert!(
-        routing.chaos_drained_streams > 0,
+        routing("chaos_drained_streams") > 0.0,
         "the chaos drill drained no streams off the dry group"
     );
+    let decode_shape = |key: &str| at(&format!("matmul.decode_shape.{key}"));
+    let (rows, inner, cols) = DECODE_MATMUL_SHAPE;
     assert!(
-        packed_speedup >= 1.5,
-        "panel-packed weights ({decode_packed_gflops:.2} GFLOP/s) must beat the row-major \
-         kernel ({decode_row_major_gflops:.2} GFLOP/s) by >= 1.5x at \
-         {rows}x{inner}·{inner}x{cols}, got {packed_speedup:.2}x"
+        decode_shape("packed_speedup") >= 1.5,
+        "panel-packed weights ({:.2} GFLOP/s) must beat the row-major kernel \
+         ({:.2} GFLOP/s) by >= 1.5x at {rows}x{inner}·{inner}x{cols}, got {:.2}x",
+        decode_shape("packed_gflops"),
+        decode_shape("row_major_gflops"),
+        decode_shape("packed_speedup")
     );
 }

@@ -1,19 +1,15 @@
 //! Shared reporting helpers for the experiment binaries that regenerate the paper's
 //! tables and figures.
 //!
-//! Every binary prints a human-readable markdown table to stdout (the same rows/series
-//! the paper reports) and can optionally serialise the raw numbers to JSON for
-//! `EXPERIMENTS.md` bookkeeping. JSON is produced by the dependency-free
-//! [`haan_obs::json`] module (the build container has no network access, so no serde).
-//! The `bench_report` binary uses it to emit `BENCH_norm.json`, the machine-readable
-//! perf trajectory of the fused batched normalization engine.
+//! Every figure and table binary prints a human-readable markdown table to stdout (the
+//! same rows/series the paper reports). The `bench_report` binary instead writes and
+//! prints `BENCH_norm.json`, the machine-readable perf trajectory, rendered by the
+//! dependency-free [`haan_obs::json`] module and timed with [`timing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod timing;
-
-use haan_obs::json::JsonValue;
 
 /// A simple markdown table builder.
 #[derive(Debug, Clone, Default)]
@@ -90,13 +86,6 @@ pub fn print_experiment_header(id: &str, description: &str) {
     println!("==========================================================");
 }
 
-/// Serialises an experiment result to pretty JSON (for archival alongside the markdown
-/// output). Thin wrapper over [`JsonValue::render_pretty`].
-#[must_use]
-pub fn to_json(value: &JsonValue) -> String {
-    value.render_pretty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,15 +107,5 @@ mod tests {
         assert_eq!(fmt_acc(0.70162), "0.7016");
         assert_eq!(fmt_ratio(11.6789), "11.68x");
         assert_eq!(fmt_pct(0.145), "14.5%");
-    }
-
-    #[test]
-    fn json_serialisation_round_trips() {
-        let row = JsonValue::object([
-            ("name", JsonValue::from("x")),
-            ("value", JsonValue::from(1.5)),
-        ]);
-        let rendered = to_json(&row);
-        assert!(rendered.contains("\"value\": 1.5"));
     }
 }

@@ -1,8 +1,6 @@
-//! Wall-clock measurement helpers shared by the perf-report binaries.
-//!
-//! The report binaries measure ns/element of the normalization paths and GFLOP/s of
-//! the matmul kernels without criterion (benches keep using the criterion-compatible
-//! harness; binaries need direct numbers they can serialise).
+//! Wall-clock measurement helper of `bench_report`, the workspace's one
+//! micro-benchmark harness: it times ns/element of the normalization paths, GFLOP/s
+//! of the matmul kernels and the other per-call costs it serialises.
 
 use std::time::{Duration, Instant};
 

@@ -24,7 +24,6 @@
 //!   data.
 //! * [`tasks`] — synthetic multiple-choice suites standing in for PIQA, WinoGrande,
 //!   HellaSwag and ARC-easy/challenge.
-//! * [`perplexity`] — perplexity evaluation of a model under a given normalizer.
 //! * [`runtime`] — an analytic GPU runtime-breakdown model reproducing Fig. 1(b).
 //! * [`paging`] — the paged K/V subsystem: a shared [`KvBlockPool`] of fixed-size
 //!   pages, per-stream page tables ([`PagedKvCache`]), and the
@@ -55,7 +54,6 @@ pub mod mlp;
 pub mod model;
 pub mod norm;
 pub mod paging;
-pub mod perplexity;
 pub mod prefix;
 pub mod runtime;
 pub mod streaming;

@@ -248,8 +248,8 @@ impl TransformerModel {
         Ok(total)
     }
 
-    /// Average next-token negative log-likelihood over a token stream (used for
-    /// perplexity).
+    /// Average next-token negative log-likelihood over a token stream (the log
+    /// of its perplexity).
     ///
     /// # Errors
     ///

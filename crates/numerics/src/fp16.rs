@@ -20,7 +20,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fp16(u16);
 
-const EXP_BITS: u32 = 5;
 const MAN_BITS: u32 = 10;
 const EXP_BIAS: i32 = 15;
 
@@ -164,24 +163,6 @@ impl Fp16 {
             (self.0 >> MAN_BITS) & 0x1F,
             self.0 & 0x03FF,
         )
-    }
-
-    /// Number of exponent bits in the format.
-    #[must_use]
-    pub fn exponent_bits() -> u32 {
-        EXP_BITS
-    }
-
-    /// Number of mantissa bits in the format.
-    #[must_use]
-    pub fn mantissa_bits() -> u32 {
-        MAN_BITS
-    }
-
-    /// The exponent bias of the format.
-    #[must_use]
-    pub fn exponent_bias() -> i32 {
-        EXP_BIAS
     }
 }
 

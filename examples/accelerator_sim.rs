@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The simulator as an execution backend: attach it to a normalizer with the same
     // algorithm and plan, then run the anchor layer 85 and the skipped layer 86 over a
     // small batch of token vectors. Keeping the `Arc` lets us read its cycle counter.
-    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
     let mut normalizer = HaanNormalizer::new(algorithm)
         .with_plan(plan)
         .with_external_backend(backend.clone());

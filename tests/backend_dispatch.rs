@@ -147,7 +147,7 @@ fn accel_sim_backend_tracks_the_oracle_within_hardware_tolerance() {
         (2, 256, None),
         (1, 256, Some(64)),
     ];
-    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
     for kind in [NormKind::LayerNorm, NormKind::RmsNorm] {
         for (rows, cols, n_sub) in inputs {
             let input = varied_matrix(rows, cols, 1.0);
@@ -185,7 +185,7 @@ fn accel_sim_backend_tracks_the_oracle_within_hardware_tolerance() {
 fn an_attached_backend_runs_both_entry_points_over_the_configured_one() {
     // The attached backend takes precedence over `HaanConfig::backend`, here the
     // scalar oracle, on the plain and the fused residual+norm entry point alike.
-    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+    let backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
     let config = HaanConfig::builder()
         .label("attached accel-sim")
         .backend(BackendSelection::Scalar)

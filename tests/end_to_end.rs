@@ -155,8 +155,9 @@ fn accelerator_and_software_normalizer_agree_functionally() {
         .subsample(64)
         .format(Format::Fp16)
         .build();
-    let mut accel = HaanNormalizer::new(algorithm.clone())
-        .with_external_backend(Arc::new(AccelSimBackend::new(AccelConfig::haan_v1())));
+    let mut accel = HaanNormalizer::new(algorithm.clone()).with_external_backend(Arc::new(
+        AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"),
+    ));
     let mut software = HaanNormalizer::new(algorithm);
 
     let z: Vec<f32> = (0..256)

@@ -445,8 +445,10 @@ fn quantized_skip_anchor_sites_round_trip_anchor_state_bit_identically() {
 
 #[test]
 fn accel_sim_fusion_sites_report_cycles_and_match_their_composed_path() {
-    let fused_backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
-    let composed_backend = Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()));
+    let fused_backend =
+        Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
+    let composed_backend =
+        Arc::new(AccelSimBackend::new(AccelConfig::haan_v1()).expect("valid config"));
     let (rows, cols) = (3, 96);
     let input = varied_matrix(rows, cols, 1.0);
     let residual = offset_matrix(rows, cols, 1.0);
