@@ -597,11 +597,13 @@ fn routing_serve_config(model: &TransformerModel, streams_per_group: usize) -> S
     }
 }
 
-/// Aggregate tok/s of `ROUTING_STREAMS` streams spread over `groups` groups,
-/// every group ticking on its own thread — the sharding payoff the router
-/// exists to unlock (one group runs all its streams on one thread; N groups
-/// tick on N threads).
-fn run_routing_throughput(model: &TransformerModel, groups: usize) -> f64 {
+/// Aggregate tok/s of `ROUTING_STREAMS` streams spread over `groups` groups
+/// ticked by `Router::step_all_concurrent`, and the threads it spawned per
+/// timed tick. One group ticks all its streams on the calling thread; N
+/// groups of 16 streams are each above the router's work gate, so the fleet
+/// splits into `min(N, host threads)` group ranges and spawns one thread per
+/// range after the first — the sharding payoff the router exists to unlock.
+fn run_routing_throughput(model: &TransformerModel, groups: usize) -> (f64, f64) {
     let vocab = model.config().vocab_size as u32;
     let mut router = Router::with_uniform_groups(
         model,
@@ -622,12 +624,17 @@ fn run_routing_throughput(model: &TransformerModel, groups: usize) -> f64 {
     }
     // Untimed prefill tick, then timed concurrent lockstep ticks.
     router.step_all_concurrent().expect("prefill tick");
+    let threads_before = router.stats().tick_threads;
     let started = std::time::Instant::now();
     for _ in 0..ROUTING_TICKS {
         router.step_all_concurrent().expect("fleet tick");
     }
     let elapsed = started.elapsed().as_secs_f64();
-    (ROUTING_STREAMS * ROUTING_TICKS) as f64 / elapsed
+    let threads = router.stats().tick_threads - threads_before;
+    (
+        (ROUTING_STREAMS * ROUTING_TICKS) as f64 / elapsed,
+        threads as f64 / ROUTING_TICKS as f64,
+    )
 }
 
 /// Prefix-attach hit rate of the cohort workload under `placement`: 8 cohorts
@@ -731,21 +738,35 @@ fn median(mut samples: Vec<f64>) -> f64 {
 
 /// The routing tier: does sharding 64 streams over 4 concurrently-ticked groups
 /// hold aggregate throughput (4 × 16 streams vs the single-tenant 1 × 64, the
-/// median of `ROUTING_ROUNDS` alternating rounds each), does prefix-affinity
-/// placement beat least-loaded on shared-prefix traffic, and does a chaos drain
-/// off a dry group stay bit-identical (asserted inside the drill).
+/// median of `ROUTING_ROUNDS` alternating rounds each, with the threads each
+/// side spawned per tick), does prefix-affinity placement beat least-loaded on
+/// shared-prefix traffic, and does a chaos drain off a dry group stay
+/// bit-identical (asserted inside the drill).
 fn routing_block(model: &TransformerModel) -> JsonValue {
     let mut multi = Vec::with_capacity(ROUTING_ROUNDS);
     let mut single = Vec::with_capacity(ROUTING_ROUNDS);
+    // Threads per tick depend only on the fleet shape and the host, so every
+    // round reports the same count.
+    let (mut multi_threads, mut single_threads) = (0.0, 0.0);
     for round in 0..ROUTING_ROUNDS {
         // Even rounds measure the sharded fleet first, odd rounds the single
         // group, so a drift in host load or clock falls on both sides.
+        let mut run_multi = || {
+            let (tok_s, threads) = run_routing_throughput(model, ROUTING_GROUPS);
+            multi.push(tok_s);
+            multi_threads = threads;
+        };
+        let mut run_single = || {
+            let (tok_s, threads) = run_routing_throughput(model, 1);
+            single.push(tok_s);
+            single_threads = threads;
+        };
         if round % 2 == 0 {
-            multi.push(run_routing_throughput(model, ROUTING_GROUPS));
-            single.push(run_routing_throughput(model, 1));
+            run_multi();
+            run_single();
         } else {
-            single.push(run_routing_throughput(model, 1));
-            multi.push(run_routing_throughput(model, ROUTING_GROUPS));
+            run_single();
+            run_multi();
         }
     }
     let (drained, reprefill_rows) = run_routing_chaos(model);
@@ -756,6 +777,8 @@ fn routing_block(model: &TransformerModel) -> JsonValue {
         "rounds" => ROUTING_ROUNDS,
         "multi_group_tokens_per_s" => median(multi),
         "single_group_tokens_per_s" => median(single),
+        "multi_group_tick_threads" => multi_threads,
+        "single_group_tick_threads" => single_threads,
         "affinity_hit_rate" => run_routing_placement(model, PlacementPolicy::PrefixAffinity),
         "least_loaded_hit_rate" => run_routing_placement(model, PlacementPolicy::LeastLoaded),
         "chaos_drained_streams" => drained,
@@ -1246,7 +1269,7 @@ fn main() {
     let matmul = matmul_block();
     // Hardware threads of this host: recorded in the JSON and read by the routing
     // floor below.
-    let host_threads = std::thread::available_parallelism().map_or(2, usize::from);
+    let host_threads = haan_llm::host_threads();
     let report = obj! {
         "benchmark" => "normalization_batched_engine",
         "workload" => obj! { "rows" => ROWS, "cols" => COLS, "kind" => "LayerNorm" },

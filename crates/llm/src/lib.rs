@@ -69,4 +69,4 @@ pub use norm::Normalizer;
 pub use paging::{AllocFaultHook, EvictionPolicy, KvBlockPool, PagedKvCache};
 pub use prefix::{prefix_fingerprint, PrefixStore, PrefixStoreStats};
 pub use streaming::StreamingModel;
-pub use tensor::Matrix;
+pub use tensor::{host_threads, Matrix};

@@ -248,32 +248,6 @@ impl TransformerModel {
         Ok(total)
     }
 
-    /// Average next-token negative log-likelihood over a token stream (the log
-    /// of its perplexity).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid token sequences.
-    pub fn average_nll<N: Normalizer + ?Sized>(
-        &self,
-        tokens: &[u32],
-        normalizer: &mut N,
-    ) -> Result<f64, LlmError> {
-        if tokens.len() < 2 {
-            return Err(LlmError::InvalidSequenceLength {
-                length: tokens.len(),
-                max: self.config.max_seq_len,
-            });
-        }
-        let logits = self.logits(tokens, normalizer)?;
-        let mut total = 0.0f64;
-        for pos in 0..tokens.len() - 1 {
-            let log_probs = log_softmax(logits.row(pos));
-            total -= f64::from(log_probs[tokens[pos + 1] as usize]);
-        }
-        Ok(total / (tokens.len() - 1) as f64)
-    }
-
     /// Total multiply-accumulate count of one forward pass, used by the analytic GPU
     /// runtime model.
     #[must_use]
@@ -1081,20 +1055,6 @@ mod tests {
             .unwrap();
         assert!(score_best > score_worst);
         assert!(model.score_continuation(&prompt, &[], &mut norm).is_err());
-    }
-
-    #[test]
-    fn average_nll_is_positive_and_finite() {
-        let model = tiny_model();
-        let tokens = [5u32, 10, 15, 20, 25, 30];
-        let nll = model
-            .average_nll(&tokens, &mut ReferenceNormalizer::new())
-            .unwrap();
-        assert!(nll.is_finite());
-        assert!(nll > 0.0);
-        assert!(model
-            .average_nll(&[1], &mut ReferenceNormalizer::new())
-            .is_err());
     }
 
     #[test]

@@ -724,8 +724,11 @@ impl Matrix {
 }
 
 /// The host's hardware threads, read once: `available_parallelism` reads
-/// cgroup files, too slow to query on every product.
-fn host_threads() -> usize {
+/// cgroup files, too slow to query on every product or tick. Every spawn
+/// site sizes its split by this count: [`Matrix::matmul_into`]'s panel ranges
+/// and the router's concurrent fleet tick.
+#[must_use]
+pub fn host_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }

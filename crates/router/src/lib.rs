@@ -30,10 +30,15 @@
 //!   most pressured group to the slackest one while the move can actually
 //!   seat them); [`Router::drain_group`] evacuates every live stream of a
 //!   failing group — the chaos-drill primitive.
+//! * **Fleet ticks** — [`Router::step_all`] ticks every group on the calling
+//!   thread; [`Router::step_all_concurrent`] moves groups onto other cores
+//!   only when their tick work (active streams × model parameters) passes
+//!   [`TICK_THREAD_MIN_WORK`], the caller always ticking the first range of
+//!   groups itself.
 //! * **Observability** — with a sink installed on the member engines the
 //!   router emits `router.*` counters (`router.placed`,
 //!   `router.prefix_hits`, `router.prefix_misses`, `router.auto_interned`,
-//!   `router.migrations`), the `router.groups` gauge, and `place` / `migrate`
+//!   `router.migrations`, `router.tick_threads`), the `router.groups` gauge, and `place` / `migrate`
 //!   flight-recorder events keyed by the stream's fleet-unique correlation ID
 //!   (each member engine gets a disjoint ID base, and a migrated stream keeps
 //!   its ID across groups — one lifecycle, end to end).
@@ -41,10 +46,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use haan_llm::{prefix_fingerprint, KvBlockPool, KvPrefix, LlmError, TransformerModel};
+use haan_llm::{
+    host_threads, prefix_fingerprint, KvBlockPool, KvPrefix, LlmError, TransformerModel,
+};
 use haan_obs::{EventKind, ObsEvent, ObsSink};
 use haan_serve::{DecodeGroup, GroupStats, ServeConfig, ServeEngine, ServeError, StreamStatus};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How [`Router::place`] chooses a group for a new prompt.
@@ -109,6 +117,10 @@ pub struct RouterStats {
     /// Streams moved between groups ([`Router::migrate`], including
     /// [`Router::rebalance`] and [`Router::drain_group`]).
     pub migrations: u64,
+    /// Threads [`Router::step_all_concurrent`] spawned, summed over its
+    /// ticks: `parts − 1` per tick split into `parts` ranges, 0 for a tick
+    /// the caller ran inline.
+    pub tick_threads: u64,
 }
 
 impl RouterStats {
@@ -149,6 +161,52 @@ pub struct RouterTick {
     /// the fleet did — a dry pool in one group never stalls the others.
     /// Feed these to [`Router::drain_group`] to evacuate.
     pub exhausted_groups: Vec<usize>,
+}
+
+/// Smallest per-group tick work, in active streams × model parameters, for
+/// which [`Router::step_all_concurrent`] ticks a group off the calling
+/// thread. Measured on a 2-core AVX2 host with 2-group fleets of the E=64
+/// serving model (98,816 parameters) under the default [`ServeConfig`]: a
+/// second thread ticks a fleet 1.7–2.6× slower than the caller alone at 1
+/// decoding stream per group, breaks even at 3–5 streams, and takes 0.7–0.8× of
+/// the inline time at 8 and 0.67× at 16. The probe is noisy (one run still
+/// lost at 8), so the gate sits at 8 streams of that model: `serve_mixed`-
+/// shaped fleets (a few live streams per group) never spawn, while the
+/// 16-stream groups of `bench_report`'s routing fleet do.
+pub const TICK_THREAD_MIN_WORK: usize = 8 * 98_816;
+
+/// The contiguous group ranges one [`Router::step_all_concurrent`] tick runs
+/// in parallel, given each group's active streams and the model's parameter
+/// count. A group is heavy when `active × params` reaches
+/// [`TICK_THREAD_MIN_WORK`]; the tick runs `parts = min(heavy groups, host
+/// threads)` ranges. With `parts ≤ 1` it is one range over the whole fleet.
+/// Otherwise range `i` starts at the heavy group of rank `i · heavy / parts`,
+/// so every range holds an equal share of the heavy groups (±1) and a light
+/// group rides in the range of the heavy group before it (the first range
+/// when none is). `threads` is asked only when at least two groups are heavy.
+fn tick_ranges(
+    active: &[usize],
+    params: usize,
+    threads: impl FnOnce() -> usize,
+) -> Vec<Range<usize>> {
+    let heavy: Vec<usize> = (0..active.len())
+        .filter(|&g| active[g].saturating_mul(params) >= TICK_THREAD_MIN_WORK)
+        .collect();
+    let parts = if heavy.len() > 1 {
+        heavy.len().min(threads())
+    } else {
+        1
+    };
+    let start = |i: usize| {
+        if i == 0 {
+            0
+        } else if i == parts {
+            active.len()
+        } else {
+            heavy[i * heavy.len() / parts]
+        }
+    };
+    (0..parts).map(|i| start(i)..start(i + 1)).collect()
 }
 
 /// A recurring-prefix candidate under observation.
@@ -801,9 +859,24 @@ impl<'m> Router<'m> {
         Self::collect_tick(results, &lens)
     }
 
-    /// [`Router::step_all`] with every group ticking on its own thread —
-    /// groups share nothing (separate engines, pools, normalizers), so this is
-    /// the fleet's real parallel speedup and changes no tokens.
+    /// [`Router::step_all`] with the fleet's heavy groups split across the
+    /// host's cores. A group is heavy when its tick's work (active streams ×
+    /// [`ModelConfig::parameter_count`](haan_llm::ModelConfig::parameter_count))
+    /// reaches [`TICK_THREAD_MIN_WORK`]; below that a thread spawn costs more
+    /// than the tick it would take off the caller. Active streams are read in
+    /// O(1) as [`GroupStats::joins`] − [`GroupStats::leaves`]; a count over
+    /// every slot ([`DecodeGroup::ready_streams`]) grows with the sessions a
+    /// group has served (about 0.9 µs per group at 1,500 slots, cache-hot,
+    /// where a light E=64 tick is about 50 µs). Queued streams activate
+    /// during the tick and count from the next one, so the tick that starts
+    /// a burst runs inline. The groups are cut into `min(heavy groups, host
+    /// threads)` contiguous ranges: the calling thread ticks the first range
+    /// and each other range ticks on one scoped thread, so a fleet with at
+    /// most one heavy group ticks entirely inline, exactly as
+    /// [`Router::step_all`] does. Groups share
+    /// nothing (separate engines, pools, normalizers), so the split changes
+    /// no tokens and no [`Router::fleet_stats`]. [`RouterStats::tick_threads`]
+    /// (and the `router.tick_threads` counter) counts the threads spawned.
     ///
     /// # Errors
     ///
@@ -814,17 +887,40 @@ impl<'m> Router<'m> {
     /// Panics if a group's tick thread panics.
     pub fn step_all_concurrent(&mut self) -> Result<RouterTick, LlmError> {
         let lens: Vec<usize> = self.groups.iter().map(|g| g.group.len()).collect();
-        let results: Vec<Result<Vec<Option<u32>>, LlmError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .groups
-                .iter_mut()
-                .map(|g| scope.spawn(move || g.group.step_all()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("group tick thread panicked"))
-                .collect()
+        let active: Vec<usize> = self
+            .groups
+            .iter()
+            .map(|g| {
+                let stats = g.group.stats();
+                stats.joins.saturating_sub(stats.leaves) as usize
+            })
+            .collect();
+        let ranges = tick_ranges(&active, self.model.config().parameter_count(), host_threads);
+        let spawned = ranges.len() - 1;
+        let tick = |groups: &mut [RouterGroup<'m>]| -> Vec<Result<Vec<Option<u32>>, LlmError>> {
+            groups.iter_mut().map(|g| g.group.step_all()).collect()
+        };
+        let mut rest = self.groups.as_mut_slice();
+        let mut chunks = ranges.iter().map(|range| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            rest = tail;
+            chunk
         });
+        let first = chunks.next().expect("a tick has at least one range");
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .map(|groups| scope.spawn(move || tick(groups)))
+                .collect();
+            let mut results = tick(first);
+            for handle in handles {
+                results.extend(handle.join().expect("group tick thread panicked"));
+            }
+            results
+        });
+        if spawned > 0 {
+            self.stats.tick_threads += spawned as u64;
+            self.count("router.tick_threads", spawned as u64);
+        }
         Self::collect_tick(results, &lens)
     }
 
@@ -989,27 +1085,145 @@ mod tests {
         );
     }
 
+    /// The E=64 serving model of the `serve_mixed` benchmark.
+    fn serving_model() -> TransformerModel {
+        let config = ModelConfig {
+            name: "decode-bench".to_string(),
+            family: haan_llm::ModelFamily::Gpt2,
+            num_blocks: 2,
+            embedding_dim: 64,
+            num_heads: 4,
+            mlp_dim: 128,
+            vocab_size: 128,
+            max_seq_len: 256,
+            final_norm: true,
+            paper_embedding_dim: 64,
+        };
+        TransformerModel::new(&config, 42).unwrap()
+    }
+
+    /// Ticks two identical fleets, `streams[g]` streams on group `g`, five
+    /// times: one through `step_all`, one through `step_all_concurrent`.
+    /// Every tick's tokens and fleet stats must match. The concurrent fleet
+    /// must tick its first tick inline (every stream is still queued, so no
+    /// group is active yet) and spawn `threads_per_tick` threads on each
+    /// later tick.
+    fn assert_concurrent_matches_sequential(
+        model: &TransformerModel,
+        serve: &ServeConfig,
+        streams: &[usize],
+        threads_per_tick: u64,
+    ) {
+        let build = || {
+            let mut router = Router::with_uniform_groups(
+                model,
+                streams.len(),
+                serve,
+                RouterConfig {
+                    placement: PlacementPolicy::LeastLoaded,
+                    auto_prefix_min_count: 0,
+                    ..RouterConfig::default()
+                },
+            )
+            .unwrap();
+            let vocab = model.config().vocab_size as u32;
+            // Least-loaded placement round-robins an idle fleet: fill every
+            // group to the widest count, then cancel each group's surplus.
+            let widest = streams.iter().copied().max().unwrap_or(0);
+            let ids: Vec<SessionId> = (0..(widest * streams.len()) as u32)
+                .map(|i| {
+                    let prompt = [(i % 7) + 1, (i * 3) % vocab, (i * 5 + 2) % vocab];
+                    router.place(&prompt).unwrap()
+                })
+                .collect();
+            let mut kept = vec![0; streams.len()];
+            for id in ids {
+                let group = router.location(id).0;
+                kept[group] += 1;
+                if kept[group] > streams[group] {
+                    assert!(router.cancel(id));
+                }
+            }
+            assert_eq!(kept, vec![widest; streams.len()]);
+            router
+        };
+        let (mut seq, mut conc) = (build(), build());
+        for tick in 1..=5u64 {
+            let a = seq.step_all().unwrap();
+            let b = conc.step_all_concurrent().unwrap();
+            assert_eq!(a.tokens, b.tokens, "tick {tick}");
+            assert_eq!(a.exhausted_groups, b.exhausted_groups, "tick {tick}");
+            assert_eq!(seq.fleet_stats().groups, conc.fleet_stats().groups);
+            assert_eq!(seq.fleet_stats().totals, conc.fleet_stats().totals);
+            assert_eq!(conc.stats().tick_threads, (tick - 1) * threads_per_tick);
+            // The gate's O(1) active count is the number of active slots.
+            for g in 0..streams.len() {
+                let group = conc.group(g);
+                let active = (0..group.len())
+                    .filter(|&i| group.status(i) == StreamStatus::Active)
+                    .count() as u64;
+                assert_eq!(group.stats().joins - group.stats().leaves, active);
+            }
+        }
+        assert_eq!(seq.stats().tick_threads, 0, "step_all never spawns");
+    }
+
     #[test]
     fn concurrent_ticks_match_sequential_ticks() {
-        let model = model();
-        let build = || {
-            Router::with_uniform_groups(&model, 3, &serve_config(256), RouterConfig::default())
-                .unwrap()
+        // Tiny groups sit far below the gate: every tick runs inline.
+        assert_concurrent_matches_sequential(&model(), &serve_config(256), &[2, 2, 2], 0);
+        let model = serving_model();
+        // A `serve_mixed`-shaped fleet (2 groups, 1–4 streams) never spawns.
+        let serve = ServeConfig {
+            kv_pool: KvPoolPolicy {
+                page_rows: 16,
+                capacity_rows: 1024,
+            },
+            ..ServeConfig::default()
         };
-        let prompts: Vec<Vec<u32>> = (0..6)
-            .map(|i| vec![(i % 7) + 1, ((i * 3) % 7) + 1, ((i * 5) % 7) + 1])
-            .collect();
-        let mut seq = build();
-        let mut conc = build();
-        let seq_ids: Vec<_> = prompts.iter().map(|p| seq.place(p).unwrap()).collect();
-        let conc_ids: Vec<_> = prompts.iter().map(|p| conc.place(p).unwrap()).collect();
-        for _ in 0..5 {
-            seq.step_all().unwrap();
-            conc.step_all_concurrent().unwrap();
+        for streams in [[1, 0], [1, 1], [4, 2], [4, 4]] {
+            assert_concurrent_matches_sequential(&model, &serve, &streams, 0);
         }
-        for (a, b) in seq_ids.iter().zip(&conc_ids) {
-            assert_eq!(seq.tokens(*a), conc.tokens(*b));
-        }
+        // Three groups above the gate split into `min(3, host threads)`
+        // ranges; a light fourth group rides along without a thread.
+        let heavy = TICK_THREAD_MIN_WORK.div_ceil(model.config().parameter_count());
+        let parts = 3.min(host_threads()) as u64;
+        assert_concurrent_matches_sequential(
+            &model,
+            &serve,
+            &[heavy, 1, heavy, heavy + 2],
+            parts - 1,
+        );
+    }
+
+    #[test]
+    fn tick_ranges_split_only_heavy_groups() {
+        let params = 98_816;
+        let h = TICK_THREAD_MIN_WORK.div_ceil(params); // active streams of a heavy group
+        assert!((h - 1) * params < TICK_THREAD_MIN_WORK && h * params >= TICK_THREAD_MIN_WORK);
+        let never = || -> usize { panic!("the thread count is read only for two heavy groups") };
+        // All idle, one heavy group, or only light ones: one inline range.
+        assert_eq!(tick_ranges(&[0, 0, 0], params, never), vec![0..3]);
+        assert_eq!(tick_ranges(&[], params, never), vec![0..0]);
+        assert_eq!(tick_ranges(&[1, h, h - 1], params, never), vec![0..3]);
+        // Heavy and light groups mixed: each range starts at a heavy group,
+        // a light group rides with the range before it.
+        assert_eq!(tick_ranges(&[h, 1, h, 0], params, || 2), vec![0..2, 2..4]);
+        assert_eq!(tick_ranges(&[1, h, 1, h], params, || 2), vec![0..3, 3..4]);
+        assert_eq!(tick_ranges(&[h, h, 0, 0], params, || 8), vec![0..1, 1..4]);
+        // More heavy groups than threads: equal shares of heavy groups.
+        assert_eq!(tick_ranges(&[h, h, h, h], params, || 2), vec![0..2, 2..4]);
+        assert_eq!(
+            tick_ranges(&[h, h, h, h], params, || 3),
+            vec![0..1, 1..2, 2..4]
+        );
+        // One host thread: everything inline.
+        assert_eq!(tick_ranges(&[h, h, h], params, || 1), vec![0..3]);
+        // Stream counts that overflow the work product still count as heavy.
+        assert_eq!(
+            tick_ranges(&[usize::MAX, usize::MAX], params, || 2),
+            vec![0..1, 1..2]
+        );
     }
 
     #[test]

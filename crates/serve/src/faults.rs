@@ -23,7 +23,7 @@ use std::sync::Mutex;
 /// A source of injected faults, threaded through the engine's pool allocation.
 ///
 /// The hook defaults to "no fault". Implementations must be `Send + Sync`
-/// (router groups tick on their own threads) and should be deterministic per
+/// (busy router groups tick on separate threads) and should be deterministic per
 /// seed if drills built on them are to reproduce.
 pub trait FaultInjector: std::fmt::Debug + Send + Sync {
     /// Consulted before every pool page allocation with the requested page
