@@ -7,7 +7,8 @@
 //! Fused}` and the attached accelerator simulator) through the same
 //! `normalize_matrix_into` entry point, plus the fused residual+norm site against
 //! its composed decomposition, plus the HAAN paths against the exact kernel at the
-//! LLaMA-7B and GPT-2 site shapes, the fast inverse square root and the offline
+//! LLaMA-7B and GPT-2 site shapes, the fast inverse square root, the MLP
+//! activations against the libm formulas they replaced and the offline
 //! calibration scan, plus KV-cached, multi-stream, overload, continuous-batching,
 //! observability and routing numbers of the `haan_serve` decode groups, plus matmul
 //! GFLOP/s of the cache-blocked kernels and of the register-tiled kernel over
@@ -166,6 +167,10 @@ fn backends_block(input: &Matrix) -> JsonValue {
 /// matrices spill past cache, so the fused residual site is measured against
 /// the memory pass it removes rather than L1-resident arithmetic.
 const FUSION_ROWS: usize = 1024;
+/// Rounds of the fusion block. Each round times all three paths, starting at a
+/// different one, and every figure is the median over the rounds, so a burst
+/// of host noise during one timing cannot decide a gate.
+const FUSION_ROUNDS: usize = 9;
 
 /// The residual+norm fusion site measured three ways through
 /// `normalize_residual_into` on an exact-statistics config (the fused residual
@@ -173,7 +178,9 @@ const FUSION_ROWS: usize = 1024;
 /// request shape, the scalar composition (separate add → norm — the parity
 /// oracle and the pre-fusion operation order), and the composed decomposition
 /// on the same fused backend (the normalizer wrapped in [`Composed`]), which
-/// isolates the pure fusion gain from the backend's kernel quality.
+/// isolates the pure fusion gain from the backend's kernel quality. Each
+/// ns/element is the median of `FUSION_ROUNDS` alternating rounds, and each
+/// speedup the ratio of two medians.
 fn fusion_block() -> JsonValue {
     let fusion_matrix = |rows: usize, cols: usize, salt: u64, scale: f32| {
         let data: Vec<f32> = (0..rows * cols)
@@ -214,12 +221,23 @@ fn fusion_block() -> JsonValue {
         residual_m.nanos_per_iter / (FUSION_ROWS * COLS) as f64
     };
 
-    let fused = measure(&mut haan(BackendSelection::Fused));
-    let composed = measure(&mut Composed(haan(BackendSelection::Scalar)));
-    let same_backend_composed = measure(&mut Composed(haan(BackendSelection::Fused)));
+    let mut paths: [Box<dyn Normalizer>; 3] = [
+        Box::new(haan(BackendSelection::Fused)),
+        Box::new(Composed(haan(BackendSelection::Scalar))),
+        Box::new(Composed(haan(BackendSelection::Fused))),
+    ];
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    let count = paths.len();
+    for round in 0..FUSION_ROUNDS {
+        for path in (0..count).map(|i| (i + round) % count) {
+            samples[path].push(measure(paths[path].as_mut()));
+        }
+    }
+    let [fused, composed, same_backend_composed] = samples.map(median);
     obj! {
         "rows" => FUSION_ROWS,
         "cols" => COLS,
+        "rounds" => FUSION_ROUNDS,
         "residual_norm" => obj! {
             "fused_ns_per_element" => fused,
             "composed_ns_per_element" => composed,
@@ -304,6 +322,85 @@ fn invsqrt_block() -> JsonValue {
     let exact = obj! { "ns_per_element" => ns(&m), "iterations" => m.iterations };
     block.push(("exact".to_string(), exact));
     JsonValue::object(block)
+}
+
+/// (rows, cols) of the activation block: decode_gpt2's 8 streams through its
+/// 3072-wide MLP hidden layer, small enough to stay cache-hot.
+const ACTIVATION_SHAPE: (usize, usize) = (8, 3072);
+/// Alternating rounds of the activation block (libm first in even rounds).
+const ACTIVATION_ROUNDS: usize = 9;
+
+/// GELU as the model computed it on the host libm's `tanhf`, before the
+/// crate-local math: the activation block's comparison.
+fn libm_gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+/// SiLU as the model computed it on the host libm's `expf`.
+fn libm_silu(x: f32) -> f32 {
+    x / (1.0 + (-x).exp())
+}
+
+/// `{median, min, max, n}` of per-round samples.
+fn spread_json(samples: Vec<f64>) -> JsonValue {
+    let n = samples.len();
+    let (min, max) = samples
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+    obj! { "median" => median(samples), "min" => min, "max" => max, "n" => n }
+}
+
+/// The MLP activations over an `ACTIVATION_SHAPE` input in [-2, 2): ns/element
+/// of the crate kernels (`haan_llm::tensor::{gelu, silu}` on the crate-local
+/// `exp`/`tanh`) against the libm formulas they replaced, each a median over
+/// `ACTIVATION_ROUNDS` alternating rounds, and `speedup_vs_libm` as the ratio
+/// of the two medians.
+fn activations_block() -> JsonValue {
+    // Generic, not a fn pointer, so each activation inlines into its loop as
+    // it does in the model.
+    fn time_map(input: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) -> f64 {
+        let m = measure_default(|| {
+            for (o, &x) in out.iter_mut().zip(black_box(input)) {
+                *o = f(x);
+            }
+            black_box(out[0])
+        });
+        m.nanos_per_iter / input.len() as f64
+    }
+    fn compare(
+        input: &[f32],
+        libm: impl Fn(f32) -> f32 + Copy,
+        kernel: impl Fn(f32) -> f32 + Copy,
+    ) -> JsonValue {
+        let mut out = vec![0.0f32; input.len()];
+        let (mut libm_ns, mut kernel_ns) = (Vec::new(), Vec::new());
+        for round in 0..ACTIVATION_ROUNDS {
+            if round % 2 == 0 {
+                libm_ns.push(time_map(input, &mut out, libm));
+                kernel_ns.push(time_map(input, &mut out, kernel));
+            } else {
+                kernel_ns.push(time_map(input, &mut out, kernel));
+                libm_ns.push(time_map(input, &mut out, libm));
+            }
+        }
+        let speedup = median(libm_ns.clone()) / median(kernel_ns.clone());
+        obj! {
+            "libm_ns_per_element" => spread_json(libm_ns),
+            "crate_ns_per_element" => spread_json(kernel_ns),
+            "speedup_vs_libm" => speedup,
+        }
+    }
+    let (rows, cols) = ACTIVATION_SHAPE;
+    let input = pattern_matrix(rows, cols);
+    let input = input.as_slice();
+    obj! {
+        "rows" => rows,
+        "cols" => cols,
+        "gelu" => compare(input, libm_gelu, haan_llm::tensor::gelu),
+        "silu" => compare(input, libm_silu, haan_llm::tensor::silu),
+    }
 }
 
 /// Calibration profiles per model, as in the paper's offline step.
@@ -1253,6 +1350,7 @@ fn main() {
     let fusion = fusion_block();
     let haan_paths = haan_paths_block();
     let invsqrt = invsqrt_block();
+    let activations = activations_block();
     let calibration = calibration_block();
     let decode_model = decode_bench_model();
     let decode = decode_block(&decode_model);
@@ -1278,6 +1376,7 @@ fn main() {
         "fusion" => fusion,
         "haan_paths" => haan_paths,
         "invsqrt" => invsqrt,
+        "activations" => activations,
         "calibration" => calibration,
         "decode" => decode,
         "multi_stream_decode" => multi_stream,
@@ -1311,8 +1410,17 @@ fn main() {
     );
     assert!(
         fusion("speedup_vs_same_backend") >= 1.0,
-        "fused residual_norm regressed below its own composed decomposition ({:.2}x)",
+        "fused residual_norm regressed below its own composed decomposition ({:.2}x, \
+         medians of {FUSION_ROUNDS} rounds)",
         fusion("speedup_vs_same_backend")
+    );
+    let gelu_speedup = at("activations.gelu.speedup_vs_libm");
+    assert!(
+        gelu_speedup >= 5.0,
+        "the crate-local GELU ({:.2} ns/element) must beat the libm formula \
+         ({:.2} ns/element) by >= 5x, got {gelu_speedup:.2}x",
+        at("activations.gelu.crate_ns_per_element.median"),
+        at("activations.gelu.libm_ns_per_element.median"),
     );
     let longest = DECODE_SEQS.last().expect("at least one decode point");
     let cached_speedup = at(&format!(

@@ -7,6 +7,9 @@
 //!
 //! * [`tensor`] — a minimal row-major matrix type with the handful of operations a
 //!   decoder-only transformer needs (matmul, softmax, GeLU).
+//! * `math` (crate-private) — the f32 `exp` and `tanh` behind GeLU, SiLU and
+//!   the softmax: branch-free, so their element loops vectorize, and
+//!   independent of the host libm.
 //! * [`norm`] — the [`Normalizer`] trait plus [`norm::ReferenceNormalizer`], the
 //!   exact LayerNorm/RMSNorm that applies each site's own kind. The HAAN normalizer in the `haan` crate plugs into the
 //!   same trait, so a model can be evaluated with either; [`norm::Composed`]
@@ -50,6 +53,7 @@ pub mod config;
 pub mod dataset;
 pub mod error;
 pub mod init;
+mod math;
 pub mod mlp;
 pub mod model;
 pub mod norm;

@@ -87,45 +87,6 @@ impl FeedForward {
             .chain(std::iter::once(&self.w_out))
     }
 
-    /// Completes the MLP from already-projected hidden (and, when gated, gate)
-    /// activations — the back half a norm+matmul site enters after producing
-    /// `input·w_in` (and `input·w_gate`). Bit-identical to [`FeedForward::forward`] given the
-    /// same projections: the activation and down-projection are shared.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LlmError::ShapeMismatch`] when the hidden width differs from
-    /// the configured MLP width, or gatedness disagrees with `gate`'s presence
-    /// or shape.
-    pub fn forward_from_hidden(
-        &self,
-        mut hidden: Matrix,
-        gate: Option<Matrix>,
-    ) -> Result<Matrix, LlmError> {
-        if hidden.cols() != self.mlp_dim || self.is_gated() != gate.is_some() {
-            return Err(LlmError::ShapeMismatch {
-                op: "mlp forward_from_hidden",
-                lhs: hidden.shape(),
-                rhs: (self.mlp_dim, self.embedding_dim),
-            });
-        }
-        match gate {
-            None => hidden.map_in_place(gelu),
-            Some(mut gate) => {
-                if gate.shape() != hidden.shape() {
-                    return Err(LlmError::ShapeMismatch {
-                        op: "mlp forward_from_hidden (gate)",
-                        lhs: hidden.shape(),
-                        rhs: gate.shape(),
-                    });
-                }
-                gate.map_in_place(silu);
-                hidden.mul_assign(&gate)?;
-            }
-        }
-        hidden.matmul(&self.w_out)
-    }
-
     /// Runs the MLP over a `seq × E` input.
     ///
     /// # Errors

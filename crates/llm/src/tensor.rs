@@ -5,6 +5,7 @@
 //! simulation reproducible and easy to audit.
 
 use crate::error::LlmError;
+use crate::math;
 use std::sync::OnceLock;
 
 /// Width, in columns, of one panel of the packed layout (see
@@ -693,7 +694,8 @@ impl Matrix {
     /// uses a nonzero offset so freshly appended query rows score causally against
     /// the whole cache. The reduction order (max, exponentiate, sum, divide, in
     /// ascending column order) is shared with the zero-offset path, keeping the two
-    /// bit-identical on the positions they both compute.
+    /// bit-identical on the positions they both compute. The exponentials run in a
+    /// loop of their own, which vectorizes; the sum follows in ascending order.
     pub fn causal_softmax_rows_offset(&mut self, offset: usize) {
         for i in 0..self.rows {
             let cols = self.cols;
@@ -702,11 +704,10 @@ impl Matrix {
             let max = row[..limit]
                 .iter()
                 .fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-            let mut sum = 0.0f32;
             for v in row[..limit].iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
+                *v = math::exp(*v - max);
             }
+            let sum = row[..limit].iter().fold(0.0f32, |acc, &v| acc + v);
             for v in row[..limit].iter_mut() {
                 *v /= sum;
             }
@@ -890,17 +891,21 @@ pub fn log_softmax(logits: &[f32]) -> Vec<f32> {
     logits.iter().map(|&v| v - max - log_sum).collect()
 }
 
-/// The exact GeLU activation (`x · Φ(x)` with the tanh approximation used by GPT-2).
+/// The GeLU activation (`x · Φ(x)` with the tanh approximation used by GPT-2),
+/// on the crate-local `tanh` (no libm call, so the element loop vectorizes).
+#[inline]
 #[must_use]
 pub fn gelu(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + math::tanh(SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)))
 }
 
-/// The SiLU (swish) activation used in LLaMA-style MLPs.
+/// The SiLU (swish) activation used in LLaMA-style MLPs, on the crate-local
+/// `exp`.
+#[inline]
 #[must_use]
 pub fn silu(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + math::exp(-x))
 }
 
 #[cfg(test)]
@@ -1388,6 +1393,27 @@ mod tests {
         assert!(gelu(-5.0).abs() < 1e-2);
         assert!(silu(0.0).abs() < 1e-7);
         assert!((silu(5.0) - 4.966).abs() < 1e-2);
+    }
+
+    #[test]
+    fn activations_match_an_f64_reference() {
+        let gelu_f64 = |x: f64| {
+            let u = (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044_715 * x * x * x);
+            0.5 * x * (1.0 + u.tanh())
+        };
+        let silu_f64 = |x: f64| x / (1.0 + (-x).exp());
+        // A dense sweep of [-20, 20], 1e-5 apart.
+        for x in (0..=4_000_000).map(|i| -20.0 + i as f32 * 1e-5) {
+            let bound = 1e-6 * f64::from(x.abs()).max(1.0);
+            let wide = f64::from(x);
+            let gelu_err = (f64::from(gelu(x)) - gelu_f64(wide)).abs();
+            assert!(gelu_err <= bound, "gelu({x}) is {gelu_err} off");
+            let silu_err = (f64::from(silu(x)) - silu_f64(wide)).abs();
+            assert!(silu_err <= bound, "silu({x}) is {silu_err} off");
+        }
+        assert!(gelu(f32::NAN).is_nan() && silu(f32::NAN).is_nan());
+        assert_eq!(gelu(f32::INFINITY), f32::INFINITY);
+        assert_eq!(silu(f32::INFINITY), f32::INFINITY);
     }
 
     #[test]
