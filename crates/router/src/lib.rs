@@ -29,7 +29,15 @@
 //!   [`Router::rebalance`] automates the policy (move queued streams from the
 //!   most pressured group to the slackest one while the move can actually
 //!   seat them); [`Router::drain_group`] evacuates every live stream of a
-//!   failing group — the chaos-drill primitive.
+//!   failing group — the chaos-drill primitive. A migration retires its
+//!   source tombstone, so the source group reuses the slot.
+//! * **Recycling** — [`Router::retire`] hands a finished, cancelled or shed
+//!   session back: it returns the tokens and frees both the group slot and
+//!   the router's session record for reuse. [`SessionId`]s carry a
+//!   generation, so a retired id reads as [`StreamStatus::Retired`] (or is
+//!   refused with [`ServeError::Retired`]) and never reaches the session
+//!   that reuses its slot. A fleet whose caller retires every session it is
+//!   done with holds state for the sessions in flight only.
 //! * **Fleet ticks** — [`Router::step_all`] ticks every group on the calling
 //!   thread; [`Router::step_all_concurrent`] moves groups onto other cores
 //!   only when their tick work (active streams × model parameters) passes
@@ -51,7 +59,7 @@ use haan_llm::{
 };
 use haan_obs::{EventKind, ObsEvent, ObsSink};
 use haan_serve::{DecodeGroup, GroupStats, ServeConfig, ServeEngine, ServeError, StreamStatus};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -98,9 +106,19 @@ impl Default for RouterConfig {
 
 /// Opaque handle to a routed session, returned by [`Router::place`]. Stays
 /// valid across migrations — the router tracks where the stream currently
-/// lives.
+/// lives — until [`Router::retire`] hands the session back. The handle
+/// carries its record's generation, so a retired handle never addresses the
+/// session that reuses its record or its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(usize);
+pub struct SessionId {
+    index: usize,
+    generation: u64,
+    corr: u64,
+}
+
+/// What [`Router::location`] returns for a retired [`SessionId`]: an index
+/// no group or slot has.
+pub const RETIRED_LOCATION: (usize, usize) = (usize::MAX, usize::MAX);
 
 /// Router-level counters (the same numbers the `router.*` metrics export).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -295,10 +313,19 @@ struct InternedPrefix {
 }
 
 /// Where a routed session currently lives.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Placement {
     group: usize,
     slot: usize,
+}
+
+/// One session record: reused after [`Router::retire`], with the generation
+/// bumped so the retired [`SessionId`] stops matching.
+#[derive(Debug)]
+struct SessionRecord {
+    generation: u64,
+    /// `None` while the record is free.
+    placement: Option<Placement>,
 }
 
 /// One member of the fleet: an engine, its (initially empty) decode group,
@@ -317,7 +344,9 @@ struct RouterGroup<'m> {
 pub struct Router<'m> {
     model: &'m TransformerModel,
     groups: Vec<RouterGroup<'m>>,
-    sessions: Vec<Placement>,
+    sessions: Vec<SessionRecord>,
+    /// Records freed by [`Router::retire`], reused lowest first.
+    free_sessions: BTreeSet<usize>,
     interned: HashMap<u64, InternedPrefix>,
     index: PrefixIndex,
     placement: PlacementPolicy,
@@ -368,6 +397,7 @@ impl<'m> Router<'m> {
             model,
             groups,
             sessions: Vec::new(),
+            free_sessions: BTreeSet::new(),
             interned: HashMap::new(),
             index: PrefixIndex::new(
                 config.auto_prefix_min_count,
@@ -455,62 +485,54 @@ impl<'m> Router<'m> {
         FleetStats { groups, totals }
     }
 
-    /// Where session `id` currently lives: `(group, slot)`. Migration changes
-    /// this; the [`SessionId`] itself never does.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
-    #[must_use]
-    pub fn location(&self, id: SessionId) -> (usize, usize) {
-        let p = self.sessions[id.0];
-        (p.group, p.slot)
+    /// Where session `id` currently lives, or `None` once it is retired.
+    fn placement(&self, id: SessionId) -> Option<Placement> {
+        self.sessions
+            .get(id.index)
+            .filter(|record| record.generation == id.generation)
+            .and_then(|record| record.placement)
     }
 
-    /// Session `id`'s lifecycle status at its current group.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// Where session `id` currently lives: `(group, slot)`. Migration changes
+    /// this; the [`SessionId`] itself never does. A retired id returns
+    /// [`RETIRED_LOCATION`].
+    #[must_use]
+    pub fn location(&self, id: SessionId) -> (usize, usize) {
+        self.placement(id)
+            .map_or(RETIRED_LOCATION, |p| (p.group, p.slot))
+    }
+
+    /// Session `id`'s lifecycle status at its current group
+    /// ([`StreamStatus::Retired`] once retired).
     #[must_use]
     pub fn status(&self, id: SessionId) -> StreamStatus {
-        let p = self.sessions[id.0];
-        self.groups[p.group].group.status(p.slot)
+        self.placement(id).map_or(StreamStatus::Retired, |p| {
+            self.groups[p.group].group.status(p.slot)
+        })
     }
 
     /// Session `id`'s full token buffer (prompt followed by generated
-    /// tokens), wherever it currently lives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// tokens), wherever it currently lives; empty once retired.
     #[must_use]
     pub fn tokens(&self, id: SessionId) -> &[u32] {
-        let p = self.sessions[id.0];
-        self.groups[p.group].group.tokens(p.slot)
+        self.placement(id)
+            .map_or(&[], |p| self.groups[p.group].group.tokens(p.slot))
     }
 
-    /// Session `id`'s generated tokens (excluding the prompt).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// Session `id`'s generated tokens (excluding the prompt); empty once
+    /// retired.
     #[must_use]
     pub fn generated(&self, id: SessionId) -> &[u32] {
-        let p = self.sessions[id.0];
-        self.groups[p.group].group.generated(p.slot)
+        self.placement(id)
+            .map_or(&[], |p| self.groups[p.group].group.generated(p.slot))
     }
 
     /// Session `id`'s fleet-unique correlation ID (constant across
-    /// migrations).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// migrations, and still the key of its flight-recorder events after it
+    /// is retired).
     #[must_use]
     pub fn correlation_id(&self, id: SessionId) -> u64 {
-        let p = self.sessions[id.0];
-        self.groups[p.group].group.correlation_id(p.slot)
+        id.corr
     }
 
     /// The group with the most free pool pages (ties: fewer live streams,
@@ -640,35 +662,72 @@ impl<'m> Router<'m> {
                 group: chosen as u64,
             },
         );
-        self.sessions.push(Placement {
+        let placement = Some(Placement {
             group: chosen,
             slot,
         });
-        Ok(SessionId(self.sessions.len() - 1))
+        let index = match self.free_sessions.pop_first() {
+            Some(index) => {
+                self.sessions[index].placement = placement;
+                index
+            }
+            None => {
+                self.sessions.push(SessionRecord {
+                    generation: 0,
+                    placement,
+                });
+                self.sessions.len() - 1
+            }
+        };
+        Ok(SessionId {
+            index,
+            generation: self.sessions[index].generation,
+            corr,
+        })
     }
 
     /// Forcibly parks session `id` at its current group
     /// ([`DecodeGroup::preempt`]); it re-queues there and resumes
-    /// automatically. Returns `false` for streams that are not active.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// automatically. Returns `false` for streams that are not active and
+    /// for retired sessions.
     pub fn preempt(&mut self, id: SessionId) -> bool {
-        let p = self.sessions[id.0];
-        self.groups[p.group].group.preempt(p.slot)
+        self.placement(id)
+            .is_some_and(|p| self.groups[p.group].group.preempt(p.slot))
     }
 
     /// Cancels session `id` at its current group ([`DecodeGroup::cancel`]):
     /// pages freed, token history kept, never decodes again. Returns `false`
-    /// for streams already finished, shed, or cancelled.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// for streams already finished, shed, or cancelled, and for retired
+    /// sessions.
     pub fn cancel(&mut self, id: SessionId) -> bool {
-        let p = self.sessions[id.0];
-        self.groups[p.group].group.cancel(p.slot)
+        self.placement(id)
+            .is_some_and(|p| self.groups[p.group].group.cancel(p.slot))
+    }
+
+    /// Hands session `id` back ([`DecodeGroup::retire`]): returns its full
+    /// token buffer, frees its slot for the group's next stream and its
+    /// record for the router's next session. From then on `id` reads as
+    /// retired everywhere: [`StreamStatus::Retired`], empty tokens,
+    /// [`RETIRED_LOCATION`], `false` from [`Router::cancel`] and
+    /// [`Router::preempt`], [`ServeError::Retired`] from [`Router::migrate`]
+    /// and from a second `retire`. Its correlation ID stays readable.
+    ///
+    /// A session that is never retired keeps its slot and its transcript for
+    /// as long as the router lives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Retired`] for a retired session and
+    /// [`ServeError::InvalidRequest`] for a queued or active one (cancel it
+    /// first).
+    pub fn retire(&mut self, id: SessionId) -> Result<Vec<u32>, ServeError> {
+        let p = self.placement(id).ok_or(ServeError::Retired)?;
+        let tokens = self.groups[p.group].group.retire(p.slot)?;
+        let record = &mut self.sessions[id.index];
+        record.placement = None;
+        record.generation += 1;
+        self.free_sessions.insert(id.index);
+        Ok(tokens)
     }
 
     /// Moves session `id` to `to_group` over the park/resume seam: the stream
@@ -676,19 +735,17 @@ impl<'m> Router<'m> {
     /// destination, and transparently resumes on the destination's next tick
     /// — bit-identical to never having moved. The destination pays the
     /// resume re-prefill (visible in its
-    /// [`GroupStats::resume_reprefill_rows`]).
+    /// [`GroupStats::resume_reprefill_rows`]). The source slot's tombstone is
+    /// retired at once, so the source group reuses the slot.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] when `to_group` is out of
-    /// bounds or the session's group, or when the stream is not live (only
-    /// queued or active streams migrate).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was not issued by this router.
+    /// Returns [`ServeError::Retired`] for a retired session, and
+    /// [`ServeError::InvalidRequest`] when `to_group` is out of bounds or the
+    /// session's group, or when the stream is not live (only queued or
+    /// active streams migrate).
     pub fn migrate(&mut self, id: SessionId, to_group: usize) -> Result<(), ServeError> {
-        let from = self.sessions[id.0];
+        let from = self.placement(id).ok_or(ServeError::Retired)?;
         if to_group >= self.groups.len() {
             return Err(ServeError::InvalidRequest(format!(
                 "destination group {to_group} does not exist"
@@ -702,10 +759,11 @@ impl<'m> Router<'m> {
         let migrated = self.groups[from.group].group.extract_stream(from.slot)?;
         let corr = migrated.correlation_id();
         let slot = self.groups[to_group].group.adopt_stream(migrated)?;
-        self.sessions[id.0] = Placement {
+        self.groups[from.group].group.retire(from.slot)?;
+        self.sessions[id.index].placement = Some(Placement {
             group: to_group,
             slot,
-        };
+        });
         self.stats.migrations += 1;
         self.count("router.migrations", 1);
         self.emit(
@@ -722,10 +780,23 @@ impl<'m> Router<'m> {
     /// The session currently at `(group, slot)`, if the router placed one
     /// there.
     fn session_at(&self, group: usize, slot: usize) -> Option<SessionId> {
+        let here = Some(Placement { group, slot });
         self.sessions
             .iter()
-            .position(|p| p.group == group && p.slot == slot)
-            .map(SessionId)
+            .position(|record| record.placement == here)
+            .map(|index| self.session_id(index))
+    }
+
+    /// The current handle of the placed session in record `index`.
+    fn session_id(&self, index: usize) -> SessionId {
+        let p = self.sessions[index]
+            .placement
+            .expect("only placed records have a handle");
+        SessionId {
+            index,
+            generation: self.sessions[index].generation,
+            corr: self.groups[p.group].group.correlation_id(p.slot),
+        }
     }
 
     /// One rebalancing sweep: while some group has queued streams and
@@ -805,14 +876,16 @@ impl<'m> Router<'m> {
             .sessions
             .iter()
             .enumerate()
-            .filter(|(_, p)| {
-                p.group == from
-                    && matches!(
-                        self.groups[p.group].group.status(p.slot),
-                        StreamStatus::Queued | StreamStatus::Active
-                    )
+            .filter(|(_, record)| {
+                record.placement.is_some_and(|p| {
+                    p.group == from
+                        && matches!(
+                            self.groups[p.group].group.status(p.slot),
+                            StreamStatus::Queued | StreamStatus::Active
+                        )
+                })
             })
-            .map(|(i, _)| SessionId(i))
+            .map(|(index, _)| self.session_id(index))
             .collect();
         let mut moved = 0;
         for id in victims {
@@ -1083,6 +1156,69 @@ mod tests {
             fleet.totals.resumes, 1,
             "one transparent resume at the destination"
         );
+    }
+
+    #[test]
+    fn retired_sessions_are_refused_everywhere() {
+        let model = model();
+        let mut router = Router::with_uniform_groups(
+            &model,
+            2,
+            &serve_config(256),
+            RouterConfig {
+                placement: PlacementPolicy::LeastLoaded,
+                auto_prefix_min_count: 0,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let old = router.place(&[2, 9, 4]).unwrap();
+        router.decode(2).unwrap();
+        assert!(matches!(
+            router.retire(old),
+            Err(ServeError::InvalidRequest(_))
+        ));
+        assert_eq!(
+            router.status(old),
+            StreamStatus::Active,
+            "refusal changes nothing"
+        );
+        assert!(router.cancel(old));
+        let corr = router.correlation_id(old);
+        let (group, slot) = router.location(old);
+        let tokens = router.tokens(old).to_vec();
+        assert_eq!(router.retire(old).unwrap(), tokens);
+        // An idle fleet places on the lowest group: the next session reuses
+        // both the retired record and the retired slot.
+        let prompt = [1u32, 7, 3, 5];
+        let new = router.place(&prompt).unwrap();
+        assert_eq!(router.location(new), (group, slot), "the slot is reused");
+        assert_ne!(new, old);
+        router.decode(1).unwrap();
+        let before = router.tokens(new).to_vec();
+        // Every entry point refuses the retired id and leaves `new` alone.
+        assert_eq!(router.status(old), StreamStatus::Retired);
+        assert!(router.tokens(old).is_empty());
+        assert!(router.generated(old).is_empty());
+        assert_eq!(router.location(old), RETIRED_LOCATION);
+        assert_eq!(router.correlation_id(old), corr);
+        assert!(!router.cancel(old));
+        assert!(!router.preempt(old));
+        assert_eq!(router.migrate(old, 1 - group), Err(ServeError::Retired));
+        assert_eq!(router.retire(old), Err(ServeError::Retired));
+        assert_eq!(router.status(new), StreamStatus::Active);
+        assert_eq!(router.tokens(new), before.as_slice());
+        assert_ne!(router.correlation_id(new), corr);
+        // A migration retires the tombstone it leaves: the slot is reused.
+        router.migrate(new, 1 - group).unwrap();
+        assert_eq!(router.group(group).status(slot), StreamStatus::Retired);
+        let third = router.place(&[5, 5]).unwrap();
+        assert_eq!(router.location(third), (group, slot));
+        router.decode(3).unwrap();
+        let mut oracle = StreamingModel::new_full_recompute(&model, &prompt).unwrap();
+        let expected = oracle.decode(4, &mut ReferenceNormalizer::new()).unwrap();
+        assert_eq!(router.generated(new), expected.as_slice());
+        assert_eq!(router.status(old), StreamStatus::Retired);
     }
 
     /// The E=64 serving model of the `serve_mixed` benchmark.

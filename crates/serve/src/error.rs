@@ -15,6 +15,10 @@ pub enum ServeError {
         /// Suggested client backoff before re-offering, microseconds.
         retry_after_us: u64,
     },
+    /// The stream was handed back through `retire`: its slot (or session
+    /// record) may already serve another stream, so the handle addresses
+    /// nothing.
+    Retired,
 }
 
 impl fmt::Display for ServeError {
@@ -25,6 +29,7 @@ impl fmt::Display for ServeError {
                 f,
                 "stream shed by admission control; retry after ~{retry_after_us} us"
             ),
+            ServeError::Retired => write!(f, "stream already retired"),
         }
     }
 }

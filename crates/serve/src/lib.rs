@@ -20,7 +20,8 @@
 //!   [`BackendSelection`](haan::BackendSelection) backend and the fused
 //!   residual+norm site serve traffic unchanged). A single stream is a group of
 //!   one. The group is *continuously batched*: prompts join mid-flight
-//!   ([`DecodeGroup::add_stream`]) and backfill retired slots, long prompts
+//!   ([`DecodeGroup::add_stream`]) and backfill freed capacity (and reuse
+//!   slots handed back through [`DecodeGroup::retire`]), long prompts
 //!   prefill in bounded chunks stacked into the same batched passes as the
 //!   decode rows ([`ServeConfig::prefill_chunk_rows`]), and streams with a
 //!   common prompt prefix share its K/V pages through an interned, refcounted

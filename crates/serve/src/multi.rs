@@ -17,7 +17,7 @@
 //! "Continuous batching"):
 //!
 //! * **Per-tick join/leave** — [`DecodeGroup::add_stream`] offers new prompts
-//!   mid-flight; retired, cancelled, and shed slots free capacity that queued
+//!   mid-flight; finished, cancelled, and shed slots free capacity that queued
 //!   streams backfill on the next tick. [`GroupStats`] counts the churn
 //!   (`joins`/`leaves`) and the per-tick row occupancy (`occupied_rows`).
 //! * **One activation path** — a joining (or resuming) stream's catch-up feed
@@ -30,6 +30,23 @@
 //!   stream to an interned [`KvPrefix`]: the common prompt's whole K/V pages
 //!   are refcounted and mapped by every sharer instead of recomputed and
 //!   duplicated per stream.
+//!
+//! # Slot lifecycle
+//!
+//! A slot is *live* while its stream is queued or active: only then does it
+//! hold a decode context (paged K/V, resident-token history, attention
+//! scratch) and a catch-up backlog. The moment the stream finishes, is
+//! cancelled, shed or migrated, the slot drops that state and keeps only its
+//! record: status, tokens, prompt length and correlation ID. Ticks, admission
+//! counts and preemption walk the live slots only, so their cost follows the
+//! streams in flight, not the sessions the group has served.
+//!
+//! A terminal slot stays readable until the caller hands it back with
+//! [`DecodeGroup::retire`], which returns its tokens and marks it
+//! [`StreamStatus::Retired`]. The next [`DecodeGroup::add_stream`],
+//! [`DecodeGroup::add_stream_with_prefix`] or [`DecodeGroup::adopt_stream`]
+//! reuses the lowest retired slot. Reuse is explicit: a caller that never
+//! retires keeps every transcript and sees slot indices grow as before.
 //!
 //! # Overload behavior
 //!
@@ -67,6 +84,7 @@ use haan::HaanNormalizer;
 use haan_llm::streaming::greedy_argmax;
 use haan_llm::{DecodeContext, EvictionPolicy, KvBlockPool, KvPrefix, LlmError, TransformerModel};
 use haan_obs::EventKind;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,6 +107,16 @@ pub enum StreamStatus {
     /// live state (tokens, status, correlation ID) continues at its new
     /// group's slot.
     Migrated,
+    /// Handed back through [`DecodeGroup::retire`]: the slot holds no tokens
+    /// and the next stream added to the group may reuse it.
+    Retired,
+}
+
+impl StreamStatus {
+    /// Queued and active streams are live: they hold a decode context.
+    fn is_live(self) -> bool {
+        matches!(self, Self::Queued | Self::Active)
+    }
 }
 
 /// Monotone per-group robustness counters, snapshotted by
@@ -172,18 +200,33 @@ impl MigratedStream {
     }
 }
 
-/// One member stream of a [`DecodeGroup`]: its decode context (paged K/V), its
-/// token buffer, and its overload-lifecycle state.
+/// One slot of a [`DecodeGroup`]: the record every slot keeps, plus the live
+/// state only a queued or active stream holds.
 #[derive(Debug)]
 struct GroupStream<'m> {
-    context: DecodeContext<'m>,
-    /// Prompt followed by generated tokens; the unfed suffix is `tokens[fed..]`
-    /// (the whole prompt before the stream first activates, exactly one token
-    /// afterwards).
-    tokens: Vec<u32>,
-    fed: usize,
-    prompt_len: usize,
     status: StreamStatus,
+    /// Prompt followed by generated tokens; the unfed suffix is
+    /// `tokens[live.fed..]`.
+    tokens: Vec<u32>,
+    prompt_len: usize,
+    /// Engine-wide correlation ID: every flight-recorder event of this
+    /// stream's lifecycle carries it (see [`DecodeGroup::correlation_id`]).
+    corr: u64,
+    /// `Some` exactly while the status is live. Every terminal transition
+    /// drops it in [`DecodeGroup::set_status`], and with it the context's
+    /// pages, page lists and attention scratch.
+    live: Option<LiveState<'m>>,
+}
+
+/// What a queued or active stream needs to decode: its decode context (paged
+/// K/V), its feed position and backlog, and its scheduling stamps.
+#[derive(Debug)]
+struct LiveState<'m> {
+    context: DecodeContext<'m>,
+    /// Tokens already fed: the unfed suffix is `tokens[fed..]` (the whole
+    /// prompt before the stream first activates, exactly one token
+    /// afterwards).
+    fed: usize,
     /// The K/V-resident tokens captured when the stream was parked; a resume
     /// re-prefills exactly these plus the unfed suffix. `None` for streams
     /// that have never been parked (their catch-up feed is just `tokens[fed..]`).
@@ -199,18 +242,18 @@ struct GroupStream<'m> {
     last_advanced_tick: u64,
     /// Whether this stream's activation has been reported to admission.
     activated: bool,
-    /// Engine-wide correlation ID: every flight-recorder event of this
-    /// stream's lifecycle carries it (see [`DecodeGroup::correlation_id`]).
-    corr: u64,
 }
 
-impl GroupStream<'_> {
-    /// True when the stream contributes a row to this tick's lockstep pass:
-    /// active with room to grow, or active under a sliding window (which
-    /// evicts instead of stopping).
-    fn is_lockstep_ready(&self) -> bool {
-        matches!(self.status, StreamStatus::Active)
-            && (self.context.remaining_capacity() > 0 || self.is_windowed())
+impl<'m> LiveState<'m> {
+    fn new(context: DecodeContext<'m>, fed: usize) -> Self {
+        Self {
+            context,
+            fed,
+            parked_resident: None,
+            catchup: Vec::new(),
+            last_advanced_tick: 0,
+            activated: false,
+        }
     }
 
     fn is_windowed(&self) -> bool {
@@ -219,16 +262,48 @@ impl GroupStream<'_> {
             EvictionPolicy::SlidingWindow { .. }
         )
     }
+}
 
-    /// Parks the stream: captures its K/V-resident tokens, frees its pages,
-    /// and re-queues it. The unfed token (if any) stays in `tokens` — and a
-    /// mid-catch-up stream keeps its `catchup` backlog — so the resume feed
-    /// reconstructs the exact solo state.
-    fn park(&mut self) {
-        debug_assert!(matches!(self.status, StreamStatus::Active));
-        self.parked_resident = Some(self.context.resident_tokens().to_vec());
-        self.context.reset();
-        self.status = StreamStatus::Queued;
+impl<'m> GroupStream<'m> {
+    fn live(&self) -> &LiveState<'m> {
+        self.live
+            .as_ref()
+            .expect("queued and active streams hold live state")
+    }
+
+    fn live_mut(&mut self) -> &mut LiveState<'m> {
+        self.live
+            .as_mut()
+            .expect("queued and active streams hold live state")
+    }
+
+    /// True when the stream contributes a row to this tick's lockstep pass:
+    /// active with room to grow, or active under a sliding window (which
+    /// evicts instead of stopping).
+    fn is_lockstep_ready(&self) -> bool {
+        matches!(self.status, StreamStatus::Active) && {
+            let live = self.live();
+            live.context.remaining_capacity() > 0 || live.is_windowed()
+        }
+    }
+
+    /// Builds the catch-up feed of a queued stream: the K/V rows it held when
+    /// parked (trimmed to the eviction window when the resume would overflow
+    /// `max_seq_len`, mirroring the eviction a never-parked stream would have
+    /// performed) followed by its unfed tokens.
+    fn resume_feed(&self, max_seq_len: usize) -> Vec<u32> {
+        let live = self.live();
+        let tail = live.catchup.len() + (self.tokens.len() - live.fed);
+        let mut feed = live.parked_resident.clone().unwrap_or_default();
+        if let EvictionPolicy::SlidingWindow { keep_last } = live.context.eviction() {
+            if feed.len() + tail > max_seq_len {
+                let keep = keep_last.min(feed.len());
+                feed.drain(..feed.len() - keep);
+            }
+        }
+        feed.extend_from_slice(&live.catchup);
+        feed.extend_from_slice(&self.tokens[live.fed..]);
+        feed
     }
 }
 
@@ -247,12 +322,13 @@ struct Activation {
 /// normalizer the group owns.
 ///
 /// Created by [`ServeEngine::decode_group`](crate::ServeEngine::decode_group).
-/// Each [`DecodeGroup::step_all`] tick retires streams at capacity, activates
+/// Each [`DecodeGroup::step_all`] tick finishes streams at capacity, activates
 /// queued streams whose pages now fit, then feeds every active stream — one
-/// decode token, or rows of its catch-up backlog — in a single batched pass. Streams that reach the model's maximum
-/// sequence length stop contributing rows — their slots report `None` — and
-/// streams queued, shed, or cancelled report `None` until (unless) they
-/// activate. See the [module docs](self) for the overload lifecycle.
+/// decode token, or rows of its catch-up backlog — in a single batched pass.
+/// Streams that reach the model's maximum sequence length stop contributing
+/// rows — their slots report `None` — and streams queued, shed, or cancelled
+/// report `None` until (unless) they activate. See the [module docs](self)
+/// for the slot and overload lifecycles.
 #[derive(Debug)]
 pub struct DecodeGroup<'m> {
     model: &'m TransformerModel,
@@ -262,6 +338,13 @@ pub struct DecodeGroup<'m> {
     /// every norm site of a tick runs here, in-process.
     normalizer: HaanNormalizer,
     streams: Vec<GroupStream<'m>>,
+    /// Live (queued or active) slots, oldest first: the only slots a tick,
+    /// an admission count or a preemption looks at.
+    live: Vec<usize>,
+    /// Number of queued slots, kept in step by [`DecodeGroup::set_status`].
+    queued: usize,
+    /// Retired slots, handed out again lowest first.
+    free: BTreeSet<usize>,
     pool: Arc<KvBlockPool>,
     admission: Arc<AdmissionController>,
     stats: GroupStats,
@@ -297,15 +380,27 @@ impl<'m> DecodeGroup<'m> {
     ) -> Result<Self, ServeError> {
         let invalid = |err: LlmError| ServeError::InvalidRequest(err.to_string());
         let blocks = model.config().num_blocks;
-        let mut stats = GroupStats::default();
-        let mut streams = Vec::with_capacity(prompts.len());
+        let mut group = Self {
+            model,
+            shared,
+            normalizer,
+            streams: Vec::with_capacity(prompts.len()),
+            live: Vec::with_capacity(prompts.len()),
+            queued: 0,
+            free: BTreeSet::new(),
+            pool: Arc::clone(pool),
+            admission,
+            stats: GroupStats::default(),
+            prefill_chunk_rows,
+        };
         // Pages spoken for by prompts accepted earlier in this construction
         // (they are not resident yet, so the pool cannot see them).
         let mut projected_pages = 0usize;
         let mut queued_here = 0usize;
         for prompt in prompts {
             model.validate_tokens(prompt).map_err(invalid)?;
-            let est = admission.page_estimate(pool, blocks, prompt.len());
+            let est = group.admission.page_estimate(pool, blocks, prompt.len());
+            let shared = &group.shared;
             let corr = shared.next_corr();
             shared.emit(
                 Some(corr),
@@ -313,49 +408,139 @@ impl<'m> DecodeGroup<'m> {
                     est_pages: est as u64,
                 },
             );
-            stats.offered += 1;
-            let status = match admission.offer(pool, est, projected_pages, queued_here) {
+            group.stats.offered += 1;
+            let admitted = match group
+                .admission
+                .offer(pool, est, projected_pages, queued_here)
+            {
                 AdmissionDecision::Admit => {
                     projected_pages += est;
                     shared.emit(Some(corr), EventKind::Admit);
-                    StreamStatus::Queued
+                    true
                 }
                 AdmissionDecision::Queue => {
                     projected_pages += est;
                     queued_here += 1;
-                    stats.queued += 1;
+                    group.stats.queued += 1;
                     shared.emit(Some(corr), EventKind::Queue);
-                    StreamStatus::Queued
+                    true
                 }
                 AdmissionDecision::Shed { retry_after_us } => {
-                    stats.shed += 1;
+                    group.stats.shed += 1;
                     shared.emit(Some(corr), EventKind::Shed { retry_after_us });
-                    StreamStatus::Shed
+                    false
                 }
             };
-            streams.push(GroupStream {
-                context: model.start_decode_in(pool).map_err(invalid)?,
-                tokens: prompt.to_vec(),
-                fed: 0,
-                prompt_len: prompt.len(),
-                status,
-                parked_resident: None,
-                catchup: Vec::new(),
-                last_advanced_tick: 0,
-                activated: false,
-                corr,
-            });
+            let live = if admitted {
+                Some(LiveState::new(
+                    model.start_decode_in(pool).map_err(invalid)?,
+                    0,
+                ))
+            } else {
+                None
+            };
+            group.push_slot(prompt.to_vec(), prompt.len(), corr, live);
         }
-        Ok(Self {
-            model,
-            shared,
-            normalizer,
-            streams,
-            pool: Arc::clone(pool),
-            admission,
-            stats,
-            prefill_chunk_rows,
-        })
+        Ok(group)
+    }
+
+    /// Seats a new stream — queued when it carries live state, shed when it
+    /// does not — in the lowest retired slot, or a new one. Returns the slot.
+    fn push_slot(
+        &mut self,
+        tokens: Vec<u32>,
+        prompt_len: usize,
+        corr: u64,
+        live: Option<LiveState<'m>>,
+    ) -> usize {
+        let status = if live.is_some() {
+            StreamStatus::Queued
+        } else {
+            StreamStatus::Shed
+        };
+        let stream = GroupStream {
+            status,
+            tokens,
+            prompt_len,
+            corr,
+            live,
+        };
+        let index = match self.free.pop_first() {
+            Some(index) => {
+                self.streams[index] = stream;
+                index
+            }
+            None => {
+                self.streams.push(stream);
+                self.streams.len() - 1
+            }
+        };
+        if status.is_live() {
+            self.live.push(index);
+            self.queued += 1;
+        }
+        index
+    }
+
+    /// Moves slot `index` to `status`, keeping the live set and the queued
+    /// count in step. This is the one place a stream leaves the live set:
+    /// a terminal status (finished, cancelled, migrated) drops the slot's
+    /// live state here, returning its pages and freeing its attention
+    /// scratch.
+    fn set_status(&mut self, index: usize, status: StreamStatus) {
+        let stream = &mut self.streams[index];
+        let was = stream.status;
+        stream.status = status;
+        if was == StreamStatus::Queued {
+            self.queued -= 1;
+        }
+        if status == StreamStatus::Queued {
+            self.queued += 1;
+        }
+        if was.is_live() && !status.is_live() {
+            stream.live = None;
+            self.live.retain(|&i| i != index);
+        }
+    }
+
+    /// Hands a terminal slot back: returns its tokens (prompt followed by
+    /// generated tokens; empty for a migrated tombstone) and marks the slot
+    /// [`StreamStatus::Retired`], so the next stream added to or adopted by
+    /// this group may reuse it (lowest retired slot first). Until then the
+    /// slot reads as retired: no tokens, zero capacity, and every mutating
+    /// call refuses it.
+    ///
+    /// Retiring is the caller's decision: a group never reuses a slot on its
+    /// own, so a caller that never retires can read every transcript for as
+    /// long as the group lives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::InvalidRequest`] for a queued or active stream
+    /// (cancel it first) and [`ServeError::Retired`] for a slot already
+    /// retired.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of bounds.
+    pub fn retire(&mut self, index: usize) -> Result<Vec<u32>, ServeError> {
+        match self.streams[index].status {
+            StreamStatus::Queued | StreamStatus::Active => {
+                return Err(ServeError::InvalidRequest(
+                    "only finished, shed, cancelled or migrated streams can retire".to_string(),
+                ));
+            }
+            StreamStatus::Retired => return Err(ServeError::Retired),
+            StreamStatus::Finished
+            | StreamStatus::Shed
+            | StreamStatus::Cancelled
+            | StreamStatus::Migrated => {}
+        }
+        self.set_status(index, StreamStatus::Retired);
+        self.free.insert(index);
+        let stream = &mut self.streams[index];
+        stream.prompt_len = 0;
+        Ok(std::mem::take(&mut stream.tokens))
     }
 
     /// The per-tick catch-up bound inherited from
@@ -372,7 +557,8 @@ impl<'m> DecodeGroup<'m> {
         self.model
     }
 
-    /// Number of member streams (shed slots included).
+    /// Number of slots: live, terminal and retired ones alike. Without
+    /// [`DecodeGroup::retire`] this is the number of streams ever seated.
     #[must_use]
     pub fn len(&self) -> usize {
         self.streams.len()
@@ -391,10 +577,12 @@ impl<'m> DecodeGroup<'m> {
     /// plus queued streams waiting to (re)start.
     #[must_use]
     pub fn ready_streams(&self) -> usize {
-        self.streams
-            .iter()
-            .filter(|s| matches!(s.status, StreamStatus::Queued) || s.is_lockstep_ready())
-            .count()
+        self.queued
+            + self
+                .live
+                .iter()
+                .filter(|&&i| self.streams[i].is_lockstep_ready())
+                .count()
     }
 
     /// Stream `index`'s lifecycle state.
@@ -418,7 +606,8 @@ impl<'m> DecodeGroup<'m> {
     /// events carry in the flight recorder
     /// ([`FlightRecorder::stream_events`](haan_obs::FlightRecorder::stream_events)).
     /// IDs are allocated in stream-creation order per engine, so same-seed
-    /// drills assign them deterministically.
+    /// drills assign them deterministically. A retired slot keeps its last
+    /// stream's ID until it is reused.
     ///
     /// # Panics
     ///
@@ -428,7 +617,8 @@ impl<'m> DecodeGroup<'m> {
         self.streams[index].corr
     }
 
-    /// Stream `index`'s full token buffer: prompt followed by generated tokens.
+    /// Stream `index`'s full token buffer: prompt followed by generated tokens
+    /// (empty for a migrated or retired slot).
     ///
     /// # Panics
     ///
@@ -451,8 +641,7 @@ impl<'m> DecodeGroup<'m> {
 
     /// Stream `index`'s remaining capacity before the model's maximum sequence
     /// length: the live context's room for active streams, the room the
-    /// stream *would* have for queued ones, zero for finished, shed, or
-    /// cancelled slots.
+    /// stream *would* have for queued ones, zero for every other slot.
     ///
     /// # Panics
     ///
@@ -461,10 +650,11 @@ impl<'m> DecodeGroup<'m> {
     pub fn remaining_capacity(&self, index: usize) -> usize {
         let stream = &self.streams[index];
         match stream.status {
-            StreamStatus::Active => stream.context.remaining_capacity(),
+            StreamStatus::Active => stream.live().context.remaining_capacity(),
             StreamStatus::Queued => {
                 // The rows the stream will hold right after its (re)prefill.
                 let resident = stream
+                    .live()
                     .parked_resident
                     .as_ref()
                     .map_or(stream.tokens.len(), Vec::len);
@@ -473,7 +663,8 @@ impl<'m> DecodeGroup<'m> {
             StreamStatus::Finished
             | StreamStatus::Shed
             | StreamStatus::Cancelled
-            | StreamStatus::Migrated => 0,
+            | StreamStatus::Migrated
+            | StreamStatus::Retired => 0,
         }
     }
 
@@ -485,7 +676,7 @@ impl<'m> DecodeGroup<'m> {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] when the stream has already fed
-    /// tokens.
+    /// tokens or is no longer live.
     ///
     /// # Panics
     ///
@@ -495,22 +686,24 @@ impl<'m> DecodeGroup<'m> {
         index: usize,
         eviction: EvictionPolicy,
     ) -> Result<(), ServeError> {
-        let stream = &mut self.streams[index];
-        if stream.fed > 0 {
-            return Err(ServeError::InvalidRequest(
+        match self.streams[index].live.as_mut() {
+            Some(live) if live.fed == 0 => {
+                live.context.set_eviction(eviction);
+                Ok(())
+            }
+            _ => Err(ServeError::InvalidRequest(
                 "eviction policy must be set before the stream's first tick".to_string(),
-            ));
+            )),
         }
-        stream.context.set_eviction(eviction);
-        Ok(())
     }
 
     /// Offers one more prompt to the group **mid-flight**: the new stream is
     /// admitted, queued, or shed against live pool pressure exactly like a
     /// construction-time prompt, and an admitted stream activates on the next
-    /// [`DecodeGroup::step_all`] tick — backfilling capacity freed by retired,
+    /// [`DecodeGroup::step_all`] tick — backfilling capacity freed by finished,
     /// cancelled, or shed slots without restarting the group. Returns the new
-    /// stream's index.
+    /// stream's slot: the lowest [retired](DecodeGroup::retire) one when there
+    /// is one, else a new slot at the end.
     ///
     /// # Errors
     ///
@@ -578,8 +771,8 @@ impl<'m> DecodeGroup<'m> {
 
     /// Shared tail of [`DecodeGroup::add_stream`] /
     /// [`DecodeGroup::add_stream_with_prefix`]: runs the admission offer
-    /// (counting live queued slots) and pushes the slot. A shed prefix stream
-    /// resets its context so refused slots pin no shared pages.
+    /// (counting live queued slots) and seats the slot. A shed stream drops
+    /// its context, so refused slots pin no shared pages.
     fn push_offered(
         &mut self,
         context: DecodeContext<'m>,
@@ -587,11 +780,7 @@ impl<'m> DecodeGroup<'m> {
         fed: usize,
         est: usize,
     ) -> Result<usize, ServeError> {
-        let queued_now = self
-            .streams
-            .iter()
-            .filter(|s| matches!(s.status, StreamStatus::Queued))
-            .count();
+        let queued_now = self.queued;
         let shared = Arc::clone(&self.shared);
         let corr = shared.next_corr();
         shared.emit(
@@ -601,23 +790,23 @@ impl<'m> DecodeGroup<'m> {
             },
         );
         self.stats.offered += 1;
-        let status = match self.admission.offer(&self.pool, est, 0, queued_now) {
+        let admitted = match self.admission.offer(&self.pool, est, 0, queued_now) {
             AdmissionDecision::Admit => {
                 shared.emit(Some(corr), EventKind::Admit);
-                StreamStatus::Queued
+                true
             }
             AdmissionDecision::Queue => {
                 self.stats.queued += 1;
                 shared.emit(Some(corr), EventKind::Queue);
-                StreamStatus::Queued
+                true
             }
             AdmissionDecision::Shed { retry_after_us } => {
                 self.stats.shed += 1;
                 shared.emit(Some(corr), EventKind::Shed { retry_after_us });
-                StreamStatus::Shed
+                false
             }
         };
-        if fed > 0 && !matches!(status, StreamStatus::Shed) {
+        if fed > 0 && admitted {
             shared.emit(
                 Some(corr),
                 EventKind::PrefixAttach {
@@ -626,24 +815,20 @@ impl<'m> DecodeGroup<'m> {
             );
         }
         let prompt_len = tokens.len();
-        let mut stream = GroupStream {
-            context,
-            tokens,
-            fed,
-            prompt_len,
-            status,
-            parked_resident: None,
-            catchup: Vec::new(),
-            last_advanced_tick: 0,
-            activated: false,
-            corr,
-        };
-        if matches!(status, StreamStatus::Shed) {
-            stream.context.reset();
-            stream.fed = 0;
-        }
-        self.streams.push(stream);
-        Ok(self.streams.len() - 1)
+        let live = admitted.then(|| LiveState::new(context, fed));
+        Ok(self.push_slot(tokens, prompt_len, corr, live))
+    }
+
+    /// Parks stream `index`: captures its K/V-resident tokens, frees its
+    /// pages, and re-queues it. The unfed token (if any) stays in `tokens` —
+    /// and a mid-catch-up stream keeps its `catchup` backlog — so the resume
+    /// feed reconstructs the exact solo state.
+    fn park(&mut self, index: usize) {
+        debug_assert!(matches!(self.streams[index].status, StreamStatus::Active));
+        let live = self.streams[index].live_mut();
+        live.parked_resident = Some(live.context.resident_tokens().to_vec());
+        live.context.reset();
+        self.set_status(index, StreamStatus::Queued);
     }
 
     /// Forcibly parks an active stream: frees its pool pages while keeping its
@@ -658,7 +843,7 @@ impl<'m> DecodeGroup<'m> {
         if !self.streams[index].is_lockstep_ready() {
             return false;
         }
-        self.streams[index].park();
+        self.park(index);
         self.shared
             .emit(Some(self.streams[index].corr), EventKind::Preempt);
         self.stats.preemptions += 1;
@@ -668,31 +853,27 @@ impl<'m> DecodeGroup<'m> {
 
     /// Cancels a queued or active stream: frees its pages, keeps its token
     /// history, and marks it [`StreamStatus::Cancelled`] — it never decodes
-    /// again. Returns `false` for streams already finished, shed, or
-    /// cancelled.
+    /// again. Returns `false` for every other slot.
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of bounds.
     pub fn cancel(&mut self, index: usize) -> bool {
-        let stream = &mut self.streams[index];
-        match stream.status {
-            StreamStatus::Queued | StreamStatus::Active => {
-                if matches!(stream.status, StreamStatus::Active) {
+        match self.streams[index].status {
+            status @ (StreamStatus::Queued | StreamStatus::Active) => {
+                if status == StreamStatus::Active {
                     self.stats.leaves += 1;
                 }
-                stream.context.reset();
-                stream.parked_resident = None;
-                stream.catchup.clear();
-                stream.status = StreamStatus::Cancelled;
-                let corr = stream.corr;
-                self.shared.emit(Some(corr), EventKind::Cancel);
+                self.set_status(index, StreamStatus::Cancelled);
+                self.shared
+                    .emit(Some(self.streams[index].corr), EventKind::Cancel);
                 true
             }
             StreamStatus::Finished
             | StreamStatus::Shed
             | StreamStatus::Cancelled
-            | StreamStatus::Migrated => false,
+            | StreamStatus::Migrated
+            | StreamStatus::Retired => false,
         }
     }
 
@@ -712,8 +893,8 @@ impl<'m> DecodeGroup<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] for streams that are finished,
-    /// shed, cancelled, or already migrated — there is nothing live to move.
+    /// Returns [`ServeError::InvalidRequest`] for every slot that is not
+    /// queued or active — there is nothing live to move.
     ///
     /// # Panics
     ///
@@ -721,49 +902,44 @@ impl<'m> DecodeGroup<'m> {
     pub fn extract_stream(&mut self, index: usize) -> Result<MigratedStream, ServeError> {
         match self.streams[index].status {
             StreamStatus::Active => {
-                self.streams[index].park();
+                self.park(index);
                 self.stats.leaves += 1;
             }
             StreamStatus::Queued => {}
             StreamStatus::Finished
             | StreamStatus::Shed
             | StreamStatus::Cancelled
-            | StreamStatus::Migrated => {
+            | StreamStatus::Migrated
+            | StreamStatus::Retired => {
                 return Err(ServeError::InvalidRequest(
                     "only queued or active streams can migrate".to_string(),
                 ));
             }
         }
         let stream = &mut self.streams[index];
-        let eviction = stream.context.eviction();
-        stream.context.reset();
-        let parked_resident = stream.parked_resident.take();
+        let live = stream.live.take().expect("queued streams hold live state");
         // A never-parked stream carries no K/V state; any rows it had fed
         // (a prefix attachment) are gone with the old pool, so the whole
         // prompt re-prefills at the destination.
-        let fed = if parked_resident.is_some() {
-            stream.fed
+        let fed = if live.parked_resident.is_some() {
+            live.fed
         } else {
             0
         };
-        let tokens = std::mem::take(&mut stream.tokens);
-        let prompt_len = stream.prompt_len;
-        let catchup = std::mem::take(&mut stream.catchup);
         // The tombstone keeps only the correlation ID; `prompt_len` drops to
         // zero so `generated()` stays in bounds of the now-empty buffer.
-        stream.status = StreamStatus::Migrated;
-        stream.prompt_len = 0;
-        stream.fed = 0;
-        Ok(MigratedStream {
-            tokens,
+        let migrated = MigratedStream {
+            tokens: std::mem::take(&mut stream.tokens),
             fed,
-            prompt_len,
-            parked_resident,
-            catchup,
-            eviction,
-            activated: stream.activated,
+            prompt_len: std::mem::take(&mut stream.prompt_len),
+            parked_resident: live.parked_resident,
+            catchup: live.catchup,
+            eviction: live.context.eviction(),
+            activated: live.activated,
             corr: stream.corr,
-        })
+        };
+        self.set_status(index, StreamStatus::Migrated);
+        Ok(migrated)
     }
 
     /// Adopts a stream extracted from another group of the same model: a
@@ -772,8 +948,8 @@ impl<'m> DecodeGroup<'m> {
     /// transparently (a previously-parked migrant counts toward this group's
     /// resume / re-prefill stats — that re-prefill *is* the migration cost).
     /// No admission offer runs: migration is a router decision, not a new
-    /// request, and a stream admitted once stays admitted. Returns the new
-    /// slot index.
+    /// request, and a stream admitted once stays admitted. Returns the slot
+    /// index (the lowest retired slot when there is one).
     ///
     /// # Errors
     ///
@@ -783,19 +959,18 @@ impl<'m> DecodeGroup<'m> {
         let invalid = |err: LlmError| ServeError::InvalidRequest(err.to_string());
         let mut context = self.model.start_decode_in(&self.pool).map_err(invalid)?;
         context.set_eviction(migrated.eviction);
-        self.streams.push(GroupStream {
-            context,
-            tokens: migrated.tokens,
-            fed: migrated.fed,
-            prompt_len: migrated.prompt_len,
-            status: StreamStatus::Queued,
+        let live = LiveState {
             parked_resident: migrated.parked_resident,
             catchup: migrated.catchup,
-            last_advanced_tick: 0,
             activated: migrated.activated,
-            corr: migrated.corr,
-        });
-        Ok(self.streams.len() - 1)
+            ..LiveState::new(context, migrated.fed)
+        };
+        Ok(self.push_slot(
+            migrated.tokens,
+            migrated.prompt_len,
+            migrated.corr,
+            Some(live),
+        ))
     }
 
     /// The pool pages a queued stream's transparent resume would need in this
@@ -808,53 +983,41 @@ impl<'m> DecodeGroup<'m> {
     /// Panics when `index` is out of bounds.
     #[must_use]
     pub fn resume_pages_needed(&self, index: usize) -> Option<usize> {
-        if !matches!(self.streams[index].status, StreamStatus::Queued) {
+        let stream = &self.streams[index];
+        if !matches!(stream.status, StreamStatus::Queued) {
             return None;
         }
-        let feed = self.resume_feed(index);
+        let feed = stream.resume_feed(self.model.config().max_seq_len);
         Some(self.model.config().num_blocks * feed.len().div_ceil(self.pool.page_rows()))
     }
 
-    /// Retires active streams that can no longer accept a token, releasing
-    /// their pool pages (windowed streams evict instead of finishing).
-    fn finish_exhausted_streams(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        for stream in &mut self.streams {
-            if matches!(stream.status, StreamStatus::Active)
-                && stream.context.remaining_capacity() == 0
-                && !stream.is_windowed()
-            {
-                stream.context.reset();
-                stream.status = StreamStatus::Finished;
-                shared.emit(
-                    Some(stream.corr),
-                    EventKind::Finish {
-                        generated: (stream.tokens.len() - stream.prompt_len) as u64,
-                    },
-                );
-                self.stats.completed += 1;
-                self.stats.leaves += 1;
-            }
-        }
+    /// Live slots currently in `status`, oldest first.
+    fn live_in(&self, status: StreamStatus) -> Vec<usize> {
+        self.live
+            .iter()
+            .copied()
+            .filter(|&i| self.streams[i].status == status)
+            .collect()
     }
 
-    /// Builds the catch-up feed of a queued stream: the K/V rows it held when
-    /// parked (trimmed to the eviction window when the resume would overflow
-    /// `max_seq_len`, mirroring the eviction a never-parked stream would have
-    /// performed) followed by its unfed tokens.
-    fn resume_feed(&self, index: usize) -> Vec<u32> {
-        let stream = &self.streams[index];
-        let tail = stream.catchup.len() + (stream.tokens.len() - stream.fed);
-        let mut feed = stream.parked_resident.clone().unwrap_or_default();
-        if let EvictionPolicy::SlidingWindow { keep_last } = stream.context.eviction() {
-            if feed.len() + tail > self.model.config().max_seq_len {
-                let keep = keep_last.min(feed.len());
-                feed.drain(..feed.len() - keep);
+    /// Finishes active streams that can no longer accept a token, releasing
+    /// their pool pages (windowed streams evict instead of finishing).
+    fn finish_exhausted_streams(&mut self) {
+        for index in self.live_in(StreamStatus::Active) {
+            let stream = &self.streams[index];
+            let live = stream.live();
+            if live.context.remaining_capacity() > 0 || live.is_windowed() {
+                continue;
             }
+            let generated = (stream.tokens.len() - stream.prompt_len) as u64;
+            self.set_status(index, StreamStatus::Finished);
+            self.shared.emit(
+                Some(self.streams[index].corr),
+                EventKind::Finish { generated },
+            );
+            self.stats.completed += 1;
+            self.stats.leaves += 1;
         }
-        feed.extend_from_slice(&stream.catchup);
-        feed.extend_from_slice(&stream.tokens[stream.fed..]);
-        feed
     }
 
     /// Activates queued streams whose catch-up feed fits this tick's page
@@ -868,26 +1031,26 @@ impl<'m> DecodeGroup<'m> {
     fn activate_queued_streams(&mut self) -> Vec<Activation> {
         let page_rows = self.pool.page_rows();
         let blocks = self.model.config().num_blocks;
+        let max_seq_len = self.model.config().max_seq_len;
         let mut budget = self.pool.pages_free();
         let mut activations = Vec::new();
-        for index in 0..self.streams.len() {
-            if !matches!(self.streams[index].status, StreamStatus::Queued) {
-                continue;
-            }
-            let feed = self.resume_feed(index);
+        for index in self.live_in(StreamStatus::Queued) {
+            let stream = &mut self.streams[index];
+            let feed = stream.resume_feed(max_seq_len);
             let est = blocks * feed.len().div_ceil(page_rows);
             if est > budget {
                 continue;
             }
             budget -= est;
-            let stream = &mut self.streams[index];
+            let fed_all = stream.tokens.len();
+            let live = stream.live_mut();
             activations.push(Activation {
                 index,
-                parked_resident: stream.parked_resident.take(),
-                catchup: std::mem::replace(&mut stream.catchup, feed),
-                fed: std::mem::replace(&mut stream.fed, stream.tokens.len()),
+                parked_resident: live.parked_resident.take(),
+                catchup: std::mem::replace(&mut live.catchup, feed),
+                fed: std::mem::replace(&mut live.fed, fed_all),
             });
-            stream.status = StreamStatus::Active;
+            self.set_status(index, StreamStatus::Active);
         }
         activations
     }
@@ -897,22 +1060,24 @@ impl<'m> DecodeGroup<'m> {
     /// reports it.
     fn commit_activation(&mut self, activation: &Activation) {
         let stream = &mut self.streams[activation.index];
+        let corr = stream.corr;
+        let live = stream.live_mut();
         self.stats.joins += 1;
         if activation.parked_resident.is_some() {
-            let rows = stream.catchup.len() as u64;
+            let rows = live.catchup.len() as u64;
             self.stats.resumes += 1;
             self.stats.resume_reprefill_rows += rows;
             self.shared.emit(
-                Some(stream.corr),
+                Some(corr),
                 EventKind::Resume {
                     reprefill_rows: rows,
                 },
             );
         } else {
-            self.shared.emit(Some(stream.corr), EventKind::Activate);
+            self.shared.emit(Some(corr), EventKind::Activate);
         }
-        if !stream.activated {
-            stream.activated = true;
+        if !live.activated {
+            live.activated = true;
             self.stats.admitted += 1;
             self.admission.note_admitted();
         }
@@ -921,11 +1086,11 @@ impl<'m> DecodeGroup<'m> {
     /// Puts an uncommitted activation back in the queue exactly as it was.
     /// The failed pass already rolled the stream's context back.
     fn undo_activation(&mut self, activation: Activation) {
-        let stream = &mut self.streams[activation.index];
-        stream.status = StreamStatus::Queued;
-        stream.parked_resident = activation.parked_resident;
-        stream.catchup = activation.catchup;
-        stream.fed = activation.fed;
+        let live = self.streams[activation.index].live_mut();
+        live.parked_resident = activation.parked_resident;
+        live.catchup = activation.catchup;
+        live.fed = activation.fed;
+        self.set_status(activation.index, StreamStatus::Queued);
     }
 
     /// Picks the preemption victim among the lockstep-ready streams: fewest
@@ -939,18 +1104,18 @@ impl<'m> DecodeGroup<'m> {
                 let stream = &self.streams[i];
                 (
                     stream.tokens.len() - stream.prompt_len,
-                    stream.last_advanced_tick,
+                    stream.live().last_advanced_tick,
                     i,
                 )
             })
             .expect("ready set is non-empty")
     }
 
-    /// Advances the group one tick and returns, per stream, the token it
+    /// Advances the group one tick and returns, per slot, the token it
     /// generated (`None` for slots that did not advance: at capacity, still
-    /// queued, mid catch-up, shed, or cancelled).
+    /// queued, mid catch-up, or not live).
     ///
-    /// Tick order: retire streams at capacity (freeing their pages), activate
+    /// Tick order: finish streams at capacity (freeing their pages), activate
     /// queued streams whose pages fit the tick's budget (their feed becomes a
     /// backlog), then advance every active stream together through
     /// [`TransformerModel::advance_many`]: one batched pass, one batched
@@ -959,7 +1124,7 @@ impl<'m> DecodeGroup<'m> {
     /// when that bound is 0). When that pass hits pool exhaustion, the group
     /// first returns this tick's activations to the queue, newest first; then
     /// it parks a victim (fewest tokens decoded, ties to least recently
-    /// advanced) and retries with the survivors.
+    /// advanced) and retries with the survivors. Only live slots are visited.
     ///
     /// # Errors
     ///
@@ -983,13 +1148,14 @@ impl<'m> DecodeGroup<'m> {
         // emits a token only on the pass that exhausts its feed; mid-catch-up
         // rows produce no token this tick.
         loop {
-            let ready: Vec<usize> = self
-                .streams
+            // Slot order, so the contexts can be borrowed in one sweep.
+            let mut ready: Vec<usize> = self
+                .live
                 .iter()
-                .enumerate()
-                .filter(|(_, stream)| stream.is_lockstep_ready())
-                .map(|(i, _)| i)
+                .copied()
+                .filter(|&i| self.streams[i].is_lockstep_ready())
                 .collect();
+            ready.sort_unstable();
             if ready.is_empty() {
                 debug_assert!(activations.is_empty(), "activated streams are ready");
                 return Ok(results);
@@ -998,26 +1164,21 @@ impl<'m> DecodeGroup<'m> {
                 .iter()
                 .map(|&i| {
                     let stream = &self.streams[i];
-                    if stream.catchup.is_empty() {
-                        debug_assert_eq!(stream.fed + 1, stream.tokens.len());
-                        stream.tokens[stream.fed..].to_vec()
+                    let live = stream.live();
+                    if live.catchup.is_empty() {
+                        debug_assert_eq!(live.fed + 1, stream.tokens.len());
+                        stream.tokens[live.fed..].to_vec()
                     } else {
                         let take = match self.prefill_chunk_rows {
-                            0 => stream.catchup.len(),
-                            rows => rows.min(stream.catchup.len()),
+                            0 => live.catchup.len(),
+                            rows => rows.min(live.catchup.len()),
                         };
-                        stream.catchup[..take].to_vec()
+                        live.catchup[..take].to_vec()
                     }
                 })
                 .collect();
             let feed_refs: Vec<&[u32]> = feeds.iter().map(Vec::as_slice).collect();
-            let mut contexts: Vec<&mut DecodeContext<'m>> = self
-                .streams
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| ready.contains(i))
-                .map(|(_, stream)| &mut stream.context)
-                .collect();
+            let mut contexts = contexts_mut(&mut self.streams, &ready);
             // Span profiling: the advance clock runs only with a sink
             // installed. The measured span is the whole pass — attention,
             // MLP, logits and every normalization site.
@@ -1036,20 +1197,21 @@ impl<'m> DecodeGroup<'m> {
                     let mut tick_rows = 0u64;
                     for (row, &i) in ready.iter().enumerate() {
                         let stream = &mut self.streams[i];
+                        let live = stream.live.as_mut().expect("ready streams are live");
                         let rows = feeds[row].len();
-                        if stream.catchup.is_empty() {
-                            stream.fed += rows;
+                        if live.catchup.is_empty() {
+                            live.fed += rows;
                         } else {
-                            stream.catchup.drain(..rows);
+                            live.catchup.drain(..rows);
                             shared.emit(
                                 Some(stream.corr),
                                 EventKind::ChunkDrain { rows: rows as u64 },
                             );
                         }
-                        stream.last_advanced_tick = tick;
+                        live.last_advanced_tick = tick;
                         self.stats.occupied_rows += rows as u64;
                         tick_rows += rows as u64;
-                        if stream.catchup.is_empty() && stream.fed == stream.tokens.len() {
+                        if live.catchup.is_empty() && live.fed == stream.tokens.len() {
                             let next = greedy_argmax(logits.row(row));
                             stream.tokens.push(next);
                             results[i] = Some(next);
@@ -1088,7 +1250,7 @@ impl<'m> DecodeGroup<'m> {
                     }
                     // Park the victim and retry with one fewer stream.
                     let victim = self.preemption_victim(&ready);
-                    self.streams[victim].park();
+                    self.park(victim);
                     shared.emit(Some(self.streams[victim].corr), EventKind::Preempt);
                     self.stats.preemptions += 1;
                     self.stats.leaves += 1;
@@ -1121,6 +1283,26 @@ impl<'m> DecodeGroup<'m> {
 /// Nanoseconds elapsed since `started`, saturated into `u64`.
 fn ns_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Mutable borrows of the decode contexts of the `sorted` slots (ascending,
+/// distinct, all live), taken in one sweep that skips every other slot.
+fn contexts_mut<'a, 'm>(
+    streams: &'a mut [GroupStream<'m>],
+    sorted: &[usize],
+) -> Vec<&'a mut DecodeContext<'m>> {
+    let mut contexts = Vec::with_capacity(sorted.len());
+    let mut rest = streams;
+    let mut base = 0;
+    for &index in sorted {
+        let (stream, tail) = std::mem::take(&mut rest)[index - base..]
+            .split_first_mut()
+            .expect("ready slots are in bounds");
+        contexts.push(&mut stream.live_mut().context);
+        rest = tail;
+        base = index + 1;
+    }
+    contexts
 }
 
 #[cfg(test)]
@@ -1416,6 +1598,197 @@ mod tests {
             assert_eq!(group.status(1), StreamStatus::Queued, "chunk {chunk}");
             assert!(first[0].is_some() && first[1].is_none(), "chunk {chunk}");
             assert_eq!(group.stats().preemptions, 0, "chunk {chunk}");
+        }
+    }
+
+    /// The slot bookkeeping agrees with the slots: live state exactly on
+    /// queued and active slots, the live set and queued count match them,
+    /// and the free set is the retired slots.
+    fn assert_bookkeeping(group: &DecodeGroup<'_>) {
+        let mut live = group.live.clone();
+        live.sort_unstable();
+        let expected: Vec<usize> = (0..group.len())
+            .filter(|&i| group.status(i).is_live())
+            .collect();
+        assert_eq!(live, expected, "live set");
+        for (i, stream) in group.streams.iter().enumerate() {
+            assert_eq!(stream.live.is_some(), stream.status.is_live(), "slot {i}");
+        }
+        let queued = (0..group.len())
+            .filter(|&i| group.status(i) == StreamStatus::Queued)
+            .count();
+        assert_eq!(group.queued, queued, "queued count");
+        let retired: Vec<usize> = (0..group.len())
+            .filter(|&i| group.status(i) == StreamStatus::Retired)
+            .collect();
+        assert_eq!(group.free.iter().copied().collect::<Vec<_>>(), retired);
+    }
+
+    #[test]
+    fn terminal_transitions_drop_live_state() {
+        // Finish, cancel, migrate and shed each leave a slot with its record
+        // only: no context, so no pages, page list or attention scratch.
+        let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
+        let max = model.config().max_seq_len;
+        let engine = engine();
+        let pool = engine.kv_pool(model.config().embedding_dim);
+        let long: Vec<u32> = (0..(max as u32 - 1)).map(|i| i % 8).collect();
+        let prompts: [&[u32]; 3] = [&long, &[2, 9, 4], &[1, 7, 3]];
+        let mut group = engine.decode_group(&model, &prompts).unwrap();
+        let mut dest = engine.empty_decode_group(&model).unwrap();
+        // Prefill fills 31 rows, the next token the 32nd; tick 3 finishes it.
+        group.decode(3).unwrap();
+        assert_eq!(group.status(0), StreamStatus::Finished);
+        assert!(group.cancel(1));
+        dest.adopt_stream(group.extract_stream(2).unwrap()).unwrap();
+        for i in 0..prompts.len() {
+            assert!(
+                group.streams[i].live.is_none(),
+                "slot {i} ({:?}) kept its live state",
+                group.status(i)
+            );
+        }
+        assert_bookkeeping(&group);
+        assert_eq!(group.ready_streams(), 0);
+        assert_eq!(group.tokens(0).len(), max + 1, "records stay readable");
+        assert_eq!(group.generated(1).len(), 3);
+        assert_eq!(pool.pages_in_use(), 0, "terminal slots hold no pages");
+
+        // 6 pages cannot hold a 31-token prompt's 32: admission sheds it.
+        let small = ServeEngine::start(ServeConfig {
+            kv_pool: KvPoolPolicy {
+                page_rows: 4,
+                capacity_rows: 24,
+            },
+            ..Default::default()
+        });
+        let mut group = small.empty_decode_group(&model).unwrap();
+        let slot = group.add_stream(&long).unwrap();
+        assert_eq!(group.status(slot), StreamStatus::Shed);
+        assert!(group.streams[slot].live.is_none());
+        assert_bookkeeping(&group);
+    }
+
+    #[test]
+    fn retire_recycles_terminal_slots_lowest_first() {
+        let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
+        let engine = engine();
+        let prompts: [&[u32]; 3] = [&[2, 9, 4], &[1, 7, 3], &[5, 5]];
+        let mut group = engine.decode_group(&model, &prompts).unwrap();
+        group.decode(2).unwrap();
+        let queued = group.add_stream(&[3, 3]).unwrap();
+        // Live slots are refused and left as they were.
+        for slot in [0, queued] {
+            let status = group.status(slot);
+            assert!(
+                matches!(group.retire(slot), Err(ServeError::InvalidRequest(_))),
+                "{status:?}"
+            );
+            assert_eq!(group.status(slot), status);
+        }
+        assert_bookkeeping(&group);
+        // Terminal slots hand their tokens back and read as retired.
+        assert!(group.cancel(2));
+        assert!(group.cancel(0));
+        let tokens = group.tokens(0).to_vec();
+        assert_eq!(group.retire(2).unwrap(), group_tokens(prompts[2], 2));
+        assert_eq!(group.retire(0).unwrap(), tokens);
+        assert_eq!(group.retire(0), Err(ServeError::Retired));
+        assert_eq!(group.status(0), StreamStatus::Retired);
+        assert!(group.tokens(0).is_empty() && group.generated(0).is_empty());
+        assert_eq!(group.remaining_capacity(0), 0);
+        assert!(!group.cancel(0) && !group.preempt(0));
+        assert!(group.extract_stream(0).is_err());
+        assert!(group.set_eviction(0, EvictionPolicy::Reject).is_err());
+        assert_eq!(group.resume_pages_needed(0), None);
+        assert_bookkeeping(&group);
+        // New streams take the lowest retired slot first, then grow the group.
+        let reused: Vec<usize> = [&[4u32, 4, 4][..], &[6, 1], &[7, 2]]
+            .iter()
+            .map(|prompt| group.add_stream(prompt).unwrap())
+            .collect();
+        assert_eq!(reused, [0, 2, 4]);
+        assert_eq!(group.len(), 5);
+        assert_bookkeeping(&group);
+        group.decode(4).unwrap();
+        assert_bookkeeping(&group);
+        let expected: [(usize, &[u32]); 5] = [
+            (0, &[4, 4, 4]),
+            (1, &[1, 7, 3]),
+            (2, &[6, 1]),
+            (queued, &[3, 3]),
+            (4, &[7, 2]),
+        ];
+        for (slot, prompt) in expected {
+            let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
+            let solo = oracle
+                .decode(group.generated(slot).len(), &mut ReferenceNormalizer::new())
+                .unwrap();
+            assert_eq!(group.generated(slot), solo.as_slice(), "slot {slot}");
+            assert_eq!(group.tokens(slot)[..prompt.len()], *prompt, "slot {slot}");
+        }
+    }
+
+    /// `prompt` followed by its first `n` greedy tokens from the solo
+    /// full-recompute oracle.
+    fn group_tokens(prompt: &[u32], n: usize) -> Vec<u32> {
+        let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
+        let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
+        let mut tokens = prompt.to_vec();
+        tokens.extend(oracle.decode(n, &mut ReferenceNormalizer::new()).unwrap());
+        tokens
+    }
+
+    #[test]
+    fn bookkeeping_follows_preemption_queueing_and_adoption() {
+        // Pool pressure (6 pages) queues, preempts and resumes; migration
+        // moves streams both ways. The live set and queued count must match
+        // the slots after every call.
+        let model = TransformerModel::new(&ModelConfig::tiny_test(), 23).unwrap();
+        let engine = ServeEngine::start(ServeConfig {
+            normalizer: HaanConfig {
+                backend: BackendSelection::Fused,
+                ..HaanConfig::unoptimized()
+            },
+            kv_pool: KvPoolPolicy {
+                page_rows: 4,
+                capacity_rows: 48,
+            },
+            ..Default::default()
+        });
+        let prompts: [&[u32]; 4] = [&[1, 2, 3], &[4, 5], &[6, 7, 8], &[9, 1]];
+        let mut group = engine.decode_group(&model, &prompts).unwrap();
+        let mut other = engine.empty_decode_group(&model).unwrap();
+        assert_bookkeeping(&group);
+        for tick in 0..12 {
+            // Exhausted ticks are retry-safe; the bookkeeping must hold anyway.
+            let _ = group.step_all();
+            assert_bookkeeping(&group);
+            if tick == 3 {
+                let active = (0..group.len())
+                    .find(|&i| group.status(i) == StreamStatus::Active)
+                    .unwrap();
+                assert!(group.preempt(active));
+                assert_bookkeeping(&group);
+                let moved = other
+                    .adopt_stream(group.extract_stream(active).unwrap())
+                    .unwrap();
+                assert_eq!(group.retire(active).unwrap(), Vec::<u32>::new());
+                assert_bookkeeping(&group);
+                let back = group
+                    .adopt_stream(other.extract_stream(moved).unwrap())
+                    .unwrap();
+                assert_eq!(back, active, "the retired slot is reused");
+                assert_bookkeeping(&group);
+            }
+        }
+        assert!(group.stats().preemptions > 0);
+        for (i, prompt) in prompts.iter().enumerate() {
+            let mut oracle = StreamingModel::new_full_recompute(&model, prompt).unwrap();
+            let solo = oracle
+                .decode(group.generated(i).len(), &mut ReferenceNormalizer::new())
+                .unwrap();
+            assert_eq!(group.generated(i), solo.as_slice(), "stream {i}");
         }
     }
 }

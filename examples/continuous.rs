@@ -5,9 +5,11 @@
 //! (`add_stream`) and activate on the next tick, long prompts prefill in
 //! bounded chunks that ride the same fused normalization requests as the
 //! decode rows (`ServeConfig::prefill_chunk_rows`), cancelled or finished
-//! slots free capacity that queued prompts backfill, and streams sharing a
+//! slots free capacity that queued prompts backfill, streams sharing a
 //! common system prompt attach to one interned, refcounted copy of its K/V
-//! pages (`ServeEngine::intern_prefix` + `add_stream_with_prefix`). The demo
+//! pages (`ServeEngine::intern_prefix` + `add_stream_with_prefix`), and a
+//! caller that hands each finished slot back (`DecodeGroup::retire`) serves
+//! any number of sessions in a bounded set of slots. The demo
 //! shows each mechanism and checks the outputs bit-for-bit against solo
 //! full-recompute decode — continuous batching changes the schedule and the
 //! memory, never the tokens.
@@ -136,6 +138,53 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     drop(group);
     assert_eq!(pool.pages_in_use(), before, "streams returned their pages");
+
+    // 4. Slot recycling: each session is cancelled after two tokens, which
+    //    drops its context at once, then retired, which hands its tokens
+    //    back and frees the slot for the next `add_stream`.
+    const SESSIONS: usize = 200;
+    const IN_FLIGHT: usize = 4;
+    let mut group = engine.empty_decode_group(&model)?;
+    let mut in_flight: Vec<(usize, Vec<u32>)> = Vec::new();
+    let (mut offered, mut served) = (0usize, 0usize);
+    while served < SESSIONS {
+        while in_flight.len() < IN_FLIGHT && offered < SESSIONS {
+            let prompt: Vec<u32> = (0..3)
+                .map(|i| ((offered * 5 + i * 11) % 60 + 1) as u32)
+                .collect();
+            offered += 1;
+            in_flight.push((group.add_stream(&prompt)?, prompt));
+        }
+        group.step_all()?;
+        let mut i = 0;
+        while i < in_flight.len() {
+            let slot = in_flight[i].0;
+            let done = matches!(group.status(slot), StreamStatus::Shed)
+                || group.generated(slot).len() >= 2;
+            if !done {
+                i += 1;
+                continue;
+            }
+            let (slot, prompt) = in_flight.swap_remove(i);
+            group.cancel(slot);
+            let tokens = group.retire(slot)?;
+            if served.is_multiple_of(50) {
+                let generated = &tokens[prompt.len()..];
+                assert_eq!(generated, oracle(&prompt, generated.len())?.as_slice());
+            }
+            served += 1;
+        }
+    }
+    assert!(
+        group.len() <= IN_FLIGHT,
+        "{} slots for {IN_FLIGHT} sessions in flight",
+        group.len()
+    );
+    assert_eq!(pool.pages_in_use(), before, "retired streams hold no pages");
+    println!(
+        "slot recycling: {served} sessions served in {} slots (at most {IN_FLIGHT} in flight)",
+        group.len()
+    );
 
     println!("continuous batching demo complete: all outputs bit-identical to solo decode");
     Ok(())
