@@ -290,7 +290,7 @@ mod tests {
         let data: Vec<f32> = (0..cols).map(|i| (i as f32).sin()).collect();
         let gamma = vec![1.0f32; cols];
         let beta = vec![0.0f32; cols];
-        let quantization = QuantizationPolicy::disabled();
+        let quantization = QuantizationPolicy::new(haan_numerics::Format::Fp32);
         let mut computed_req = request(&data, cols, &gamma, &beta, &quantization);
         let mut computed = vec![0.0f32; cols];
         let mut isds = vec![0.0f32; 1];

@@ -148,12 +148,13 @@ impl<'a> ResidualNormRequest<'a> {
     /// use haan::backend::{BatchRequest, ResidualNormRequest};
     /// use haan::quantization::QuantizationPolicy;
     /// use haan_numerics::stats::{RowNormMode, DEFAULT_EPS};
+    /// use haan_numerics::Format;
     ///
     /// let data = [1.0f32, 2.0, 3.0, 4.0];
     /// let residual = [0.5f32, -0.5, 0.25, -0.25];
     /// let gamma = [1.0f32, 1.0];
     /// let beta = [0.0f32, 0.0];
-    /// let quantization = QuantizationPolicy::disabled();
+    /// let quantization = QuantizationPolicy::new(Format::Fp32);
     /// let norm = BatchRequest {
     ///     data: &data,
     ///     cols: 2,
@@ -508,6 +509,7 @@ impl NormBackend for FusedBackend {
 mod tests {
     use super::*;
     use haan_llm::Matrix;
+    use haan_numerics::Format;
 
     fn request<'a>(
         data: &'a [f32],
@@ -542,7 +544,7 @@ mod tests {
         let input = varied_matrix(4, 64);
         let gamma = vec![1.0f32; 64];
         let beta = vec![0.0f32; 64];
-        let quantization = QuantizationPolicy::disabled();
+        let quantization = QuantizationPolicy::new(Format::Fp32);
         let req = request(input.as_slice(), 64, &gamma, &beta, &quantization);
         assert!(req.is_exact());
         assert_eq!(req.rows(), 4);
@@ -565,7 +567,7 @@ mod tests {
 
     #[test]
     fn predicted_rows_apply_the_given_isd() {
-        let quantization = QuantizationPolicy::disabled();
+        let quantization = QuantizationPolicy::new(Format::Fp32);
         let data = [2.0f32, 4.0, 6.0, 8.0];
         let gamma = [1.0f32, 1.0];
         let beta = [0.0f32, 0.0];
@@ -598,7 +600,7 @@ mod tests {
     fn backends_honor_a_custom_eps() {
         // A constant row has zero variance: the output spread is set entirely by the
         // requested epsilon, so a larger eps must shrink the ISD accordingly.
-        let quantization = QuantizationPolicy::disabled();
+        let quantization = QuantizationPolicy::new(Format::Fp32);
         let data = [2.0f32, 2.0, 2.0, 2.0];
         let gamma = [1.0f32; 4];
         let beta = [0.0f32; 4];

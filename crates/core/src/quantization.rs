@@ -12,28 +12,13 @@ use haan_numerics::Format;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizationPolicy {
     format: Format,
-    /// When false, the statistics are computed on the unquantized input (the policy is
-    /// a no-op); used to isolate quantization effects in ablations.
-    enabled: bool,
 }
 
 impl QuantizationPolicy {
     /// A policy quantizing operands to the given format.
     #[must_use]
     pub fn new(format: Format) -> Self {
-        Self {
-            format,
-            enabled: true,
-        }
-    }
-
-    /// A disabled policy (operands untouched, equivalent to FP32 statistics).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self {
-            format: Format::Fp32,
-            enabled: false,
-        }
+        Self { format }
     }
 
     /// The operand format.
@@ -42,18 +27,12 @@ impl QuantizationPolicy {
         self.format
     }
 
-    /// Whether quantization is applied at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// True when applying the policy cannot change any value (disabled, or FP32
+    /// True when applying the policy cannot change any value (an FP32
     /// round-trip). The batched engine uses this to skip the scratch-buffer copy on
     /// the statistics path.
     #[must_use]
     pub fn is_identity(&self) -> bool {
-        !self.enabled || self.format == Format::Fp32
+        self.format == Format::Fp32
     }
 
     /// Applies the policy to an operand vector, returning the values the statistics
@@ -69,12 +48,7 @@ impl QuantizationPolicy {
     /// fills it with the quantized operands, reusing its capacity. The batched
     /// normalization engine calls this once per row with one scratch buffer.
     pub fn apply_into(&self, z: &[f32], out: &mut Vec<f32>) {
-        if self.enabled {
-            self.format.round_trip_into(z, out);
-        } else {
-            out.clear();
-            out.extend_from_slice(z);
-        }
+        self.format.round_trip_into(z, out);
     }
 
     /// Mean squared quantization error introduced on a vector (diagnostic).
@@ -112,15 +86,9 @@ mod tests {
     #[test]
     fn fp32_policy_is_lossless() {
         let policy = QuantizationPolicy::new(Format::Fp32);
+        assert!(policy.is_identity());
         assert_eq!(policy.apply(&ramp()), ramp());
         assert_eq!(policy.mean_squared_error(&ramp()), 0.0);
-    }
-
-    #[test]
-    fn disabled_policy_is_identity() {
-        let policy = QuantizationPolicy::disabled();
-        assert!(!policy.is_enabled());
-        assert_eq!(policy.apply(&ramp()), ramp());
     }
 
     #[test]
@@ -138,7 +106,6 @@ mod tests {
     fn default_policy_is_fp16() {
         let policy = QuantizationPolicy::default();
         assert_eq!(policy.format(), Format::Fp16);
-        assert!(policy.is_enabled());
     }
 
     #[test]

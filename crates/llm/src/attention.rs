@@ -142,9 +142,8 @@ impl MultiHeadAttention {
 
     /// [`MultiHeadAttention::forward`] from already-projected queries, keys and
     /// values (each `seq × E`, heads concatenated) — the back half a norm+matmul
-    /// site enters after producing the projections. Bit-identical to
-    /// [`MultiHeadAttention::forward`] given the same projections, because it is
-    /// the same per-head loop over the same kernels.
+    /// site enters after producing the projections, and the one `forward` calls
+    /// after projecting its input.
     ///
     /// # Errors
     ///
@@ -205,36 +204,10 @@ impl MultiHeadAttention {
                 rhs: (self.embedding_dim, self.embedding_dim),
             });
         }
-        let seq = input.rows();
         let queries = input.matmul(&self.w_query)?;
         let keys = input.matmul(&self.w_key)?;
         let values = input.matmul(&self.w_value)?;
-
-        let head_dim = self.head_dim();
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut concat = Matrix::zeros(seq, self.embedding_dim);
-
-        // One set of scratch buffers reused across heads: the per-head loop performs
-        // no allocation.
-        let mut q = Matrix::zeros(seq, head_dim);
-        let mut k = Matrix::zeros(seq, head_dim);
-        let mut v = Matrix::zeros(seq, head_dim);
-        let mut scores = Matrix::zeros(seq, seq);
-        let mut head_out = Matrix::zeros(seq, head_dim);
-
-        for head in 0..self.num_heads {
-            let col_start = head * head_dim;
-            queries.columns_into(col_start, head_dim, &mut q)?;
-            keys.columns_into(col_start, head_dim, &mut k)?;
-            values.columns_into(col_start, head_dim, &mut v)?;
-
-            q.matmul_transposed_into(&k, &mut scores)?;
-            scores.scale_in_place(scale);
-            scores.causal_softmax_rows();
-            scores.matmul_into(&v, &mut head_out)?;
-            concat.set_columns(col_start, &head_out)?;
-        }
-        concat.matmul(&self.w_output)
+        self.forward_projected(&queries, &keys, &values)
     }
 
     /// The incremental attention sublayer from already-projected new rows:
