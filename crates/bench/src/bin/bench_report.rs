@@ -11,8 +11,9 @@
 //! activations against the libm formulas they replaced and the offline
 //! calibration scan, plus KV-cached, multi-stream, overload, continuous-batching,
 //! observability and routing numbers of the `haan_serve` decode groups, plus matmul
-//! GFLOP/s of the cache-blocked kernels and of the register-tiled kernel over
-//! panel-packed weights.
+//! GFLOP/s of the cache-blocked kernels, of the register-tiled kernel over
+//! panel-packed weights and of the lane-split vocabulary head, plus what a
+//! worker-pool handoff costs against a thread spawn.
 //!
 //! Every number is stated once, as a JSON key: the report is written to
 //! `BENCH_norm.json` (the one CLI argument overrides the output path) and printed
@@ -28,7 +29,10 @@ use haan_accel::{AccelConfig, AccelSimBackend};
 use haan_bench::timing::{ns_per_call, rounds, Spread, ROUNDS};
 use haan_llm::norm::{Composed, NormSite, Normalizer, ReferenceNormalizer};
 use haan_llm::synthetic::IsdProfileModel;
-use haan_llm::{Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel};
+use haan_llm::{
+    Matrix, ModelConfig, ModelFamily, NormKind, StreamingModel, TransformerModel, VocabHead,
+    WorkerPool,
+};
 use haan_numerics::invsqrt::{fast_inv_sqrt, relative_error};
 use haan_obs::json::JsonValue;
 use haan_router::{PlacementPolicy, Router, RouterConfig};
@@ -50,6 +54,9 @@ const COLS: usize = 4096;
 /// (rows, k, n) of the decode-shaped matmul: decode_gpt2's 8 streams through
 /// its widest projection (E = 768 into the 3072-wide MLP).
 const DECODE_MATMUL_SHAPE: (usize, usize, usize) = (8, 768, 3072);
+/// (rows, k, vocab) of the vocabulary head: decode_gpt2's 8 streams through its
+/// tied 512-token head at E = 768.
+const VOCAB_HEAD_SHAPE: (usize, usize, usize) = (8, 768, 512);
 /// Distinct weights the cold decode-shaped matmul cycles through, at least this
 /// many bytes in all, so that each call streams its weight from memory as a
 /// decode tick does rather than from cache.
@@ -1258,6 +1265,35 @@ fn matmul_block() -> JsonValue {
         })
     });
     let decode_flops = 2.0 * (rows * inner * cols) as f64;
+
+    let (rows_h, k_h, vocab) = VOCAB_HEAD_SHAPE;
+    let hidden = Matrix::from_vec(
+        rows_h,
+        k_h,
+        (0..rows_h * k_h).map(|i| (i as f32).sin()).collect(),
+    )
+    .unwrap();
+    let table = Matrix::from_vec(
+        vocab,
+        k_h,
+        (0..vocab * k_h).map(|i| (i as f32).cos()).collect(),
+    )
+    .unwrap();
+    let head = VocabHead::new(&table);
+    let serial = WorkerPool::new(0);
+    let mut logits = Matrix::zeros(rows_h, vocab);
+    let [transposed, lane_split] = rounds(|path| {
+        ns_per_call(|| {
+            if path == 0 {
+                hidden.matmul_transposed_into(&table, &mut logits)
+            } else {
+                head.logits_into(|| &serial, &hidden, &mut logits)
+            }
+            .expect("head shapes");
+            black_box(logits.get(0, 0));
+        })
+    });
+    let head_flops = 2.0 * (rows_h * k_h * vocab) as f64;
     obj! {
         "blocked_gflops" => gflops(flops, matmul),
         "transposed_blocked_gflops" => gflops(flops, matmul_t),
@@ -1274,6 +1310,39 @@ fn matmul_block() -> JsonValue {
             "parts" => x.matmul_parts(&w_packed),
             "avx2" => cfg!(target_feature = "avx2"),
         },
+        "vocab_head" => obj! {
+            "rows" => rows_h,
+            "k" => k_h,
+            "vocab" => vocab,
+            "transposed_gflops" => gflops(head_flops, transposed),
+            "lane_split_gflops" => gflops(head_flops, lane_split),
+            "lane_split_speedup" => transposed.median / lane_split.median,
+            "parts" => head.parts(rows_h),
+        },
+    }
+}
+
+/// What a split pays to reach a second core: a no-op job handed to a parked
+/// worker of a one-worker [`WorkerPool`] and answered, against a no-op
+/// `std::thread::scope` spawn and join, in µs per call.
+fn pool_block() -> JsonValue {
+    let pool = WorkerPool::new(1);
+    let [handoff, spawn] = rounds(|path| {
+        ns_per_call(|| {
+            if path == 0 {
+                black_box(pool.split(2, |part| part, || ()));
+            } else {
+                std::thread::scope(|scope| {
+                    black_box(scope.spawn(|| 1usize).join().expect("no-op thread"));
+                });
+            }
+        })
+    });
+    let us = |ns: Spread| ns.map(|ns| ns / 1e3);
+    obj! {
+        "handoff_us" => us(handoff),
+        "spawn_us" => us(spawn),
+        "handoff_vs_spawn" => handoff.median / spawn.median,
     }
 }
 
@@ -1319,6 +1388,7 @@ fn main() {
         "observability" => observability_block(&decode_model),
         "routing" => routing_block(&decode_model),
         "matmul" => matmul_block(),
+        "pool" => pool_block(),
         "host_threads" => host_threads,
     };
     let rendered = report.render_pretty();
@@ -1456,5 +1526,25 @@ fn main() {
         decode_shape("packed_gflops.median"),
         decode_shape("row_major_gflops.median"),
         decode_shape("packed_speedup")
+    );
+    let head = |key: &str| at(&format!("matmul.vocab_head.{key}"));
+    let (rows, inner, vocab) = VOCAB_HEAD_SHAPE;
+    assert!(
+        head("lane_split_speedup") >= 1.5,
+        "the lane-split vocabulary head ({:.2} GFLOP/s) must beat the transposed \
+         dot kernel ({:.2} GFLOP/s) by >= 1.5x on one thread at \
+         {rows}x{inner}·({vocab}x{inner})ᵀ, got {:.2}x",
+        head("lane_split_gflops.median"),
+        head("transposed_gflops.median"),
+        head("lane_split_speedup")
+    );
+    let pool = |key: &str| at(&format!("pool.{key}"));
+    assert!(
+        pool("handoff_vs_spawn") <= 0.5,
+        "a pool handoff ({:.1} µs) must cost at most half a scoped thread spawn \
+         ({:.1} µs), got {:.2}x",
+        pool("handoff_us.median"),
+        pool("spawn_us.median"),
+        pool("handoff_vs_spawn")
     );
 }

@@ -6,7 +6,10 @@
 //! (see `DESIGN.md` at the repository root for the substitution table):
 //!
 //! * [`tensor`] — a minimal row-major matrix type with the handful of operations a
-//!   decoder-only transformer needs (matmul, softmax, GeLU).
+//!   decoder-only transformer needs (matmul, softmax, GeLU), plus the
+//!   panel layouts of the projection weights and the vocabulary head.
+//! * [`pool`] — the process-wide [`WorkerPool`] that large products split
+//!   their panel ranges over, started on first use.
 //! * `math` (crate-private) — the f32 `exp` and `tanh` behind GeLU, SiLU and
 //!   the softmax: branch-free, so their element loops vectorize, and
 //!   independent of the host libm.
@@ -58,6 +61,7 @@ pub mod mlp;
 pub mod model;
 pub mod norm;
 pub mod paging;
+pub mod pool;
 pub mod prefix;
 pub mod runtime;
 pub mod streaming;
@@ -71,6 +75,7 @@ pub use error::LlmError;
 pub use model::{DecodeContext, KvPrefix, TransformerModel};
 pub use norm::Normalizer;
 pub use paging::{AllocFaultHook, EvictionPolicy, KvBlockPool, PagedKvCache};
+pub use pool::{host_threads, WorkerPool};
 pub use prefix::{prefix_fingerprint, PrefixStore, PrefixStoreStats};
 pub use streaming::StreamingModel;
-pub use tensor::{host_threads, Matrix};
+pub use tensor::{Matrix, VocabHead};

@@ -101,12 +101,15 @@ impl FeedForward {
                 rhs: (self.embedding_dim, self.mlp_dim),
             });
         }
-        let mut hidden = input.matmul(&self.w_in)?;
+        // The activation rides the in-projection: each range of a split
+        // product activates its own columns.
+        let mut hidden = Matrix::zeros(input.rows(), self.mlp_dim);
         match &self.w_gate {
-            None => hidden.map_in_place(gelu),
+            None => input.matmul_activate_into(&self.w_in, &mut hidden, gelu)?,
             Some(w_gate) => {
-                let mut gate = input.matmul(w_gate)?;
-                gate.map_in_place(silu);
+                input.matmul_into(&self.w_in, &mut hidden)?;
+                let mut gate = Matrix::zeros(input.rows(), self.mlp_dim);
+                input.matmul_activate_into(w_gate, &mut gate, silu)?;
                 hidden.mul_assign(&gate)?;
             }
         }

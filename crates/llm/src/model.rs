@@ -25,7 +25,7 @@ use crate::error::LlmError;
 use crate::init::{gaussian_matrix, gaussian_vector};
 use crate::norm::{NormSite, Normalizer};
 use crate::paging::{EvictionPolicy, KvBlockPool, PagedKvCache};
-use crate::tensor::{log_softmax, Matrix};
+use crate::tensor::{log_softmax, Matrix, VocabHead};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -53,6 +53,10 @@ use std::sync::Arc;
 pub struct TransformerModel {
     config: ModelConfig,
     token_embedding: Matrix,
+    /// The tied vocabulary head: `token_embedding` again, in the layout of
+    /// [`VocabHead`], built at load. The row-major table serves embedding
+    /// lookups.
+    head: VocabHead,
     position_embedding: Matrix,
     blocks: Vec<TransformerBlock>,
     final_gamma: Vec<f32>,
@@ -77,6 +81,7 @@ impl TransformerModel {
             .collect();
         Ok(Self {
             config: config.clone(),
+            head: VocabHead::new(&token_embedding),
             token_embedding,
             position_embedding,
             blocks,
@@ -95,7 +100,8 @@ impl TransformerModel {
     /// Every projection weight of every block, in block order (attention
     /// Q/K/V/O, then the MLP's in/gate/out). All of them are stored in the
     /// column-panel layout of [`Matrix::packed_from_fn`]; the embeddings stay
-    /// row-major because lookups and the tied logit projection read rows.
+    /// row-major because lookups read rows. The tied logit projection runs on
+    /// a [`VocabHead`] copy of the token embedding.
     #[must_use]
     pub fn projection_weights(&self) -> Vec<&Matrix> {
         self.blocks
@@ -210,7 +216,7 @@ impl TransformerModel {
         normalizer: &mut N,
     ) -> Result<Matrix, LlmError> {
         let hidden = self.forward_hidden(tokens, normalizer)?;
-        hidden.matmul_transposed(&self.token_embedding)
+        self.head.logits(&hidden)
     }
 
     /// Sum of next-token log-probabilities of `continuation` given `prompt`, the scoring
@@ -487,7 +493,7 @@ impl TransformerModel {
             ctx.len += feed.len();
             ctx.history.extend_from_slice(feed);
         }
-        last_rows.matmul_transposed(&self.token_embedding)
+        self.head.logits(&last_rows)
     }
 }
 
@@ -744,7 +750,7 @@ impl<'m> DecodeContext<'m> {
         normalizer: &mut N,
     ) -> Result<Matrix, LlmError> {
         let hidden = self.advance(tokens, normalizer)?;
-        hidden.matmul_transposed(&self.model.token_embedding)
+        self.model.head.logits(&hidden)
     }
 
     /// Feeds the next `tokens` and returns only the *final* position's logits —
@@ -767,7 +773,7 @@ impl<'m> DecodeContext<'m> {
         let mut last = Matrix::zeros(1, hidden.cols());
         last.row_mut(0)
             .copy_from_slice(hidden.row(hidden.rows() - 1));
-        let logits = last.matmul_transposed(&self.model.token_embedding)?;
+        let logits = self.model.head.logits(&last)?;
         Ok(logits.row(0).to_vec())
     }
 

@@ -6,18 +6,22 @@
 
 use crate::error::LlmError;
 use crate::math;
-use std::sync::OnceLock;
+use crate::pool::{host_threads, WorkerPool};
+use std::sync::Arc;
 
 /// Width, in columns, of one panel of the packed layout (see
 /// [`Matrix::packed_from_fn`]).
 const PANEL: usize = 16;
 
-/// Smallest packed weight, in elements (`k · n`), whose products
-/// [`Matrix::matmul_into`] splits across cores. On a 2-core AVX2 host with
-/// cold weights a 256 × 512 weight breaks even at 8 rows (a thread spawn costs
-/// about what the second core saves) and 512 × 512 gains 1.1–1.3×, so the gate
-/// sits there. GPT-2-small projections (768 × 768 and up) split; the E=64
-/// serving model's weights (at most 64 × 256) never do.
+/// Smallest weight, in elements (`k · n`), whose products
+/// [`Matrix::matmul_into`] and [`VocabHead::logits`] split across the
+/// cores of the process-wide [`WorkerPool`]. On a 2-core AVX2 host with cold
+/// weights a 256 × 512 weight broke even at 8 rows against a thread spawn and
+/// 512 × 512 gained 1.1–1.3×, so the gate sits there; a pool handoff costs
+/// under half a spawn, which only widens the margin above it. GPT-2-small
+/// projections (768 × 768 and up) and its 512-token vocabulary head split;
+/// the E=64 serving model's weights (at most 64 × 256) and head (128 × 64)
+/// never do, so that model never reaches the pool.
 const SPLIT_MIN_WEIGHT: usize = 512 * 512;
 
 /// Rows of the left operand one register tile of the packed kernel covers: a
@@ -49,9 +53,23 @@ const ROW_TILE: usize = 4;
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
-    /// `data` holds column panels rather than rows.
-    packed: bool,
+    data: Storage,
+}
+
+/// The elements of a [`Matrix`] in one of its two layouts.
+#[derive(Debug, Clone, PartialEq)]
+enum Storage {
+    /// Row-major.
+    Rows(Vec<f32>),
+    /// Column panels (see [`Matrix::packed_from_fn`]), behind an `Arc` so the
+    /// workers of a split product share the weight instead of copying it.
+    Panels(Arc<[f32]>),
+}
+
+impl Default for Storage {
+    fn default() -> Self {
+        Storage::Rows(Vec::new())
+    }
 }
 
 impl Matrix {
@@ -61,8 +79,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
-            packed: false,
+            data: Storage::Rows(vec![0.0; rows * cols]),
         }
     }
 
@@ -92,8 +109,7 @@ impl Matrix {
         Ok(Self {
             rows,
             cols,
-            data,
-            packed: false,
+            data: Storage::Rows(data),
         })
     }
 
@@ -121,8 +137,7 @@ impl Matrix {
         Ok(Self {
             rows: rows.len(),
             cols,
-            data,
-            packed: false,
+            data: Storage::Rows(data),
         })
     }
 
@@ -154,26 +169,25 @@ impl Matrix {
         cols: usize,
         mut value: impl FnMut(usize, usize) -> f32,
     ) -> Self {
-        let mut m = Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-            packed: true,
-        };
+        let mut panels = zeroed_shared(rows * cols);
+        let data = Arc::get_mut(&mut panels).expect("a new buffer is unshared");
         for row in 0..rows {
             for col in 0..cols {
-                let at = m.index(row, col);
-                m.data[at] = value(row, col);
+                data[panel_index(rows, cols, row, col)] = value(row, col);
             }
         }
-        m
+        Self {
+            rows,
+            cols,
+            data: Storage::Panels(panels),
+        }
     }
 
     /// True when the matrix is stored in the column-panel layout of
     /// [`Matrix::packed_from_fn`].
     #[must_use]
     pub fn is_packed(&self) -> bool {
-        self.packed
+        matches!(self.data, Storage::Panels(_))
     }
 
     /// Number of rows.
@@ -194,27 +208,45 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// Offset of element `(row, col)` in `data` under this matrix's layout.
+    /// Offset of element `(row, col)` in the buffer under this matrix's layout.
     fn index(&self, row: usize, col: usize) -> usize {
-        if self.packed {
-            let start = col - col % PANEL;
-            let width = PANEL.min(self.cols - start);
-            start * self.rows + row * width + col % PANEL
-        } else {
-            row * self.cols + col
+        match self.data {
+            Storage::Rows(_) => row * self.cols + col,
+            Storage::Panels(_) => panel_index(self.rows, self.cols, row, col),
+        }
+    }
+
+    /// The buffer, in either layout.
+    fn elements(&self) -> &[f32] {
+        match &self.data {
+            Storage::Rows(data) => data,
+            Storage::Panels(panels) => panels,
+        }
+    }
+
+    /// The buffer, in either layout, mutably. A packed weight shared with a
+    /// clone is copied first.
+    fn elements_mut(&mut self) -> &mut [f32] {
+        match &mut self.data {
+            Storage::Rows(data) => data,
+            Storage::Panels(panels) => Arc::make_mut(panels),
         }
     }
 
     /// The row-major buffer.
     fn row_major(&self) -> &[f32] {
-        assert!(!self.packed, "a panel-packed matrix has no row-major view");
-        &self.data
+        match &self.data {
+            Storage::Rows(data) => data,
+            Storage::Panels(_) => panic!("a panel-packed matrix has no row-major view"),
+        }
     }
 
     /// The row-major buffer, mutably.
     fn row_major_mut(&mut self) -> &mut [f32] {
-        assert!(!self.packed, "a panel-packed matrix has no row-major view");
-        &mut self.data
+        match &mut self.data {
+            Storage::Rows(data) => data,
+            Storage::Panels(_) => panic!("a panel-packed matrix has no row-major view"),
+        }
     }
 
     /// Element accessor (either layout).
@@ -225,7 +257,7 @@ impl Matrix {
     #[must_use]
     pub fn get(&self, row: usize, col: usize) -> f32 {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
-        self.data[self.index(row, col)]
+        self.elements()[self.index(row, col)]
     }
 
     /// Element mutator (either layout).
@@ -236,7 +268,7 @@ impl Matrix {
     pub fn set(&mut self, row: usize, col: usize, value: f32) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         let at = self.index(row, col);
-        self.data[at] = value;
+        self.elements_mut()[at] = value;
     }
 
     /// Borrows one row as a slice.
@@ -290,8 +322,10 @@ impl Matrix {
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.packed = false;
-        self.data.resize(rows * cols, 0.0);
+        match &mut self.data {
+            Storage::Rows(data) => data.resize(rows * cols, 0.0),
+            Storage::Panels(_) => self.data = Storage::Rows(vec![0.0; rows * cols]),
+        }
     }
 
     /// Elements the underlying buffer can hold without reallocating — the
@@ -299,7 +333,10 @@ impl Matrix {
     /// across steps.
     #[must_use]
     pub fn buffer_capacity(&self) -> usize {
-        self.data.capacity()
+        match &self.data {
+            Storage::Rows(data) => data.capacity(),
+            Storage::Panels(panels) => panels.len(),
+        }
     }
 
     /// Matrix multiplication `self × rhs`.
@@ -329,10 +366,10 @@ impl Matrix {
     /// A packed `rhs` of at least 512 × 512 elements is also split across the
     /// host's cores ([`Matrix::matmul_parts`] says into how many parts): its
     /// column panels are cut into contiguous ranges, the calling thread
-    /// computes the first and scoped threads the others, so each core streams
-    /// only its own share of the weight. Every output column still runs the
-    /// same kernel in the same order, so the result does not depend on the
-    /// split.
+    /// computes the first and the workers of the process-wide
+    /// [`WorkerPool`] the others, so each core streams only its own share of
+    /// the weight. Every output column still runs the same kernel in the same
+    /// order, so the result does not depend on the split.
     ///
     /// # Errors
     ///
@@ -343,6 +380,44 @@ impl Matrix {
     ///
     /// Panics when `self` or `out` is packed.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LlmError> {
+        self.product_into(rhs, out, None::<fn(f32) -> f32>)
+    }
+
+    /// [`Matrix::matmul_into`] followed by `activation` on every output
+    /// element. On a split product each range applies it to its own columns
+    /// before it returns, so the activation runs on every core rather than
+    /// after the join on one. Pass a function item such as [`gelu`]: a `fn`
+    /// pointer is not inlined, and its element loop does not vectorize.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Matrix::matmul_into`].
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Matrix::matmul_into`].
+    pub fn matmul_activate_into<F>(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        activation: F,
+    ) -> Result<(), LlmError>
+    where
+        F: Fn(f32) -> f32 + Copy + Send + Sync + 'static,
+    {
+        self.product_into(rhs, out, Some(activation))
+    }
+
+    /// `self × rhs` into `out`, then `epilogue` (when given) on every output.
+    fn product_into<F>(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        epilogue: Option<F>,
+    ) -> Result<(), LlmError>
+    where
+        F: Fn(f32) -> f32 + Copy + Send + Sync + 'static,
+    {
         if self.cols != rhs.rows {
             return Err(LlmError::ShapeMismatch {
                 op: "matmul",
@@ -359,11 +434,24 @@ impl Matrix {
         }
         let lhs = self.row_major();
         let out = out.row_major_mut();
-        if rhs.packed {
-            let parts = self.matmul_parts(rhs);
-            matmul_panel_ranges(lhs, self.cols, &rhs.data, rhs.cols, out, parts);
-            return Ok(());
-        }
+        let rhs_data = match &rhs.data {
+            Storage::Panels(panels) => {
+                let parts = self.matmul_parts(rhs);
+                panel_ranges(
+                    WorkerPool::global,
+                    lhs,
+                    self.cols,
+                    panels,
+                    rhs.cols,
+                    out,
+                    parts,
+                    matmul_panels,
+                    epilogue,
+                );
+                return Ok(());
+            }
+            Storage::Rows(data) => data,
+        };
         out.fill(0.0);
         let n = rhs.cols;
         for jj in (0..n).step_by(Self::BLOCK) {
@@ -373,7 +461,7 @@ impl Matrix {
                 for i in 0..self.rows {
                     let a_panel = &lhs[i * self.cols + kk..i * self.cols + k_end];
                     let out_tile = &mut out[i * n + jj..i * n + j_end];
-                    let rhs_panel = rhs.data[kk * n..k_end * n].chunks_exact(n);
+                    let rhs_panel = rhs_data[kk * n..k_end * n].chunks_exact(n);
                     for (&a, rhs_row) in a_panel.iter().zip(rhs_panel) {
                         let rhs_tile = &rhs_row[jj..j_end];
                         for (o, &b) in out_tile.iter_mut().zip(rhs_tile) {
@@ -382,6 +470,9 @@ impl Matrix {
                     }
                 }
             }
+        }
+        if let Some(f) = epilogue {
+            apply(out, f);
         }
         Ok(())
     }
@@ -392,7 +483,7 @@ impl Matrix {
     /// otherwise. Only the weight's size and the host select the split.
     #[must_use]
     pub fn matmul_parts(&self, rhs: &Matrix) -> usize {
-        if rhs.packed {
+        if rhs.is_packed() {
             split_parts(self.rows, rhs.rows, rhs.cols, host_threads)
         } else {
             1
@@ -543,23 +634,23 @@ impl Matrix {
 
     /// Scales every element in place (no allocation).
     pub fn scale_in_place(&mut self, factor: f32) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
+        self.map_in_place(|v| v * factor);
     }
 
     /// Applies a function elementwise.
     #[must_use]
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Matrix {
-        Matrix {
-            data: self.data.iter().map(|&v| f(v)).collect(),
-            ..*self
-        }
+        let data: Vec<f32> = self.elements().iter().map(|&v| f(v)).collect();
+        let data = match self.data {
+            Storage::Rows(_) => Storage::Rows(data),
+            Storage::Panels(_) => Storage::Panels(data.into()),
+        };
+        Matrix { data, ..*self }
     }
 
     /// Applies a function elementwise in place (no allocation).
     pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for v in &mut self.data {
+        for v in self.elements_mut() {
             *v = f(*v);
         }
     }
@@ -720,23 +811,165 @@ impl Matrix {
     /// Frobenius norm, mainly used by tests.
     #[must_use]
     pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+        self.elements().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
-/// The host's hardware threads, read once: `available_parallelism` reads
-/// cgroup files, too slow to query on every product or tick. Every spawn
-/// site sizes its split by this count: [`Matrix::matmul_into`]'s panel ranges
-/// and the router's concurrent fleet tick.
-#[must_use]
-pub fn host_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+/// The tied vocabulary head, `hidden × tableᵀ`, in a layout whose kernel
+/// vectorizes across vocabulary rows and keeps each logit's dot-product order.
+///
+/// [`Matrix::matmul_transposed_into`] takes one dot product per logit: four
+/// accumulator lanes over the `k` dimension in ascending 4-wide chunks, then
+/// `(l0 + l2) + (l1 + l3)`, then the `k % 4` tail, so its vector width is
+/// four. The head stores the table in panels of 16 vocabulary rows, each
+/// panel `[k / 4][lane 0..4][16]` followed by the `[k % 4][16]` tail (the
+/// table transposed, in 16-wide column panels, zero-padded to whole panels).
+/// Its kernel runs the same four lanes, the same pairing and the same tail
+/// for 16 logits at once, so every logit is bit-identical to
+/// [`Matrix::matmul_transposed_into`] while the loop runs 16 wide.
+///
+/// A head of at least 512 × 512 elements splits its panels across the cores
+/// of the process-wide [`WorkerPool`], under the gate of
+/// [`Matrix::matmul_into`] ([`VocabHead::parts`] says into how many parts).
+///
+/// # Example
+///
+/// ```
+/// use haan_llm::{Matrix, VocabHead};
+/// let table = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 2.0], &[-1.0, 1.0]])?;
+/// let head = VocabHead::new(&table);
+/// let hidden = Matrix::from_rows(&[&[2.0, 1.0]])?;
+/// assert_eq!(head.logits(&hidden)?, hidden.matmul_transposed(&table)?);
+/// # Ok::<(), haan_llm::LlmError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct VocabHead {
+    vocab: usize,
+    k: usize,
+    /// `k × vocab` (padded to whole panels) in the column-panel layout.
+    panels: Arc<[f32]>,
 }
 
-/// The split gate of [`Matrix::matmul_parts`] for an `m`-row product with a
-/// packed `k × n` weight. `threads` is asked only once the weight has passed
-/// the size gate.
+impl VocabHead {
+    /// Packs the row-major `vocab × k` table (the token embedding of a tied
+    /// head) into the head layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `table` is packed.
+    #[must_use]
+    pub fn new(table: &Matrix) -> Self {
+        let (vocab, k) = table.shape();
+        let padded = vocab.next_multiple_of(PANEL);
+        let mut panels = zeroed_shared(k * padded);
+        let data = Arc::get_mut(&mut panels).expect("a new buffer is unshared");
+        for v in 0..vocab {
+            for (d, &value) in table.row(v).iter().enumerate() {
+                data[panel_index(k, padded, d, v)] = value;
+            }
+        }
+        Self { vocab, k, panels }
+    }
+
+    /// How many panel ranges [`VocabHead::logits`] splits a `rows`-row
+    /// product into: the gate of [`Matrix::matmul_parts`] on a `k × vocab`
+    /// weight.
+    #[must_use]
+    pub fn parts(&self, rows: usize) -> usize {
+        split_parts(rows, self.k, self.vocab, host_threads)
+    }
+
+    /// The `hidden.rows() × vocab` logits of `hidden`, split across the
+    /// process-wide [`WorkerPool`] when [`VocabHead::parts`] says so.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LlmError::ShapeMismatch`] when `hidden.cols()` differs from
+    /// the table's width.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `hidden` is packed.
+    pub fn logits(&self, hidden: &Matrix) -> Result<Matrix, LlmError> {
+        let mut out = Matrix::zeros(hidden.rows(), self.vocab);
+        self.logits_into(WorkerPool::global, hidden, &mut out)?;
+        Ok(out)
+    }
+
+    /// The logits of `hidden` into `out`, with the ranges of a split handed
+    /// to the pool `pool` returns (asked only when the product splits). A
+    /// pool with no workers runs every range on the caller: the
+    /// single-thread form.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LlmError::ShapeMismatch`] when `hidden.cols()` differs from
+    /// the table's width or `out` is not `hidden.rows() × vocab`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `hidden` or `out` is packed.
+    pub fn logits_into<'p>(
+        &self,
+        pool: impl FnOnce() -> &'p WorkerPool,
+        hidden: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), LlmError> {
+        if hidden.cols != self.k {
+            return Err(LlmError::ShapeMismatch {
+                op: "vocabulary head",
+                lhs: hidden.shape(),
+                rhs: (self.vocab, self.k),
+            });
+        }
+        if out.shape() != (hidden.rows, self.vocab) {
+            return Err(LlmError::ShapeMismatch {
+                op: "vocabulary head (output)",
+                lhs: (hidden.rows, self.vocab),
+                rhs: out.shape(),
+            });
+        }
+        let parts = self.parts(hidden.rows);
+        panel_ranges(
+            pool,
+            hidden.row_major(),
+            self.k,
+            &self.panels,
+            self.vocab,
+            out.row_major_mut(),
+            parts,
+            head_panels,
+            None::<fn(f32) -> f32>,
+        );
+        Ok(())
+    }
+}
+
+/// Offset of element `(row, col)` of a `rows × cols` matrix in the
+/// column-panel layout of [`Matrix::packed_from_fn`].
+fn panel_index(rows: usize, cols: usize, row: usize, col: usize) -> usize {
+    let start = col - col % PANEL;
+    let width = PANEL.min(cols - start);
+    start * rows + row * width + col % PANEL
+}
+
+/// A shared buffer of `len` zeros, allocated once: filling a `Vec` and
+/// converting it would hold a weight twice at load, and the process's peak
+/// memory would keep the copy.
+fn zeroed_shared(len: usize) -> Arc<[f32]> {
+    (0..len).map(|_| 0.0).collect()
+}
+
+/// `f` on every element of `values`.
+fn apply(values: &mut [f32], f: impl Fn(f32) -> f32) {
+    for v in values {
+        *v = f(*v);
+    }
+}
+
+/// The split gate of [`Matrix::matmul_parts`] and [`VocabHead::parts`] for
+/// an `m`-row product with a `k × n` weight. `threads` is asked only once the
+/// weight has passed the size gate.
 fn split_parts(m: usize, k: usize, n: usize, threads: impl FnOnce() -> usize) -> usize {
     if m == 0 || k * n < SPLIT_MIN_WEIGHT {
         return 1;
@@ -744,60 +977,106 @@ fn split_parts(m: usize, k: usize, n: usize, threads: impl FnOnce() -> usize) ->
     threads().min(n.div_ceil(PANEL))
 }
 
-/// The packed-rhs kernel of [`Matrix::matmul_into`] with its column panels
-/// cut into `parts` contiguous ranges of near-equal panel count. The calling
-/// thread runs [`matmul_panels`] over the first range straight into `out`;
-/// each other range runs on a scoped thread into its own `m × width` scratch,
-/// copied into `out` once all have joined. Each output column is computed by
-/// the kernel it would get unsplit, so the result is bit-identical at any
-/// `parts`.
-fn matmul_panel_ranges(
+/// A kernel over a run of whole column panels: `(lhs, k, panels, width,
+/// stride, out)` writes the panels' first `width` output columns of every
+/// `lhs` row to columns `0..width` of `out`, whose rows are `stride` wide.
+type PanelKernel = fn(&[f32], usize, &[f32], usize, usize, &mut [f32]);
+
+/// A panel kernel over `n` output columns with its column panels cut into
+/// `parts` contiguous ranges of near-equal panel count. The calling thread
+/// runs the first range straight into `out`; with more than one part, each
+/// other range runs as a job of the pool `pool` returns (asked only then),
+/// into its own `m × width` block that the caller copies into `out`. Each
+/// range applies `epilogue` to its own outputs. Every output column is
+/// computed by the kernel it would get unsplit, so the result is
+/// bit-identical at any `parts` and on any pool.
+#[allow(clippy::too_many_arguments)]
+fn panel_ranges<'p, F>(
+    pool: impl FnOnce() -> &'p WorkerPool,
     lhs: &[f32],
     k: usize,
-    panels: &[f32],
+    panels: &Arc<[f32]>,
     n: usize,
     out: &mut [f32],
     parts: usize,
-) {
+    kernel: PanelKernel,
+    epilogue: Option<F>,
+) where
+    F: Fn(f32) -> f32 + Copy + Send + Sync + 'static,
+{
     let count = n.div_ceil(PANEL);
     let parts = parts.clamp(1, count.max(1));
+    // Panel data of the columns `cols`: every range but the last starts and
+    // ends on a panel edge; the last runs to the end of the data.
+    let len = panels.len();
+    let range_data = move |cols: &std::ops::Range<usize>| {
+        (
+            cols.start * k,
+            (cols.end.next_multiple_of(PANEL) * k).min(len),
+        )
+    };
     if parts == 1 {
-        matmul_panels(lhs, k, panels, n, out);
+        kernel(lhs, k, panels, n, n, out);
+        if let Some(f) = epilogue {
+            apply(out, f);
+        }
         return;
     }
     let m = out.len() / n;
-    // First column of range `i`; every range but the last is whole panels, so
-    // columns `c..` start `c * k` floats into `panels`.
-    let col = |i: usize| (i * count / parts * PANEL).min(n);
-    let others = (1..parts).map(|i| col(i)..col(i + 1));
-    let mut scratch = vec![0.0f32; m * (n - col(1))];
-    std::thread::scope(|scope| {
-        let mut rest = scratch.as_mut_slice();
-        for cols in others.clone() {
-            let (buf, tail) = rest.split_at_mut(m * cols.len());
-            rest = tail;
-            let range = &panels[cols.start * k..cols.end * k];
-            scope.spawn(move || matmul_panels(lhs, k, range, cols.len(), buf));
-        }
-        matmul_panels(lhs, k, &panels[..col(1) * k], n, out);
-    });
-    let mut rest = scratch.as_slice();
-    for cols in others {
-        let (buf, tail) = rest.split_at(m * cols.len());
-        rest = tail;
-        for (out_row, buf_row) in out.chunks_exact_mut(n).zip(buf.chunks_exact(cols.len())) {
-            out_row[cols.clone()].copy_from_slice(buf_row);
+    // First column of range `i`.
+    let col = move |i: usize| (i * count / parts * PANEL).min(n);
+    let blocks = {
+        let (rows, weight) = (Arc::<[f32]>::from(lhs), Arc::clone(panels));
+        let work = move |i: usize| {
+            let cols = col(i)..col(i + 1);
+            let (start, end) = range_data(&cols);
+            let mut block = vec![0.0f32; m * cols.len()];
+            kernel(
+                &rows,
+                k,
+                &weight[start..end],
+                cols.len(),
+                cols.len(),
+                &mut block,
+            );
+            if let Some(f) = epilogue {
+                apply(&mut block, f);
+            }
+            block
+        };
+        pool().split(parts, work, || {
+            let first = 0..col(1);
+            let (start, end) = range_data(&first);
+            kernel(lhs, k, &panels[start..end], first.len(), n, out);
+            if let Some(f) = epilogue {
+                for row in out.chunks_exact_mut(n) {
+                    apply(&mut row[first.clone()], f);
+                }
+            }
+        })
+    };
+    for (i, block) in (1..parts).zip(blocks) {
+        let cols = col(i)..col(i + 1);
+        for (out_row, block_row) in out.chunks_exact_mut(n).zip(block.chunks_exact(cols.len())) {
+            out_row[cols.clone()].copy_from_slice(block_row);
         }
     }
 }
 
-/// The packed-rhs kernel: `lhs` is row-major `m × k`, `panels` a run of
-/// whole column panels of a packed right-hand side (all of it, or one range
-/// of [`matmul_panel_ranges`]), and `out` row-major with rows `stride` wide,
-/// the panels' columns starting at column 0 of each row. Full-width panels
-/// run [`ROW_TILE`]-row register tiles (two- and one-row tiles for the
+/// The packed-rhs kernel (a [`PanelKernel`]): `lhs` is row-major `m × k`,
+/// `panels` a run of whole column panels of a packed right-hand side (all
+/// of it, or one range of [`panel_ranges`]), `width` their columns. Full-width
+/// panels run [`ROW_TILE`]-row register tiles (two- and one-row tiles for the
 /// leftover rows); a narrower last panel runs row by row.
-fn matmul_panels(lhs: &[f32], k: usize, panels: &[f32], stride: usize, out: &mut [f32]) {
+fn matmul_panels(
+    lhs: &[f32],
+    k: usize,
+    panels: &[f32],
+    width: usize,
+    stride: usize,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(panels.len(), k * width);
     if k == 0 {
         out.fill(0.0);
         return;
@@ -876,6 +1155,68 @@ fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
     for (x, y) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
         acc += x * y;
+    }
+    acc
+}
+
+/// The kernel of [`VocabHead`] (a [`PanelKernel`]): `panels` a run of whole
+/// 16-row vocabulary panels, `width` the logits they hold (the last panel's
+/// padding is skipped).
+fn head_panels(
+    lhs: &[f32],
+    k: usize,
+    panels: &[f32],
+    width: usize,
+    stride: usize,
+    out: &mut [f32],
+) {
+    if width == 0 {
+        return;
+    }
+    for (row, out_row) in out.chunks_exact_mut(stride).enumerate() {
+        let out_row = &mut out_row[..width];
+        if k == 0 {
+            // Four empty lanes: (0 + 0) + (0 + 0).
+            out_row.fill(0.0);
+            continue;
+        }
+        let a = &lhs[row * k..(row + 1) * k];
+        for (panel, logits) in panels
+            .chunks_exact(PANEL * k)
+            .zip(out_row.chunks_mut(PANEL))
+        {
+            logits.copy_from_slice(&dot_panel(a, panel)[..logits.len()]);
+        }
+    }
+}
+
+/// The 16 logits of one head panel: [`dot_unrolled`] of `a` with each of the
+/// panel's 16 vocabulary rows, run side by side. Each lane `l` of each logit
+/// adds `a[4c + l] · w` for ascending chunks `c`, the lanes pair as
+/// `(l0 + l2) + (l1 + l3)`, and the tail adds last, all exactly as
+/// [`dot_unrolled`] orders them.
+fn dot_panel(a: &[f32], panel: &[f32]) -> [f32; PANEL] {
+    let (a_chunks, a_tail) = a.as_chunks::<4>();
+    let (w_rows, _) = panel.as_chunks::<PANEL>();
+    let (w_body, w_tail) = w_rows.split_at(4 * a_chunks.len());
+    let (w_chunks, _) = w_body.as_chunks::<4>();
+    let mut lanes = [[0.0f32; PANEL]; 4];
+    for (ac, wc) in a_chunks.iter().zip(w_chunks) {
+        for lane in 0..4 {
+            let x = ac[lane];
+            for j in 0..PANEL {
+                lanes[lane][j] += x * wc[lane][j];
+            }
+        }
+    }
+    let mut acc = [0.0f32; PANEL];
+    for j in 0..PANEL {
+        acc[j] = (lanes[0][j] + lanes[2][j]) + (lanes[1][j] + lanes[3][j]);
+    }
+    for (&x, w) in a_tail.iter().zip(w_tail) {
+        for j in 0..PANEL {
+            acc[j] += x * w[j];
+        }
     }
     acc
 }
@@ -1098,11 +1439,53 @@ mod tests {
         }
     }
 
+    /// The shared panels of a packed matrix.
+    fn panels_of(m: &Matrix) -> &Arc<[f32]> {
+        match &m.data {
+            Storage::Panels(panels) => panels,
+            Storage::Rows(_) => panic!("not packed"),
+        }
+    }
+
+    fn to_bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `panel_ranges` of `kernel` over `n` columns in `parts` parts on
+    /// `pool`, from an output prefilled with ones.
+    #[allow(clippy::too_many_arguments)]
+    fn ranges_on(
+        pool: &WorkerPool,
+        lhs: &[f32],
+        k: usize,
+        panels: &Arc<[f32]>,
+        n: usize,
+        parts: usize,
+        kernel: PanelKernel,
+        epilogue: Option<fn(f32) -> f32>,
+    ) -> Vec<u32> {
+        let mut out = vec![1.0f32; lhs.len() / k.max(1) * n];
+        panel_ranges(
+            || pool,
+            lhs,
+            k,
+            panels,
+            n,
+            &mut out,
+            parts,
+            kernel,
+            epilogue,
+        );
+        to_bits(&out)
+    }
+
     #[test]
     fn panel_range_split_is_bit_identical_to_the_unsplit_kernel() {
         // One panel, a narrow last panel, an odd panel count, and a narrow
         // last panel behind several full ones; parts above the panel count
-        // clamp to it.
+        // clamp to it. A pool with no workers runs every range on the
+        // caller and gives the bits the worker pools give.
+        let pools = [WorkerPool::new(0), WorkerPool::new(2)];
         for (inner, cols) in [(17, 16), (17, 40), (9, 48), (1, 100), (33, 7)] {
             for rows in 1..=9 {
                 let seed = (rows * inner + cols) as u64;
@@ -1114,20 +1497,178 @@ mod tests {
                 rhs[0] = f32::INFINITY;
                 rhs[inner * cols / 2] = f32::NEG_INFINITY;
                 let packed = Matrix::packed_from_fn(inner, cols, |r, c| rhs[r * cols + c]);
+                let panels = panels_of(&packed);
                 let mut whole = vec![0.0f32; rows * cols];
-                matmul_panels(&lhs, inner, &packed.data, cols, &mut whole);
+                matmul_panels(&lhs, inner, panels, cols, cols, &mut whole);
+                let mut activated = whole.clone();
+                apply(&mut activated, gelu);
                 for parts in 1..=3 {
-                    let mut split = vec![1.0f32; rows * cols];
-                    matmul_panel_ranges(&lhs, inner, &packed.data, cols, &mut split, parts);
-                    let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        to_bits(&split),
-                        to_bits(&whole),
-                        "{rows}x{inner} · {inner}x{cols} in {parts} parts"
-                    );
+                    for pool in pools.iter().chain([WorkerPool::global()]) {
+                        let shape = format!(
+                            "{rows}x{inner} · {inner}x{cols} in {parts} parts, {} workers",
+                            pool.workers()
+                        );
+                        let split = |epilogue| {
+                            ranges_on(
+                                pool,
+                                &lhs,
+                                inner,
+                                panels,
+                                cols,
+                                parts,
+                                matmul_panels,
+                                epilogue,
+                            )
+                        };
+                        assert_eq!(split(None), to_bits(&whole), "{shape}");
+                        assert_eq!(split(Some(gelu)), to_bits(&activated), "{shape}, GELU");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn activated_product_equals_product_then_activation() {
+        // Row-major, packed unsplit and packed split (768 × 768 passes the
+        // gate) weights alike.
+        for (inner, cols, packed) in [(33, 40, false), (33, 40, true), (768, 768, true)] {
+            let x = Matrix::from_vec(5, inner, edge_values(5 * inner, 3)).unwrap();
+            let values = edge_values(inner * cols, 4);
+            let w = if packed {
+                Matrix::packed_from_fn(inner, cols, |r, c| values[r * cols + c])
+            } else {
+                Matrix::from_vec(inner, cols, values).unwrap()
+            };
+            for f in [gelu as fn(f32) -> f32, silu] {
+                let mut expected = x.matmul(&w).unwrap();
+                expected.map_in_place(f);
+                let mut out = Matrix::zeros(5, cols);
+                x.matmul_activate_into(&w, &mut out, f).unwrap();
+                assert_eq!(
+                    bits(&out),
+                    bits(&expected),
+                    "{inner}x{cols}, packed {packed}"
+                );
+            }
+        }
+    }
+
+    /// `lhs × tableᵀ` through the head at each of `parts` on `pool`, against
+    /// [`Matrix::matmul_transposed_into`], bit for bit.
+    fn assert_head_matches_transposed(
+        lhs: &Matrix,
+        table: &Matrix,
+        pool: &WorkerPool,
+        parts: impl IntoIterator<Item = usize>,
+    ) {
+        let mut expected = Matrix::zeros(lhs.rows(), table.rows());
+        lhs.matmul_transposed_into(table, &mut expected).unwrap();
+        let head = VocabHead::new(table);
+        for parts in parts {
+            let got = ranges_on(
+                pool,
+                lhs.as_slice(),
+                head.k,
+                &head.panels,
+                head.vocab,
+                parts,
+                head_panels,
+                None,
+            );
+            assert_eq!(
+                got,
+                bits(&expected),
+                "{}x{} · ({}x{})ᵀ in {parts} parts, {} workers",
+                lhs.rows(),
+                lhs.cols(),
+                table.rows(),
+                table.cols(),
+                pool.workers()
+            );
+        }
+    }
+
+    /// Values with −0, subnormals, NaN and both infinities mixed in.
+    fn head_values(len: usize, seed: u64) -> Vec<f32> {
+        let mut values = edge_values(len, seed);
+        for (i, special) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            if let Some(v) = values.get_mut((seed as usize + 7 * i) % len.max(1)) {
+                *v = special;
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn vocab_head_is_bit_identical_to_the_transposed_product() {
+        for k in [1, 3, 4, 5, 17, 64, 768] {
+            for vocab in [1, 15, 16, 17, 128, 512] {
+                let seed = (k * 1000 + vocab) as u64;
+                let table = Matrix::from_vec(vocab, k, head_values(vocab * k, seed)).unwrap();
+                for rows in 1..=9 {
+                    let lhs = Matrix::from_vec(rows, k, head_values(rows * k, !seed)).unwrap();
+                    assert_head_matches_transposed(&lhs, &table, WorkerPool::global(), 1..=3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vocab_head_gives_the_same_bits_on_every_pool_and_through_its_entry_points() {
+        let serial = WorkerPool::new(0);
+        let (vocab, k) = (512, 768);
+        let table = Matrix::from_vec(vocab, k, head_values(vocab * k, 1)).unwrap();
+        let hidden = Matrix::from_vec(8, k, head_values(8 * k, 2)).unwrap();
+        assert_head_matches_transposed(&hidden, &table, &serial, 1..=3);
+        let head = VocabHead::new(&table);
+        assert_eq!(head.parts(8), host_threads().min(vocab / PANEL));
+        let expected = bits(&hidden.matmul_transposed(&table).unwrap());
+        assert_eq!(bits(&head.logits(&hidden).unwrap()), expected);
+        let mut out = Matrix::zeros(8, vocab);
+        head.logits_into(|| &serial, &hidden, &mut out).unwrap();
+        assert_eq!(bits(&out), expected);
+        // Shapes are checked, not trusted.
+        assert!(head.logits(&Matrix::zeros(8, k - 1)).is_err());
+        let mut narrow = Matrix::zeros(8, vocab - 1);
+        assert!(head.logits_into(|| &serial, &hidden, &mut narrow).is_err());
+        // An empty left operand and an empty table give empty logits.
+        assert_eq!(
+            head.logits(&Matrix::zeros(0, k)).unwrap().shape(),
+            (0, vocab)
+        );
+        let empty = VocabHead::new(&Matrix::zeros(0, k));
+        assert_eq!(empty.logits(&hidden).unwrap().shape(), (8, 0));
+        // A zero-width table gives the empty dot product, +0.
+        let flat = VocabHead::new(&Matrix::zeros(3, 0));
+        let zeros = Matrix::zeros(2, 0);
+        assert_eq!(
+            flat.logits(&zeros).unwrap(),
+            zeros.matmul_transposed(&Matrix::zeros(3, 0)).unwrap()
+        );
+    }
+
+    #[test]
+    fn the_global_pool_starts_its_workers_once() {
+        // Products that split, issued from two threads at once and many
+        // times over, start the process-wide pool exactly once.
+        let weight = Matrix::packed_from_fn(768, 768, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
+        let x = Matrix::from_vec(8, 768, edge_values(8 * 768, 5)).unwrap();
+        let expected = bits(&x.matmul(&weight).unwrap());
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..8 {
+                        assert_eq!(bits(&x.matmul(&weight).unwrap()), expected);
+                    }
+                });
+            }
+        });
+        assert_eq!(crate::pool::workers_started(), host_threads() - 1);
+        assert_eq!(WorkerPool::global().workers(), host_threads() - 1);
     }
 
     #[test]
@@ -1445,6 +1986,19 @@ mod tests {
             seed in 0u64..1_000_000,
         ) {
             assert_packed_matches_row_major(rows, inner, cols, seed);
+        }
+
+        #[test]
+        fn prop_vocab_head_is_bit_identical_to_the_transposed_product(
+            rows in 1usize..10,
+            k in 1usize..80,
+            vocab in 1usize..70,
+            parts in 1usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let table = Matrix::from_vec(vocab, k, head_values(vocab * k, seed)).unwrap();
+            let lhs = Matrix::from_vec(rows, k, head_values(rows * k, !seed)).unwrap();
+            assert_head_matches_transposed(&lhs, &table, WorkerPool::global(), [parts]);
         }
 
         #[test]

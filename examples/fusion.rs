@@ -6,27 +6,20 @@
 //! in `haan_llm::norm::Composed`, which runs the composed operation order — and
 //! the outputs must be bit-identical: the fused kernel preserves the composed
 //! reduction order exactly (see `tests/fusion_parity.rs`). A
-//! scalar-backend oracle bounds both within the documented tolerance, and
-//! ns/element timings show what the fusion actually buys on paper-width
-//! (4096-element) rows.
+//! scalar-backend oracle bounds both within the documented tolerance. What
+//! the fusion buys in time is measured by `bench_report`'s `fusion` block.
 //!
 //! Run with: `cargo run --release --example fusion`
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer};
 use haan_llm::norm::{Composed, NormSite, Normalizer};
 use haan_llm::{Matrix, NormKind};
-use std::time::Instant;
 
-/// Rows of the demonstration batch: a prefill-sized chunk large enough that the
-/// matrices spill past cache, so the timing shows what skipping whole memory
-/// passes buys rather than L1-resident arithmetic.
+/// Rows of the demonstration batch: a prefill-sized chunk.
 const ROWS: usize = 1024;
 /// Paper-width rows (GPT-2-XL hidden size); the acceptance width of the
 /// `fusion` block in `bench_report`.
 const COLS: usize = 4096;
-/// Timing repetitions per path (best-of filters scheduler noise).
-const TIMING_BATCHES: usize = 5;
-const TIMING_ITERS: usize = 5;
 
 fn patterned_matrix(rows: usize, cols: usize, salt: u64, scale: f32) -> Matrix {
     let data: Vec<f32> = (0..rows * cols)
@@ -48,20 +41,6 @@ fn normalizer(backend: BackendSelection) -> HaanNormalizer {
     })
 }
 
-/// Best-of-batches ns/element of `routine` over the `ROWS`×`COLS` input.
-fn time_per_element<F: FnMut()>(mut routine: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_BATCHES {
-        let started = Instant::now();
-        for _ in 0..TIMING_ITERS {
-            routine();
-        }
-        let nanos = started.elapsed().as_nanos() as f64 / TIMING_ITERS as f64;
-        best = best.min(nanos);
-    }
-    best / (ROWS * COLS) as f64
-}
-
 fn max_abs_delta(a: &Matrix, b: &Matrix) -> f32 {
     a.as_slice()
         .iter()
@@ -80,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kind: NormKind::LayerNorm,
     };
 
-    // 1. Parity: the fused path must be bit-identical to the composed
-    //    decomposition on the same backend, and oracle-close on the scalar one.
+    // The fused path must be bit-identical to the composed decomposition on
+    // the same backend, and oracle-close on the scalar one.
     let mut fused = normalizer(BackendSelection::Fused);
     let mut composed = Composed(normalizer(BackendSelection::Fused));
     let mut oracle = Composed(normalizer(BackendSelection::Scalar));
@@ -121,32 +100,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "parity: fused == composed bit-identically; |Δ| vs scalar oracle ≤ {norm_delta:.2e} \
          (normalized rows, {ROWS}x{COLS})"
-    );
-
-    // 2. Timing: what the fusion saves over its composed decomposition.
-    let mut summed = Matrix::zeros(ROWS, COLS);
-    let mut normed = Matrix::zeros(ROWS, COLS);
-    let mut residual_site = |norm: &mut dyn Normalizer| {
-        time_per_element(|| {
-            norm.normalize_residual_into(
-                site,
-                &input,
-                &residual,
-                &gamma,
-                &beta,
-                &mut summed,
-                &mut normed,
-            );
-            std::hint::black_box(normed.get(0, 0));
-        })
-    };
-    let residual_fused_ns = residual_site(&mut fused);
-    let residual_composed_ns = residual_site(&mut composed);
-    println!(
-        "residual+norm: fused {residual_fused_ns:.3} ns/element, \
-         composed {residual_composed_ns:.3} ns/element ({:.2}x; the fused pass skips \
-         re-reading the summed {ROWS}x{COLS} matrix)",
-        residual_composed_ns / residual_fused_ns
     );
     Ok(())
 }

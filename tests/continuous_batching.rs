@@ -14,7 +14,8 @@
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_llm::norm::Composed;
-use haan_llm::{ModelConfig, ModelFamily, StreamingModel, TransformerModel};
+use haan_llm::pool::handoffs_on_this_thread;
+use haan_llm::{host_threads, Matrix, ModelConfig, ModelFamily, StreamingModel, TransformerModel};
 use haan_obs::{Obs, ObsSink};
 use haan_serve::{KvPoolPolicy, ServeConfig, ServeEngine, StreamStatus};
 use std::sync::Arc;
@@ -526,4 +527,49 @@ fn long_prompt_joining_a_wide_group_never_stalls_resident_streams() {
     // prefill ticks carried the chunk rows on top.
     let stats = group.stats();
     assert!(stats.mean_tick_occupancy_rows() > WIDTH as f64);
+}
+
+/// The `serve_mixed` benchmark's model (E = 64): every projection weight and
+/// the vocabulary head sit under the split gate, so a tick of its group,
+/// prompt catch-up and logits included, hands nothing to the worker pool and
+/// runs exactly as it did before the pool existed.
+#[test]
+fn an_e64_serving_tick_hands_nothing_to_the_worker_pool() {
+    let config = ModelConfig {
+        name: "decode-bench".to_string(),
+        family: ModelFamily::Gpt2,
+        num_blocks: 2,
+        embedding_dim: 64,
+        num_heads: 4,
+        mlp_dim: 128,
+        vocab_size: 128,
+        max_seq_len: 256,
+        final_norm: true,
+        paper_embedding_dim: 64,
+    };
+    let model = TransformerModel::new(&config, 11).expect("valid E=64 model");
+    let engine = ServeEngine::start(ServeConfig::default());
+    let mut group = engine.empty_decode_group(&model).expect("group");
+    for s in 0..16u32 {
+        let prompt: Vec<u32> = (0..4 + s % 9).map(|i| (s * 7 + i * 3) % 128).collect();
+        group.add_stream(&prompt).expect("valid prompt");
+    }
+    let before = handoffs_on_this_thread();
+    for _ in 0..6 {
+        group.step_all().expect("E=64 tick");
+    }
+    assert_eq!(
+        handoffs_on_this_thread(),
+        before,
+        "an E=64 tick handed work to the pool"
+    );
+    assert!(group.stats().mean_tick_occupancy_rows() >= 16.0);
+    // The counter does see a product that splits: a GPT-2-small projection
+    // hands every range but the caller's to the pool.
+    let weight = Matrix::packed_from_fn(768, 768, |r, c| (r + c) as f32);
+    let _ = Matrix::zeros(8, 768).matmul(&weight).expect("shapes");
+    assert_eq!(
+        handoffs_on_this_thread() - before,
+        (host_threads().min(768 / 16) - 1) as u64
+    );
 }
