@@ -1426,6 +1426,13 @@ fn main() {
         at("activations.gelu.crate_ns_per_element.median"),
         at("activations.gelu.libm_ns_per_element.median"),
     );
+    let fp16_ratio = at("haan_paths.layernorm_8x768.default.ratio_vs_exact");
+    assert!(
+        fp16_ratio <= 4.0,
+        "the default HAAN config (FP16 statistics operands) costs {fp16_ratio:.2}x the \
+         exact kernel at an 8x768 LayerNorm site, over the 4.0x bar (medians of {ROUNDS} \
+         rounds)"
+    );
     let longest = DECODE_SEQS.last().expect("at least one decode point");
     let cached_speedup = at(&format!(
         "decode.seq_{longest}.cached_speedup_vs_full_recompute"

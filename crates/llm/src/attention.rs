@@ -6,60 +6,50 @@
 //! by [`TransformerBlock::forward_cached_segments`](crate::block::TransformerBlock::forward_cached_segments))
 //! appends freshly projected key/value rows to a pool-backed
 //! [`PagedKvCache`] and attends only the new query rows against the cache,
-//! making decode O(seq) per token. The two are bit-identical on the positions
-//! they both compute: projections are row-local matmuls, the offset causal
-//! softmax shares the zero-offset reduction order, and masked score columns
-//! contribute exact `+0.0` terms to the value reduction.
+//! making decode O(seq) per token. It runs one fused score → softmax → value
+//! pass per (query row, head) over the K/V rows where they live in the pool
+//! pages. The two are bit-identical on the positions they both compute:
+//! projections are row-local matmuls, each score is the oracle's
+//! `dot_unrolled` times the scale, both run the one causal softmax row body,
+//! and the value sum adds every cached position in ascending order, masked
+//! ones (weight `0.0`) included, exactly as the oracle's matmul does.
 
 use crate::error::LlmError;
 use crate::init::gaussian_weight;
 use crate::paging::PagedKvCache;
-use crate::tensor::Matrix;
+use crate::tensor::{causal_softmax_row, dot_unrolled, Matrix};
 use rand::rngs::StdRng;
 
-/// Reusable scratch for the paged attention path: the per-head panels, score
-/// matrix, and the full-width gather panels an incremental attention call
-/// would otherwise allocate on every step.
+/// Reusable scratch for the paged attention path: the one score row (one
+/// entry per cached position) the fused kernel needs. The kernel reads K/V
+/// in place from the pool pages and writes the caller's head-concat rows
+/// directly, so nothing else is buffered.
 ///
 /// A [`DecodeContext`](crate::model::DecodeContext) owns one scratch and passes
-/// it to every step, so the O(sequence-length) buffers of a long-lived decode
-/// stream are allocated once and reused: steady-state decode performs no
-/// growth (pinned by [`AttnScratch::buffer_capacity`] telemetry in the decode
-/// bench). The buffers carry no state between calls — every call overwrites
-/// what it reads — so one scratch may serve any number of streams as long as
-/// calls do not interleave.
+/// it to every step, so a long-lived decode stream allocates its score row
+/// once and reuses it: steady-state decode performs no growth beyond
+/// amortized doubling (pinned by [`AttnScratch::buffer_capacity`] telemetry
+/// in the decode bench). The row carries no state between calls — every call
+/// overwrites what it reads — so one scratch may serve any number of streams
+/// as long as calls do not interleave.
 #[derive(Debug, Default)]
 pub struct AttnScratch {
-    concat: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    scores: Matrix,
-    head_out: Matrix,
-    keys_all: Matrix,
-    values_all: Matrix,
+    scores: Vec<f32>,
 }
 
 impl AttnScratch {
-    /// An empty scratch; buffers grow on first use.
+    /// An empty scratch; the score row grows on first use.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Total elements the scratch buffers can hold without reallocating. Flat
-    /// across decode steps once the stream is warmed up — the decode bench
-    /// asserts exactly that.
+    /// Elements the score row can hold without reallocating. Flat across
+    /// decode steps once the stream is warmed up — the decode bench asserts
+    /// exactly that.
     #[must_use]
     pub fn buffer_capacity(&self) -> usize {
-        self.concat.buffer_capacity()
-            + self.q.buffer_capacity()
-            + self.k.buffer_capacity()
-            + self.v.buffer_capacity()
-            + self.scores.buffer_capacity()
-            + self.head_out.buffer_capacity()
-            + self.keys_all.buffer_capacity()
-            + self.values_all.buffer_capacity()
+        self.scores.capacity()
     }
 }
 
@@ -155,6 +145,19 @@ impl MultiHeadAttention {
         keys: &Matrix,
         values: &Matrix,
     ) -> Result<Matrix, LlmError> {
+        self.project_output(&self.attend_full(queries, keys, values)?)
+    }
+
+    /// The head-concat rows of [`MultiHeadAttention::forward_projected`],
+    /// before the output projection: per head, the whole `seq × seq` score
+    /// matrix, its causal softmax and the value product. The oracle of the
+    /// paged kernel.
+    fn attend_full(
+        &self,
+        queries: &Matrix,
+        keys: &Matrix,
+        values: &Matrix,
+    ) -> Result<Matrix, LlmError> {
         if queries.cols() != self.embedding_dim
             || keys.shape() != queries.shape()
             || values.shape() != queries.shape()
@@ -187,7 +190,7 @@ impl MultiHeadAttention {
             scores.matmul_into(&v, &mut head_out)?;
             concat.set_columns(col_start, &head_out)?;
         }
-        concat.matmul(&self.w_output)
+        Ok(concat)
     }
 
     /// Runs causal self-attention over a `seq × E` input and returns a `seq × E` output.
@@ -210,101 +213,79 @@ impl MultiHeadAttention {
         self.forward_projected(&queries, &keys, &values)
     }
 
-    /// The incremental attention sublayer from already-projected new rows:
-    /// appends `new_keys`/`new_values` to the paged cache (borrowing pool pages
-    /// as needed), attends the projected `queries` against the whole cache, and
-    /// returns the head-concat rows *before* the output projection (held in
-    /// `scratch`). The decode path enters here after projecting Q/K/V straight
-    /// out of the normalization site, and applies
-    /// [`MultiHeadAttention::project_output`] once over every stream's rows.
+    /// The incremental attention sublayer from already-projected new rows
+    /// (row-major, `E` wide, heads concatenated: a segment of the batched
+    /// projections). Appends `new_keys`/`new_values` to the paged cache
+    /// (borrowing pool pages as needed), then runs one fused pass per (query
+    /// row, head) inside one pool-lock visit that reads the K/V rows in place:
+    /// score each visible position as `dot_unrolled(q, k) * scale`, run the
+    /// causal softmax row body, and add `s[p] · v[p]` over *every* cached
+    /// position in ascending `p` into the head's columns of `heads` (the
+    /// head-concat rows before the output projection, as long as `queries`).
     ///
-    /// Feeding a whole sequence in one call (prefill) is bit-identical to
-    /// [`MultiHeadAttention::forward_projected`]; feeding it in chunks (decode)
-    /// is bit-identical to recomputing the full prefix and keeping the last
-    /// rows, because every kernel involved reduces in the same order either way.
+    /// Those are [`MultiHeadAttention::forward_projected`]'s per-head
+    /// operations in its order, the masked positions' `0.0` weights included,
+    /// so a prefill is bit-identical to it and a chunked feed to recomputing
+    /// the full prefix and keeping the last rows, non-finite K/V included.
     ///
     /// # Errors
     ///
-    /// Returns [`LlmError::ShapeMismatch`] when the three matrices disagree in
-    /// shape or their width differs from the configured embedding dimension or
-    /// the cache's width, and [`LlmError::KvPoolExhausted`] when the pool cannot
-    /// supply the pages the appended rows need (the cache is left unchanged).
-    pub(crate) fn attend_paged_projected<'s>(
+    /// Returns [`LlmError::ShapeMismatch`] when the four slices differ in
+    /// length, are not whole rows of the configured embedding dimension, or
+    /// the cache is pooled at another width, and [`LlmError::KvPoolExhausted`]
+    /// when the pool cannot supply the pages the appended rows need (the cache
+    /// is left unchanged).
+    pub(crate) fn attend_paged_projected(
         &self,
-        queries: &Matrix,
-        new_keys: &Matrix,
-        new_values: &Matrix,
+        queries: &[f32],
+        new_keys: &[f32],
+        new_values: &[f32],
         cache: &mut PagedKvCache,
-        scratch: &'s mut AttnScratch,
-    ) -> Result<&'s Matrix, LlmError> {
-        if queries.cols() != self.embedding_dim
-            || new_keys.shape() != queries.shape()
-            || new_values.shape() != queries.shape()
-            || cache.embedding_dim() != self.embedding_dim
+        scratch: &mut AttnScratch,
+        heads: &mut [f32],
+    ) -> Result<(), LlmError> {
+        let e = self.embedding_dim;
+        let len = queries.len();
+        if !len.is_multiple_of(e)
+            || new_keys.len() != len
+            || new_values.len() != len
+            || heads.len() != len
+            || cache.embedding_dim() != e
         {
             return Err(LlmError::ShapeMismatch {
                 op: "attention attend_paged_projected",
-                lhs: queries.shape(),
+                lhs: (len / e, e),
                 rhs: (cache.len(), cache.embedding_dim()),
             });
         }
         let offset = cache.len();
-        cache.append(new_keys, new_values)?;
-        self.attend_paged(queries, offset, cache, scratch)
-    }
-
-    /// The per-head score/softmax/value loop over every cached position. One
-    /// pool-lock acquisition gathers every live row at full width, then each
-    /// head slices its K/V panels from the local copy, lock-free, resizing the
-    /// caller's scratch to this call's shapes (an allocation only when the
-    /// stream outgrew every earlier call). Returns the head-concat rows.
-    fn attend_paged<'s>(
-        &self,
-        queries: &Matrix,
-        offset: usize,
-        cache: &PagedKvCache,
-        scratch: &'s mut AttnScratch,
-    ) -> Result<&'s Matrix, LlmError> {
-        let AttnScratch {
-            concat,
-            q,
-            k,
-            v,
-            scores,
-            head_out,
-            keys_all,
-            values_all,
-        } = scratch;
-        let new = queries.rows();
-        let total = cache.len();
+        cache.append_rows(new_keys, new_values)?;
         let head_dim = self.head_dim();
         let scale = 1.0 / (head_dim as f32).sqrt();
-        keys_all.resize(total, self.embedding_dim);
-        values_all.resize(total, self.embedding_dim);
-        cache.gather_window(0, keys_all, values_all);
-        // Reshape (allocation-free at steady state); every element written
-        // below, so stale contents never leak: `concat` is covered column-block
-        // by column-block across the head loop, the rest per head.
-        concat.resize(new, self.embedding_dim);
-        q.resize(new, head_dim);
-        k.resize(total, head_dim);
-        v.resize(total, head_dim);
-        scores.resize(new, total);
-        head_out.resize(new, head_dim);
-
-        for head in 0..self.num_heads {
-            let col_start = head * head_dim;
-            queries.columns_into(col_start, head_dim, q)?;
-            keys_all.window_into(0, col_start, k)?;
-            values_all.window_into(0, col_start, v)?;
-
-            q.matmul_transposed_into(k, scores)?;
-            scores.scale_in_place(scale);
-            scores.causal_softmax_rows_offset(offset);
-            scores.matmul_into(v, head_out)?;
-            concat.set_columns(col_start, head_out)?;
-        }
-        Ok(concat)
+        let scores = &mut scratch.scores;
+        scores.resize(cache.len(), 0.0);
+        cache.visit_rows(|rows| {
+            let query_rows = queries.chunks_exact(e).zip(heads.chunks_exact_mut(e));
+            for (i, (q_row, out_row)) in query_rows.enumerate() {
+                let limit = offset + i + 1;
+                for head in (0..e).step_by(head_dim) {
+                    let cols = head..head + head_dim;
+                    let q = &q_row[cols.clone()];
+                    for (s, (k, _)) in scores[..limit].iter_mut().zip(rows.iter()) {
+                        *s = dot_unrolled(q, &k[cols.clone()]) * scale;
+                    }
+                    causal_softmax_row(scores, limit);
+                    let out = &mut out_row[cols.clone()];
+                    out.fill(0.0);
+                    for (&s, (_, v)) in scores.iter().zip(rows.iter()) {
+                        for (o, &v) in out.iter_mut().zip(&v[cols.clone()]) {
+                            *o += s * v;
+                        }
+                    }
+                }
+            }
+        });
+        Ok(())
     }
 
     /// Number of multiply-accumulate operations for a sequence of the given length,
@@ -419,9 +400,16 @@ mod tests {
     ) -> Result<Matrix, LlmError> {
         let [wq, wk, wv] = attn.qkv_weights();
         let (q, k, v) = (input.matmul(wq)?, input.matmul(wk)?, input.matmul(wv)?);
-        let mut scratch = AttnScratch::new();
-        let heads = attn.attend_paged_projected(&q, &k, &v, cache, &mut scratch)?;
-        attn.project_output(heads)
+        let mut heads = Matrix::zeros(q.rows(), q.cols());
+        attn.attend_paged_projected(
+            q.as_slice(),
+            k.as_slice(),
+            v.as_slice(),
+            cache,
+            &mut AttnScratch::new(),
+            heads.as_mut_slice(),
+        )?;
+        attn.project_output(&heads)
     }
 
     #[test]
@@ -464,6 +452,111 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// The paged head-concat rows of `rows` of the projected `q`/`k`/`v`,
+    /// appended to and attended against `cache`.
+    fn paged_heads(
+        attn: &MultiHeadAttention,
+        [q, k, v]: [&Matrix; 3],
+        rows: std::ops::Range<usize>,
+        cache: &mut PagedKvCache,
+    ) -> Vec<f32> {
+        let e = attn.embedding_dim();
+        let seg = rows.start * e..rows.end * e;
+        let mut heads = vec![0.0; seg.len()];
+        attn.attend_paged_projected(
+            &q.as_slice()[seg.clone()],
+            &k.as_slice()[seg.clone()],
+            &v.as_slice()[seg],
+            cache,
+            &mut AttnScratch::new(),
+            &mut heads,
+        )
+        .unwrap();
+        heads
+    }
+
+    #[test]
+    fn fused_paged_kernel_matches_the_full_recompute_oracle() {
+        use crate::init::gaussian_matrix;
+        use crate::paging::KvBlockPool;
+        use crate::tensor::identity_bits;
+        // Head width 10 leaves a tail after dot_unrolled's 4-wide chunks.
+        let (e, seq) = (20, 20);
+        let attn = attention(e, 2);
+        let mut rng = StdRng::seed_from_u64(17);
+        let q = gaussian_matrix(&mut rng, seq, e, 1.0);
+        let mut k = gaussian_matrix(&mut rng, seq, e, 1.0);
+        let mut v = gaussian_matrix(&mut rng, seq, e, 1.0);
+        // Non-finite K and V from position 9 on, in both heads.
+        k.set(9, 3, f32::INFINITY);
+        v.set(10, 12, f32::NEG_INFINITY);
+        v.set(11, 1, f32::NAN);
+        k.set(15, 15, f32::NAN);
+        v.set(17, 4, f32::INFINITY);
+        let prefix = |m: &Matrix, rows: usize| {
+            Matrix::from_vec(rows, e, m.as_slice()[..rows * e].to_vec()).unwrap()
+        };
+        // The oracle's rows `rows` of a full recompute over positions `..rows.end`.
+        let oracle = |rows: std::ops::Range<usize>| {
+            let full = attn
+                .attend_full(
+                    &prefix(&q, rows.end),
+                    &prefix(&k, rows.end),
+                    &prefix(&v, rows.end),
+                )
+                .unwrap();
+            identity_bits(&full.as_slice()[rows.start * e..])
+        };
+        let (mut finite, mut nan) = (0, 0);
+        let mut check = |rows: std::ops::Range<usize>, cache: &mut PagedKvCache| {
+            let got = paged_heads(&attn, [&q, &k, &v], rows.clone(), cache);
+            finite += got.iter().filter(|x| x.is_finite()).count();
+            nan += got.iter().filter(|x| x.is_nan()).count();
+            assert_eq!(identity_bits(&got), oracle(rows.clone()), "rows {rows:?}");
+        };
+        for page_rows in [1, 4, 16] {
+            let pool = KvBlockPool::shared(96, page_rows, e);
+            // A cancelled stream hands its pages back to the LIFO free list, so
+            // the next stream's page ids run in reverse.
+            let mut cancelled = PagedKvCache::new(std::sync::Arc::clone(&pool));
+            cancelled
+                .append(&Matrix::zeros(2 * seq, e), &Matrix::zeros(2 * seq, e))
+                .unwrap();
+            drop(cancelled);
+            let mut cache = PagedKvCache::new(std::sync::Arc::clone(&pool));
+            // Multi-row feeds mask the columns past each row's own position.
+            let mut fed = 0;
+            let mut forked = None;
+            for feed in [5, 1, 3, 1, 3, 7] {
+                check(fed..fed + feed, &mut cache);
+                fed += feed;
+                if fed == 6 {
+                    forked = Some(cache.fork());
+                }
+            }
+            let table = cache.page_table();
+            assert!(table.windows(2).any(|w| w[0] > w[1]), "{table:?}");
+            // A second stream shares the first six rows; its first append
+            // copy-on-writes the partly filled tail page (when there is one)
+            // and the shared pages are read in place.
+            let mut forked = forked.expect("forked after six rows");
+            let mut fed = 6;
+            for feed in [4, 3, 7] {
+                check(fed..fed + feed, &mut forked);
+                fed += feed;
+            }
+            let tail = 6 / page_rows;
+            if 6 % page_rows != 0 {
+                assert_ne!(forked.page_table()[tail], cache.page_table()[tail]);
+            }
+            assert_eq!(forked.page_table()[..tail], cache.page_table()[..tail]);
+        }
+        assert!(
+            finite > 0 && nan > 0,
+            "{finite} finite and {nan} NaN outputs"
+        );
+    }
+
     #[test]
     fn cached_path_rejects_bad_shapes_and_overflow() {
         use crate::paging::KvBlockPool;
@@ -476,9 +569,22 @@ mod tests {
         let mut narrow = PagedKvCache::new(KvBlockPool::shared(4, 2, 8));
         assert!(paged_forward(&attn, &Matrix::zeros(1, 16), &mut narrow).is_err());
         // Keys and values that disagree with the queries in shape.
-        let (q, kv) = (Matrix::zeros(2, 16), Matrix::zeros(1, 16));
+        let (q, kv, mut heads) = ([0.0; 32], [0.0; 16], [0.0; 32]);
         assert!(attn
-            .attend_paged_projected(&q, &kv, &kv, &mut cache, &mut scratch)
+            .attend_paged_projected(&q, &kv, &kv, &mut cache, &mut scratch, &mut heads)
+            .is_err());
+        // Rows that are not whole rows of the embedding width.
+        let ragged = [0.0; 20];
+        let mut ragged_heads = [0.0; 20];
+        assert!(attn
+            .attend_paged_projected(
+                &ragged,
+                &ragged,
+                &ragged,
+                &mut cache,
+                &mut scratch,
+                &mut ragged_heads
+            )
             .is_err());
         // More rows than the pool holds.
         assert!(paged_forward(&attn, &Matrix::zeros(3, 16), &mut cache).is_err());

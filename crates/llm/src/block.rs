@@ -133,25 +133,21 @@ impl TransformerBlock {
             });
         }
         let (queries, keys, values) = self.project_qkv(hidden, normalizer)?;
-        // Per-stream attention: one cached pass per segment, its head-concat
-        // rows stacked back into the row batch. The segment buffers are reused
-        // across streams (grow-only).
+        // Per-stream attention: one cached pass per segment, reading its rows
+        // of the batched Q/K/V in place and writing its head-concat rows
+        // straight into the row batch.
         let mut heads = Matrix::zeros(total, e);
-        let mut q_buf = Matrix::default();
-        let mut k_buf = Matrix::default();
-        let mut v_buf = Matrix::default();
+        let (q, k, v) = (queries.as_slice(), keys.as_slice(), values.as_slice());
         let mut start = 0;
         for (&rows, (cache, scratch)) in segments.iter().zip(streams.iter_mut()) {
-            q_buf.resize(rows, e);
-            k_buf.resize(rows, e);
-            v_buf.resize(rows, e);
-            queries.window_into(start, 0, &mut q_buf)?;
-            keys.window_into(start, 0, &mut k_buf)?;
-            values.window_into(start, 0, &mut v_buf)?;
-            heads.set_rows(
-                start,
-                self.attention
-                    .attend_paged_projected(&q_buf, &k_buf, &v_buf, cache, scratch)?,
+            let seg = start * e..(start + rows) * e;
+            self.attention.attend_paged_projected(
+                &q[seg.clone()],
+                &k[seg.clone()],
+                &v[seg.clone()],
+                cache,
+                scratch,
+                &mut heads.as_mut_slice()[seg],
             )?;
             start += rows;
         }

@@ -611,8 +611,8 @@ pub struct DecodeContext<'m> {
     history: Vec<u32>,
     /// What happens when the stream would outgrow `max_seq_len`.
     eviction: EvictionPolicy,
-    /// Reusable attention scratch (panels, scores, paged gather buffers), so
-    /// steady-state decode allocates nothing per step — see [`AttnScratch`].
+    /// Reusable attention scratch (one score row), so steady-state decode
+    /// allocates nothing per step — see [`AttnScratch`].
     scratch: AttnScratch,
 }
 

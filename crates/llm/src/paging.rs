@@ -11,11 +11,10 @@
 //! eviction, drop) return to the pool's free list and are reused by whichever
 //! stream appends next.
 //!
-//! Gathered reads add nothing numeric: an attention call copies the live rows,
-//! in position order, into full-width scratch panels under one pool lock and
-//! slices per-head panels from them with [`Matrix::window_into`], so the
-//! downstream matmul/softmax kernels see exactly the rows a full recompute
-//! projects (see
+//! Paged reads add nothing numeric and copy nothing: an attention call visits
+//! the live rows in place, in position order, under one pool-lock acquisition
+//! (`PagedKvCache::visit_rows`), so its kernel reads exactly the rows a full
+//! recompute projects (see
 //! [`TransformerBlock::forward_cached_segments`](crate::block::TransformerBlock::forward_cached_segments)).
 //!
 //! # Example
@@ -277,8 +276,10 @@ impl KvBlockPool {
         // Poison recovery: every critical section below either completes its
         // writes or never started them (page-id bookkeeping is updated before
         // the row copies, and the copies are plain slice writes that cannot
-        // observe torn state), so the inner data stays consistent even if a
-        // thread panicked while holding the guard.
+        // observe torn state), or writes nothing at all (`visit_rows` lends
+        // its visitor shared slices only, so a visitor that panics leaves the
+        // pool exactly as it found it). The inner data therefore stays
+        // consistent even if a thread panicked while holding the guard.
         haan_obs::lock_recover(&self.inner)
     }
 
@@ -423,18 +424,20 @@ impl KvBlockPool {
         }
     }
 
-    /// Writes `keys`/`values` rows (same shape, width `embedding_dim`) into the
-    /// pages of one cache, starting at logical row `start_row` of its page table.
+    /// Writes row-major `keys`/`values` rows (same length, whole rows of width
+    /// `embedding_dim`) into the pages of one cache, starting at logical row
+    /// `start_row` of its page table.
     ///
     /// # Panics
     ///
     /// Panics when a written page is shared (refcount > 1): writers must
     /// copy-on-write first, or they would corrupt every other stream mapping
     /// the page.
-    fn write_rows(&self, pages: &[usize], start_row: usize, keys: &Matrix, values: &Matrix) {
+    fn write_rows(&self, pages: &[usize], start_row: usize, keys: &[f32], values: &[f32]) {
         let e = self.embedding_dim;
         let mut inner = self.lock();
-        for r in 0..keys.rows() {
+        let rows = keys.chunks_exact(e).zip(values.chunks_exact(e));
+        for (r, (key, value)) in rows.enumerate() {
             let logical = start_row + r;
             let page = pages[logical / self.page_rows];
             let slot = logical % self.page_rows;
@@ -444,8 +447,8 @@ impl KvBlockPool {
                 inner.refcounts[page]
             );
             let dst = (page * self.page_rows + slot) * e;
-            inner.keys[dst..dst + e].copy_from_slice(keys.row(r));
-            inner.values[dst..dst + e].copy_from_slice(values.row(r));
+            inner.keys[dst..dst + e].copy_from_slice(key);
+            inner.values[dst..dst + e].copy_from_slice(value);
         }
     }
 
@@ -460,35 +463,35 @@ impl KvBlockPool {
         inner.keys.copy_within(from..from + len, to);
         inner.values.copy_within(from..from + len, to);
     }
+}
 
-    /// Gathers the column window `[col_start, col_start + k_out.cols())` of the
-    /// first `k_out.rows()` logical rows of one cache into scratch matrices, in
-    /// position order — the paged equivalent of [`Matrix::window_into`] on a
-    /// dense cache, producing byte-identical panels. One lock acquisition covers
-    /// the whole window, so the attention path gathers all heads' rows at full
-    /// width in a single visit instead of taking the pool lock once per head.
-    fn gather_window(
-        &self,
-        pages: &[usize],
-        col_start: usize,
-        k_out: &mut Matrix,
-        v_out: &mut Matrix,
-    ) {
-        let e = self.embedding_dim;
-        let width = k_out.cols();
-        let rows = k_out.rows();
-        let inner = self.lock();
-        for r in 0..rows {
-            let page = pages[r / self.page_rows];
-            let slot = r % self.page_rows;
-            let src = (page * self.page_rows + slot) * e + col_start;
-            k_out
-                .row_mut(r)
-                .copy_from_slice(&inner.keys[src..src + width]);
-            v_out
-                .row_mut(r)
-                .copy_from_slice(&inner.values[src..src + width]);
-        }
+/// The rows of one cache inside the locked pool, lent to a visitor by
+/// [`PagedKvCache::visit_rows`]: read-only, copy-free, and walked in position
+/// order by [`KvRows::iter`].
+pub(crate) struct KvRows<'a> {
+    keys: &'a [f32],
+    values: &'a [f32],
+    pages: &'a [usize],
+    page_len: usize,
+    width: usize,
+    len: usize,
+}
+
+impl<'a> KvRows<'a> {
+    /// The full-width `(key, value)` rows of positions `0..len`, in position
+    /// order: position `p` is row `p % page_rows` of page
+    /// `pages[p / page_rows]`, walked page by page with no division.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'a [f32], &'a [f32])> + 'a {
+        let (keys, values, page_len, width) = (self.keys, self.values, self.page_len, self.width);
+        self.pages
+            .iter()
+            .flat_map(move |&page| {
+                let at = page * page_len..(page + 1) * page_len;
+                keys[at.clone()]
+                    .chunks_exact(width)
+                    .zip(values[at].chunks_exact(width))
+            })
+            .take(self.len)
     }
 }
 
@@ -619,6 +622,16 @@ impl PagedKvCache {
                 rhs: (values.rows(), e),
             });
         }
+        self.append_rows(keys.as_slice(), values.as_slice())
+    }
+
+    /// [`PagedKvCache::append`] of row-major rows: `keys` and `values` hold
+    /// the same whole number of `embedding_dim`-wide rows, which the caller
+    /// has checked.
+    pub(crate) fn append_rows(&mut self, keys: &[f32], values: &[f32]) -> Result<(), LlmError> {
+        let e = self.pool.embedding_dim();
+        debug_assert!(keys.len() == values.len() && keys.len().is_multiple_of(e));
+        let new_rows = keys.len() / e;
         let page_rows = self.pool.page_rows();
         let tail_rows = self.len % page_rows;
         let shared_tail = tail_rows != 0
@@ -626,7 +639,7 @@ impl PagedKvCache {
                 .pages
                 .last()
                 .is_some_and(|&page| self.pool.page_refcount(page) > 1);
-        let needed_pages = (self.len + keys.rows()).div_ceil(page_rows);
+        let needed_pages = (self.len + new_rows).div_ceil(page_rows);
         let grow = needed_pages - self.pages.len() + usize::from(shared_tail);
         // One all-or-nothing allocation covers both the growth and the private
         // tail replacement, so a failed grow never leaves a half-forked table.
@@ -640,18 +653,25 @@ impl PagedKvCache {
         }
         self.pages.extend(grown);
         self.pool.write_rows(&self.pages, self.len, keys, values);
-        self.len += keys.rows();
+        self.len += new_rows;
         Ok(())
     }
 
-    /// Gathers a column window of every live row into scratch matrices under
-    /// one pool-lock acquisition (see [`KvBlockPool::gather_window`]); the
-    /// attention path calls this once per pass at full width and slices
-    /// per-head panels from the local copy, lock-free.
-    pub(crate) fn gather_window(&self, col_start: usize, k_out: &mut Matrix, v_out: &mut Matrix) {
-        debug_assert!(k_out.rows() <= self.len && k_out.shape() == v_out.shape());
-        self.pool
-            .gather_window(&self.pages, col_start, k_out, v_out);
+    /// Lends `visit` every live row, in place and in position order
+    /// ([`KvRows`]), under one pool-lock acquisition, and returns what it
+    /// returns. The attention kernel runs inside the visit, once per stream
+    /// per block, so the rows are read where they live instead of copied out
+    /// first. The visitor must not call back into the pool: the lock is held.
+    pub(crate) fn visit_rows<R>(&self, visit: impl FnOnce(KvRows<'_>) -> R) -> R {
+        let inner = self.pool.lock();
+        visit(KvRows {
+            keys: &inner.keys,
+            values: &inner.values,
+            pages: &self.pages,
+            page_len: self.pool.page_elements(),
+            width: self.pool.embedding_dim,
+            len: self.len,
+        })
     }
 }
 
@@ -748,36 +768,52 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// Every live row of `cache` as the visitor lends it, keys and values
+    /// each flattened in position order.
+    fn visited(cache: &PagedKvCache) -> (Vec<f32>, Vec<f32>) {
+        cache.visit_rows(|rows| {
+            rows.iter().fold(
+                (Vec::new(), Vec::new()),
+                |(mut keys, mut values), (k, v)| {
+                    keys.extend_from_slice(k);
+                    values.extend_from_slice(v);
+                    (keys, values)
+                },
+            )
+        })
+    }
+
     #[test]
-    fn gathered_panels_match_the_dense_window() {
-        // The same rows written through a paged cache and a dense one must gather
-        // byte-identical per-head panels.
+    fn visited_rows_match_the_dense_rows() {
+        // Rows appended in uneven chunks come back in position order at any
+        // page size, also when the page table's ids run out of order: a
+        // stream that freed its pages leaves them on the LIFO free list, so
+        // the next stream takes them in reverse.
         let e = 16;
-        let pool = KvBlockPool::shared(32, 4, e);
-        let mut paged = PagedKvCache::new(pool);
-        let mut dense_keys = Matrix::zeros(12, e);
-        let mut dense_values = Matrix::zeros(12, e);
-        let mut len = 0;
-        for (chunk, seed) in [(5usize, 10u64), (1, 20), (6, 30)] {
-            let k = rows(chunk, e, seed);
-            let v = rows(chunk, e, seed + 1);
-            paged.append(&k, &v).unwrap();
-            dense_keys.set_rows(len, &k).unwrap();
-            dense_values.set_rows(len, &v).unwrap();
-            len += chunk;
-        }
-        for col_start in [0, 4, 8] {
-            let mut k_paged = Matrix::zeros(len, 4);
-            let mut v_paged = Matrix::zeros(len, 4);
-            paged.gather_window(col_start, &mut k_paged, &mut v_paged);
-            let mut k_dense = Matrix::zeros(len, 4);
-            let mut v_dense = Matrix::zeros(len, 4);
-            dense_keys.window_into(0, col_start, &mut k_dense).unwrap();
-            dense_values
-                .window_into(0, col_start, &mut v_dense)
-                .unwrap();
-            assert_eq!(k_paged, k_dense, "keys at col {col_start}");
-            assert_eq!(v_paged, v_dense, "values at col {col_start}");
+        for page_rows in [1, 4, 16] {
+            let pool = KvBlockPool::shared(64, page_rows, e);
+            let mut first = PagedKvCache::new(Arc::clone(&pool));
+            first.append(&rows(20, e, 1), &rows(20, e, 2)).unwrap();
+            drop(first);
+            let mut paged = PagedKvCache::new(Arc::clone(&pool));
+            let (mut dense_keys, mut dense_values) = (Vec::new(), Vec::new());
+            for (chunk, seed) in [(5usize, 10u64), (1, 20), (6, 30)] {
+                let k = rows(chunk, e, seed);
+                let v = rows(chunk, e, seed + 1);
+                paged.append(&k, &v).unwrap();
+                dense_keys.extend_from_slice(k.as_slice());
+                dense_values.extend_from_slice(v.as_slice());
+            }
+            let table = paged.page_table();
+            if page_rows < 12 {
+                assert!(
+                    table.windows(2).any(|w| w[0] > w[1]),
+                    "page ids out of order: {table:?}"
+                );
+            }
+            let (keys, values) = visited(&paged);
+            assert_eq!(keys, dense_keys, "keys at page_rows {page_rows}");
+            assert_eq!(values, dense_values, "values at page_rows {page_rows}");
         }
     }
 
@@ -883,14 +919,20 @@ mod tests {
         assert_ne!(b.page_table()[1], old_tail, "tail page was forked");
         assert_eq!(pool.page_refcount(full_page), 2);
         assert_eq!(pool.page_refcount(old_tail), 1, "a keeps the old tail");
-        // Gathered windows agree on the shared region and a never sees b's rows.
-        let mut ka = Matrix::zeros(6, e);
-        let mut va = Matrix::zeros(6, e);
-        a.gather_window(0, &mut ka, &mut va);
-        let mut kb = Matrix::zeros(6, e);
-        let mut vb = Matrix::zeros(6, e);
-        b.gather_window(0, &mut kb, &mut vb);
-        assert_eq!(ka, kb, "shared rows stay byte-identical after the fork");
+        // Visited rows agree on the shared region and a never sees b's rows.
+        let (ka, va) = visited(&a);
+        let (kb, vb) = visited(&b);
+        assert_eq!(ka.len(), 6 * e, "a still holds six rows");
+        assert_eq!(
+            ka,
+            kb[..6 * e],
+            "shared keys stay byte-identical after the fork"
+        );
+        assert_eq!(
+            va,
+            vb[..6 * e],
+            "shared values stay byte-identical after the fork"
+        );
         // a appends too: its tail is again uniquely owned, no further copy.
         let in_use = pool.pages_in_use();
         a.append(&rows(1, e, 5), &rows(1, e, 6)).unwrap();

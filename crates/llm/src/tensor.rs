@@ -315,27 +315,15 @@ impl Matrix {
     /// Reshapes the matrix in place to a row-major `rows × cols`, reusing the
     /// existing buffer. The buffer only ever grows (`Vec::resize` keeps its
     /// capacity on shrink), which is what makes reusable scratch matrices
-    /// allocation-free at steady state — see [`Matrix::buffer_capacity`]. Old
-    /// element values do not survive a reshape in any meaningful layout;
-    /// callers must treat the contents as uninitialized and overwrite every
-    /// element they read.
+    /// allocation-free at steady state. Old element values do not survive a
+    /// reshape in any meaningful layout; callers must treat the contents as
+    /// uninitialized and overwrite every element they read.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         match &mut self.data {
             Storage::Rows(data) => data.resize(rows * cols, 0.0),
             Storage::Panels(_) => self.data = Storage::Rows(vec![0.0; rows * cols]),
-        }
-    }
-
-    /// Elements the underlying buffer can hold without reallocating — the
-    /// telemetry the no-allocation-growth assertions in the decode bench watch
-    /// across steps.
-    #[must_use]
-    pub fn buffer_capacity(&self) -> usize {
-        match &self.data {
-            Storage::Rows(data) => data.capacity(),
-            Storage::Panels(panels) => panels.len(),
         }
     }
 
@@ -361,7 +349,11 @@ impl Matrix {
     /// stays in registers across the whole reduction, so every weight load
     /// feeds four rows. Either way every output element starts at `0.0` and
     /// adds its products in ascending-`k` order, so both kernels are
-    /// bit-identical to the naive triple loop at any row count.
+    /// bit-identical to the naive triple loop at any row count. Bit-identical
+    /// means the same bits in every element that is not NaN and a NaN where
+    /// the other has one: Rust leaves the sign and payload of a NaN produced
+    /// by arithmetic unspecified, and the compiler may swap the operands of
+    /// an add, so no kernel here promises a NaN's bits.
     ///
     /// A packed `rhs` of at least 512 × 512 elements is also split across the
     /// host's cores ([`Matrix::matmul_parts`] says into how many parts): its
@@ -720,9 +712,7 @@ impl Matrix {
     }
 
     /// Copies an `out.rows() × out.cols()` window of `self` starting at
-    /// `(row_start, col_start)` into `out`. The KV-cached attention path uses this
-    /// to slice a per-head key/value panel out of the populated prefix of a cache
-    /// matrix without allocating.
+    /// `(row_start, col_start)` into `out`, without allocating.
     ///
     /// # Errors
     ///
@@ -750,28 +740,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Writes `src` into the row window `[row_start, row_start + src.rows())` of
-    /// `self` — the row-axis sibling of [`Matrix::set_columns`], used to append
-    /// freshly projected K/V rows into a preallocated cache matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LlmError::ShapeMismatch`] when the widths differ or the window
-    /// exceeds `self.rows()`.
-    pub fn set_rows(&mut self, row_start: usize, src: &Matrix) -> Result<(), LlmError> {
-        if src.cols != self.cols || row_start + src.rows > self.rows {
-            return Err(LlmError::ShapeMismatch {
-                op: "set_rows",
-                lhs: self.shape(),
-                rhs: (row_start + src.rows, src.cols),
-            });
-        }
-        let dst_base = row_start * self.cols;
-        let src = src.row_major();
-        self.row_major_mut()[dst_base..dst_base + src.len()].copy_from_slice(src);
-        Ok(())
-    }
-
     /// In-place causal row softmax: row `i` only attends to columns `0..=i`.
     /// Columns above the diagonal are set to zero probability.
     pub fn causal_softmax_rows(&mut self) {
@@ -789,22 +757,8 @@ impl Matrix {
     /// loop of their own, which vectorizes; the sum follows in ascending order.
     pub fn causal_softmax_rows_offset(&mut self, offset: usize) {
         for i in 0..self.rows {
-            let cols = self.cols;
-            let row = self.row_mut(i);
-            let limit = (offset + i + 1).min(cols);
-            let max = row[..limit]
-                .iter()
-                .fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-            for v in row[..limit].iter_mut() {
-                *v = math::exp(*v - max);
-            }
-            let sum = row[..limit].iter().fold(0.0f32, |acc, &v| acc + v);
-            for v in row[..limit].iter_mut() {
-                *v /= sum;
-            }
-            for v in row[limit..].iter_mut() {
-                *v = 0.0;
-            }
+            let limit = (offset + i + 1).min(self.cols);
+            causal_softmax_row(self.row_mut(i), limit);
         }
     }
 
@@ -826,7 +780,9 @@ impl Matrix {
 /// table transposed, in 16-wide column panels, zero-padded to whole panels).
 /// Its kernel runs the same four lanes, the same pairing and the same tail
 /// for 16 logits at once, so every logit is bit-identical to
-/// [`Matrix::matmul_transposed_into`] while the loop runs 16 wide.
+/// [`Matrix::matmul_transposed_into`] while the loop runs 16 wide (a NaN
+/// logit is NaN on both, its sign and payload unspecified, as on
+/// [`Matrix::matmul_into`]).
 ///
 /// A head of at least 512 × 512 elements splits its panels across the cores
 /// of the process-wide [`WorkerPool`], under the gate of
@@ -1139,10 +1095,28 @@ fn panel_tile<const R: usize>(
     R
 }
 
+/// The causal softmax of one score row that may attend to its first `limit`
+/// columns: max, exponentiate, sum and divide over `row[..limit]` in
+/// ascending column order, and exact `0.0` in every masked column. The one
+/// row body of [`Matrix::causal_softmax_rows_offset`] and of the paged
+/// attention kernel.
+pub(crate) fn causal_softmax_row(row: &mut [f32], limit: usize) {
+    let (live, masked) = row.split_at_mut(limit);
+    let max = live.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
+    for v in live.iter_mut() {
+        *v = math::exp(*v - max);
+    }
+    let sum = live.iter().fold(0.0f32, |acc, &v| acc + v);
+    for v in live.iter_mut() {
+        *v /= sum;
+    }
+    masked.fill(0.0);
+}
+
 /// Dot product over four independent accumulator lanes (breaks the floating-point
 /// addition dependency chain so the loop pipelines/vectorises).
 #[must_use]
-fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; 4];
     let mut a_chunks = a.chunks_exact(4);
@@ -1247,6 +1221,25 @@ pub fn gelu(x: f32) -> f32 {
 #[must_use]
 pub fn silu(x: f32) -> f32 {
     x / (1.0 + math::exp(-x))
+}
+
+/// The bits a kernel-identity test compares: every non-NaN element's exact
+/// bit pattern, and one pattern for every NaN. Rust does not specify the sign
+/// or payload of a NaN that arithmetic produces, and the compiler may swap the
+/// operands of a float add, so two kernels can agree only on NaN-ness there
+/// (see [`Matrix::matmul_into`]).
+#[cfg(test)]
+pub(crate) fn identity_bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1405,7 +1398,7 @@ mod tests {
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
+        identity_bits(m.as_slice())
     }
 
     /// `a · b` with `b` packed must equal `a · b` row-major bit for bit.
@@ -1447,10 +1440,6 @@ mod tests {
         }
     }
 
-    fn to_bits(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|x| x.to_bits()).collect()
-    }
-
     /// `panel_ranges` of `kernel` over `n` columns in `parts` parts on
     /// `pool`, from an output prefilled with ones.
     #[allow(clippy::too_many_arguments)]
@@ -1476,7 +1465,7 @@ mod tests {
             kernel,
             epilogue,
         );
-        to_bits(&out)
+        identity_bits(&out)
     }
 
     #[test]
@@ -1520,8 +1509,12 @@ mod tests {
                                 epilogue,
                             )
                         };
-                        assert_eq!(split(None), to_bits(&whole), "{shape}");
-                        assert_eq!(split(Some(gelu)), to_bits(&activated), "{shape}, GELU");
+                        assert_eq!(split(None), identity_bits(&whole), "{shape}");
+                        assert_eq!(
+                            split(Some(gelu)),
+                            identity_bits(&activated),
+                            "{shape}, GELU"
+                        );
                     }
                 }
             }
@@ -1863,20 +1856,6 @@ mod tests {
         assert_eq!(prefix.row(1), m.row(1));
         assert!(m.window_into(2, 0, &mut window).is_err());
         assert!(m.window_into(0, 3, &mut window).is_err());
-    }
-
-    #[test]
-    fn set_rows_appends_into_preallocated_storage() {
-        let mut cache = Matrix::zeros(4, 3);
-        let first = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]).unwrap();
-        let rest = Matrix::from_rows(&[&[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]).unwrap();
-        cache.set_rows(0, &first).unwrap();
-        cache.set_rows(1, &rest).unwrap();
-        assert_eq!(cache.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(cache.row(2), &[7.0, 8.0, 9.0]);
-        assert_eq!(cache.row(3), &[0.0, 0.0, 0.0]);
-        assert!(cache.set_rows(3, &rest).is_err());
-        assert!(cache.set_rows(0, &Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]

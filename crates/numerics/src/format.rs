@@ -1,7 +1,7 @@
 //! Numeric formats supported by the HAAN accelerator interface.
 
 use crate::fixed::QFormat;
-use crate::fp16::Fp16;
+use crate::fp16;
 use crate::quant::Int8Quantizer;
 use std::fmt;
 
@@ -81,7 +81,7 @@ impl Format {
         out.reserve(values.len());
         match self {
             Format::Fp32 => out.extend_from_slice(values),
-            Format::Fp16 => out.extend(values.iter().map(|&v| Fp16::from_f32(v).to_f32())),
+            Format::Fp16 => out.extend(values.iter().map(|&v| fp16::round_trip(v))),
             Format::Int8 => match Int8Quantizer::fit(values) {
                 Ok(q) => out.extend(values.iter().map(|&v| q.dequantize(q.quantize(v)))),
                 Err(_) => out.extend_from_slice(values),

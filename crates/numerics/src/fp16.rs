@@ -184,12 +184,54 @@ impl fmt::Display for Fp16 {
     }
 }
 
-/// Quantizes a slice of `f32` through FP16 and back, returning the rounded values.
+/// `Fp16::from_f32(value).to_f32()` with no branch, so a loop over it
+/// vectorizes: the numerical effect of storing `value` in FP16, the way
+/// [`Format::round_trip_into`](crate::Format::round_trip_into) applies an
+/// "FP16 interface" to a tensor. [`Fp16::from_f32`] and [`Fp16::to_f32`] stay
+/// the oracle; the two agree on every one of the 2³² inputs.
 ///
-/// This is how the simulation applies an "FP16 interface" to a tensor.
+/// Round-to-nearest-even is done on the magnitude's bits. In the normal range
+/// adding `0xfff` plus the kept mantissa's low bit, then clearing the 13
+/// dropped bits, rounds to 10 mantissa bits (a carry moves into the exponent),
+/// and a result of 2¹⁶ or more is infinity. Below 2⁻¹⁴ FP16 is subnormal, a
+/// multiple of 2⁻²⁴, and `(|x| + 0.5) − 0.5` has the f32 adder round to
+/// exactly that (the ulp of 0.5 is 2⁻²⁴). The sign is put back afterwards, and
+/// a NaN of either sign becomes [`f32::NAN`], as [`Fp16::to_f32`] returns.
+///
+/// # Example
+///
+/// ```
+/// use haan_numerics::fp16::{round_trip, Fp16};
+/// for x in [1.0f32 / 3.0, -65519.0, 65520.0, 3.0e-8, f32::NAN] {
+///     let oracle = Fp16::from_f32(x).to_f32();
+///     assert_eq!(round_trip(x).to_bits(), oracle.to_bits());
+/// }
+/// ```
+#[inline]
 #[must_use]
-pub fn round_trip_slice(values: &[f32]) -> Vec<f32> {
-    values.iter().map(|&v| Fp16::from_f32(v).to_f32()).collect()
+pub fn round_trip(value: f32) -> f32 {
+    const SMALLEST_NORMAL: u32 = 0x3880_0000; // 2^-14
+    const OVERFLOW: u32 = 0x4780_0000; // 2^16: every result this large is inf
+    let bits = value.to_bits();
+    let sign = bits & 0x8000_0000;
+    let abs = bits & 0x7fff_ffff;
+    let normal = (abs + 0xfff + ((abs >> 13) & 1)) & !0x1fff;
+    let normal = if normal >= OVERFLOW {
+        0x7f80_0000
+    } else {
+        normal
+    };
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    let magnitude = if abs < SMALLEST_NORMAL {
+        subnormal
+    } else {
+        normal
+    };
+    if value.is_nan() {
+        f32::NAN
+    } else {
+        f32::from_bits(sign | magnitude)
+    }
 }
 
 #[cfg(test)]
@@ -253,12 +295,65 @@ mod tests {
         assert_eq!(Fp16::from_f32(2051.0).to_f32(), 2052.0);
     }
 
+    /// `round_trip(x)` against the oracle, bit for bit.
+    fn assert_round_trip_matches_the_oracle(x: f32) {
+        assert_eq!(
+            round_trip(x).to_bits(),
+            Fp16::from_f32(x).to_f32().to_bits(),
+            "{x:e} ({:#010x})",
+            x.to_bits()
+        );
+    }
+
     #[test]
-    fn round_trip_slice_matches_elementwise() {
-        let xs = [0.1f32, 0.2, 123.456, -9.87];
-        let rt = round_trip_slice(&xs);
-        for (a, b) in xs.iter().zip(&rt) {
-            assert_eq!(Fp16::from_f32(*a).to_f32(), *b);
+    fn round_trip_matches_the_oracle_on_edge_values() {
+        let ulp_up = |x: f32| f32::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f32| f32::from_bits(x.to_bits() - 1);
+        let tie = 2f32.powi(-25); // halfway between 0 and the smallest subnormal
+        let smallest = 2f32.powi(-24); // the smallest FP16 subnormal
+        let normal = 2f32.powi(-14); // the smallest FP16 normal
+        let edges = [
+            0.0,
+            tie,
+            ulp_up(tie),
+            ulp_down(tie),
+            3.0 * tie, // a tie that rounds up, to 2 · 2^-24
+            smallest,
+            normal,
+            ulp_up(normal),
+            ulp_down(normal),
+            65504.0,
+            65519.99,
+            65520.0,
+            2049.0,
+            2051.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1), // the smallest f32 subnormal
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0x7fff_ffff), // NaN with a full payload
+        ];
+        for x in edges {
+            assert_round_trip_matches_the_oracle(x);
+            assert_round_trip_matches_the_oracle(-x);
+        }
+        assert_eq!(round_trip(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(round_trip(65520.0), f32::INFINITY);
+        assert_eq!(round_trip(65519.99), 65504.0);
+        assert_eq!(round_trip(-tie).to_bits(), (-0.0f32).to_bits());
+        assert!(round_trip(-f32::NAN).is_nan());
+    }
+
+    #[test]
+    #[ignore = "exhaustive: all 2^32 inputs; run in release with --ignored"]
+    fn round_trip_matches_the_oracle_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            if round_trip(x).to_bits() != Fp16::from_f32(x).to_f32().to_bits() {
+                assert_round_trip_matches_the_oracle(x);
+            }
         }
     }
 
@@ -270,6 +365,17 @@ mod tests {
             // Relative error bounded by 2^-11 for normal values.
             if v.abs() > 1e-4 {
                 prop_assert!(((back - v) / v).abs() < 2f32.powi(-10), "{} -> {}", v, back);
+            }
+        }
+
+        #[test]
+        fn prop_round_trip_matches_the_oracle(
+            bits in 0u32..u32::MAX,
+            near_fp16 in 0x3300_0000u32..0x4790_0000, // 2^-25 .. just past 65536
+            sign in 0u32..2,
+        ) {
+            for x in [f32::from_bits(bits), f32::from_bits(near_fp16 | sign << 31)] {
+                prop_assert_eq!(round_trip(x).to_bits(), Fp16::from_f32(x).to_f32().to_bits());
             }
         }
 

@@ -12,8 +12,8 @@
 //! contribute exact `+0.0` terms — so the cached path computes the same floats,
 //! not merely close ones. HAAN's skip predictor keeps the property because its
 //! per-row anchors are recorded and consumed within one pass over the same rows.
-//! Paged storage adds nothing numeric: the page gather copies the live rows, in
-//! position order, into the per-head panels the score kernels read.
+//! Paged storage adds nothing numeric: the attention kernel reads the live rows
+//! in place, in position order, and runs the oracle's operations in its order.
 
 use haan::{BackendSelection, HaanConfig, HaanNormalizer, SkipPlan};
 use haan_llm::norm::ReferenceNormalizer;
